@@ -13,8 +13,9 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import dataclass
 
-from .gfq import CharSpec, is_prime, make_field
+from .gfq import MAX_FIELD_ORDER, CharSpec, FieldSpec, make_field
 from .pascal import closed_form_table, family_table
 from .reporting import Report
 from .serialize import (
@@ -25,10 +26,12 @@ from .serialize import (
     symbolic_csv,
     to_json,
 )
-from .spaces import BudgetError, make_space
+from .spaces import make_space
 from .symmetric import psi_brute, psi_closed, scaled_canonical_from_blocks
-from .transform import DEFAULT_BUDGET, brute_force_phi
+from .transform import DEFAULT_BUDGET, CanonicalMatrix, brute_force_phi
 from .verify import SUITES, GridFilter, run_suite
+
+INTEGER_FAMILIES = ("vec", "mat", "alt")
 
 
 class _Once(argparse.Action):
@@ -41,137 +44,108 @@ class _Once(argparse.Action):
         setattr(namespace, self.dest, values)
 
 
-def _factor_prime_power(q: int) -> tuple[int, int]:
-    if q < 2:
-        raise ValueError(f"q={q} is not a prime power")
-    p = next((d for d in range(2, q + 1) if q % d == 0), q)
-    if not is_prime(p):
-        raise ValueError("not a prime")
-    e = 0
-    while q % p == 0:
-        q //= p
+def _field(q: int) -> FieldSpec:
+    """GF(q); the one parser of field orders for every subcommand."""
+    if q > MAX_FIELD_ORDER:
+        raise ValueError("field too large")
+    p = next((d for d in range(2, q + 1) if q % d == 0), None)
+    e = 1
+    while p is not None and p**e < q:
         e += 1
-    if q != 1:
-        raise ValueError("not a prime power")
-    return p, e
+    if p is None or p**e != q:
+        raise ValueError(f"q={q} is not a prime power")
+    return make_field(p, e)
 
 
-def _budget(args) -> int:
-    if args.budget is not None:
-        return args.budget
+def _budget(flag: int | None) -> int:
+    """--budget, else GFTABLES_BUDGET, else the default; at least 1."""
     env = os.environ.get("GFTABLES_BUDGET")
-    return int(env) if env else DEFAULT_BUDGET
+    budget = flag if flag is not None else int(env) if env else DEFAULT_BUDGET
+    if budget < 1:
+        raise ValueError("budget must be at least 1")
+    return budget
 
 
-def _build_compute_output(args) -> tuple[str, bool]:
-    """Returns (payload text, cross_checks_ok)."""
-    p, e = _factor_prime_power(args.q)
-    field = make_field(p, e)
-    if args.twist < 1 or args.twist >= field.q:
-        raise ValueError("twist must index a nonzero field element")
-    char = CharSpec(field, field.element_at(args.twist))
-    budget = _budget(args)
-    fam = args.family
-    fmt = args.format or "json"
+@dataclass(frozen=True)
+class ComputeRequest:
+    """A compute/export invocation, validated before any computation.
 
-    if args.symbolic:
-        if fam not in ("vec", "mat", "alt"):
+    Checks that library constructors already make (n <= m for mat, odd q
+    for alt and sym, odd degree for brute sign blocks) stay with them.
+    """
+
+    family: str
+    char: CharSpec
+    n: int
+    m: int | None
+    method: str
+    symbolic: bool
+    fmt: str
+    budget: int
+    out: str | None
+
+    @classmethod
+    def from_args(cls, args) -> ComputeRequest:
+        if args.command == "export" and not args.out:
+            raise ValueError("export needs --out")
+        field = _field(args.q)
+        if not 1 <= args.twist < field.q:
+            raise ValueError("twist must index a nonzero field element")
+        if args.n < 0:
+            raise ValueError(f"n must be >= 0, got {args.n}")
+        fmt = args.format or "json"
+        if args.symbolic and args.family not in INTEGER_FAMILIES:
             raise ValueError("symbolic tables exist for vec, mat, and alt only")
-        tab = family_table(fam, args.n, args.m)
-        if fmt == "csv":
-            return symbolic_csv(tab, args.q), True
-        return to_json(family_table_obj(tab, args.q)), True
-
-    if fam in ("vec", "mat", "alt"):
-        space = make_space(fam, field, args.n, args.m)
-        method = args.method
-        ok = True
-        if method in ("brute", "all"):
-            phi = brute_force_phi(space, char, budget)
-            grid = phi.integer_entries()
-        if method in ("recursion", "all"):
-            rec = family_table(fam, args.n, args.m).at_q_int(args.q)
-            grid = rec if method == "recursion" else grid
-            if method == "all":
-                ok = ok and rec == grid
-        if method in ("closed", "all"):
-            clo = closed_form_table(fam, args.n, args.m, args.q)
-            if any(v.denominator != 1 for row in clo for v in row):
-                raise AssertionError("closed form produced non-integers")
-            cgrid = [[int(v) for v in row] for row in clo]
-            grid = cgrid if method == "closed" else grid
-            if method == "all":
-                ok = ok and cgrid == grid
-        labels = [str(l) for l in space.labels()]
-        if fmt == "csv":
-            return matrix_csv(labels, grid), ok
-        obj = {
-            "kind": "canonical-matrix",
-            "method": method,
-            "space": space.to_obj(),
-            "q": args.q,
-            "field": field.to_obj(),
-            "twist": list(char.twist.coeffs),
-            "labels": labels,
-            "entries": grid,
-        }
-        if method == "all":
-            obj["cross_checked"] = ok
-        return to_json(obj), ok
-
-    if fam == "sym":
-        if args.method == "recursion":
-            raise ValueError(
-                "symmetric families have no integer recursion; use brute, closed, or all"
-            )
-        if fmt == "csv":
+        if args.family not in INTEGER_FAMILIES and args.method == "recursion":
+            raise ValueError("symmetric families have no integer recursion; use brute, closed, or all")
+        if args.family == "sym" and fmt == "csv":
             raise ValueError("sign blocks contain Gauss-sum entries; use JSON")
-        ok = True
-        if args.method in ("brute", "all"):
-            blocks, _phi = psi_brute(args.n, char, budget)
-        if args.method in ("closed", "all"):
-            closed = psi_closed(args.n, char)
-            if args.method == "closed":
-                blocks = closed
-            else:
-                ok = blocks.same_blocks(closed)
-        obj = psi_blocks_obj(blocks, args.method)
-        if args.method == "all":
-            obj["cross_checked"] = ok
-        return to_json(obj), ok
+        char = CharSpec(field, field.element_at(args.twist))
+        return cls(args.family, char, args.n, args.m, args.method, args.symbolic, fmt, _budget(args.budget), args.out)
 
-    if fam == "symscaled":
-        if args.method == "recursion":
-            raise ValueError(
-                "symmetric families have no integer recursion; use brute, closed, or all"
-            )
-        space = make_space(fam, field, args.n)
-        ok = True
-        if args.method in ("brute", "all"):
-            phi = brute_force_phi(space, char, budget)
-        if args.method in ("closed", "all"):
-            cphi = scaled_canonical_from_blocks(psi_closed(args.n, char))
-            if args.method == "closed":
-                phi = cphi
-            else:
-                ok = phi.entries == cphi.entries
-        if fmt == "csv":
-            return matrix_csv([str(l) for l in phi.labels], [[e.as_int() for e in row] for row in phi.entries]), ok
-        obj = canonical_matrix_obj(phi, args.method)
-        if args.method == "all":
-            obj["cross_checked"] = ok
-        return to_json(obj), ok
-
-    raise ValueError(f"unknown family {fam!r}")
+    @property
+    def routes(self) -> tuple[str, ...]:
+        if self.method != "all":
+            return (self.method,)
+        return ("brute", "recursion", "closed") if self.family in INTEGER_FAMILIES else ("brute", "closed")
 
 
-def cmd_compute(args, require_out: bool = False) -> int:
-    if require_out and not args.out:
-        print("export needs --out", file=sys.stderr)
-        return 2
-    payload, ok = _build_compute_output(args)
-    if args.out:
-        with open(args.out, "w", newline="\n") as fh:
+def _table(req: ComputeRequest, route: str):
+    """One route's table: a CanonicalMatrix, or the PsiBlocks of sym."""
+    if req.family == "sym":
+        return psi_brute(req.n, req.char, req.budget)[0] if route == "brute" else psi_closed(req.n, req.char)
+    space = make_space(req.family, req.char.field, req.n, req.m)
+    if route == "brute":
+        return brute_force_phi(space, req.char, req.budget)
+    q = req.char.field.q
+    if route == "recursion":
+        return CanonicalMatrix.from_integers(space, req.char, family_table(req.family, req.n, req.m).at_q_int(q))
+    if req.family == "symscaled":
+        return scaled_canonical_from_blocks(psi_closed(req.n, req.char))
+    return CanonicalMatrix.from_integers(space, req.char, closed_form_table(req.family, req.n, req.m, q))
+
+
+def _build_compute_output(req: ComputeRequest) -> tuple[str, bool]:
+    """Returns (payload text, cross_checks_ok); --method all checks every
+    route against the first."""
+    q = req.char.field.q
+    if req.symbolic:
+        tab = family_table(req.family, req.n, req.m)
+        return (symbolic_csv(tab, q) if req.fmt == "csv" else to_json(family_table_obj(tab, q))), True
+    first, *others = [_table(req, route) for route in req.routes]
+    ok = all(t == first for t in others)
+    if req.fmt == "csv":
+        return matrix_csv([str(l) for l in first.labels], first.entries), ok
+    obj = psi_blocks_obj(first, req.method) if req.family == "sym" else canonical_matrix_obj(first, req.method)
+    if req.method == "all":
+        obj["cross_checked"] = ok
+    return to_json(obj), ok
+
+
+def cmd_compute(req: ComputeRequest) -> int:
+    payload, ok = _build_compute_output(req)
+    if req.out:
+        with open(req.out, "w", newline="\n") as fh:
             fh.write(payload)
     else:
         sys.stdout.write(payload)
@@ -183,19 +157,19 @@ def cmd_compute(args, require_out: bool = False) -> int:
 
 def cmd_verify(args) -> int:
     flt = GridFilter(
-        qs=frozenset(int(t) for t in args.q.split(",")) if args.q else None,
+        qs=frozenset(_field(int(t)).q for t in args.q.split(",")) if args.q else None,
         family=args.family,
         n=args.n,
         m=args.m,
     )
-    budget = _budget(args)
+    budget = _budget(args.budget)
     names = list(SUITES) if args.suite == "all" else [args.suite]
     rep = Report()
     if args.jobs > 1 and len(names) > 1:
         import concurrent.futures as cf
 
         with cf.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            for part in pool.map(_run_one_suite, [(n, budget, flt) for n in names]):
+            for part in pool.map(run_suite, names, [budget] * len(names), [flt] * len(names)):
                 rep.extend(part)
     else:
         for name in names:
@@ -205,11 +179,6 @@ def cmd_verify(args) -> int:
     failures = rep.failures
     print(f"{len(rep.checks)} checks, {len(failures)} failures")
     return 1 if failures else 0
-
-
-def _run_one_suite(item) -> Report:
-    name, budget, flt = item
-    return run_suite(name, budget, flt)
 
 
 def _add_compute_args(sub) -> None:
@@ -223,7 +192,6 @@ def _add_compute_args(sub) -> None:
     sub.add_argument("--format", action=_Once, choices=["json", "csv"], default=None)
     sub.add_argument("--out", default=None)
     sub.add_argument("--budget", type=int, default=None)
-    sub.add_argument("--jobs", type=int, default=1)
 
 
 def main(argv=None) -> int:
@@ -247,12 +215,10 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        if args.command == "compute":
-            return cmd_compute(args)
-        if args.command == "export":
-            return cmd_compute(args, require_out=True)
-        return cmd_verify(args)
-    except (ValueError, BudgetError) as exc:
+        if args.command == "verify":
+            return cmd_verify(args)
+        return cmd_compute(ComputeRequest.from_args(args))
+    except ValueError as exc:  # BudgetError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -24,6 +24,18 @@ class IncompatibleRingError(ValueError):
     """Mixed operands from different cyclotomic orders."""
 
 
+def square_and_multiply(base, n: int, one):
+    """base**n for n >= 0 in any ring; one is its unit. Callers own the rule
+    for negative exponents."""
+    out = one
+    while n:
+        if n & 1:
+            out = out * base
+        base = base * base
+        n >>= 1
+    return out
+
+
 class CycInt:
     """An element of Z[zeta_p] for a prime p, in canonical reduced form."""
 
@@ -114,14 +126,7 @@ class CycInt:
     def __pow__(self, n: int) -> CycInt:
         if n < 0:
             raise ValueError("negative powers are not defined in Z[zeta_p]")
-        out = CycInt.one(self.p)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return square_and_multiply(self, n, CycInt.one(self.p))
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, int):
@@ -226,14 +231,7 @@ class QuadraticGamma:
     def __pow__(self, n: int) -> QuadraticGamma:
         if n < 0:
             raise ValueError("negative powers are not defined in Z[gamma]")
-        out = QuadraticGamma(1, 0, self.q)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return square_and_multiply(self, n, QuadraticGamma(1, 0, self.q))
 
     def conjugate(self) -> QuadraticGamma:
         # conj(gamma) = eps*gamma, from gamma*conj(gamma) = q and gamma^2 = eps*q.
@@ -345,14 +343,7 @@ class PolyQ:
     def __pow__(self, n: int) -> PolyQ:
         if n < 0:
             raise ValueError("negative powers are outside Z[q]")
-        out = PolyQ.const(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return square_and_multiply(self, n, PolyQ.const(1))
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, int):
@@ -410,4 +401,3 @@ class PolyQ:
 
 
 POLY_Q = PolyQ.monomial(1, 1)
-POLY_ONE = PolyQ.const(1)

@@ -17,7 +17,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .cyclotomic import CycInt, epsilon_of
+from .cyclotomic import CycInt, epsilon_of, square_and_multiply
 
 MAX_FIELD_ORDER = 1 << 20
 
@@ -141,14 +141,7 @@ class FieldElem:
             if self.is_zero():
                 raise ZeroDivisionError("inverse of zero")
             n = n % (f.q - 1)  # x^(q-1) = 1 on nonzero elements
-        out = f.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return square_and_multiply(self, n, f.one())
 
     def inverse(self) -> FieldElem:
         if self.is_zero():

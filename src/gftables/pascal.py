@@ -207,20 +207,17 @@ class FamilyTable:
     row_values: tuple[int, ...]
     entries: tuple[tuple[PolyQ, ...], ...]
 
-    def at_q(self, q: int | Fraction) -> list[list[Fraction]]:
-        return [[Fraction(e.eval_at(q)) for e in row] for row in self.entries]
-
     def at_q_int(self, q: int) -> list[list[int]]:
         return [[int(e.eval_at(q)) for e in row] for row in self.entries]
 
 
-def _chain_step(prev: list[list[PolyQ]], size: int, bpr_hi: int, bpr_lo, o_hi: int, shift: int) -> list[list[PolyQ]]:
+def _chain_step(prev: list[list[PolyQ]], size: int, bpr_hi: int, bpr_lo, o_hi: int) -> list[list[PolyQ]]:
     """One recursion step shared by all three families.
 
     bottom row:  O(x) = q^(bpr_hi(x)) O'(x) + (q^o_hi - q^(bpr_lo(x))) O'(x-1)
     other rows:  f(y+1, x) = q^(bpr_hi(x)) f'(y, x) - q^(bpr_lo(x)) f'(y, x-1)
 
-    where primes refer to the previous table and shift is 1 or 2 label steps.
+    where primes refer to the previous table.
     """
     zero = PolyQ()
 
@@ -255,7 +252,7 @@ def family_table(family: str, n: int, m: int | None = None) -> FamilyTable:
     if family == "vec":
         grid = [[one]]
         for k in range(1, n + 1):
-            grid = _chain_step(grid, k + 1, bpr_hi=0, bpr_lo=lambda x: 0, o_hi=1, shift=1)
+            grid = _chain_step(grid, k + 1, bpr_hi=0, bpr_lo=lambda x: 0, o_hi=1)
         values = tuple(range(n + 1))
     elif family == "mat":
         if m is None or m < n:
@@ -263,7 +260,7 @@ def family_table(family: str, n: int, m: int | None = None) -> FamilyTable:
         grid = [[one]]
         for k in range(1, n + 1):
             grid = _chain_step(
-                grid, k + 1, bpr_hi=1, bpr_lo=lambda x: x - 1, o_hi=(m - n) + 2 * k - 1, shift=1
+                grid, k + 1, bpr_hi=1, bpr_lo=lambda x: x - 1, o_hi=(m - n) + 2 * k - 1
             )
         values = tuple(range(n + 1))
     elif family == "alt":
@@ -272,7 +269,7 @@ def family_table(family: str, n: int, m: int | None = None) -> FamilyTable:
         for size in range(start, n + 1, 2):
             k = size // 2
             o_hi = 4 * k - 3 if size % 2 == 0 else 4 * k - 1
-            grid = _chain_step(grid, k + 1, bpr_hi=2, bpr_lo=lambda x: 2 * x - 2, o_hi=o_hi, shift=2)
+            grid = _chain_step(grid, k + 1, bpr_hi=2, bpr_lo=lambda x: 2 * x - 2, o_hi=o_hi)
         values = tuple(range(0, n + 1, 2))
     elif family in ("sym", "symscaled"):
         raise ValueError(
@@ -352,8 +349,9 @@ def involution_squares_to_identity(size: int) -> bool:
 # generating functions
 
 
-def _t_mul(a: list[PolyQ], b: list[PolyQ]) -> list[PolyQ]:
-    out = [PolyQ() for _ in range(len(a) + len(b) - 1)]
+def _t_mul(a: list, b: list, zero) -> list:
+    """Product of two polynomials in t, as coefficient lists over the ring of zero."""
+    out = [zero] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         for j, y in enumerate(b):
             out[i + j] = out[i + j] + x * y
@@ -363,7 +361,7 @@ def _t_mul(a: list[PolyQ], b: list[PolyQ]) -> list[PolyQ]:
 def _t_pow(base: list[PolyQ], e: int) -> list[PolyQ]:
     out = [PolyQ.const(1)]
     for _ in range(e):
-        out = _t_mul(out, base)
+        out = _t_mul(out, base, PolyQ())
     return out
 
 
@@ -372,7 +370,7 @@ def genfun_vec_symbolic(n: int, s: int) -> bool:
     as an identity in Z[q][t]."""
     tab = family_table("vec", n)
     lhs = list(tab.entries[s])
-    rhs = _t_mul(_t_pow([PolyQ.const(1), PolyQ.const(-1)], s), _t_pow([PolyQ.const(1), POLY_Q - 1], n - s))
+    rhs = _t_mul(_t_pow([PolyQ.const(1), PolyQ.const(-1)], s), _t_pow([PolyQ.const(1), POLY_Q - 1], n - s), PolyQ())
     rhs += [PolyQ()] * (len(lhs) - len(rhs))
     return lhs == rhs[: len(lhs)] and all(e.is_zero() for e in rhs[len(lhs) :])
 
@@ -384,7 +382,7 @@ def genfun_mat_concrete(n: int, m: int, q: int, s: int) -> bool:
     prefix = [Fraction(1)]
     for i in range(s):
         # (t; q)_s as a polynomial in t
-        prefix = _frac_t_mul(prefix, [Fraction(1), -(qf**i)])
+        prefix = _t_mul(prefix, [Fraction(1), -(qf**i)], Fraction(0))
     tail = [
         Fraction(-1) ** u
         * qf ** (comb(u, 2) + s * u)
@@ -392,17 +390,9 @@ def genfun_mat_concrete(n: int, m: int, q: int, s: int) -> bool:
         * gauss_binom(n - s, u, qf)
         for u in range(n - s + 1)
     ]
-    rhs = _frac_t_mul(prefix, tail)
+    rhs = _t_mul(prefix, tail, Fraction(0))
     rhs += [Fraction(0)] * (len(lhs) - len(rhs))
     return lhs == rhs[: len(lhs)] and all(c == 0 for c in rhs[len(lhs) :])
-
-
-def _frac_t_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
 
 
 def genfun_krawtchouk(N: int, p: Fraction) -> bool:
@@ -411,9 +401,9 @@ def genfun_krawtchouk(N: int, p: Fraction) -> bool:
         lhs = [comb(N, y) * krawtchouk(y, x, p, N) for y in range(N + 1)]
         rhs = [Fraction(1)]
         for _ in range(x):
-            rhs = _frac_t_mul(rhs, [Fraction(1), -(1 - p) / p])
+            rhs = _t_mul(rhs, [Fraction(1), -(1 - p) / p], Fraction(0))
         for _ in range(N - x):
-            rhs = _frac_t_mul(rhs, [Fraction(1), Fraction(1)])
+            rhs = _t_mul(rhs, [Fraction(1), Fraction(1)], Fraction(0))
         if lhs != rhs:
             return False
     return True
@@ -428,9 +418,9 @@ def genfun_affine_krawtchouk(N: int, a: Fraction, q: Fraction) -> bool:
         ]
         pref = [Fraction(1)]
         for i in range(x):
-            pref = _frac_t_mul(pref, [Fraction(1), -a * q**i])
+            pref = _t_mul(pref, [Fraction(1), -a * q**i], Fraction(0))
         tail = [q_pochhammer(q**x * a, q, u) * gauss_binom(N - x, u, q) for u in range(N - x + 1)]
-        rhs = _frac_t_mul(pref, tail)
+        rhs = _t_mul(pref, tail, Fraction(0))
         rhs += [Fraction(0)] * (len(lhs) - len(rhs))
         if lhs != rhs[: len(lhs)] or any(c != 0 for c in rhs[len(lhs) :]):
             return False

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 
-from .cyclotomic import PolyQ
 from .pascal import FamilyTable
 from .symmetric import PsiBlocks
 from .transform import CanonicalMatrix
@@ -73,7 +72,3 @@ def symbolic_csv(tab: FamilyTable, q: int) -> str:
     labels = [str(v) for v in tab.row_values]
     grid = tab.at_q_int(q)
     return matrix_csv(labels, grid)
-
-
-def poly_obj(p: PolyQ) -> dict:
-    return p.to_obj()

@@ -201,9 +201,6 @@ class Space:
     def add(self, a: Elem, b: Elem) -> Elem:
         return tuple(x + y for x, y in zip(a, b))
 
-    def neg(self, a: Elem) -> Elem:
-        return tuple(-x for x in a)
-
     def pair(self, a: Elem, b: Elem) -> FieldElem:
         """The bilinear form trace(a^T b), restricted to this space."""
         if len(a) != self.dim or len(b) != self.dim:
@@ -539,15 +536,3 @@ def make_space(family: str, field: FieldSpec, n: int, m: int | None = None) -> S
     if family == "symscaled":
         return SymScaled(n, field)
     raise ValueError(f"unknown family {family!r}")
-
-
-def print_matrix(space: Space, elem: Elem) -> str:
-    """Row-major integer text rendering of an element."""
-    rows = space.as_matrix(elem)
-
-    def show(x: FieldElem) -> str:
-        if x.field.e == 1:
-            return str(x.coeffs[0])
-        return "(" + ",".join(str(c) for c in x.coeffs) + ")"
-
-    return "\n".join(" ".join(show(x) for x in row) for row in rows)

@@ -32,6 +32,7 @@ from .transform import (
     CanonicalMatrix,
     brute_force_phi,
     brute_phi_bar,
+    standard_diagram,
 )
 
 Block = dict[tuple[int, int], QuadraticGamma]
@@ -314,10 +315,7 @@ def _sym_rank_sign_values(char: CharSpec, n_upper: int, lower_n: int, e_corner: 
     representatives follow the diag(1..1) / diag(1..1, 1/delta) convention.
     Returns values[(kind, r)][lower_label] as cyclotomic sums.
     """
-    upper = make_space("sym", char.field, n_upper)
     lower = make_space("sym", char.field, lower_n)
-    from .transform import standard_diagram
-
     d = standard_diagram(
         make_space("sym" if e_corner == 1 else "symscaled", char.field, n_upper),
         make_space("sym" if e_corner == 1 else "symscaled", char.field, lower_n),
@@ -341,11 +339,10 @@ def _sym_rank_sign_values(char: CharSpec, n_upper: int, lower_n: int, e_corner: 
             reps[(u, -1)] = lower_rep(u, -1)
 
     out: dict[tuple[str, int], dict[tuple[int, int], CycInt]] = {}
-    upper_sym = make_space("sym", char.field, n_upper)
     for key, rep in reps.items():
         sums: dict[tuple[str, int], list[int]] = {}
         for a in d.fiber(rep):
-            rank, sign = upper_sym.rank_and_sign(a)
+            rank, sign = d.upper.rank_and_sign(a)
             t = (-d.zeta_exponent(char, a)) % p
             sums.setdefault(("chi", rank), [0] * p)[t] += 1
             if rank:
@@ -414,8 +411,6 @@ def sym_diagram_matrices(n: int, char: CharSpec, which: int) -> Report:
 
         upper = make_space("sym", char.field, n)
         lower = make_space("sym", char.field, lower_n)
-        from .transform import standard_diagram
-
         d = standard_diagram(upper, lower)
         lm = d.label_map()
         expect = {OrbitLabel(0): OrbitLabel(1, 1)}
@@ -489,8 +484,6 @@ def sym_diagram_matrices(n: int, char: CharSpec, which: int) -> Report:
                 ok2 &= e2 == want2
     rep.add("sym-diagram/two-step-push-chi", where, ok1 and ok3)
     rep.add("sym-diagram/two-step-push-sgn", where, ok2 and ok4)
-
-    from .transform import standard_diagram
 
     d = standard_diagram(make_space("symscaled", char.field, n), make_space("symscaled", char.field, lower_n))
     lm = d.label_map()

@@ -109,6 +109,17 @@ class CanonicalMatrix:
         if any(self.entries[i][0] != 1 for i in range(len(self.labels))):
             raise AssertionError("zero-orbit column is not all ones")
 
+    @classmethod
+    def from_integers(cls, space: Space, char: CharSpec, grid) -> CanonicalMatrix:
+        """A recursion or closed-form table of integers (or integral fractions),
+        checked against the space's closed-form orbit sizes."""
+        if any(v.denominator != 1 for row in grid for v in row):
+            raise AssertionError("table has non-integer entries")
+        p, q = space.field.p, space.field.q
+        entries = tuple(tuple(CycInt.integer(p, int(v)) for v in row) for row in grid)
+        sizes = tuple(int(space.orbit_size_poly(lbl).eval_at(q)) for lbl in space.labels())
+        return cls(space, char, space.labels(), entries, sizes)
+
     @property
     def nlabels(self) -> int:
         return len(self.labels)
@@ -384,9 +395,6 @@ class Diagram:
     lower: Space
     embed: tuple[int, ...]
     e: Elem
-
-    def project(self, a: Elem) -> Elem:
-        return tuple(a[k] for k in self.embed)
 
     def lift(self, b: Elem) -> Elem:
         zero = self.upper.field.zero()

@@ -27,7 +27,7 @@ from .pascal import (
 )
 from .reporting import Report
 from .spaces import OrbitLabel, make_space
-from .symmetric import psi_brute, relation_suite, sym_diagram_matrices
+from .symmetric import psi_brute, psi_closed, relation_suite, sym_diagram_matrices
 from .transform import (
     DEFAULT_BUDGET,
     brute_force_phi,
@@ -260,8 +260,6 @@ def suite_oracle(budget: int = DEFAULT_BUDGET, flt: GridFilter = EVERYTHING) -> 
             continue
         ch = default_char(field_for(q))
         blocks, _phi = psi_brute(n, ch, budget)
-        from .symmetric import psi_closed
-
         rep.add("oracle/sign-blocks", f"sym n={n} q={q}", blocks.same_blocks(psi_closed(n, ch)))
     return rep
 

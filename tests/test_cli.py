@@ -1,8 +1,15 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gftables.cli import main
+
+FAMILIES = ["vec", "mat", "alt", "sym", "symscaled"]
+METHODS = ["brute", "recursion", "closed", "all"]
 
 
 def run(capsys, *argv):
@@ -19,10 +26,23 @@ class TestCompute:
         assert obj["entries"] == [[1, 2], [1, -1]]
         assert obj["labels"] == ["0", "1"]
 
+    def test_readme_alt_document(self, capsys):
+        code, out, _ = run(capsys, "compute", "--family", "alt", "--q", "3", "--n", "4")
+        assert code == 0
+        obj = json.loads(out)
+        assert obj["orbit_sizes"] == [1, 260, 468]
+        assert obj["entries"][0] == [1, 260, 468]
+
     def test_all_methods_cross_check(self, capsys):
         code, out, _ = run(capsys, "compute", "--family", "vec", "--q", "5", "--n", "2", "--method", "all")
         assert code == 0
         assert json.loads(out)["cross_checked"] is True
+
+    def test_disagreeing_route_exits_1(self, capsys, monkeypatch):
+        monkeypatch.setattr("gftables.cli.closed_form_table", lambda *args: [[1, 2], [1, 0]])
+        code, out, err = run(capsys, "compute", "--family", "vec", "--q", "3", "--n", "1", "--method", "all")
+        assert code == 1 and "cross-check FAILED" in err
+        assert json.loads(out)["cross_checked"] is False
 
     def test_sym_blocks(self, capsys):
         code, out, _ = run(capsys, "compute", "--family", "sym", "--q", "3", "--n", "2", "--method", "all")
@@ -37,6 +57,38 @@ class TestCompute:
         assert run(capsys, "compute", "--family", "vec", "--q", "6", "--n", "1")[0] == 2
         assert run(capsys, "compute", "--family", "alt", "--q", "4", "--n", "2")[0] == 2
         assert run(capsys, "compute", "--family", "sym", "--q", "3", "--n", "2", "--method", "recursion")[0] == 2
+        assert run(capsys, "compute", "--family", "vec", "--q", "3", "--n", "1", "--method", "closed", "--budget", "0")[0] == 2
+        assert run(capsys, "compute", "--family", "vec", "--q", "3", "--n", "1", "--method", "closed", "--budget", "-5")[0] == 2
+
+    @pytest.mark.parametrize(
+        "extra",
+        [["--method", method] for method in METHODS] + [["--symbolic"], ["--format", "csv"]],
+        ids=lambda extra: "-".join(a.lstrip("-") for a in extra),
+    )
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_negative_n_exits_2(self, capsys, family, extra):
+        code, out, err = run(capsys, "compute", "--family", family, "--q", "3", "--n", "-1", "--m", "2", *extra)
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        family=st.sampled_from(FAMILIES),
+        q=st.sampled_from([1, 2, 3, 4, 5, 6, 9]),
+        n=st.integers(-2, 3),
+        m=st.none() | st.integers(-1, 4),
+        method=st.sampled_from(METHODS),
+        fmt=st.sampled_from(["json", "csv"]),
+        twist=st.integers(0, 3),
+        symbolic=st.booleans(),
+    )
+    def test_small_requests_exit_0_or_2(self, family, q, n, m, method, fmt, twist, symbolic):
+        argv = ["compute", "--family", family, "--q", str(q), "--n", str(n), "--method", method]
+        argv += ["--format", fmt, "--twist", str(twist), "--budget", "5000"]
+        argv += ["--m", str(m)] if m is not None else []
+        argv += ["--symbolic"] if symbolic else []
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert main(argv) in (0, 2)
 
     def test_sym_csv_rejected(self, capsys):
         code, _, err = run(capsys, "compute", "--family", "sym", "--q", "3", "--n", "2", "--format", "csv")
@@ -67,12 +119,13 @@ class TestCompute:
 
 class TestExport:
     def test_bit_stable_writes(self, tmp_path, capsys):
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        for path in (a, b):
-            code, _, _ = run(capsys, "export", "--family", "mat", "--q", "3", "--n", "2", "--m", "2", "--out", str(path))
-            assert code == 0
-        assert a.read_bytes() == b.read_bytes()
-        assert b"\r" not in a.read_bytes()
+        for family in ("mat", "vec", "alt", "symscaled", "sym"):
+            a, b = tmp_path / f"{family}-a.json", tmp_path / f"{family}-b.json"
+            for path in (a, b):
+                code, _, _ = run(capsys, "export", "--family", family, "--q", "3", "--n", "2", "--m", "2", "--method", "all", "--out", str(path))
+                assert code == 0, family
+            assert a.read_bytes() == b.read_bytes(), family
+            assert b"\r" not in a.read_bytes()
 
     def test_requires_out(self, capsys):
         assert run(capsys, "export", "--family", "vec", "--q", "3", "--n", "1")[0] == 2
@@ -95,6 +148,10 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "gauss", "--q", "3,5,7,9,11")
         assert code == 0
         assert "FAIL" not in out and "[PASS] gauss/square-is-eps-q q=11" in out
+
+    def test_q_not_a_prime_power(self, capsys):
+        code, out, err = run(capsys, "verify", "gauss", "--q", "6")
+        assert code == 2 and out == "" and err.startswith("error:")
 
     def test_limits_with_filter(self, capsys):
         code, out, _ = run(capsys, "verify", "limits", "--family", "vec", "--n", "3")
