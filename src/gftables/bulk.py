@@ -7,11 +7,26 @@ computed here in numpy batches and folded into integer histograms indexed by
 the histograms. Everything is integer arithmetic, so the results are
 bit-identical to the element-by-element path.
 
+Symmetric matrices are labelled by one congruence step on row and column 0
+(congruence diagonalization, Lam, *Introduction to Quadratic Forms over
+Fields*, ch. I). Write A = [[a, b^T], [b, T]]:
+- a != 0: A is congruent to diag(a, C), C = T - b b^T / a, so rank A is
+  1 + rank C and sgn A is sgn(a) sgn(C);
+- a = 0, b = 0: A has the label of T;
+- a = 0, b != 0: with j the first index of b_j != 0, adding c times row and
+  column j into row and column 0 makes the pivot c (2 b_j + c a_jj), nonzero
+  for c = 1, or for c = -1 when a_jj = -2 b_j (p is odd); then case one.
+The label of C or T is read from the memoized table of the (n-1) space,
+which is built by the same step. A label is coded as 2 rank + (sign < 0).
+
 Only fields with e = 1 come through here; extension fields take the pure
 Python path in transform.py (their spaces are all small).
 """
 
 from __future__ import annotations
+
+import itertools
+from functools import lru_cache
 
 import numpy as np
 
@@ -20,25 +35,35 @@ from .spaces import AltMat, MatRect, Space, SymGL, SymScaled, VecWreath
 CHUNK = 1 << 19
 
 
+@lru_cache(maxsize=None)
 def _inverse_table(p: int) -> np.ndarray:
     inv = np.zeros(p, dtype=np.int32)
     for x in range(1, p):
         inv[x] = pow(x, -1, p)
+    inv.flags.writeable = False  # shared by every caller through the memo
     return inv
 
 
+@lru_cache(maxsize=None)
 def _legendre_table(p: int) -> np.ndarray:
     # sgn on F_p with sgn(0) = +1
     tab = np.ones(p, dtype=np.int64)
     for x in range(1, p):
         tab[x] = 1 if pow(x, (p - 1) // 2, p) == 1 else -1
+    tab.flags.writeable = False
     return tab
 
 
 def _digits(start: int, stop: int, dim: int, q: int) -> np.ndarray:
-    idx = np.arange(start, stop, dtype=np.int64)[:, None]
-    pows = q ** np.arange(dim, dtype=np.int64)[None, :]
-    return ((idx // pows) % q).astype(np.int32)
+    """(B, dim) base-q digits of start..stop-1, one contiguous column each.
+
+    int32, not narrower: the callers' products of digits must not wrap.
+    """
+    idx = np.arange(start, stop, dtype=np.int32 if stop <= 2**31 else np.int64)
+    out = np.empty((dim, stop - start), dtype=np.int32)
+    for k in range(dim):
+        np.divmod(idx, q, out=(idx, out[k]))
+    return out.T
 
 
 def batch_rank(mats: np.ndarray, p: int, inv: np.ndarray) -> np.ndarray:
@@ -80,71 +105,57 @@ def batch_rank(mats: np.ndarray, p: int, inv: np.ndarray) -> np.ndarray:
     return rank
 
 
-def batch_sym_rank_sign(mats: np.ndarray, p: int, inv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(rank, discriminant) of symmetric batches under congruence.
+@lru_cache(maxsize=None)
+def _sym_codes(n: int, p: int) -> np.ndarray:
+    """Label code of every symmetric n x n matrix over F_p, in counting order."""
+    dim = n * (n + 1) // 2
+    size = p**dim
+    codes = np.concatenate(
+        [batch_sym_rank_sign(_digits(s, min(s + CHUNK, size), dim, p), n, p) for s in range(0, size, CHUNK)]
+    )
+    codes.flags.writeable = False
+    return codes
 
-    Mirrors spaces.symmetric_sign: diagonal pivot when available, otherwise
-    the off-diagonal repair row/column addition (valid since p is odd). The
-    discriminant is the product of the pivots mod p; its quadratic character
-    is the orbit sign.
+
+def batch_sym_rank_sign(digits: np.ndarray, n: int, p: int) -> np.ndarray:
+    """Codes 2 rank + (sign < 0) of symmetric n x n matrices under congruence.
+
+    digits holds the upper-triangular row-major coordinates, so row 0 is the
+    first n columns and the trailing block T is already in the counting
+    order of the (n-1) space. One congruence step (see the module docstring)
+    leaves a pivot a and a block C whose code comes from the (n-1) table.
     """
-    M = mats % p
-    B, n, _ = M.shape
-    rank = np.zeros(B, dtype=np.int64)
-    disc = np.ones(B, dtype=np.int64)
-    didx = np.arange(n)
-    iu, ju = np.triu_indices(n, k=1)
-    for k in range(n):
-        dvals = M[:, didx, didx]
-        cand = (dvals != 0) & (didx[None, :] >= k)
-        hasdiag = cand.any(axis=1)
-        pivot = np.argmax(cand, axis=1)
-        need = ~hasdiag
-        if need.any() and len(iu):
-            sub = M[:, iu, ju]
-            okpair = (sub != 0) & (iu[None, :] >= k)
-            haspair = okpair.any(axis=1) & need
-            if haspair.any():
-                b = np.nonzero(haspair)[0]
-                first = np.argmax(okpair[b], axis=1)
-                i0, j0 = iu[first], ju[first]
-                M[b, i0, :] = (M[b, i0, :] + M[b, j0, :]) % p
-                M[b, :, i0] = (M[b, :, i0] + M[b, :, j0]) % p
-                pivot[b] = i0
-                hasdiag = hasdiag | haspair
-        if not hasdiag.any():
-            break
-        b = np.nonzero(hasdiag)[0]
-        r1 = pivot[b]
-        tmp = M[b, k, :].copy()
-        M[b, k, :] = M[b, r1, :]
-        M[b, r1, :] = tmp
-        tmp = M[b, :, k].copy()
-        M[b, :, k] = M[b, :, r1]
-        M[b, :, r1] = tmp
-        d = M[b, k, k]
-        disc[b] = disc[b] * d % p
-        rank[b] += 1
-        fin = inv[d]
-        if k + 1 < n:
-            f = (M[b, k + 1 :, k] * fin[:, None]) % p
-            M[b, k + 1 :, :] = (M[b, k + 1 :, :] - f[:, :, None] * M[b, k, None, :]) % p
-            g = (M[b, k, k + 1 :] * fin[:, None]) % p
-            M[b, :, k + 1 :] = (M[b, :, k + 1 :] - g[:, None, :] * M[b, :, k, None]) % p
-    return rank, disc
+    if n == 0:
+        return np.zeros(len(digits), dtype=np.int8)
+    a, b, T = digits[:, 0].copy(), digits[:, 1:n].copy(), digits[:, n:]
+    iu, ju = np.triu_indices(n - 1)
+    pos = np.zeros((n - 1, n - 1), dtype=np.intp)  # column of T holding (i, j)
+    pos[iu, ju] = pos[ju, iu] = np.arange(len(iu))
+    rep = np.flatnonzero((a == 0) & b.any(axis=1))
+    if rep.size:
+        br, tr, r = b[rep], T[rep], np.arange(rep.size)
+        j = (br != 0).argmax(axis=1)
+        bj, ajj = br[r, j], tr[r, pos[j, j]]
+        c = np.where((2 * bj + ajj) % p == 0, -1, 1)
+        a[rep] = (2 * c * bj + ajj) % p
+        b[rep] = (br + c[:, None] * tr[r[:, None], pos[j]]) % p
+    u = b * _inverse_table(p)[a][:, None] % p  # b / a; zero where no pivot, then C = T
+    idx = np.zeros(len(a), dtype=np.int64)  # index of C in the (n-1) space
+    for k, w in enumerate(p ** np.arange(len(iu), dtype=np.int64)):
+        idx += (T[:, k] - u[:, iu[k]] * b[:, ju[k]]) % p * w
+    codes = _sym_codes(n - 1, p)[idx]
+    return (codes + 2 * (a != 0)).astype(np.int8) ^ (_legendre_table(p)[a] < 0)
 
 
 def _build_matrices(space: Space, digits: np.ndarray) -> np.ndarray:
     B = digits.shape[0]
-    p = space.field.p
     if isinstance(space, MatRect):
         return digits.reshape(B, space.n, space.m).copy()
     n = space.n
     M = np.zeros((B, n, n), dtype=np.int32)
-    for k, (i, j) in enumerate(space.coords):
+    for k, (i, j) in enumerate(space.coords):  # skew: i < j
         M[:, i, j] = digits[:, k]
-        if i != j:
-            M[:, j, i] = (-digits[:, k]) % p if isinstance(space, AltMat) else digits[:, k]
+        M[:, j, i] = (-digits[:, k]) % space.field.p
     return M
 
 
@@ -156,8 +167,6 @@ def _alt_labels_pfaffian(space: AltMat, digits: np.ndarray, p: int) -> np.ndarra
     Pfaffians a_ij a_kl - a_ik a_jl + a_il a_jk. With n <= 5 the rank is
     at most 4, so a few vector products replace Gaussian elimination.
     """
-    import itertools
-
     n = space.n
     pos = {pair: k for k, pair in enumerate(space.coords)}
     nonzero = (digits != 0).any(axis=1)
@@ -171,28 +180,21 @@ def _alt_labels_pfaffian(space: AltMat, digits: np.ndarray, p: int) -> np.ndarra
     return np.where(rank4, 2, nonzero.astype(np.int64))
 
 
-def _label_indices(space: Space, digits: np.ndarray, inv: np.ndarray, leg: np.ndarray) -> np.ndarray:
+def _label_indices(space: Space, digits: np.ndarray) -> np.ndarray:
     p = space.field.p
     if isinstance(space, VecWreath):
         return (digits != 0).sum(axis=1)
     if isinstance(space, AltMat) and space.n <= 5:
         return _alt_labels_pfaffian(space, digits, p)
     if isinstance(space, (MatRect, AltMat)):
-        ranks = batch_rank(_build_matrices(space, digits), p, inv)
+        ranks = batch_rank(_build_matrices(space, digits), p, _inverse_table(p))
         return ranks // 2 if isinstance(space, AltMat) else ranks
     if isinstance(space, (SymGL, SymScaled)):
-        ranks, disc = batch_sym_rank_sign(_build_matrices(space, digits), p, inv)
-        signs = leg[disc]
-        lut = np.zeros((space.n + 1, 2), dtype=np.int64)
-        index = {lbl: i for i, lbl in enumerate(space.labels())}
-        for lbl, i in index.items():
-            if lbl.r == 0:
-                lut[0, :] = i
-            elif lbl.sign is None:
-                lut[lbl.r, :] = i
-            else:
-                lut[lbl.r, 0 if lbl.sign > 0 else 1] = i
-        return lut[ranks, (signs < 0).astype(np.int64)]
+        lut = np.zeros(2 * space.n + 2, dtype=np.int64)  # label code -> label index
+        for i, lbl in enumerate(space.labels()):
+            for neg in (0, 1) if lbl.sign is None else (int(lbl.sign < 0),):
+                lut[2 * lbl.r + neg] = i
+        return lut[batch_sym_rank_sign(digits, space.n, p)]
     raise TypeError(f"no bulk classifier for {type(space).__name__}")
 
 
@@ -207,14 +209,12 @@ def orbit_counts(space: Space, coefvecs: list[list[int]]) -> tuple[list[np.ndarr
         raise ValueError("bulk path requires a prime field")
     p = space.field.p
     nlab = len(space.labels())
-    inv = _inverse_table(p)
-    leg = _legendre_table(p) if p > 2 else np.ones(2, dtype=np.int64)
     hists = [np.zeros(nlab * p, dtype=np.int64) for _ in coefvecs]
     sizes = np.zeros(nlab, dtype=np.int64)
     for start in range(0, space.size, CHUNK):
         stop = min(start + CHUNK, space.size)
         digits = _digits(start, stop, space.dim, p)
-        lab = _label_indices(space, digits, inv, leg)
+        lab = _label_indices(space, digits)
         sizes += np.bincount(lab, minlength=nlab)
         base = lab * p
         for r, coef in enumerate(coefvecs):

@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from gftables import bulk
 from gftables.cyclotomic import CycInt
 from gftables.gfq import CharSpec, default_char, make_field
-from gftables.spaces import OrbitLabel, make_space
+from gftables.spaces import OrbitLabel, make_space, symmetric_sign
 from gftables.transform import (
     InvariantFunction,
     _counts_bulk,
@@ -304,3 +305,45 @@ class TestBulkAgainstPure:
         pure = _counts_pure(sp, ch, reps, 10**7)
         bulk = _counts_bulk(sp, ch, reps, 10**7)
         assert pure[0] == bulk[0]
+
+
+def _row0_repair(m):
+    """c of the a = 0, b != 0 congruence step on row 0 of m, or None if it has no such step."""
+    if not m[0][0].is_zero():
+        return None
+    j = next((j for j in range(1, len(m)) if not m[0][j].is_zero()), None)
+    if j is None:
+        return None
+    return -1 if (m[0][j] + m[0][j] + m[j][j]).is_zero() else 1
+
+
+class TestSymKernelAgainstReference:
+    @pytest.mark.parametrize(
+        "fam,n,q",
+        [("sym", 1, 3), ("sym", 2, 3), ("sym", 3, 3), ("sym", 1, 5), ("sym", 2, 5), ("sym", 3, 5), ("sym", 4, 3), ("symscaled", 3, 5)],
+    )
+    def test_every_element(self, fam, n, q):
+        sp = make_space(fam, field(q), n)
+        codes = bulk.batch_sym_rank_sign(bulk._digits(0, sp.size, sp.dim, q), n, q).tolist()
+        repairs = set()
+        for code, elem in zip(codes, sp.elements()):
+            m = sp.as_matrix(elem)
+            assert (code // 2, -1 if code % 2 else 1) == symmetric_sign(m, sp.field), m
+            repairs.add(_row0_repair(m))
+        # the a = 0, b != 0 step ran with both c = 1 and c = -1 (a_jj = -2 b_j)
+        assert repairs == ({None} if n == 1 else {None, 1, -1})
+
+
+@pytest.mark.parametrize("chunk", [7, 1000, bulk.CHUNK])
+@pytest.mark.parametrize(
+    "fam,n,m", [("vec", 6, None), ("mat", 2, 3), ("alt", 4, None), ("sym", 3, None), ("symscaled", 3, None)]
+)
+def test_chunk_size_does_not_change_orbit_counts(monkeypatch, fam, n, m, chunk):
+    sp = make_space(fam, F5, n, m)
+    coefvecs = [[(r * k + 1) % 5 for k in range(sp.dim)] for r in range(3)]
+    hists, sizes = bulk.orbit_counts(sp, coefvecs)
+    monkeypatch.setattr(bulk, "CHUNK", chunk)
+    bulk._sym_codes.cache_clear()  # rebuild the (n-1) tables in chunks too
+    hists2, sizes2 = bulk.orbit_counts(sp, coefvecs)
+    assert sizes2.tolist() == sizes.tolist()
+    assert [h.tolist() for h in hists2] == [h.tolist() for h in hists]
