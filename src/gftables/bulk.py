@@ -5,22 +5,27 @@ value of a handful of F_p linear functionals (one per table row). Both are
 computed here in numpy batches and folded into integer histograms indexed by
 (label, functional value); the exact cyclotomic sums are then assembled from
 the histograms. Everything is integer arithmetic, so the results are
-bit-identical to the element-by-element path.
+bit-identical to the element-by-element path. Every prime field comes
+through here; extension fields take the pure path in transform.py.
 
-Symmetric matrices are labelled by one congruence step on row and column 0
-(congruence diagonalization, Lam, *Introduction to Quadratic Forms over
-Fields*, ch. I). Write A = [[a, b^T], [b, T]]:
-- a != 0: A is congruent to diag(a, C), C = T - b b^T / a, so rank A is
-  1 + rank C and sgn A is sgn(a) sgn(C);
-- a = 0, b = 0: A has the label of T;
-- a = 0, b != 0: with j the first index of b_j != 0, adding c times row and
-  column j into row and column 0 makes the pivot c (2 b_j + c a_jj), nonzero
-  for c = 1, or for c = -1 when a_jj = -2 b_j (p is odd); then case one.
-The label of C or T is read from the memoized table of the (n-1) space,
-which is built by the same step. A label is coded as 2 rank + (sign < 0).
-
-Only fields with e = 1 come through here; extension fields take the pure
-Python path in transform.py (their spaces are all small).
+A matrix is labelled in three steps: one reduction step on row 0 leaves a
+matrix of the (n-1) space; its digits give its index in counting order; its
+label is read from the table of the (n-1) space at that index.
+- mat: row 0 clears its first nonzero column from rows 1..n-1, so rank A is
+  [row 0 != 0] + the rank of those rows.
+- alt, n >= 6: with b = row 0 and b_j its first nonzero entry, the block on
+  {0, j} is a hyperbolic plane (Artin, *Geometric Algebra*, ch. III). Its
+  Schur complement S_kl = T_kl - (b_k T_jl - b_l T_jk) / b_j, an (n-1) skew
+  matrix with zero row and column j, has half-rank one less. For n <= 5
+  principal Pfaffians are faster.
+- sym, A = [[a, b^T], [b, T]] (Lam, *Introduction to Quadratic Forms over
+  Fields*, ch. I): a != 0 makes A congruent to diag(a, T - b b^T / a);
+  a = b = 0 leaves the label of T; if a = 0 and b_j is the first b_j != 0,
+  adding c times row and column j into row and column 0 makes the pivot
+  c (2 b_j + c a_jj), nonzero for c = 1, or for c = -1 when a_jj = -2 b_j.
+  The code is 2 rank + (sign < 0).
+One memoized builder, _codes, makes each read-only int8 (n-1) table on first
+use, with the same kernel, so the tables recurse down to n = 0 or the Pfaffians.
 """
 
 from __future__ import annotations
@@ -62,68 +67,53 @@ def _digits(start: int, stop: int, dim: int, q: int) -> np.ndarray:
     idx = np.arange(start, stop, dtype=np.int32 if stop <= 2**31 else np.int64)
     out = np.empty((dim, stop - start), dtype=np.int32)
     for k in range(dim):
-        np.divmod(idx, q, out=(idx, out[k]))
+        nxt = idx // q
+        out[k] = idx - nxt * q  # not np.divmod: see _mod
+        idx = nxt
     return out.T
 
 
-def batch_rank(mats: np.ndarray, p: int, inv: np.ndarray) -> np.ndarray:
-    """Ranks of a (B, n, m) batch over F_p by masked Gaussian elimination.
+def _mod(x: np.ndarray, p: int) -> np.ndarray:
+    """x mod p; numpy floor-divides by a scalar far faster than np.remainder runs."""
+    return x - x // p * p
 
-    All matrices advance through the pivot columns in lockstep; matrices with
-    no pivot candidate in a column get a zero elimination factor, which makes
-    the update a no-op for them. This runs on whole arrays in place, no
-    per-matrix fancy indexing on the cubic data.
-    """
-    M = mats
-    B, nrows, ncols = M.shape
-    rank = np.zeros(B, dtype=np.int64)
-    row = np.zeros(B, dtype=np.int64)
-    ridx = np.arange(nrows)
-    barange = np.arange(B)
-    for col in range(ncols):
-        cand = (M[:, :, col] != 0) & (ridx[None, :] >= row[:, None])
-        has = cand.any(axis=1)
-        if not has.any():
-            continue
-        r0 = np.where(has, row, 0)
-        r1 = np.where(has, cand.argmax(axis=1), 0)
-        needswap = has & (r0 != r1)
-        if needswap.any():
-            bs = barange[needswap]
-            s0, s1 = r0[needswap], r1[needswap]
-            tmp = M[bs, s0, :].copy()
-            M[bs, s0, :] = M[bs, s1, :]
-            M[bs, s1, :] = tmp
-        pivrow = M[barange, r0, :]  # gathered copy, (B, ncols)
-        fscale = inv[pivrow[:, col]] * has  # zero where inactive
-        f = (M[:, :, col] * fscale[:, None]) % p
-        f[ridx[None, :] <= r0[:, None]] = 0
-        M -= f[:, :, None] * pivrow[:, None, :]
-        M %= p
-        row += has
-        rank += has
-    return rank
+
+def _index(cols, p: int) -> np.ndarray:
+    """Counting-order index of the element whose k-th digits are cols[k] mod p."""
+    idx = 0
+    for c in reversed(cols):  # Horner, most significant digit first
+        idx = idx * p + _mod(c, p)
+    return idx
 
 
 @lru_cache(maxsize=None)
-def _sym_codes(n: int, p: int) -> np.ndarray:
-    """Label code of every symmetric n x n matrix over F_p, in counting order."""
-    dim = n * (n + 1) // 2
+def _codes(kernel, dim: int, *args) -> np.ndarray:
+    """kernel(digits, *args) on the dim-digit space over F_p, p = args[-1], in counting order."""
+    p = args[-1]
     size = p**dim
-    codes = np.concatenate(
-        [batch_sym_rank_sign(_digits(s, min(s + CHUNK, size), dim, p), n, p) for s in range(0, size, CHUNK)]
-    )
+    codes = np.concatenate([kernel(_digits(s, min(s + CHUNK, size), dim, p), *args) for s in range(0, size, CHUNK)])
     codes.flags.writeable = False
     return codes
+
+
+def batch_rank(digits: np.ndarray, n: int, m: int, p: int) -> np.ndarray:
+    """Ranks of n x m matrices from their row-major digits (module docstring)."""
+    if n == 0:
+        return np.zeros(len(digits), dtype=np.int8)
+    r0, rows = digits[:, :m], np.arange(len(digits))
+    nz = r0 != 0
+    j = nz.argmax(axis=1)
+    s = _inverse_table(p)[r0[rows, j]]  # zero where row 0 is zero
+    f = {i: _mod(digits[rows, i * m + j] * s, p) for i in range(1, n)}  # R_i[j] / r0[j]
+    cols = [digits[:, i * m + k] - f[i] * r0[:, k] for i in range(1, n) for k in range(m)]
+    return _codes(batch_rank, (n - 1) * m, n - 1, m, p)[_index(cols, p)] + nz.any(axis=1)
 
 
 def batch_sym_rank_sign(digits: np.ndarray, n: int, p: int) -> np.ndarray:
     """Codes 2 rank + (sign < 0) of symmetric n x n matrices under congruence.
 
     digits holds the upper-triangular row-major coordinates, so row 0 is the
-    first n columns and the trailing block T is already in the counting
-    order of the (n-1) space. One congruence step (see the module docstring)
-    leaves a pivot a and a block C whose code comes from the (n-1) table.
+    first n columns and the trailing block T is in the (n-1) counting order.
     """
     if n == 0:
         return np.zeros(len(digits), dtype=np.int8)
@@ -139,56 +129,65 @@ def batch_sym_rank_sign(digits: np.ndarray, n: int, p: int) -> np.ndarray:
         c = np.where((2 * bj + ajj) % p == 0, -1, 1)
         a[rep] = (2 * c * bj + ajj) % p
         b[rep] = (br + c[:, None] * tr[r[:, None], pos[j]]) % p
-    u = b * _inverse_table(p)[a][:, None] % p  # b / a; zero where no pivot, then C = T
-    idx = np.zeros(len(a), dtype=np.int64)  # index of C in the (n-1) space
-    for k, w in enumerate(p ** np.arange(len(iu), dtype=np.int64)):
-        idx += (T[:, k] - u[:, iu[k]] * b[:, ju[k]]) % p * w
-    codes = _sym_codes(n - 1, p)[idx]
+    u = _mod(b * _inverse_table(p)[a][:, None], p)  # b / a; zero where no pivot, then C = T
+    idx = _index([T[:, k] - u[:, iu[k]] * b[:, ju[k]] for k in range(len(iu))], p)  # C's index
+    codes = _codes(batch_sym_rank_sign, len(iu), n - 1, p)[idx]
     return (codes + 2 * (a != 0)).astype(np.int8) ^ (_legendre_table(p)[a] < 0)
 
 
-def _build_matrices(space: Space, digits: np.ndarray) -> np.ndarray:
-    B = digits.shape[0]
-    if isinstance(space, MatRect):
-        return digits.reshape(B, space.n, space.m).copy()
-    n = space.n
-    M = np.zeros((B, n, n), dtype=np.int32)
-    for k, (i, j) in enumerate(space.coords):  # skew: i < j
-        M[:, i, j] = digits[:, k]
-        M[:, j, i] = (-digits[:, k]) % space.field.p
+def _build_matrices(digits: np.ndarray, n: int, p: int) -> np.ndarray:
+    """(n, n, B) skew matrices from their row-major upper digits, batch last."""
+    M = np.zeros((n, n, len(digits)), dtype=np.int32)
+    for k, (i, j) in enumerate(itertools.combinations(range(n), 2)):
+        M[i, j] = digits[:, k]
+        M[j, i] = _mod(-digits[:, k], p)
     return M
 
 
-def _alt_labels_pfaffian(space: AltMat, digits: np.ndarray, p: int) -> np.ndarray:
+def _alt_labels_pfaffian(digits: np.ndarray, n: int, p: int) -> np.ndarray:
     """Half-rank of skew matrices with n <= 5 from principal Pfaffians.
 
-    The rank of a skew matrix is the size of its largest nonsingular
-    principal submatrix, and the 4x4 principal minors are squares of
-    Pfaffians a_ij a_kl - a_ik a_jl + a_il a_jk. With n <= 5 the rank is
-    at most 4, so a few vector products replace Gaussian elimination.
+    The rank of a skew matrix is the size of its largest nonsingular principal
+    submatrix; a 4x4 principal minor is the square of the Pfaffian
+    a_ij a_kl - a_ik a_jl + a_il a_jk, and with n <= 5 the rank is at most 4.
     """
-    n = space.n
-    pos = {pair: k for k, pair in enumerate(space.coords)}
-    nonzero = (digits != 0).any(axis=1)
+    nonzero = (digits != 0).any(axis=1).astype(np.int8)
     if n < 4:
-        return nonzero.astype(np.int64)
-    col = lambda i, j: digits[:, pos[(i, j)]].astype(np.int64)
+        return nonzero
+    pos = {pair: k for k, pair in enumerate(itertools.combinations(range(n), 2))}
+    col = lambda i, j: digits[:, pos[(i, j)]]
     rank4 = np.zeros(len(digits), dtype=bool)
     for i, j, k, l in itertools.combinations(range(n), 4):
-        pf = (col(i, j) * col(k, l) - col(i, k) * col(j, l) + col(i, l) * col(j, k)) % p
+        # int32: |pf| < 3 (p-1)^2 < 2^31 for p < 26755; a larger p has |A| >= p^6 > 10^26
+        pf = _mod(col(i, j) * col(k, l) - col(i, k) * col(j, l) + col(i, l) * col(j, k), p)
         rank4 |= pf != 0
-    return np.where(rank4, 2, nonzero.astype(np.int64))
+    return nonzero + rank4
+
+
+def _alt_step(digits: np.ndarray, n: int, p: int) -> np.ndarray:
+    """Half-ranks of skew n x n matrices by one hyperbolic-plane step (module docstring)."""
+    b, rows = digits[:, : n - 1], np.arange(len(digits))
+    nz = b != 0
+    j = nz.argmax(axis=1) + 1
+    u = _mod(b * _inverse_table(p)[b[rows, j - 1]][:, None], p)  # b / b_j; zero where b = 0
+    w = np.take_along_axis(_build_matrices(digits, n, p), j[None, None, :], axis=0)[0]  # w[l] = T_jl
+    pairs = itertools.combinations(range(1, n), 2)
+    cols = [digits[:, n - 1 + t] - u[:, k - 1] * w[l] + u[:, l - 1] * w[k] for t, (k, l) in enumerate(pairs)]
+    return _codes(_alt_half_rank, (n - 1) * (n - 2) // 2, n - 1, p)[_index(cols, p)] + nz.any(axis=1)
+
+
+def _alt_half_rank(digits: np.ndarray, n: int, p: int) -> np.ndarray:
+    return (_alt_labels_pfaffian if n <= 5 else _alt_step)(digits, n, p)
 
 
 def _label_indices(space: Space, digits: np.ndarray) -> np.ndarray:
     p = space.field.p
     if isinstance(space, VecWreath):
         return (digits != 0).sum(axis=1)
-    if isinstance(space, AltMat) and space.n <= 5:
-        return _alt_labels_pfaffian(space, digits, p)
-    if isinstance(space, (MatRect, AltMat)):
-        ranks = batch_rank(_build_matrices(space, digits), p, _inverse_table(p))
-        return ranks // 2 if isinstance(space, AltMat) else ranks
+    if isinstance(space, MatRect):
+        return batch_rank(digits, space.n, space.m, p)
+    if isinstance(space, AltMat):
+        return _alt_half_rank(digits, space.n, p)
     if isinstance(space, (SymGL, SymScaled)):
         lut = np.zeros(2 * space.n + 2, dtype=np.int64)  # label code -> label index
         for i, lbl in enumerate(space.labels()):
@@ -211,16 +210,17 @@ def orbit_counts(space: Space, coefvecs: list[list[int]]) -> tuple[list[np.ndarr
     nlab = len(space.labels())
     hists = [np.zeros(nlab * p, dtype=np.int64) for _ in coefvecs]
     sizes = np.zeros(nlab, dtype=np.int64)
+    acc = np.int32 if space.dim * (p - 1) ** 2 < 2**31 else np.int64  # a sum t never wraps
     for start in range(0, space.size, CHUNK):
         stop = min(start + CHUNK, space.size)
         digits = _digits(start, stop, space.dim, p)
-        lab = _label_indices(space, digits)
+        lab = _label_indices(space, digits).astype(acc)  # int8 codes would wrap in lab * p
         sizes += np.bincount(lab, minlength=nlab)
         base = lab * p
         for r, coef in enumerate(coefvecs):
-            t = np.zeros(stop - start, dtype=np.int64)
+            t = np.zeros(stop - start, dtype=acc)
             for k, c in enumerate(coef):
                 if c:
-                    t += digits[:, k] * c
-            hists[r] += np.bincount(base + t % p, minlength=nlab * p)
+                    t += np.multiply(digits[:, k], c, dtype=acc)
+            hists[r] += np.bincount(base + _mod(t, p), minlength=nlab * p)
     return [h.reshape(nlab, p) for h in hists], sizes

@@ -30,7 +30,6 @@ from .reporting import Report
 from .spaces import BudgetError, Elem, OrbitLabel, Space
 
 DEFAULT_BUDGET = 10**7
-_BULK_THRESHOLD = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -78,7 +77,7 @@ def _counts_bulk(space: Space, char: CharSpec, reps: list[Elem], budget: int):
 @lru_cache(maxsize=64)
 def _orbit_counts_cached(space: Space, char: CharSpec, budget: int):
     reps = [space.representative(lbl) for lbl in space.labels()]
-    if space.field.e == 1 and space.size >= _BULK_THRESHOLD:
+    if space.field.e == 1:
         return _counts_bulk(space, char, reps, budget)
     return _counts_pure(space, char, reps, budget)
 

@@ -1,12 +1,13 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from gftables import bulk
 from gftables.cyclotomic import CycInt
 from gftables.gfq import CharSpec, default_char, make_field
-from gftables.spaces import OrbitLabel, make_space, symmetric_sign
+from gftables.spaces import OrbitLabel, make_space, matrix_rank, symmetric_sign
 from gftables.transform import (
     InvariantFunction,
     _counts_bulk,
@@ -26,7 +27,7 @@ from gftables.transform import (
 
 F3 = make_field(3)
 F5 = make_field(5)
-FIELD_OF = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 9: (3, 2)}
+FIELD_OF = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 9: (3, 2), 131: (131, 1)}
 
 
 def field(q):
@@ -287,7 +288,15 @@ class TestDiagrams:
 class TestBulkAgainstPure:
     @pytest.mark.parametrize(
         "fam,n,m,q",
-        [("vec", 3, None, 5), ("mat", 2, 3, 3), ("alt", 5, None, 3), ("alt", 4, None, 5), ("sym", 3, None, 3), ("symscaled", 3, None, 5)],
+        [
+            ("vec", 3, None, 5),
+            ("mat", 2, 3, 3),
+            ("mat", 1, 2, 131),  # p > 127: int8 labels are widened before lab * p
+            ("alt", 5, None, 3),
+            ("alt", 4, None, 5),
+            ("sym", 3, None, 3),
+            ("symscaled", 3, None, 5),
+        ],
     )
     def test_identical_histograms(self, fam, n, m, q):
         sp = make_space(fam, field(q), n, m)
@@ -298,9 +307,14 @@ class TestBulkAgainstPure:
         assert pure[0] == bulk[0]
         assert list(pure[1]) == list(bulk[1])
 
-    def test_twisted_character(self):
-        sp = make_space("sym", F5, 2)
-        ch = CharSpec(F5, F5.from_int(2))
+    @pytest.mark.parametrize(
+        "fam,n,p,twist",
+        [("sym", 2, 5, 2), ("vec", 1, 46349, 46348)],  # (p-1)^2 >= 2^31: the fold needs int64
+    )
+    def test_twisted_character(self, fam, n, p, twist):
+        fld = make_field(p)
+        sp = make_space(fam, fld, n)
+        ch = CharSpec(fld, fld.from_int(twist))
         reps = [sp.representative(l) for l in sp.labels()]
         pure = _counts_pure(sp, ch, reps, 10**7)
         bulk = _counts_bulk(sp, ch, reps, 10**7)
@@ -334,6 +348,30 @@ class TestSymKernelAgainstReference:
         assert repairs == ({None} if n == 1 else {None, 1, -1})
 
 
+@pytest.mark.parametrize("n,m,q", [(1, 4, 3), (2, 2, 3), (2, 3, 3), (3, 3, 3), (2, 3, 5)])
+def test_mat_kernel_against_reference(n, m, q):
+    sp = make_space("mat", field(q), n, m)
+    ranks = bulk.batch_rank(bulk._digits(0, sp.size, sp.dim, q), n, m, q).tolist()
+    assert ranks == [matrix_rank(sp.as_matrix(elem)) for elem in sp.elements()]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("q", [3, 5])
+def test_alt_step_against_reference(n, q):
+    sp = make_space("alt", field(q), n)
+    pivots = set()
+    for start in range(0, sp.size, bulk.CHUNK):
+        digits = bulk._digits(start, min(start + bulk.CHUNK, sp.size), sp.dim, q)
+        half = bulk._alt_step(digits, n, q)  # the step itself, below its n >= 6 dispatch
+        assert np.array_equal(half, bulk._alt_labels_pfaffian(digits, n, q))
+        row0 = digits[:, : n - 1]
+        pivots.update(np.unique((row0 != 0).argmax(axis=1)[row0.any(axis=1)] + 1).tolist())
+    assert pivots == set(range(1, n))  # every pivot position j occurs
+    if q == 3 and n <= 4:  # small enough for the pure reference too
+        digits = bulk._digits(0, sp.size, sp.dim, q)
+        assert bulk._alt_step(digits, n, q).tolist() == [matrix_rank(sp.as_matrix(e)) // 2 for e in sp.elements()]
+
+
 @pytest.mark.parametrize("chunk", [7, 1000, bulk.CHUNK])
 @pytest.mark.parametrize(
     "fam,n,m", [("vec", 6, None), ("mat", 2, 3), ("alt", 4, None), ("sym", 3, None), ("symscaled", 3, None)]
@@ -343,7 +381,7 @@ def test_chunk_size_does_not_change_orbit_counts(monkeypatch, fam, n, m, chunk):
     coefvecs = [[(r * k + 1) % 5 for k in range(sp.dim)] for r in range(3)]
     hists, sizes = bulk.orbit_counts(sp, coefvecs)
     monkeypatch.setattr(bulk, "CHUNK", chunk)
-    bulk._sym_codes.cache_clear()  # rebuild the (n-1) tables in chunks too
+    bulk._codes.cache_clear()  # rebuild the (n-1) tables in chunks too
     hists2, sizes2 = bulk.orbit_counts(sp, coefvecs)
     assert sizes2.tolist() == sizes.tolist()
     assert [h.tolist() for h in hists2] == [h.tolist() for h in hists]
