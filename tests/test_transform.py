@@ -307,14 +307,19 @@ class TestBulkAgainstPure:
         assert pure[0] == bulk[0]
         assert list(pure[1]) == list(bulk[1])
 
-    @pytest.mark.parametrize(
-        "fam,n,p,twist",
-        [("sym", 2, 5, 2), ("vec", 1, 46349, 46348)],  # (p-1)^2 >= 2^31: the fold needs int64
-    )
-    def test_twisted_character(self, fam, n, p, twist):
-        fld = make_field(p)
-        sp = make_space(fam, fld, n)
-        ch = CharSpec(fld, fld.from_int(twist))
+    def test_twisted_character(self):
+        sp = make_space("sym", F5, 2)
+        ch = CharSpec(F5, F5.from_int(2))
+        reps = [sp.representative(l) for l in sp.labels()]
+        pure = _counts_pure(sp, ch, reps, 10**7)
+        bulk = _counts_bulk(sp, ch, reps, 10**7)
+        assert pure[0] == bulk[0]
+
+    def test_twisted_character_large_prime(self):
+        # (p-1)^2 >= 2^31: the fold needs int64
+        fld = make_field(46349)
+        sp = make_space("vec", fld, 1)
+        ch = CharSpec(fld, fld.from_int(46348))
         reps = [sp.representative(l) for l in sp.labels()]
         pure = _counts_pure(sp, ch, reps, 10**7)
         bulk = _counts_bulk(sp, ch, reps, 10**7)
