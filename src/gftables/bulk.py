@@ -8,6 +8,13 @@ the histograms. Everything is integer arithmetic, so the results are
 bit-identical to the element-by-element path. Every prime field comes
 through here; extension fields take the pure path in transform.py.
 
+orbit_counts walks the space in chunks of p^k consecutive elements: k is the
+largest exponent with p^k <= CHUNK, capped at dim and at least 1 when dim >= 1.
+The low k digits of a chunk run through all of F_p^k, so they are peeled once
+per call; the dim - k high digits are fixed in a chunk. A functional splits as
+t = t_lo + t_hi, one vector per call plus one scalar per chunk, so a chunk
+folds by one bincount over (label, t_lo), rolled by t_hi along the values.
+
 A matrix is labelled in three steps: one reduction step on row 0 leaves a
 matrix of the (n-1) space; its digits give its index in counting order; its
 label is read from the table of the (n-1) space at that index.
@@ -135,13 +142,18 @@ def batch_sym_rank_sign(digits: np.ndarray, n: int, p: int) -> np.ndarray:
     return (codes + 2 * (a != 0)).astype(np.int8) ^ (_legendre_table(p)[a] < 0)
 
 
-def _build_matrices(digits: np.ndarray, n: int, p: int) -> np.ndarray:
-    """(n, n, B) skew matrices from their row-major upper digits, batch last."""
-    M = np.zeros((n, n, len(digits)), dtype=np.int32)
-    for k, (i, j) in enumerate(itertools.combinations(range(n), 2)):
-        M[i, j] = digits[:, k]
-        M[j, i] = _mod(-digits[:, k], p)
-    return M
+def _build_matrices(digits: np.ndarray, j: np.ndarray, n: int) -> np.ndarray:
+    """(n, B) rows w[l] = T_jl of skew matrices, pivot j per matrix, from their row-major upper digits."""
+    iu, ju = np.triu_indices(n, 1)  # the digit order (0, 1), (0, 2), ..., (n-2, n-1)
+    pos = np.zeros((n, n), dtype=np.intp)  # digit position of T_il and of T_li
+    pos[iu, ju] = pos[ju, iu] = np.arange(len(iu))
+    w = np.zeros((n, len(digits)), dtype=np.int32)
+    for jj in range(1, n):
+        at = j == jj
+        for l in range(n):
+            if l != jj:  # T_jj = 0
+                np.copyto(w[l], digits[:, pos[jj, l]], where=at)
+    return np.negative(w, out=w, where=np.arange(n)[:, None] < j)  # T_jl = -T_lj below the diagonal
 
 
 def _alt_labels_pfaffian(digits: np.ndarray, n: int, p: int) -> np.ndarray:
@@ -170,7 +182,7 @@ def _alt_step(digits: np.ndarray, n: int, p: int) -> np.ndarray:
     nz = b != 0
     j = nz.argmax(axis=1) + 1
     u = _mod(b * _inverse_table(p)[b[rows, j - 1]][:, None], p)  # b / b_j; zero where b = 0
-    w = np.take_along_axis(_build_matrices(digits, n, p), j[None, None, :], axis=0)[0]  # w[l] = T_jl
+    w = _build_matrices(digits, j, n)  # w[l] = T_jl
     pairs = itertools.combinations(range(1, n), 2)
     cols = [digits[:, n - 1 + t] - u[:, k - 1] * w[l] + u[:, l - 1] * w[k] for t, (k, l) in enumerate(pairs)]
     return _codes(_alt_half_rank, (n - 1) * (n - 2) // 2, n - 1, p)[_index(cols, p)] + nz.any(axis=1)
@@ -198,29 +210,37 @@ def _label_indices(space: Space, digits: np.ndarray) -> np.ndarray:
 
 
 def orbit_counts(space: Space, coefvecs: list[list[int]]) -> tuple[list[np.ndarray], np.ndarray]:
-    """Histogram pass over the whole space.
+    """Histogram pass over the whole space, in chunks of p^k consecutive elements.
 
     coefvecs[r][k] is the F_p coefficient of free coordinate k in the r-th
-    linear functional. Returns one (n_labels, p) count array per functional
-    plus the orbit sizes.
+    linear functional, with at least one functional. Returns one (n_labels, p)
+    count array per functional plus the orbit sizes.
     """
     if space.field.e != 1:
         raise ValueError("bulk path requires a prime field")
-    p = space.field.p
+    p, dim = space.field.p, space.dim
     nlab = len(space.labels())
-    hists = [np.zeros(nlab * p, dtype=np.int64) for _ in coefvecs]
-    sizes = np.zeros(nlab, dtype=np.int64)
-    acc = np.int32 if space.dim * (p - 1) ** 2 < 2**31 else np.int64  # a sum t never wraps
-    for start in range(0, space.size, CHUNK):
-        stop = min(start + CHUNK, space.size)
-        digits = _digits(start, stop, space.dim, p)
-        lab = _label_indices(space, digits).astype(acc)  # int8 codes would wrap in lab * p
-        sizes += np.bincount(lab, minlength=nlab)
-        base = lab * p
+    k = min(dim, 1)  # k >= 1 whenever dim >= 1, also for p > CHUNK
+    while k < dim and p ** (k + 1) <= CHUNK:
+        k += 1
+    block = p**k
+    buf = np.empty((dim, block), dtype=np.int32)  # one digit row per coordinate
+    buf[:k] = _digits(0, block, k, p).T  # low digits: all of F_p^k, the same in every chunk
+    digits = buf.T
+    digits.flags.writeable = False  # the kernels must not write into rows later chunks reuse
+    t_lo = []  # t over the low digits, built one digit at a time in counting order
+    for coef in coefvecs:
+        t = np.zeros(1, dtype=np.int64)
+        for c in coef[:k]:
+            t = _mod(np.add.outer(np.arange(p, dtype=np.int64) * c, t).ravel(), p)
+        t_lo.append(t.astype(np.int16 if p < 2**15 else np.int32))  # narrow: t_lo is kept all call
+    hists = [np.zeros((nlab, p), dtype=np.int64) for _ in coefvecs]
+    for chunk in range(space.size // block):
+        high = [chunk // p**i % p for i in range(dim - k)]  # digits k..dim-1, fixed in this chunk
+        buf[k:] = np.array(high, dtype=np.int32)[:, None]
+        base = _label_indices(space, digits).astype(np.intp) * p
         for r, coef in enumerate(coefvecs):
-            t = np.zeros(stop - start, dtype=acc)
-            for k, c in enumerate(coef):
-                if c:
-                    t += np.multiply(digits[:, k], c, dtype=acc)
-            hists[r] += np.bincount(base + _mod(t, p), minlength=nlab * p)
-    return [h.reshape(nlab, p) for h in hists], sizes
+            t_hi = sum(c * d for c, d in zip(coef[k:], high)) % p
+            h = np.bincount(base + t_lo[r], minlength=nlab * p).reshape(nlab, p)
+            hists[r] += np.roll(h, t_hi, axis=1)  # t = t_lo + t_hi
+    return hists, hists[0].sum(axis=1)  # every histogram counts each element once

@@ -7,6 +7,7 @@ import pytest
 from gftables import bulk
 from gftables.cyclotomic import CycInt
 from gftables.gfq import CharSpec, default_char, make_field
+from gftables.pascal import closed_form_table
 from gftables.spaces import OrbitLabel, make_space, matrix_rank, symmetric_sign
 from gftables.transform import (
     InvariantFunction,
@@ -325,6 +326,15 @@ class TestBulkAgainstPure:
         bulk = _counts_bulk(sp, ch, reps, 10**7)
         assert pure[0] == bulk[0]
 
+    def test_prime_above_chunk(self, monkeypatch):
+        # p > CHUNK: the space is one chunk of p elements, not p chunks of one
+        label_indices, chunks = bulk._label_indices, []
+        monkeypatch.setattr(bulk, "_label_indices", lambda space, digits: chunks.append(len(digits)) or label_indices(space, digits))
+        sp = make_space("vec", make_field(524309), 1)
+        phi = brute_force_phi(sp)
+        assert chunks == [524309] and 524309 > bulk.CHUNK
+        assert [[Fraction(v) for v in row] for row in phi.integer_entries()] == closed_form_table("vec", 1, None, 524309)
+
 
 def _row0_repair(m):
     """c of the a = 0, b != 0 congruence step on row 0 of m, or None if it has no such step."""
@@ -377,7 +387,7 @@ def test_alt_step_against_reference(n, q):
         assert bulk._alt_step(digits, n, q).tolist() == [matrix_rank(sp.as_matrix(e)) // 2 for e in sp.elements()]
 
 
-@pytest.mark.parametrize("chunk", [7, 1000, bulk.CHUNK])
+@pytest.mark.parametrize("chunk", [3, 7, 1000, bulk.CHUNK])
 @pytest.mark.parametrize(
     "fam,n,m", [("vec", 6, None), ("mat", 2, 3), ("alt", 4, None), ("sym", 3, None), ("symscaled", 3, None)]
 )
@@ -390,3 +400,17 @@ def test_chunk_size_does_not_change_orbit_counts(monkeypatch, fam, n, m, chunk):
     hists2, sizes2 = bulk.orbit_counts(sp, coefvecs)
     assert sizes2.tolist() == sizes.tolist()
     assert [h.tolist() for h in hists2] == [h.tolist() for h in hists]
+
+
+def test_kernels_get_read_only_digits(monkeypatch):
+    label_indices, writeable = bulk._label_indices, []
+
+    def recording(space, digits):
+        writeable.append(digits.flags.writeable)
+        return label_indices(space, digits)
+
+    monkeypatch.setattr(bulk, "_label_indices", recording)
+    for fam, n, m in [("vec", 4, None), ("mat", 2, 2), ("alt", 4, None), ("sym", 3, None)]:
+        sp = make_space(fam, F5, n, m)
+        bulk.orbit_counts(sp, [[1] * sp.dim])
+    assert writeable and not any(writeable)
