@@ -47,11 +47,18 @@ class CycInt:
         self.p = p
         self.coeffs = tuple(int(c) for c in coeffs)
 
+    @classmethod
+    def _of(cls, p: int, coeffs: tuple[int, ...]) -> CycInt:
+        """From a ready tuple of p - 1 plain ints, without __init__'s checks and conversion."""
+        out = object.__new__(cls)
+        out.p, out.coeffs = p, coeffs
+        return out
+
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def integer(cls, p: int, n: int) -> CycInt:
-        return cls(p, (n,) + (0,) * (p - 2))
+        return cls._of(p, (int(n),) + (0,) * (p - 2))
 
     @classmethod
     def zero(cls, p: int) -> CycInt:
@@ -78,7 +85,7 @@ class CycInt:
         if len(vec) != p:
             raise ValueError("reduce expects a length-p vector")
         top = vec[p - 1]
-        return cls(p, [vec[i] - top for i in range(p - 1)])
+        return cls._of(p, tuple([c - top for c in vec[: p - 1]]))
 
     # -- ring operations ---------------------------------------------------
 
@@ -90,7 +97,7 @@ class CycInt:
         if isinstance(other, int):
             other = CycInt.integer(self.p, other)
         self._check(other)
-        return CycInt(self.p, [a + b for a, b in zip(self.coeffs, other.coeffs)])
+        return CycInt._of(self.p, tuple([a + b for a, b in zip(self.coeffs, other.coeffs)]))
 
     __radd__ = __add__
 
@@ -98,17 +105,17 @@ class CycInt:
         if isinstance(other, int):
             other = CycInt.integer(self.p, other)
         self._check(other)
-        return CycInt(self.p, [a - b for a, b in zip(self.coeffs, other.coeffs)])
+        return CycInt._of(self.p, tuple([a - b for a, b in zip(self.coeffs, other.coeffs)]))
 
     def __rsub__(self, other: int) -> CycInt:
         return CycInt.integer(self.p, other) - self
 
     def __neg__(self) -> CycInt:
-        return CycInt(self.p, [-a for a in self.coeffs])
+        return CycInt._of(self.p, tuple([-a for a in self.coeffs]))
 
     def __mul__(self, other: CycInt | int) -> CycInt:
         if isinstance(other, int):
-            return CycInt(self.p, [a * other for a in self.coeffs])
+            return CycInt._of(self.p, tuple([a * other for a in self.coeffs]))
         self._check(other)
         p = self.p
         prod = [0] * p
@@ -163,7 +170,7 @@ class CycInt:
     def exact_div(self, n: int) -> CycInt:
         if any(c % n for c in self.coeffs):
             raise ValueError(f"coefficients not divisible by {n}")
-        return CycInt(self.p, [c // n for c in self.coeffs])
+        return CycInt._of(self.p, tuple([c // n for c in self.coeffs]))
 
     def to_obj(self) -> int | dict:
         """JSON-friendly form: plain int when rational, else p + coefficients."""

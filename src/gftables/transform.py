@@ -25,7 +25,7 @@ from math import gcd
 
 from . import bulk
 from .cyclotomic import CycInt
-from .gfq import CharSpec, default_char, trace
+from .gfq import CharSpec, default_char
 from .reporting import Report
 from .spaces import BudgetError, Elem, OrbitLabel, Space
 
@@ -48,28 +48,10 @@ def _pair_coefvec(space: Space, char: CharSpec, rep: Elem) -> list:
     return out
 
 
-def _counts_pure(space: Space, char: CharSpec, reps: list[Elem], budget: int):
-    p = space.field.p
-    nlab = len(space.labels())
-    index = {lbl: i for i, lbl in enumerate(space.labels())}
-    coefs = [_pair_coefvec(space, char, rep) for rep in reps]
-    hists = [[[0] * p for _ in range(nlab)] for _ in reps]
-    sizes = [0] * nlab
-    for a in space.elements(budget):
-        li = index[space.classify(a)]
-        sizes[li] += 1
-        for r, coef in enumerate(coefs):
-            acc = space.field.zero()
-            for cv, av in zip(coef, a):
-                acc = acc + cv * av
-            hists[r][li][trace(acc)] += 1
-    return hists, sizes
-
-
 def _counts_bulk(space: Space, char: CharSpec, reps: list[Elem], budget: int):
     if space.size > budget:
         raise BudgetError(f"|A| = {space.size} exceeds the budget {budget}")
-    coefvecs = [[v.coeffs[0] for v in _pair_coefvec(space, char, rep)] for rep in reps]
+    coefvecs = [[space.field.index_of(v) for v in _pair_coefvec(space, char, rep)] for rep in reps]
     hists, sizes = bulk.orbit_counts(space, coefvecs)
     return [h.tolist() for h in hists], sizes.tolist()
 
@@ -77,15 +59,11 @@ def _counts_bulk(space: Space, char: CharSpec, reps: list[Elem], budget: int):
 @lru_cache(maxsize=64)
 def _orbit_counts_cached(space: Space, char: CharSpec, budget: int):
     reps = [space.representative(lbl) for lbl in space.labels()]
-    if space.field.e == 1:
-        return _counts_bulk(space, char, reps, budget)
-    return _counts_pure(space, char, reps, budget)
+    return _counts_bulk(space, char, reps, budget)
 
 
 def _cyc_from_hist(p: int, hist: list[int], conj: bool) -> CycInt:
-    vec = [0] * p
-    for t, c in enumerate(hist):
-        vec[(-t) % p if conj else t] += c
+    vec = hist[:1] + hist[:0:-1] if conj else hist  # conj: count of t goes to -t mod p
     return CycInt.reduce(p, vec)
 
 

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -47,6 +48,20 @@ class TestCycInt:
         assert CycInt.integer(7, 7).as_int() == 7
         with pytest.raises(ValueError, match="not a rational integer"):
             (CycInt.root(3, 2) - CycInt.root(3, 1)).as_int()
+
+    @pytest.mark.parametrize("p", [2, 3, 7])
+    def test_fast_constructors_match_init(self, p):
+        cases = [
+            (CycInt.integer(p, 4), [4] + [0] * (p - 2)),
+            (CycInt.integer(p, np.int64(-3)), [-3] + [0] * (p - 2)),
+            (CycInt.reduce(p, list(range(p))), [k - (p - 1) for k in range(p - 1)]),
+            (CycInt.reduce(p, [5] + [0] * (p - 1)), [5] + [0] * (p - 2)),
+            (CycInt.root(p, 1) + CycInt.root(p, 1) * 2 - CycInt.one(p), None),
+        ]
+        for got, coeffs in cases:
+            want = CycInt(p, got.coeffs if coeffs is None else coeffs)
+            assert all(type(c) is int for c in got.coeffs)
+            assert got == want and hash(got) == hash(want)
 
     def test_mismatched_order(self):
         with pytest.raises(IncompatibleRingError):

@@ -1,10 +1,13 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gftables import bulk
 from gftables.cyclotomic import CycInt
 from gftables.gfq import (
     CharSpec,
+    FieldSpec,
     default_char,
     epsilon,
     gauss_sum,
@@ -146,3 +149,42 @@ class TestCharactersAndGaussSums:
             for x in f.elements():
                 vec[(-ch.exponent(x * x)) % f.p] += 1
             assert CycInt.reduce(f.p, vec) == gauss_sum(ch)
+
+
+class TestCodedArithmetic:
+    """bulk.arith on element codes against FieldElem polynomial arithmetic."""
+
+    @staticmethod
+    def check_tables(f):
+        F, q = bulk.arith(f), f.q
+        elems = list(f.elements())
+        a, b = (x.ravel() for x in np.meshgrid(np.arange(q, dtype=np.int32), np.arange(q, dtype=np.int32)))
+        pairs = [(elems[i], elems[j]) for i, j in zip(a.tolist(), b.tolist())]
+        assert F.reduce(F.add(a, b)).tolist() == [f.index_of(x + y) for x, y in pairs]
+        assert F.reduce(F.sub(a, b)).tolist() == [f.index_of(x - y) for x, y in pairs]
+        assert F.reduce(F.mul(a, b)).tolist() == [f.index_of(x * y) for x, y in pairs]
+        codes = np.arange(q, dtype=np.int32)
+        assert F.reduce(F.neg(codes)).tolist() == [f.index_of(-x) for x in elems]
+        assert F.inv.tolist() == [0] + [f.index_of(x.inverse()) for x in elems[1:]]
+        if q % 2:
+            assert F.sgn.tolist() == [sgn(x) for x in elems]
+        for c in range(q):
+            assert F.trace_table(c).tolist() == [trace(elems[c] * x) for x in elems]
+
+    @pytest.mark.parametrize("pe", [(3, 1), (5, 1), (7, 1), (2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3)])
+    def test_every_pair_and_element(self, pe):
+        self.check_tables(make_field(*pe))
+
+    def test_sgn_needs_odd_q(self):
+        with pytest.raises(ValueError, match="odd characteristic"):
+            bulk.arith(make_field(2, 2)).sgn
+
+    def test_second_modulus_gets_its_own_tables(self):
+        f9, g9 = make_field(3, 2), FieldSpec(3, 2, (2, 1, 1))  # x^2 + 1 and x^2 + x + 2, both irreducible
+        assert f9.modulus != g9.modulus
+        assert bulk.arith(g9) is bulk.arith(FieldSpec(3, 2, (2, 1, 1)))
+        assert bulk.arith(g9) is not bulk.arith(f9)
+        x = np.array([3], dtype=np.int32)  # the class of x in both
+        assert bulk.arith(f9).mul(x, x).tolist() == [2]  # x^2 = -1
+        assert bulk.arith(g9).mul(x, x).tolist() == [7]  # x^2 = -x - 2 = 2x + 1
+        self.check_tables(g9)

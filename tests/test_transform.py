@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -8,11 +9,11 @@ from gftables import bulk
 from gftables.cyclotomic import CycInt
 from gftables.gfq import CharSpec, default_char, make_field
 from gftables.pascal import closed_form_table
-from gftables.spaces import OrbitLabel, make_space, matrix_rank, symmetric_sign
+from gftables.spaces import BudgetError, OrbitLabel, make_space, matrix_rank, symmetric_sign
+from gftables.symmetric import phi_from_psi, psi_closed, scaled_canonical_from_blocks
 from gftables.transform import (
     InvariantFunction,
     _counts_bulk,
-    _counts_pure,
     brute_force_phi,
     brute_phi_bar,
     diagram_check,
@@ -26,9 +27,11 @@ from gftables.transform import (
     zonal_table_direct,
 )
 
+from helpers import _counts_pure
+
 F3 = make_field(3)
 F5 = make_field(5)
-FIELD_OF = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 9: (3, 2), 131: (131, 1)}
+FIELD_OF = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 8: (2, 3), 9: (3, 2), 25: (5, 2), 27: (3, 3), 131: (131, 1)}
 
 
 def field(q):
@@ -326,6 +329,54 @@ class TestBulkAgainstPure:
         bulk = _counts_bulk(sp, ch, reps, 10**7)
         assert pure[0] == bulk[0]
 
+    @pytest.mark.parametrize("twist", ["1", "p"])  # twist index p is the class of x, outside F_p
+    @pytest.mark.parametrize(
+        "fam,n,m,q",
+        [
+            ("vec", 3, None, 9),
+            ("vec", 2, None, 8),
+            ("mat", 2, 2, 4),
+            ("mat", 1, 3, 9),
+            ("mat", 2, 2, 8),
+            ("alt", 3, None, 9),
+            ("sym", 2, None, 9),
+            ("symscaled", 2, None, 9),
+            ("sym", 1, None, 25),
+            ("sym", 1, None, 27),
+        ],
+    )
+    def test_extension_fields(self, fam, n, m, q, twist):
+        sp = make_space(fam, field(q), n, m)
+        ch = CharSpec(sp.field, sp.field.element_at(sp.field.p if twist == "p" else 1))
+        reps = [sp.representative(l) for l in sp.labels()]
+        pure = _counts_pure(sp, ch, reps, 10**7)
+        bulk = _counts_bulk(sp, ch, reps, 10**7)
+        assert pure[0] == bulk[0]
+        assert list(pure[1]) == list(bulk[1])
+
+    @pytest.mark.parametrize("twist", ["1", "p"])
+    @pytest.mark.parametrize("fam,n,q", [("alt", 4, 9), ("sym", 2, 25), ("symscaled", 3, 9)])
+    def test_extension_fields_against_closed_forms(self, fam, n, q, twist):
+        # too large for the element-by-element reference; the closed forms are independent of enumeration
+        fld = field(q)
+        ch = CharSpec(fld, fld.element_at(fld.p if twist == "p" else 1))
+        phi = brute_force_phi(make_space(fam, fld, n), ch)
+        if fam == "alt":
+            assert [[Fraction(v) for v in row] for row in phi.integer_entries()] == closed_form_table(fam, n, None, q)
+        else:
+            blocks = psi_closed(n, ch)
+            want = phi_from_psi(blocks) if fam == "sym" else scaled_canonical_from_blocks(blocks)
+            assert phi.entries == want.entries
+
+    def test_extension_space_over_budget(self):
+        sp = make_space("mat", field(9), 2, 2)
+        ch = default_char(sp.field)
+        with pytest.raises(BudgetError) as pure:
+            _counts_pure(sp, ch, [], 1000)
+        with pytest.raises(BudgetError, match=re.escape(str(pure.value))):
+            brute_force_phi(sp, ch, 1000)
+        assert str(pure.value) == "|A| = 6561 exceeds the budget 1000"
+
     def test_prime_above_chunk(self, monkeypatch):
         # p > CHUNK: the space is one chunk of p elements, not p chunks of one
         label_indices, chunks = bulk._label_indices, []
@@ -389,11 +440,13 @@ def test_alt_step_against_reference(n, q):
 
 @pytest.mark.parametrize("chunk", [3, 7, 1000, bulk.CHUNK])
 @pytest.mark.parametrize(
-    "fam,n,m", [("vec", 6, None), ("mat", 2, 3), ("alt", 4, None), ("sym", 3, None), ("symscaled", 3, None)]
+    "fam,n,m,q",
+    [pytest.param(fam, n, m, 5, id=f"{fam}-{n}-{m}") for fam, n, m in [("vec", 6, None), ("mat", 2, 3), ("alt", 4, None), ("sym", 3, None), ("symscaled", 3, None)]]
+    + [pytest.param(fam, n, m, 9, id=f"{fam}-{n}-{m}-q9") for fam, n, m in [("vec", 3, None), ("mat", 2, 2), ("alt", 3, None), ("sym", 2, None), ("symscaled", 2, None)]],
 )
-def test_chunk_size_does_not_change_orbit_counts(monkeypatch, fam, n, m, chunk):
-    sp = make_space(fam, F5, n, m)
-    coefvecs = [[(r * k + 1) % 5 for k in range(sp.dim)] for r in range(3)]
+def test_chunk_size_does_not_change_orbit_counts(monkeypatch, fam, n, m, q, chunk):
+    sp = make_space(fam, field(q), n, m)
+    coefvecs = [[(r * k + 1) % q for k in range(sp.dim)] for r in range(3)]
     hists, sizes = bulk.orbit_counts(sp, coefvecs)
     monkeypatch.setattr(bulk, "CHUNK", chunk)
     bulk._codes.cache_clear()  # rebuild the (n-1) tables in chunks too
