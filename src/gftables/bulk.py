@@ -27,10 +27,10 @@ largest exponent with q^k <= CHUNK, capped at dim and at least 1 when dim >= 1.
 The low k digits of a chunk run through all of GF(q)^k, so they are peeled once
 per call; the dim - k high digits are fixed in a chunk. A functional sends
 coordinate k with coefficient c_k through the table T_c[x] = Tr(c_k x) in F_p,
-which is F_p-linear in the base-p digits of x; it splits as t = t_lo + t_hi,
-one vector per call (outer sums of the T tables) plus one scalar per chunk,
-so a chunk folds by one bincount over (label, t_lo), rolled by t_hi along the
-values.
+which is F_p-linear in the base-p digits of x. It splits as t = t_lo + t_hi:
+outer sums of the T tables over the low digits (one vector) and over the high
+digits (one value per chunk), both built once per call. A chunk folds by one
+bincount over (label, t_lo), rolled by its t_hi along the values.
 
 A matrix is labelled in three steps: one reduction step on row 0 leaves a
 matrix of the (n-1) space; its digits give its index in counting order; its
@@ -55,6 +55,7 @@ use, with the same kernel, so the tables recurse down to n = 0 or the Pfaffians.
 from __future__ import annotations
 
 import itertools
+import operator
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -172,17 +173,8 @@ class Arith:
 class PrimeArith(Arith):
     """F_p on codes 0..p-1 with delayed reduction: only reduce takes a value mod p."""
 
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
+    # the bare operators, not methods: numpy may then reuse a temporary operand's buffer
+    add, sub, neg, mul = map(staticmethod, (operator.add, operator.sub, operator.neg, operator.mul))
 
     def reduce(self, x):
         return _mod(x, self.p)
@@ -309,8 +301,8 @@ def _alt_labels_pfaffian(digits: np.ndarray, n: int, F) -> np.ndarray:
     rank4 = np.zeros(len(digits), dtype=bool)
     for i, j, k, l in itertools.combinations(range(n), 4):
         # over F_p the sum stays int32: |pf| < 3 (p-1)^2 < 2^31 for p < 26755; a larger p has |A| >= p^6 > 10^26
-        pf = F.add(F.sub(F.mul(col(i, j), col(k, l)), F.mul(col(i, k), col(j, l))), F.mul(col(i, l), col(j, k)))
-        rank4 |= F.reduce(pf) != 0
+        pf = F.reduce(F.add(F.sub(F.mul(col(i, j), col(k, l)), F.mul(col(i, k), col(j, l))), F.mul(col(i, l), col(j, k))))
+        rank4 |= pf != 0
     return nonzero + rank4
 
 
@@ -369,16 +361,17 @@ def orbit_counts(space: Space, coefvecs: list[list[int]]) -> tuple[list[np.ndarr
     buf[:k] = _digits(0, block, k, q).T  # low digits: all of GF(q)^k, the same in every chunk
     digits = buf.T
     digits.flags.writeable = False  # the kernels must not write into rows later chunks reuse
-    tables = [[F.trace_table(c) for c in coef] for coef in coefvecs]  # T_c per functional and coordinate
-    # t over the low digits, kept all call, so narrow
-    t_lo = [_outer_sum(tabs[:k], p).astype(np.int16 if p < 2**15 else np.int32) for tabs in tables]
+    t_lo, t_hi = [], []  # t over the low digits (kept all call, so narrow), and over the high digits per chunk
+    for coef in coefvecs:
+        tabs = [F.trace_table(c) for c in coef]
+        t_lo.append(_outer_sum(tabs[:k], p).astype(np.int16 if p < 2**15 else np.int32))
+        t_hi.append(_outer_sum(tabs[k:], p).tolist())
     hists = [np.zeros((nlab, p), dtype=np.int64) for _ in coefvecs]
     for chunk in range(space.size // block):
         high = [chunk // q**i % q for i in range(dim - k)]  # digits k..dim-1, fixed in this chunk
         buf[k:] = np.array(high, dtype=np.int32)[:, None]
         base = _label_indices(space, digits).astype(np.intp) * p
-        for r, tabs in enumerate(tables):
-            t_hi = sum(int(tab[d]) for tab, d in zip(tabs[k:], high)) % p
+        for r in range(len(coefvecs)):
             h = np.bincount(base + t_lo[r], minlength=nlab * p).reshape(nlab, p)
-            hists[r] += np.roll(h, t_hi, axis=1)  # t = t_lo + t_hi
+            hists[r] += np.roll(h, t_hi[r][chunk], axis=1)  # t = t_lo + t_hi
     return hists, hists[0].sum(axis=1)  # every histogram counts each element once
