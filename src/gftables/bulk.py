@@ -258,17 +258,25 @@ def batch_sym_rank_sign(digits: np.ndarray, n: int, F) -> np.ndarray:
     pos[iu, ju] = pos[ju, iu] = np.arange(len(iu))
     rep = np.flatnonzero((a == 0) & b.any(axis=1))
     if rep.size:
-        br, tr, r = b[rep], T[rep], np.arange(rep.size)
-        j = (br != 0).argmax(axis=1)
-        bj, ajj, tj = br[r, j], tr[r, pos[j, j]], tr[r[:, None], pos[j]]  # tj: row j of T
-        two_bj = F.add(bj, bj)
-        minus = F.reduce(F.add(two_bj, ajj)) == 0  # c = -1 where a_jj = -2 b_j
-        a[rep] = F.reduce(np.where(minus, F.sub(ajj, two_bj), F.add(ajj, two_bj)))
-        b[rep] = F.reduce(np.where(minus[:, None], F.sub(br, tj), F.add(br, tj)))
+        a[rep], b[rep] = _sym_pivot(b[rep], T[rep], pos, F)
     u = F.reduce(F.mul(b, F.inv[a][:, None]))  # b / a; zero where no pivot, then C = T
     idx = _index([F.sub(T[:, k], F.mul(u[:, iu[k]], b[:, ju[k]])) for k in range(len(iu))], F)  # C's index
     codes = _codes(batch_sym_rank_sign, len(iu), n - 1, F)[idx]
     return (codes + 2 * (a != 0)).astype(np.int8) ^ (F.sgn[a] < 0)
+
+
+def _sym_pivot(b: np.ndarray, T: np.ndarray, pos: np.ndarray, F: Arith) -> tuple[np.ndarray, np.ndarray]:
+    """New (a, b) of rows with a = 0 and b != 0, after c times row and column j went into row and column 0.
+
+    A function of its own, so that its temporaries are freed before the caller's main step allocates.
+    """
+    r = np.arange(len(b))
+    j = (b != 0).argmax(axis=1)
+    bj, ajj, tj = b[r, j], T[r, pos[j, j]], T[r[:, None], pos[j]]  # tj: row j of T
+    two_bj = F.add(bj, bj)
+    minus = F.reduce(F.add(two_bj, ajj)) == 0  # c = -1 where a_jj = -2 b_j
+    a = F.reduce(np.where(minus, F.sub(ajj, two_bj), F.add(ajj, two_bj)))
+    return a, F.reduce(np.where(minus[:, None], F.sub(b, tj), F.add(b, tj)))
 
 
 def _build_matrices(digits: np.ndarray, j: np.ndarray, n: int, F: Arith) -> np.ndarray:
