@@ -60,7 +60,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .gfq import FieldSpec, make_field, trace
+from .gfq import FieldSpec, trace
 from .spaces import AltMat, MatRect, Space, SymGL, SymScaled, VecWreath
 
 CHUNK = 1 << 19
@@ -181,15 +181,9 @@ class PrimeArith(Arith):
 
 
 @lru_cache(maxsize=None)
-def _arith_of(field: FieldSpec) -> Arith:
+def arith(field: FieldSpec) -> Arith:
+    """The shared arithmetic object of a field."""
     return (PrimeArith if field.e == 1 else Arith)(field)
-
-
-def arith(field: Arith | FieldSpec | int) -> Arith:
-    """The shared arithmetic object of a field; an int p stands for F_p."""
-    if isinstance(field, Arith):
-        return field
-    return _arith_of(make_field(field) if isinstance(field, int) else field)
 
 
 def _digits(start: int, stop: int, dim: int, q: int) -> np.ndarray:
@@ -229,9 +223,8 @@ def _codes(kernel, dim: int, *args) -> np.ndarray:
     return codes
 
 
-def batch_rank(digits: np.ndarray, n: int, m: int, F) -> np.ndarray:
+def batch_rank(digits: np.ndarray, n: int, m: int, F: Arith) -> np.ndarray:
     """Ranks of n x m matrices from their row-major digits (module docstring)."""
-    F = arith(F)
     if n == 0:
         return np.zeros(len(digits), dtype=np.int8)
     r0, rows = digits[:, :m], np.arange(len(digits))
@@ -243,13 +236,12 @@ def batch_rank(digits: np.ndarray, n: int, m: int, F) -> np.ndarray:
     return _codes(batch_rank, (n - 1) * m, n - 1, m, F)[_index(cols, F)] + nz.any(axis=1)
 
 
-def batch_sym_rank_sign(digits: np.ndarray, n: int, F) -> np.ndarray:
+def batch_sym_rank_sign(digits: np.ndarray, n: int, F: Arith) -> np.ndarray:
     """Codes 2 rank + (sign < 0) of symmetric n x n matrices under congruence.
 
     digits holds the upper-triangular row-major coordinates, so row 0 is the
     first n columns and the trailing block T is in the (n-1) counting order.
     """
-    F = arith(F)
     if n == 0:
         return np.zeros(len(digits), dtype=np.int8)
     a, b, T = digits[:, 0].copy(), digits[:, 1:n].copy(), digits[:, n:]
@@ -290,17 +282,17 @@ def _build_matrices(digits: np.ndarray, j: np.ndarray, n: int, F: Arith) -> np.n
         for l in range(n):
             if l != jj:  # T_jj = 0
                 np.copyto(w[l], digits[:, pos[jj, l]], where=at)
-    return np.where(np.arange(n)[:, None] < j, F.neg(w), w)  # T_jl = -T_lj below the diagonal
+    np.copyto(w, F.neg(w), where=np.arange(n)[:, None] < j)  # T_jl = -T_lj below the diagonal
+    return w
 
 
-def _alt_labels_pfaffian(digits: np.ndarray, n: int, F) -> np.ndarray:
+def _alt_labels_pfaffian(digits: np.ndarray, n: int, F: Arith) -> np.ndarray:
     """Half-rank of skew matrices with n <= 5 from principal Pfaffians.
 
     The rank of a skew matrix is the size of its largest nonsingular principal
     submatrix; a 4x4 principal minor is the square of the Pfaffian
     a_ij a_kl - a_ik a_jl + a_il a_jk, and with n <= 5 the rank is at most 4.
     """
-    F = arith(F)
     nonzero = (digits != 0).any(axis=1).astype(np.int8)
     if n < 4:
         return nonzero
@@ -314,9 +306,8 @@ def _alt_labels_pfaffian(digits: np.ndarray, n: int, F) -> np.ndarray:
     return nonzero + rank4
 
 
-def _alt_step(digits: np.ndarray, n: int, F) -> np.ndarray:
+def _alt_step(digits: np.ndarray, n: int, F: Arith) -> np.ndarray:
     """Half-ranks of skew n x n matrices by one hyperbolic-plane step (module docstring)."""
-    F = arith(F)
     b, rows = digits[:, : n - 1], np.arange(len(digits))
     nz = b != 0
     j = nz.argmax(axis=1) + 1

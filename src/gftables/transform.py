@@ -25,7 +25,7 @@ from math import gcd
 
 from . import bulk
 from .cyclotomic import CycInt
-from .gfq import CharSpec, default_char
+from .gfq import CharSpec, default_char, trace
 from .reporting import Report
 from .spaces import BudgetError, Elem, OrbitLabel, Space
 
@@ -46,6 +46,28 @@ def _pair_coefvec(space: Space, char: CharSpec, rep: Elem) -> list:
             v = v + v
         out.append(v)
     return out
+
+
+def _counts_pure(space: Space, char: CharSpec, reps: list[Elem], budget: int):
+    """The element-by-element reference of the bulk histograms, on FieldElem arithmetic.
+
+    No enumeration path calls it; the tests check orbit_counts against it.
+    """
+    p = space.field.p
+    nlab = len(space.labels())
+    index = {lbl: i for i, lbl in enumerate(space.labels())}
+    coefs = [_pair_coefvec(space, char, rep) for rep in reps]
+    hists = [[[0] * p for _ in range(nlab)] for _ in reps]
+    sizes = [0] * nlab
+    for a in space.elements(budget):
+        li = index[space.classify(a)]
+        sizes[li] += 1
+        for r, coef in enumerate(coefs):
+            acc = space.field.zero()
+            for cv, av in zip(coef, a):
+                acc = acc + cv * av
+            hists[r][li][trace(acc)] += 1
+    return hists, sizes
 
 
 def _counts_bulk(space: Space, char: CharSpec, reps: list[Elem], budget: int):

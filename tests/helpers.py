@@ -3,10 +3,7 @@
 import random
 from fractions import Fraction
 
-from gftables.gfq import CharSpec, trace
 from gftables.pascal import PascalParams
-from gftables.spaces import Elem, Space
-from gftables.transform import _pair_coefvec
 
 F = Fraction
 
@@ -37,22 +34,3 @@ def draw_params(rng: random.Random, case: int, n_max: int = 4) -> PascalParams:
         if sigma == 0:
             continue
         return PascalParams(a, b, c, d, t, sigma, n_max)
-
-
-def _counts_pure(space: Space, char: CharSpec, reps: list[Elem], budget: int):
-    """The element-by-element reference of the bulk histograms, on FieldElem arithmetic."""
-    p = space.field.p
-    nlab = len(space.labels())
-    index = {lbl: i for i, lbl in enumerate(space.labels())}
-    coefs = [_pair_coefvec(space, char, rep) for rep in reps]
-    hists = [[[0] * p for _ in range(nlab)] for _ in reps]
-    sizes = [0] * nlab
-    for a in space.elements(budget):
-        li = index[space.classify(a)]
-        sizes[li] += 1
-        for r, coef in enumerate(coefs):
-            acc = space.field.zero()
-            for cv, av in zip(coef, a):
-                acc = acc + cv * av
-            hists[r][li][trace(acc)] += 1
-    return hists, sizes

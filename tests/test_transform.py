@@ -14,6 +14,7 @@ from gftables.symmetric import phi_from_psi, psi_closed, scaled_canonical_from_b
 from gftables.transform import (
     InvariantFunction,
     _counts_bulk,
+    _counts_pure,
     brute_force_phi,
     brute_phi_bar,
     diagram_check,
@@ -26,8 +27,6 @@ from gftables.transform import (
     zonal_table,
     zonal_table_direct,
 )
-
-from helpers import _counts_pure
 
 F3 = make_field(3)
 F5 = make_field(5)
@@ -404,7 +403,7 @@ class TestSymKernelAgainstReference:
     )
     def test_every_element(self, fam, n, q):
         sp = make_space(fam, field(q), n)
-        codes = bulk.batch_sym_rank_sign(bulk._digits(0, sp.size, sp.dim, q), n, q).tolist()
+        codes = bulk.batch_sym_rank_sign(bulk._digits(0, sp.size, sp.dim, q), n, bulk.arith(sp.field)).tolist()
         repairs = set()
         for code, elem in zip(codes, sp.elements()):
             m = sp.as_matrix(elem)
@@ -417,7 +416,7 @@ class TestSymKernelAgainstReference:
 @pytest.mark.parametrize("n,m,q", [(1, 4, 3), (2, 2, 3), (2, 3, 3), (3, 3, 3), (2, 3, 5)])
 def test_mat_kernel_against_reference(n, m, q):
     sp = make_space("mat", field(q), n, m)
-    ranks = bulk.batch_rank(bulk._digits(0, sp.size, sp.dim, q), n, m, q).tolist()
+    ranks = bulk.batch_rank(bulk._digits(0, sp.size, sp.dim, q), n, m, bulk.arith(sp.field)).tolist()
     assert ranks == [matrix_rank(sp.as_matrix(elem)) for elem in sp.elements()]
 
 
@@ -425,17 +424,18 @@ def test_mat_kernel_against_reference(n, m, q):
 @pytest.mark.parametrize("q", [3, 5])
 def test_alt_step_against_reference(n, q):
     sp = make_space("alt", field(q), n)
+    F = bulk.arith(sp.field)
     pivots = set()
     for start in range(0, sp.size, bulk.CHUNK):
         digits = bulk._digits(start, min(start + bulk.CHUNK, sp.size), sp.dim, q)
-        half = bulk._alt_step(digits, n, q)  # the step itself, below its n >= 6 dispatch
-        assert np.array_equal(half, bulk._alt_labels_pfaffian(digits, n, q))
+        half = bulk._alt_step(digits, n, F)  # the step itself, below its n >= 6 dispatch
+        assert np.array_equal(half, bulk._alt_labels_pfaffian(digits, n, F))
         row0 = digits[:, : n - 1]
         pivots.update(np.unique((row0 != 0).argmax(axis=1)[row0.any(axis=1)] + 1).tolist())
     assert pivots == set(range(1, n))  # every pivot position j occurs
     if q == 3 and n <= 4:  # small enough for the pure reference too
         digits = bulk._digits(0, sp.size, sp.dim, q)
-        assert bulk._alt_step(digits, n, q).tolist() == [matrix_rank(sp.as_matrix(e)) // 2 for e in sp.elements()]
+        assert bulk._alt_step(digits, n, F).tolist() == [matrix_rank(sp.as_matrix(e)) // 2 for e in sp.elements()]
 
 
 @pytest.mark.parametrize("chunk", [3, 7, 1000, bulk.CHUNK])
