@@ -14,6 +14,7 @@ import argparse
 import os
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .gfq import MAX_FIELD_ORDER, CharSpec, FieldSpec, make_field
 from .pascal import closed_form_table, family_table
@@ -194,7 +195,9 @@ def _add_compute_args(sub) -> None:
     sub.add_argument("--budget", type=int, default=None)
 
 
-def main(argv=None) -> int:
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """Built once per process: each parse_args call gets a fresh namespace."""
     parser = argparse.ArgumentParser(prog="gftables", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
 
@@ -212,8 +215,11 @@ def main(argv=None) -> int:
     pv.add_argument("--m", type=int, default=None)
     pv.add_argument("--budget", type=int, default=None)
     pv.add_argument("--jobs", type=int, default=1)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         if args.command == "verify":
             return cmd_verify(args)
