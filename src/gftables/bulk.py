@@ -56,7 +56,9 @@ from __future__ import annotations
 
 import itertools
 import operator
-from functools import cached_property, lru_cache
+from collections.abc import Callable
+from functools import cached_property, lru_cache, partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -205,35 +207,134 @@ def _mod(x: np.ndarray, p: int) -> np.ndarray:
     return x - x // p * p
 
 
-def _index(cols, F: Arith) -> np.ndarray:
-    """Counting-order index of the element whose k-th coordinate reduces to cols[k]."""
-    idx = 0
-    for c in reversed(cols):  # Horner, most significant digit first
-        idx = idx * F.q + F.reduce(c)
-    return idx
+def _low_width(dim: int, q: int) -> int:
+    """k of the chunks of q^k elements: the largest with q^k <= CHUNK, capped at dim, at least 1 when dim >= 1."""
+    k = min(dim, 1)  # also for q > CHUNK
+    while k < dim and q ** (k + 1) <= CHUNK:
+        k += 1
+    return k
+
+
+def _walk(split, dim: int, *args):
+    """Labels of the dim-digit space over the field of F = args[-1], one chunk of q^k elements at a time.
+
+    split(digits, k, *args) is the per-call part and reads only the low k columns;
+    each chunk writes its high digits and calls _label_indices.
+    """
+    q = args[-1].q
+    k = _low_width(dim, q)
+    buf = np.zeros((dim, q**k), dtype=np.int32)  # one digit row per coordinate; high rows zero until a chunk sets them
+    buf[:k] = _digits(0, q**k, k, q).T  # low digits: all of GF(q)^k, the same in every chunk
+    digits = buf.T
+    digits.flags.writeable = False  # the kernels must not write into rows later chunks reuse
+    state = split(digits, k, *args)
+    for chunk in range(q ** (dim - k)):
+        buf[k:] = np.array([chunk // q**i % q for i in range(dim - k)], dtype=np.int32)[:, None]
+        yield _label_indices(state, digits)
+
+
+def _label_indices(split, digits: np.ndarray) -> np.ndarray:
+    """The labels of one chunk: the per-chunk tail of a split, whose high digits are digits[0, k:]."""
+    return split.labels(digits)
 
 
 @lru_cache(maxsize=None)
-def _codes(kernel, dim: int, *args) -> np.ndarray:
-    """kernel(digits, *args) on the dim-digit space over the field of F = args[-1], in counting order."""
-    q = args[-1].q
-    size = q**dim
-    codes = np.concatenate([kernel(_digits(s, min(s + CHUNK, size), dim, q), *args) for s in range(0, size, CHUNK)])
-    codes.flags.writeable = False
-    return codes
+def _codes(split, dim: int, *args) -> np.ndarray:
+    """The read-only labels that split gives the dim-digit space over the field of args[-1], in counting order."""
+    return _frozen(np.concatenate(list(_walk(split, dim, *args))))
+
+
+class _Gather(NamedTuple):
+    """Per-call state of a step-plus-lookup labeller (module docstring); every array is read-only.
+
+    A row's label is table[idx + lut[P]], where lut[x] sums w_t reduce(s_t - x_t) over the high
+    digits t, s_t the chunk's digit and x_t the base-q digit i of x for the i-th (t, w_t) in high.
+    full labels the rows in repair in every chunk, and every row where repair is None.
+    """
+
+    F: Arith
+    idx: np.ndarray | None
+    high: tuple  # (t, w_t)
+    P: np.ndarray | None
+    table: np.ndarray | None
+    repair: np.ndarray | None
+    full: Callable[[np.ndarray], np.ndarray]
+
+    def labels(self, digits: np.ndarray) -> np.ndarray:
+        if self.repair is None:
+            return self.full(digits)
+        F, idx, lut = self.F, self.idx, np.zeros(1, dtype=np.int32)
+        for t, w in self.high:  # q^len(high) entries, built per chunk
+            lut = np.add.outer(w * F.reduce(F.sub(digits[0, t], np.arange(F.q, dtype=np.int32))), lut).ravel()
+        labels = self.table[idx + lut[self.P] if self.high else idx]
+        if self.repair.size:
+            labels[self.repair] = self.full(digits.T[:, self.repair].T)  # columns stay contiguous
+        return labels
+
+
+def _gather(digits, k: int, F: Arith, entries, tables, cls, repair, full) -> _Gather:
+    """The state of a labeller whose i-th (n-1) coordinate is digit c - P for (c, P) = entries[i].
+
+    Its label is tables[cls][index of those coordinates]; the rows in repair are labelled by full.
+    """
+    idx, high, P = cls.astype(np.int32) * len(tables[0]), [], 0
+    for i, (c, Pc) in enumerate(entries):
+        if c < k:
+            idx += F.q**i * F.reduce(F.sub(digits[:, c], Pc))
+        else:
+            P, high = P + F.q ** len(high) * F.reduce(Pc), high + [(c, F.q**i)]
+    P = _frozen(P.astype(np.int8 if F.q ** len(high) <= 128 else np.int32)) if high else None
+    return _Gather(F, _frozen(idx), tuple(high), P, _frozen(np.concatenate(tables)), _frozen(repair), full)
+
+
+def _positions(n: int, diagonal: bool) -> np.ndarray:
+    """(n, n) digit position of entry (i, j) and of (j, i) in row-major upper-triangular order."""
+    iu, ju = np.triu_indices(n, 0 if diagonal else 1)
+    pos = np.zeros((n, n), dtype=np.intp)
+    pos[iu, ju] = pos[ju, iu] = np.arange(len(iu))
+    return pos
+
+
+def _mat_split(digits, k: int, n: int, m: int, F: Arith) -> _Gather:
+    """Per-call part of the ranks of n x m matrices (module docstring)."""
+    full = partial(batch_rank, n=n, m=m, F=F)
+    if n == 0 or k < m:
+        return _Gather(F, None, (), None, None, None, full)  # row 0 reaches a high digit
+    r0, rows = digits[:, :m], np.arange(len(digits))
+    nz = r0 != 0
+    j = nz.argmax(axis=1)
+    s = F.inv[r0[rows, j]]  # zero where row 0 is zero
+    f = {i: F.reduce(F.mul(digits[rows, i * m + j], s)) for i in range(1, n)}  # R_i[j] / r0[j]
+    entries = [(i * m + c, F.mul(f[i], r0[:, c])) for i in range(1, n) for c in range(m)]
+    T, cls = _codes(_mat_split, (n - 1) * m, n - 1, m, F), nz.any(axis=1)
+    return _gather(digits, k, F, entries, [T, T + 1], cls, np.flatnonzero(cls & ((n - 1) * m + j >= k)), full)
 
 
 def batch_rank(digits: np.ndarray, n: int, m: int, F: Arith) -> np.ndarray:
     """Ranks of n x m matrices from their row-major digits (module docstring)."""
     if n == 0:
         return np.zeros(len(digits), dtype=np.int8)
-    r0, rows = digits[:, :m], np.arange(len(digits))
-    nz = r0 != 0
-    j = nz.argmax(axis=1)
-    s = F.inv[r0[rows, j]]  # zero where row 0 is zero
-    f = {i: F.reduce(F.mul(digits[rows, i * m + j], s)) for i in range(1, n)}  # R_i[j] / r0[j]
-    cols = [F.sub(digits[:, i * m + k], F.mul(f[i], r0[:, k])) for i in range(1, n) for k in range(m)]
-    return _codes(batch_rank, (n - 1) * m, n - 1, m, F)[_index(cols, F)] + nz.any(axis=1)
+    return _mat_split(digits, n * m, n, m, F).labels(digits)
+
+
+def _sym_split(digits, k: int, n: int, F: Arith) -> _Gather:
+    """Per-call part of the rank-and-sign codes of symmetric n x n matrices (module docstring)."""
+    full = partial(batch_sym_rank_sign, n=n, F=F)
+    if n == 0 or k < n:
+        return _Gather(F, None, (), None, None, None, full)  # row 0 reaches a high digit
+    a, b, T = digits[:, 0].copy(), digits[:, 1:n].copy(), digits[:, n:]
+    iu, ju = np.triu_indices(n - 1)
+    pos = _positions(n - 1, True)  # column of T holding (i, j)
+    rep, repair = np.flatnonzero((a == 0) & b.any(axis=1)), np.empty(0, dtype=np.intp)
+    if rep.size:
+        late = (n + pos.max(axis=1) >= k)[(b[rep] != 0).argmax(axis=1)]  # the pivot's row of T reaches a high digit
+        repair, rep = rep[late], rep[~late]
+        a[rep], b[rep] = _sym_pivot(b[rep], T[rep], pos, F)
+    u = F.reduce(F.mul(b, F.inv[a][:, None]))  # b / a; zero where no pivot, then C = T
+    C = _codes(_sym_split, len(iu), n - 1, F)
+    tables = [C, C + 2, (C + 2) ^ 1]  # by (a != 0) + (sign of a < 0); the code is 2 rank + (sign < 0)
+    entries = [(n + c, F.mul(u[:, iu[c]], b[:, ju[c]])) for c in range(len(iu))]
+    return _gather(digits, k, F, entries, tables, (a != 0) + (F.sgn[a] < 0).astype(np.int8), repair, full)
 
 
 def batch_sym_rank_sign(digits: np.ndarray, n: int, F: Arith) -> np.ndarray:
@@ -244,17 +345,7 @@ def batch_sym_rank_sign(digits: np.ndarray, n: int, F: Arith) -> np.ndarray:
     """
     if n == 0:
         return np.zeros(len(digits), dtype=np.int8)
-    a, b, T = digits[:, 0].copy(), digits[:, 1:n].copy(), digits[:, n:]
-    iu, ju = np.triu_indices(n - 1)
-    pos = np.zeros((n - 1, n - 1), dtype=np.intp)  # column of T holding (i, j)
-    pos[iu, ju] = pos[ju, iu] = np.arange(len(iu))
-    rep = np.flatnonzero((a == 0) & b.any(axis=1))
-    if rep.size:
-        a[rep], b[rep] = _sym_pivot(b[rep], T[rep], pos, F)
-    u = F.reduce(F.mul(b, F.inv[a][:, None]))  # b / a; zero where no pivot, then C = T
-    idx = _index([F.sub(T[:, k], F.mul(u[:, iu[k]], b[:, ju[k]])) for k in range(len(iu))], F)  # C's index
-    codes = _codes(batch_sym_rank_sign, len(iu), n - 1, F)[idx]
-    return (codes + 2 * (a != 0)).astype(np.int8) ^ (F.sgn[a] < 0)
+    return _sym_split(digits, digits.shape[1], n, F).labels(digits)
 
 
 def _sym_pivot(b: np.ndarray, T: np.ndarray, pos: np.ndarray, F: Arith) -> tuple[np.ndarray, np.ndarray]:
@@ -273,9 +364,7 @@ def _sym_pivot(b: np.ndarray, T: np.ndarray, pos: np.ndarray, F: Arith) -> tuple
 
 def _build_matrices(digits: np.ndarray, j: np.ndarray, n: int, F: Arith) -> np.ndarray:
     """(n, B) rows w[l] = T_jl of skew matrices, pivot j per matrix, from their row-major upper digits."""
-    iu, ju = np.triu_indices(n, 1)  # the digit order (0, 1), (0, 2), ..., (n-2, n-1)
-    pos = np.zeros((n, n), dtype=np.intp)  # digit position of T_il and of T_li
-    pos[iu, ju] = pos[ju, iu] = np.arange(len(iu))
+    pos = _positions(n, False)  # digit position of T_il and of T_li
     w = np.zeros((n, len(digits)), dtype=np.int32)
     for jj in range(1, n):
         at = j == jj
@@ -286,59 +375,113 @@ def _build_matrices(digits: np.ndarray, j: np.ndarray, n: int, F: Arith) -> np.n
     return w
 
 
-def _alt_labels_pfaffian(digits: np.ndarray, n: int, F: Arith) -> np.ndarray:
-    """Half-rank of skew matrices with n <= 5 from principal Pfaffians.
+class _Pfaffians(NamedTuple):
+    """Per-call state of the half-ranks of skew n x n matrices, n <= 5; every array is read-only.
 
-    The rank of a skew matrix is the size of its largest nonsingular principal
+    A principal Pfaffian is multilinear in the entries, so each is P + sum of its
+    terms x_c x_d that hold a high digit; rank4 holds those with no high digit.
+    """
+
+    F: Arith
+    k: int
+    nonzero: np.ndarray  # int8: a low digit is nonzero
+    rank4: np.ndarray
+    high: tuple  # (P, ((sign, c, d), ...))
+
+    def labels(self, digits: np.ndarray) -> np.ndarray:
+        F, k, rank4 = self.F, self.k, self.rank4
+        val = lambda c: digits[:, c] if c < k else digits[0, c]
+        for pf, terms in self.high:
+            for sign, c, d in terms:
+                pf = (F.add if sign > 0 else F.sub)(pf, F.mul(val(c), val(d)))
+            rank4 = rank4 | (F.reduce(pf) != 0)
+        return (self.nonzero | digits[0, k:].any()) + rank4
+
+
+def _pfaffian_split(digits, k: int, n: int, F: Arith) -> _Pfaffians:
+    """The rank of a skew matrix is the size of its largest nonsingular principal
     submatrix; a 4x4 principal minor is the square of the Pfaffian
     a_ij a_kl - a_ik a_jl + a_il a_jk, and with n <= 5 the rank is at most 4.
     """
-    nonzero = (digits != 0).any(axis=1).astype(np.int8)
-    if n < 4:
-        return nonzero
-    pos = {pair: k for k, pair in enumerate(itertools.combinations(range(n), 2))}
-    col = lambda i, j: digits[:, pos[(i, j)]]
-    rank4 = np.zeros(len(digits), dtype=bool)
-    for i, j, k, l in itertools.combinations(range(n), 4):
-        # over F_p the sum stays int32: |pf| < 3 (p-1)^2 < 2^31 for p < 26755; a larger p has |A| >= p^6 > 10^26
-        pf = F.reduce(F.add(F.sub(F.mul(col(i, j), col(k, l)), F.mul(col(i, k), col(j, l))), F.mul(col(i, l), col(j, k))))
-        rank4 |= pf != 0
-    return nonzero + rank4
+    pos = {pair: c for c, pair in enumerate(itertools.combinations(range(n), 2))}
+    rank4, high = np.zeros(len(digits), dtype=bool), []
+    for i, j, kk, l in itertools.combinations(range(n), 4):
+        # over F_p a sum stays int32: |pf| < 3 (p-1)^2 < 2^31 for p < 26755; a larger p has |A| >= p^6 > 10^26
+        pf, terms = np.zeros(len(digits), dtype=np.int32), []
+        for sign, x, y in ((1, (i, j), (kk, l)), (-1, (i, kk), (j, l)), (1, (i, l), (j, kk))):
+            c, d = pos[x], pos[y]
+            if max(c, d) < k:
+                pf = (F.add if sign > 0 else F.sub)(pf, F.mul(digits[:, c], digits[:, d]))
+            else:
+                terms.append((sign, c, d))
+        if terms:
+            high.append((_frozen(F.reduce(pf)), tuple(terms)))
+        else:
+            rank4 |= F.reduce(pf) != 0
+    nonzero = (digits[:, :k] != 0).any(axis=1).astype(np.int8)
+    return _Pfaffians(F, k, _frozen(nonzero), _frozen(rank4), tuple(high))
 
 
-def _alt_step(digits: np.ndarray, n: int, F: Arith) -> np.ndarray:
-    """Half-ranks of skew n x n matrices by one hyperbolic-plane step (module docstring)."""
+def _alt_labels_pfaffian(digits: np.ndarray, n: int, F: Arith) -> np.ndarray:
+    """Half-rank of skew matrices with n <= 5 from principal Pfaffians (_pfaffian_split)."""
+    return _pfaffian_split(digits, digits.shape[1], n, F).labels(digits)
+
+
+def _step_split(digits, k: int, n: int, F: Arith) -> _Gather:
+    """Per-call part of the half-ranks of skew n x n matrices by one hyperbolic-plane step (module docstring)."""
+    full = partial(_alt_step, n=n, F=F)
+    if k < n - 1:
+        return _Gather(F, None, (), None, None, None, full)  # row 0 reaches a high digit
     b, rows = digits[:, : n - 1], np.arange(len(digits))
     nz = b != 0
     j = nz.argmax(axis=1) + 1
     u = F.reduce(F.mul(b, F.inv[b[rows, j - 1]][:, None]))  # b / b_j; zero where b = 0
     w = _build_matrices(digits, j, n, F)  # w[l] = T_jl
     pairs = itertools.combinations(range(1, n), 2)
-    cols = [
-        F.add(F.sub(digits[:, n - 1 + t], F.mul(u[:, k - 1], w[l])), F.mul(u[:, l - 1], w[k]))
-        for t, (k, l) in enumerate(pairs)
-    ]
-    return _codes(_alt_half_rank, (n - 1) * (n - 2) // 2, n - 1, F)[_index(cols, F)] + nz.any(axis=1)
+    entries = [(n - 1 + t, F.sub(F.mul(u[:, c - 1], w[d]), F.mul(u[:, d - 1], w[c]))) for t, (c, d) in enumerate(pairs)]
+    T, cls = _codes(_alt_split, (n - 1) * (n - 2) // 2, n - 1, F), nz.any(axis=1)
+    late = _positions(n, False).max(axis=1) >= k  # row j of T reaches a high digit
+    return _gather(digits, k, F, entries, [T, T + 1], cls, np.flatnonzero(cls & late[j]), full)
 
 
-def _alt_half_rank(digits: np.ndarray, n: int, F: Arith) -> np.ndarray:
-    return (_alt_labels_pfaffian if n <= 5 else _alt_step)(digits, n, F)
+def _alt_step(digits: np.ndarray, n: int, F: Arith) -> np.ndarray:
+    """Half-ranks of skew n x n matrices by one hyperbolic-plane step (module docstring)."""
+    return _step_split(digits, digits.shape[1], n, F).labels(digits)
 
 
-def _label_indices(space: Space, digits: np.ndarray) -> np.ndarray:
+def _alt_split(digits, k: int, n: int, F: Arith):
+    return (_pfaffian_split if n <= 5 else _step_split)(digits, k, n, F)
+
+
+class _Count(NamedTuple):
+    """Per-call state of the vec labels, the number of nonzero coordinates."""
+
+    k: int
+    count: np.ndarray  # over the low digits; read-only
+
+    def labels(self, digits: np.ndarray) -> np.ndarray:
+        return self.count + np.count_nonzero(digits[0, self.k :])
+
+
+def _count_split(digits, k: int, F: Arith) -> _Count:
+    return _Count(k, _frozen((digits[:, :k] != 0).sum(axis=1, dtype=np.int8)))
+
+
+def _labeller(space: Space):
+    """(split, its args, the label index of each code, or None where the codes are the label indices)."""
     F = arith(space.field)
     if isinstance(space, VecWreath):
-        return (digits != 0).sum(axis=1)
+        return _count_split, (F,), None
     if isinstance(space, MatRect):
-        return batch_rank(digits, space.n, space.m, F)
+        return _mat_split, (space.n, space.m, F), None
     if isinstance(space, AltMat):
-        return _alt_half_rank(digits, space.n, F)
+        return _alt_split, (space.n, F), None
     if isinstance(space, (SymGL, SymScaled)):
-        lut = np.zeros(2 * space.n + 2, dtype=np.int64)  # label code -> label index
+        lut = np.zeros(2 * space.n + 2, dtype=np.intp)  # code 2 rank + (sign < 0) -> label index
         for i, lbl in enumerate(space.labels()):
             for neg in (0, 1) if lbl.sign is None else (int(lbl.sign < 0),):
                 lut[2 * lbl.r + neg] = i
-        return lut[batch_sym_rank_sign(digits, space.n, F)]
+        return _sym_split, (space.n, F), lut
     raise TypeError(f"no bulk classifier for {type(space).__name__}")
 
 
@@ -351,26 +494,24 @@ def orbit_counts(space: Space, coefvecs: list[list[int]]) -> tuple[list[np.ndarr
     """
     F = arith(space.field)
     p, q, dim = F.p, F.q, space.dim
+    split, args, lut = _labeller(space)
     nlab = len(space.labels())
-    k = min(dim, 1)  # k >= 1 whenever dim >= 1, also for q > CHUNK
-    while k < dim and q ** (k + 1) <= CHUNK:
-        k += 1
-    block = q**k
-    buf = np.empty((dim, block), dtype=np.int32)  # one digit row per coordinate
-    buf[:k] = _digits(0, block, k, q).T  # low digits: all of GF(q)^k, the same in every chunk
-    digits = buf.T
-    digits.flags.writeable = False  # the kernels must not write into rows later chunks reuse
-    t_lo, t_hi = [], []  # t over the low digits (kept all call, so narrow), and over the high digits per chunk
-    for coef in coefvecs:
-        tabs = [F.trace_table(c) for c in coef]
-        t_lo.append(_outer_sum(tabs[:k], p).astype(np.int16 if p < 2**15 else np.int32))
-        t_hi.append(_outer_sum(tabs[k:], p).tolist())
-    hists = [np.zeros((nlab, p), dtype=np.int64) for _ in coefvecs]
-    for chunk in range(space.size // block):
-        high = [chunk // q**i % q for i in range(dim - k)]  # digits k..dim-1, fixed in this chunk
-        buf[k:] = np.array(high, dtype=np.int32)[:, None]
-        base = _label_indices(space, digits).astype(np.intp) * p
-        for r in range(len(coefvecs)):
-            h = np.bincount(base + t_lo[r], minlength=nlab * p).reshape(nlab, p)
-            hists[r] += np.roll(h, t_hi[r][chunk], axis=1)  # t = t_lo + t_hi
+    nbins = nlab if lut is None else len(lut)
+    k, R, g = _low_width(dim, q), len(coefvecs), 1
+    while g < R and nbins * p ** (g + 1) <= 1 << 16:  # g functionals share one bincount of nbins p^g bins
+        g += 1
+    groups = [range(i, min(i + g, R)) for i in range(0, R, g)]
+    tabs = [[F.trace_table(c) for c in coef] for coef in coefvecs]
+    t_hi = [_outer_sum(tab[k:], p).tolist() for tab in tabs]  # t over the high digits, one value per chunk
+    t_lo = [_frozen(sum(p**j * _outer_sum(tabs[r][:k], p) for j, r in enumerate(grp)).astype(np.int32)) for grp in groups]
+    hists = [np.zeros((nbins, p), dtype=np.int64) for _ in coefvecs]
+    for chunk, labels in enumerate(_walk(split, dim, *args)):
+        labels = labels.astype(np.intp)
+        for grp, tl in zip(groups, t_lo):  # t_lo of functional grp[j] is base-p digit j of tl
+            h = np.bincount(labels * p ** len(grp) + tl, minlength=nbins * p ** len(grp)).reshape((nbins,) + (p,) * len(grp))
+            for j, r in enumerate(grp):
+                hr = h.sum(axis=tuple(a for a in range(1, len(grp) + 1) if a != len(grp) - j))
+                hists[r] += np.roll(hr, t_hi[r][chunk], axis=1)  # t = t_lo + t_hi
+    if lut is not None:  # fold the codes into their labels
+        hists = [np.add.at(out, lut, h) or out for out, h in zip((np.zeros((nlab, p), dtype=np.int64) for _ in hists), hists)]
     return hists, hists[0].sum(axis=1)  # every histogram counts each element once
