@@ -3,12 +3,11 @@
 An element of GF(q) is coded by its index in gfq's base-p counting order
 (`element_at`/`index_of`), so the base-q digits of an element's index in a
 space are the codes of its coordinates. Brute-force character sums only need,
-per element, its orbit label and the value of a handful of F_p linear
-functionals (one per table row). Both are computed here in numpy batches and
-folded into integer histograms indexed by (label, functional value); the
-exact cyclotomic sums are then assembled from the histograms. Everything is
-integer arithmetic, so the results are bit-identical to an element-by-element
-enumeration.
+per element, its orbit label and the value of a few F_p linear functionals
+(one per table row). Both are computed here in numpy batches and folded into
+integer histograms indexed by (label, functional value), from which the exact
+cyclotomic sums are assembled. All of it is integer arithmetic, so the results
+are bit-identical to an element-by-element enumeration.
 
 The kernels reach the field only through its arithmetic object, arith(field),
 one per FieldSpec (two moduli of one q are two fields):
@@ -22,15 +21,25 @@ tables of size q, which are built on first use from the powers of g by
 doubling. No table is q x q, and a space without arithmetic (vec) builds none.
 Callers reduce a computed value before they compare it with zero.
 
-orbit_counts walks the space in chunks of q^k consecutive elements: k is the
-largest exponent with q^k <= CHUNK, capped at dim and at least 1 when dim >= 1.
-The low k digits of a chunk run through all of GF(q)^k, so they are peeled once
-per call; the dim - k high digits are fixed in a chunk. A functional sends
-coordinate k with coefficient c_k through the table T_c[x] = Tr(c_k x) in F_p,
-which is F_p-linear in the base-p digits of x. It splits as t = t_lo + t_hi:
-outer sums of the T tables over the low digits (one vector) and over the high
-digits (one value per chunk), both built once per call. A chunk folds by one
-bincount over (label, t_lo), rolled by its t_hi along the values.
+One walker, _walk, serves orbit_counts and the memoized (n-1) tables of _codes.
+It takes a space in chunks of q^k consecutive elements, k the largest exponent
+with q^k <= CHUNK, capped at dim and at least 1 when dim >= 1. The low k digits
+run through all of GF(q)^k in every chunk and the dim - k high digits are fixed
+in a chunk, so each labeller is split in two:
+- a per-call part (the *_split functions) runs once on the low digits: the
+  row-0 step below and every (n-1) coordinate that reads only low digits. It
+  keeps read-only int32/int8 state;
+- a per-chunk tail (_label_indices) adds the high digits s_t. A coordinate
+  s_t - P_t adds q^i reduce(s_t - P_t), read from a table of q^h entries per
+  chunk at the row's per-call code of its P_t; one gather reads the label.
+Rows whose step reads a high digit (the pivot row of T, or row 0 when k is
+below its width) form a fixed repair set per call, which the full kernel
+labels in every chunk. A functional sends coordinate k with coefficient c_k
+through T_c[x] = Tr(c_k x) in F_p, which is F_p-linear in the base-p digits of
+x, so t = t_lo + t_hi: outer sums of the T tables over the low digits (one
+vector per call) and over the high digits (one value per chunk). A chunk
+folds g functionals by one bincount over (label, their t_lo), each rolled by
+its t_hi.
 
 A matrix is labelled in three steps: one reduction step on row 0 leaves a
 matrix of the (n-1) space; its digits give its index in counting order; its
@@ -40,25 +49,25 @@ label is read from the table of the (n-1) space at that index.
 - alt, n >= 6: with b = row 0 and b_j its first nonzero entry, the block on
   {0, j} is a hyperbolic plane (Artin, *Geometric Algebra*, ch. III). Its
   Schur complement S_kl = T_kl - (b_k T_jl - b_l T_jk) / b_j, an (n-1) skew
-  matrix with zero row and column j, has half-rank one less. For n <= 5
-  principal Pfaffians are faster.
+  matrix with zero row and column j, has half-rank one less.
+- alt, n <= 5: the rank is that of the largest nonsingular principal
+  submatrix, at most 4, and a 4x4 principal minor is the square of the
+  Pfaffian a_ij a_kl - a_ik a_jl + a_il a_jk. It is multilinear: per chunk it
+  is P + sum x_i s_i over its terms with a high digit s_i. Each row codes
+  (P, x_i) per call, and a table per chunk says which codes are nonzero.
 - sym, A = [[a, b^T], [b, T]] (Lam, *Introduction to Quadratic Forms over
   Fields*, ch. I): a != 0 makes A congruent to diag(a, T - b b^T / a);
   a = b = 0 leaves the label of T; if a = 0 and b_j is the first b_j != 0,
   adding c times row and column j into row and column 0 makes the pivot
   c (2 b_j + c a_jj), nonzero for c = 1, or for c = -1 when a_jj = -2 b_j.
   The code is 2 rank + (sign < 0).
-One memoized builder, _codes, makes each read-only int8 (n-1) table on first
-use, with the same kernel, so the tables recurse down to n = 0 or the Pfaffians.
 """
 
 from __future__ import annotations
 
 import itertools
 import operator
-from collections.abc import Callable
 from functools import cached_property, lru_cache, partial
-from typing import NamedTuple
 
 import numpy as np
 
@@ -208,34 +217,30 @@ def _mod(x: np.ndarray, p: int) -> np.ndarray:
 
 
 def _low_width(dim: int, q: int) -> int:
-    """k of the chunks of q^k elements: the largest with q^k <= CHUNK, capped at dim, at least 1 when dim >= 1."""
-    k = min(dim, 1)  # also for q > CHUNK
-    while k < dim and q ** (k + 1) <= CHUNK:
-        k += 1
-    return k
+    """The k of the chunks: the largest k <= dim with q^k <= CHUNK, and at least 1 when dim >= 1 (also for q > CHUNK)."""
+    return max(min(dim, 1), next((k for k in range(dim, 0, -1) if q**k <= CHUNK), 0))
 
 
 def _walk(split, dim: int, *args):
-    """Labels of the dim-digit space over the field of F = args[-1], one chunk of q^k elements at a time.
-
-    split(digits, k, *args) is the per-call part and reads only the low k columns;
-    each chunk writes its high digits and calls _label_indices.
-    """
+    """Labels of the dim-digit space over the field of args[-1], by chunks; split(digits, k, *args) runs once."""
     q = args[-1].q
+    if dim == 0:  # one element, the zero matrix, with label 0 in every family
+        yield np.zeros(1, dtype=np.int8)
+        return
     k = _low_width(dim, q)
     buf = np.zeros((dim, q**k), dtype=np.int32)  # one digit row per coordinate; high rows zero until a chunk sets them
     buf[:k] = _digits(0, q**k, k, q).T  # low digits: all of GF(q)^k, the same in every chunk
     digits = buf.T
     digits.flags.writeable = False  # the kernels must not write into rows later chunks reuse
-    state = split(digits, k, *args)
+    tail = split(digits, k, *args)
     for chunk in range(q ** (dim - k)):
         buf[k:] = np.array([chunk // q**i % q for i in range(dim - k)], dtype=np.int32)[:, None]
-        yield _label_indices(state, digits)
+        yield _label_indices(tail, digits)
 
 
-def _label_indices(split, digits: np.ndarray) -> np.ndarray:
-    """The labels of one chunk: the per-chunk tail of a split, whose high digits are digits[0, k:]."""
-    return split.labels(digits)
+def _label_indices(tail, digits: np.ndarray) -> np.ndarray:
+    """The labels of one chunk, by the per-chunk tail that a split returned; the high digits are digits[0, k:]."""
+    return tail(digits)
 
 
 @lru_cache(maxsize=None)
@@ -244,47 +249,28 @@ def _codes(split, dim: int, *args) -> np.ndarray:
     return _frozen(np.concatenate(list(_walk(split, dim, *args))))
 
 
-class _Gather(NamedTuple):
-    """Per-call state of a step-plus-lookup labeller (module docstring); every array is read-only.
-
-    A row's label is table[idx + lut[P]], where lut[x] sums w_t reduce(s_t - x_t) over the high
-    digits t, s_t the chunk's digit and x_t the base-q digit i of x for the i-th (t, w_t) in high.
-    full labels the rows in repair in every chunk, and every row where repair is None.
-    """
-
-    F: Arith
-    idx: np.ndarray | None
-    high: tuple  # (t, w_t)
-    P: np.ndarray | None
-    table: np.ndarray | None
-    repair: np.ndarray | None
-    full: Callable[[np.ndarray], np.ndarray]
-
-    def labels(self, digits: np.ndarray) -> np.ndarray:
-        if self.repair is None:
-            return self.full(digits)
-        F, idx, lut = self.F, self.idx, np.zeros(1, dtype=np.int32)
-        for t, w in self.high:  # q^len(high) entries, built per chunk
-            lut = np.add.outer(w * F.reduce(F.sub(digits[0, t], np.arange(F.q, dtype=np.int32))), lut).ravel()
-        labels = self.table[idx + lut[self.P] if self.high else idx]
-        if self.repair.size:
-            labels[self.repair] = self.full(digits.T[:, self.repair].T)  # columns stay contiguous
-        return labels
-
-
-def _gather(digits, k: int, F: Arith, entries, tables, cls, repair, full) -> _Gather:
-    """The state of a labeller whose i-th (n-1) coordinate is digit c - P for (c, P) = entries[i].
-
-    Its label is tables[cls][index of those coordinates]; the rows in repair are labelled by full.
-    """
+def _gather(digits, k: int, F: Arith, entries, tables, cls, repair, full):
+    """The per-chunk tail of a row-0 step (module docstring): tables[cls][index of the (n-1) coordinates],
+    whose i-th is digit c - P for (c, P) = entries[i]; full labels the rows in repair in every chunk."""
     idx, high, P = cls.astype(np.int32) * len(tables[0]), [], 0
     for i, (c, Pc) in enumerate(entries):
         if c < k:
             idx += F.q**i * F.reduce(F.sub(digits[:, c], Pc))
         else:
             P, high = P + F.q ** len(high) * F.reduce(Pc), high + [(c, F.q**i)]
-    P = _frozen(P.astype(np.int8 if F.q ** len(high) <= 128 else np.int32)) if high else None
-    return _Gather(F, _frozen(idx), tuple(high), P, _frozen(np.concatenate(tables)), _frozen(repair), full)
+    P = _frozen(np.asarray(P, dtype=np.int8 if F.q ** len(high) <= 128 else np.int32))  # base-q digit i codes high[i]
+    idx, table, repair = _frozen(idx), _frozen(np.concatenate(tables)), _frozen(repair)
+
+    def tail(digits: np.ndarray) -> np.ndarray:
+        lut = np.zeros(1, dtype=np.int32)  # lut[P] sums w reduce(s_t - P_t) over the (t, w) in high
+        for t, w in high:
+            lut = np.add.outer(w * F.reduce(F.sub(digits[0, t], np.arange(F.q, dtype=np.int32))), lut).ravel()
+        labels = np.take(table, idx + np.take(lut, P))  # take: faster than [] on narrow indices
+        if repair.size:
+            labels[repair] = full(digits.T[:, repair].T)  # columns stay contiguous
+        return labels
+
+    return tail
 
 
 def _positions(n: int, diagonal: bool) -> np.ndarray:
@@ -295,11 +281,8 @@ def _positions(n: int, diagonal: bool) -> np.ndarray:
     return pos
 
 
-def _mat_split(digits, k: int, n: int, m: int, F: Arith) -> _Gather:
+def _mat_split(digits, k: int, n: int, m: int, F: Arith):
     """Per-call part of the ranks of n x m matrices (module docstring)."""
-    full = partial(batch_rank, n=n, m=m, F=F)
-    if n == 0 or k < m:
-        return _Gather(F, None, (), None, None, None, full)  # row 0 reaches a high digit
     r0, rows = digits[:, :m], np.arange(len(digits))
     nz = r0 != 0
     j = nz.argmax(axis=1)
@@ -307,26 +290,22 @@ def _mat_split(digits, k: int, n: int, m: int, F: Arith) -> _Gather:
     f = {i: F.reduce(F.mul(digits[rows, i * m + j], s)) for i in range(1, n)}  # R_i[j] / r0[j]
     entries = [(i * m + c, F.mul(f[i], r0[:, c])) for i in range(1, n) for c in range(m)]
     T, cls = _codes(_mat_split, (n - 1) * m, n - 1, m, F), nz.any(axis=1)
-    return _gather(digits, k, F, entries, [T, T + 1], cls, np.flatnonzero(cls & ((n - 1) * m + j >= k)), full)
+    repair = np.flatnonzero((k < m) | cls & ((n - 1) * m + j >= k))  # f_i or row 0 reads a high digit
+    return _gather(digits, k, F, entries, [T, T + 1], cls, repair, partial(batch_rank, n=n, m=m, F=F))
 
 
 def batch_rank(digits: np.ndarray, n: int, m: int, F: Arith) -> np.ndarray:
     """Ranks of n x m matrices from their row-major digits (module docstring)."""
-    if n == 0:
-        return np.zeros(len(digits), dtype=np.int8)
-    return _mat_split(digits, n * m, n, m, F).labels(digits)
+    return _mat_split(digits, n * m, n, m, F)(digits)
 
 
-def _sym_split(digits, k: int, n: int, F: Arith) -> _Gather:
+def _sym_split(digits, k: int, n: int, F: Arith):
     """Per-call part of the rank-and-sign codes of symmetric n x n matrices (module docstring)."""
-    full = partial(batch_sym_rank_sign, n=n, F=F)
-    if n == 0 or k < n:
-        return _Gather(F, None, (), None, None, None, full)  # row 0 reaches a high digit
     a, b, T = digits[:, 0].copy(), digits[:, 1:n].copy(), digits[:, n:]
     iu, ju = np.triu_indices(n - 1)
     pos = _positions(n - 1, True)  # column of T holding (i, j)
-    rep, repair = np.flatnonzero((a == 0) & b.any(axis=1)), np.empty(0, dtype=np.intp)
-    if rep.size:
+    rep, repair = np.flatnonzero((a == 0) & b.any(axis=1)), np.arange(len(a) if k < n else 0)  # all if row 0 reads a high digit
+    if rep.size and k >= n:
         late = (n + pos.max(axis=1) >= k)[(b[rep] != 0).argmax(axis=1)]  # the pivot's row of T reaches a high digit
         repair, rep = rep[late], rep[~late]
         a[rep], b[rep] = _sym_pivot(b[rep], T[rep], pos, F)
@@ -334,7 +313,8 @@ def _sym_split(digits, k: int, n: int, F: Arith) -> _Gather:
     C = _codes(_sym_split, len(iu), n - 1, F)
     tables = [C, C + 2, (C + 2) ^ 1]  # by (a != 0) + (sign of a < 0); the code is 2 rank + (sign < 0)
     entries = [(n + c, F.mul(u[:, iu[c]], b[:, ju[c]])) for c in range(len(iu))]
-    return _gather(digits, k, F, entries, tables, (a != 0) + (F.sgn[a] < 0).astype(np.int8), repair, full)
+    cls = (a != 0) + (F.sgn[a] < 0).astype(np.int8)
+    return _gather(digits, k, F, entries, tables, cls, repair, partial(batch_sym_rank_sign, n=n, F=F))
 
 
 def batch_sym_rank_sign(digits: np.ndarray, n: int, F: Arith) -> np.ndarray:
@@ -343,9 +323,7 @@ def batch_sym_rank_sign(digits: np.ndarray, n: int, F: Arith) -> np.ndarray:
     digits holds the upper-triangular row-major coordinates, so row 0 is the
     first n columns and the trailing block T is in the (n-1) counting order.
     """
-    if n == 0:
-        return np.zeros(len(digits), dtype=np.int8)
-    return _sym_split(digits, digits.shape[1], n, F).labels(digits)
+    return _sym_split(digits, digits.shape[1], n, F)(digits)
 
 
 def _sym_pivot(b: np.ndarray, T: np.ndarray, pos: np.ndarray, F: Arith) -> tuple[np.ndarray, np.ndarray]:
@@ -375,63 +353,48 @@ def _build_matrices(digits: np.ndarray, j: np.ndarray, n: int, F: Arith) -> np.n
     return w
 
 
-class _Pfaffians(NamedTuple):
-    """Per-call state of the half-ranks of skew n x n matrices, n <= 5; every array is read-only.
-
-    A principal Pfaffian is multilinear in the entries, so each is P + sum of its
-    terms x_c x_d that hold a high digit; rank4 holds those with no high digit.
-    """
-
-    F: Arith
-    k: int
-    nonzero: np.ndarray  # int8: a low digit is nonzero
-    rank4: np.ndarray
-    high: tuple  # (P, ((sign, c, d), ...))
-
-    def labels(self, digits: np.ndarray) -> np.ndarray:
-        F, k, rank4 = self.F, self.k, self.rank4
-        val = lambda c: digits[:, c] if c < k else digits[0, c]
-        for pf, terms in self.high:
-            for sign, c, d in terms:
-                pf = (F.add if sign > 0 else F.sub)(pf, F.mul(val(c), val(d)))
-            rank4 = rank4 | (F.reduce(pf) != 0)
-        return (self.nonzero | digits[0, k:].any()) + rank4
-
-
-def _pfaffian_split(digits, k: int, n: int, F: Arith) -> _Pfaffians:
-    """The rank of a skew matrix is the size of its largest nonsingular principal
-    submatrix; a 4x4 principal minor is the square of the Pfaffian
-    a_ij a_kl - a_ik a_jl + a_il a_jk, and with n <= 5 the rank is at most 4.
-    """
+def _pfaffian_split(digits, k: int, n: int, cap: int, F: Arith):
+    """The tail of min(nonzero coordinates, cap) + rank4 (module docstring): the half-ranks of
+    skew n x n matrices for n <= 5 and cap = 1, the number of nonzero coordinates for n = 0."""
     pos = {pair: c for c, pair in enumerate(itertools.combinations(range(n), 2))}
     rank4, high = np.zeros(len(digits), dtype=bool), []
     for i, j, kk, l in itertools.combinations(range(n), 4):
         # over F_p a sum stays int32: |pf| < 3 (p-1)^2 < 2^31 for p < 26755; a larger p has |A| >= p^6 > 10^26
         pf, terms = np.zeros(len(digits), dtype=np.int32), []
         for sign, x, y in ((1, (i, j), (kk, l)), (-1, (i, kk), (j, l)), (1, (i, l), (j, kk))):
-            c, d = pos[x], pos[y]
-            if max(c, d) < k:
+            c, d = sorted((pos[x], pos[y]))
+            if d < k:
                 pf = (F.add if sign > 0 else F.sub)(pf, F.mul(digits[:, c], digits[:, d]))
             else:
                 terms.append((sign, c, d))
+        low = [c for _, c, _ in terms if c < k]  # code = P + sum q^(i+1) x_i over the low factors x_i
+        code = F.reduce(pf) + sum(F.q ** (i + 1) * digits[:, c] for i, c in enumerate(low))
         if terms:
-            high.append((_frozen(F.reduce(pf)), tuple(terms)))
+            high.append((_frozen(code.astype(np.int8 if F.q ** (1 + len(low)) <= 128 else np.int32)), terms))
         else:
-            rank4 |= F.reduce(pf) != 0
-    nonzero = (digits[:, :k] != 0).any(axis=1).astype(np.int8)
-    return _Pfaffians(F, k, _frozen(nonzero), _frozen(rank4), tuple(high))
+            rank4 |= code != 0
+    nonzero, rank4 = _frozen((digits[:, :k] != 0).sum(axis=1, dtype=np.int8)), _frozen(rank4)
+
+    def tail(digits: np.ndarray) -> np.ndarray:
+        r4 = rank4
+        for code, terms in high:  # pf at every code, one base-q digit per low factor
+            pf = np.arange(F.q, dtype=np.int32)
+            for sign, c, d in terms:
+                x = np.arange(F.q, dtype=np.int32)[:, None] if c < k else digits[0, c]
+                pf = (F.add if sign > 0 else F.sub)(pf, F.mul(x, digits[0, d])).ravel()
+            r4 = r4 | np.take(F.reduce(pf) != 0, code)
+        return np.minimum(nonzero + np.count_nonzero(digits[0, k:]), cap) + r4
+
+    return tail
 
 
 def _alt_labels_pfaffian(digits: np.ndarray, n: int, F: Arith) -> np.ndarray:
     """Half-rank of skew matrices with n <= 5 from principal Pfaffians (_pfaffian_split)."""
-    return _pfaffian_split(digits, digits.shape[1], n, F).labels(digits)
+    return _pfaffian_split(digits, digits.shape[1], n, 1, F)(digits)
 
 
-def _step_split(digits, k: int, n: int, F: Arith) -> _Gather:
+def _step_split(digits, k: int, n: int, F: Arith):
     """Per-call part of the half-ranks of skew n x n matrices by one hyperbolic-plane step (module docstring)."""
-    full = partial(_alt_step, n=n, F=F)
-    if k < n - 1:
-        return _Gather(F, None, (), None, None, None, full)  # row 0 reaches a high digit
     b, rows = digits[:, : n - 1], np.arange(len(digits))
     nz = b != 0
     j = nz.argmax(axis=1) + 1
@@ -441,41 +404,28 @@ def _step_split(digits, k: int, n: int, F: Arith) -> _Gather:
     entries = [(n - 1 + t, F.sub(F.mul(u[:, c - 1], w[d]), F.mul(u[:, d - 1], w[c]))) for t, (c, d) in enumerate(pairs)]
     T, cls = _codes(_alt_split, (n - 1) * (n - 2) // 2, n - 1, F), nz.any(axis=1)
     late = _positions(n, False).max(axis=1) >= k  # row j of T reaches a high digit
-    return _gather(digits, k, F, entries, [T, T + 1], cls, np.flatnonzero(cls & late[j]), full)
+    repair = np.flatnonzero((k < n - 1) | cls & late[j])  # all rows if row 0 reaches a high digit
+    return _gather(digits, k, F, entries, [T, T + 1], cls, repair, partial(_alt_step, n=n, F=F))
 
 
 def _alt_step(digits: np.ndarray, n: int, F: Arith) -> np.ndarray:
     """Half-ranks of skew n x n matrices by one hyperbolic-plane step (module docstring)."""
-    return _step_split(digits, digits.shape[1], n, F).labels(digits)
+    return _step_split(digits, digits.shape[1], n, F)(digits)
 
 
 def _alt_split(digits, k: int, n: int, F: Arith):
-    return (_pfaffian_split if n <= 5 else _step_split)(digits, k, n, F)
-
-
-class _Count(NamedTuple):
-    """Per-call state of the vec labels, the number of nonzero coordinates."""
-
-    k: int
-    count: np.ndarray  # over the low digits; read-only
-
-    def labels(self, digits: np.ndarray) -> np.ndarray:
-        return self.count + np.count_nonzero(digits[0, self.k :])
-
-
-def _count_split(digits, k: int, F: Arith) -> _Count:
-    return _Count(k, _frozen((digits[:, :k] != 0).sum(axis=1, dtype=np.int8)))
+    return _pfaffian_split(digits, k, n, 1, F) if n <= 5 else _step_split(digits, k, n, F)
 
 
 def _labeller(space: Space):
-    """(split, its args, the label index of each code, or None where the codes are the label indices)."""
-    F = arith(space.field)
+    """(split, its args, the label index of each label code)."""
+    F, nlab = arith(space.field), len(space.labels())
     if isinstance(space, VecWreath):
-        return _count_split, (F,), None
+        return _pfaffian_split, (0, space.dim, F), np.arange(nlab)  # no Pfaffians: the count of nonzero coordinates
     if isinstance(space, MatRect):
-        return _mat_split, (space.n, space.m, F), None
+        return _mat_split, (space.n, space.m, F), np.arange(nlab)
     if isinstance(space, AltMat):
-        return _alt_split, (space.n, F), None
+        return _alt_split, (space.n, F), np.arange(nlab)
     if isinstance(space, (SymGL, SymScaled)):
         lut = np.zeros(2 * space.n + 2, dtype=np.intp)  # code 2 rank + (sign < 0) -> label index
         for i, lbl in enumerate(space.labels()):
@@ -495,8 +445,7 @@ def orbit_counts(space: Space, coefvecs: list[list[int]]) -> tuple[list[np.ndarr
     F = arith(space.field)
     p, q, dim = F.p, F.q, space.dim
     split, args, lut = _labeller(space)
-    nlab = len(space.labels())
-    nbins = nlab if lut is None else len(lut)
+    nbins = len(lut)
     k, R, g = _low_width(dim, q), len(coefvecs), 1
     while g < R and nbins * p ** (g + 1) <= 1 << 16:  # g functionals share one bincount of nbins p^g bins
         g += 1
@@ -512,6 +461,6 @@ def orbit_counts(space: Space, coefvecs: list[list[int]]) -> tuple[list[np.ndarr
             for j, r in enumerate(grp):
                 hr = h.sum(axis=tuple(a for a in range(1, len(grp) + 1) if a != len(grp) - j))
                 hists[r] += np.roll(hr, t_hi[r][chunk], axis=1)  # t = t_lo + t_hi
-    if lut is not None:  # fold the codes into their labels
-        hists = [np.add.at(out, lut, h) or out for out, h in zip((np.zeros((nlab, p), dtype=np.int64) for _ in hists), hists)]
+    to_label = (np.arange(len(space.labels()))[:, None] == lut).astype(np.int64)  # sums the codes of each label
+    hists = [to_label @ h for h in hists]
     return hists, hists[0].sum(axis=1)  # every histogram counts each element once

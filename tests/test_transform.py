@@ -379,7 +379,7 @@ class TestBulkAgainstPure:
     def test_prime_above_chunk(self, monkeypatch):
         # p > CHUNK: the space is one chunk of p elements, not p chunks of one
         label_indices, chunks = bulk._label_indices, []
-        monkeypatch.setattr(bulk, "_label_indices", lambda space, digits: chunks.append(len(digits)) or label_indices(space, digits))
+        monkeypatch.setattr(bulk, "_label_indices", lambda tail, digits: chunks.append(len(digits)) or label_indices(tail, digits))
         sp = make_space("vec", make_field(524309), 1)
         phi = brute_force_phi(sp)
         assert chunks == [524309] and 524309 > bulk.CHUNK
@@ -438,32 +438,60 @@ def test_alt_step_against_reference(n, q):
         assert bulk._alt_step(digits, n, F).tolist() == [matrix_rank(sp.as_matrix(e)) // 2 for e in sp.elements()]
 
 
-@pytest.mark.parametrize("chunk", [3, 7, 1000, bulk.CHUNK])
-@pytest.mark.parametrize(
-    "fam,n,m,q",
-    [pytest.param(fam, n, m, 5, id=f"{fam}-{n}-{m}") for fam, n, m in [("vec", 6, None), ("mat", 2, 3), ("alt", 4, None), ("sym", 3, None), ("symscaled", 3, None)]]
-    + [pytest.param(fam, n, m, 9, id=f"{fam}-{n}-{m}-q9") for fam, n, m in [("vec", 3, None), ("mat", 2, 2), ("alt", 3, None), ("sym", 2, None), ("symscaled", 2, None)]],
-)
+def _chunk_params():
+    cases = [(fam, n, m, 5, f"{fam}-{n}-{m}") for fam, n, m in [("vec", 6, None), ("mat", 2, 3), ("alt", 4, None), ("sym", 3, None), ("symscaled", 3, None)]]
+    cases += [(fam, n, m, 9, f"{fam}-{n}-{m}-q9") for fam, n, m in [("vec", 3, None), ("mat", 2, 2), ("alt", 3, None), ("sym", 2, None), ("symscaled", 2, None)]]
+    for fam, n, m, q, case in cases:
+        for chunk in (3, 7, 1000, bulk.CHUNK):
+            yield pytest.param(fam, n, m, q, chunk, id=f"{case}-{chunk}")
+    # the low/high boundary inside row 0, inside T (a non-empty repair set for sym and mat), past dim (one chunk)
+    for fam, n, m, q, dim in [("sym", 4, None, 3, 10), ("mat", 3, 3, 3, 9), ("alt", 5, None, 3, 10), ("sym", 3, None, 9, 6)]:
+        for chunk in (q * q, 729, q**dim):
+            yield pytest.param(fam, n, m, q, chunk, id=f"{fam}-{n}-{m}-q{q}-{chunk}")
+
+
+def _tail_state(tail):
+    """The per-call state a split handed to its per-chunk tail, by name."""
+    return dict(zip(tail.__code__.co_freevars, (cell.cell_contents for cell in tail.__closure__)))
+
+
+def _arrays(obj):
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, (list, tuple)):
+        for item in obj:
+            yield from _arrays(item)
+
+
+@pytest.mark.parametrize("fam,n,m,q,chunk", _chunk_params())
 def test_chunk_size_does_not_change_orbit_counts(monkeypatch, fam, n, m, q, chunk):
     sp = make_space(fam, field(q), n, m)
     coefvecs = [[(r * k + 1) % q for k in range(sp.dim)] for r in range(3)]
     hists, sizes = bulk.orbit_counts(sp, coefvecs)
     monkeypatch.setattr(bulk, "CHUNK", chunk)
     bulk._codes.cache_clear()  # rebuild the (n-1) tables in chunks too
+    label_indices, repairs = bulk._label_indices, []
+    monkeypatch.setattr(bulk, "_label_indices", lambda tail, digits: repairs.append(_tail_state(tail).get("repair")) or label_indices(tail, digits))
     hists2, sizes2 = bulk.orbit_counts(sp, coefvecs)
     assert sizes2.tolist() == sizes.tolist()
     assert [h.tolist() for h in hists2] == [h.tolist() for h in hists]
+    if chunk == 729 and fam in ("sym", "mat"):  # the boundary inside T: some rows repaired in every chunk
+        assert repairs[-1].size and len(repairs) > 1
 
 
 def test_kernels_get_read_only_digits(monkeypatch):
-    label_indices, writeable = bulk._label_indices, []
+    label_indices, writeable, state = bulk._label_indices, [], []
 
-    def recording(space, digits):
+    def recording(tail, digits):
         writeable.append(digits.flags.writeable)
-        return label_indices(space, digits)
+        state.extend(a.flags.writeable for a in _arrays(list(_tail_state(tail).values())))
+        return label_indices(tail, digits)
 
     monkeypatch.setattr(bulk, "_label_indices", recording)
     for fam, n, m in [("vec", 4, None), ("mat", 2, 2), ("alt", 4, None), ("sym", 3, None)]:
         sp = make_space(fam, F5, n, m)
         bulk.orbit_counts(sp, [[1] * sp.dim])
+    monkeypatch.setattr(bulk, "CHUNK", 125)  # the hyperbolic step (alt n >= 6) on alt n = 4, in chunks
+    assert np.concatenate(list(bulk._walk(bulk._step_split, 6, 4, bulk.arith(F5)))).tolist() == bulk._codes(bulk._alt_split, 6, 4, bulk.arith(F5)).tolist()
     assert writeable and not any(writeable)
+    assert state and not any(state)  # the per-call state the tails read is read-only too
