@@ -57,10 +57,11 @@ label is read from the table of the (n-1) space at that index.
   (P, x_i) per call, and a table per chunk says which codes are nonzero.
 - sym, A = [[a, b^T], [b, T]] (Lam, *Introduction to Quadratic Forms over
   Fields*, ch. I): a != 0 makes A congruent to diag(a, T - b b^T / a);
-  a = b = 0 leaves the label of T; if a = 0 and b_j is the first b_j != 0,
-  adding c times row and column j into row and column 0 makes the pivot
-  c (2 b_j + c a_jj), nonzero for c = 1, or for c = -1 when a_jj = -2 b_j.
-  The code is 2 rank + (sign < 0).
+  a = b = 0 leaves the label of T; if a = 0, b != 0 and j is the first index
+  with b_j != 0 or a_jj != 0, adding c times row and column j into row and
+  column 0 makes the pivot c (2 b_j + c a_jj), nonzero for c = 1, or for
+  c = -1 when a_jj = -2 b_j. Row j = 0 of T has only low digits, so it is
+  tried first. The code is 2 rank + (sign < 0).
 """
 
 from __future__ import annotations
@@ -175,10 +176,11 @@ class Arith:
             raise ValueError("quadratic character requires odd characteristic")
         return _frozen(1 - 2 * (self._log_exp[0] & 1).astype(np.int8))  # log[0] is even
 
+    @lru_cache(maxsize=None)  # every orbit_counts call asks again for the same few c
     def trace_table(self, c: int) -> np.ndarray:
-        """Tr(c x) in F_p for every code x, from the traces of c times the basis x^i."""
+        """Tr(c x) in F_p for every code x, from the traces of c times the basis x^i; read-only."""
         f, cx = self.field, self.field.element_at(c)
-        return _outer_sum([np.arange(self.p, dtype=np.int64) * trace(cx * f.element_at(w)) for w in self._weights], self.p)
+        return _frozen(_outer_sum([np.arange(self.p, dtype=np.int64) * trace(cx * f.element_at(w)) for w in self._weights], self.p))
 
 
 class PrimeArith(Arith):
@@ -259,7 +261,7 @@ def _gather(digits, k: int, F: Arith, entries, tables, cls, repair, full):
         else:
             P, high = P + F.q ** len(high) * F.reduce(Pc), high + [(c, F.q**i)]
     P = _frozen(np.asarray(P, dtype=np.int8 if F.q ** len(high) <= 128 else np.int32))  # base-q digit i codes high[i]
-    idx, table, repair = _frozen(idx), _frozen(np.concatenate(tables)), _frozen(repair)
+    idx, table, repair = _frozen(idx), _frozen(np.concatenate(tables)), _frozen(repair.astype(np.int32))
 
     def tail(digits: np.ndarray) -> np.ndarray:
         lut = np.zeros(1, dtype=np.int32)  # lut[P] sums w reduce(s_t - P_t) over the (t, w) in high
@@ -282,7 +284,7 @@ def _positions(n: int, diagonal: bool) -> np.ndarray:
 
 
 def _mat_split(digits, k: int, n: int, m: int, F: Arith):
-    """Per-call part of the ranks of n x m matrices (module docstring)."""
+    """Per-call row-0 step of the ranks of n x m matrices (module docstring); returns the per-chunk tail."""
     r0, rows = digits[:, :m], np.arange(len(digits))
     nz = r0 != 0
     j = nz.argmax(axis=1)
@@ -300,15 +302,17 @@ def batch_rank(digits: np.ndarray, n: int, m: int, F: Arith) -> np.ndarray:
 
 
 def _sym_split(digits, k: int, n: int, F: Arith):
-    """Per-call part of the rank-and-sign codes of symmetric n x n matrices (module docstring)."""
+    """Per-call row-0 step of the codes of symmetric n x n matrices (module docstring); returns the per-chunk tail."""
     a, b, T = digits[:, 0].copy(), digits[:, 1:n].copy(), digits[:, n:]
     iu, ju = np.triu_indices(n - 1)
     pos = _positions(n - 1, True)  # column of T holding (i, j)
     rep, repair = np.flatnonzero((a == 0) & b.any(axis=1)), np.arange(len(a) if k < n else 0)  # all if row 0 reads a high digit
     if rep.size and k >= n:
-        late = (n + pos.max(axis=1) >= k)[(b[rep] != 0).argmax(axis=1)]  # the pivot's row of T reaches a high digit
+        diag = np.diagonal(pos)
+        j = ((b[rep] != 0) | (T[rep[:, None], diag] != 0)).argmax(axis=1)  # the pivot: j = 0 wherever it can be
+        late = (n + pos.max(axis=1) >= k)[j]  # row j of T reaches a high digit
         repair, rep = rep[late], rep[~late]
-        a[rep], b[rep] = _sym_pivot(b[rep], T[rep], pos, F)
+        a[rep], b[rep] = _sym_pivot(b[rep], T[rep], pos, j[~late], F)
     u = F.reduce(F.mul(b, F.inv[a][:, None]))  # b / a; zero where no pivot, then C = T
     C = _codes(_sym_split, len(iu), n - 1, F)
     tables = [C, C + 2, (C + 2) ^ 1]  # by (a != 0) + (sign of a < 0); the code is 2 rank + (sign < 0)
@@ -326,13 +330,12 @@ def batch_sym_rank_sign(digits: np.ndarray, n: int, F: Arith) -> np.ndarray:
     return _sym_split(digits, digits.shape[1], n, F)(digits)
 
 
-def _sym_pivot(b: np.ndarray, T: np.ndarray, pos: np.ndarray, F: Arith) -> tuple[np.ndarray, np.ndarray]:
-    """New (a, b) of rows with a = 0 and b != 0, after c times row and column j went into row and column 0.
+def _sym_pivot(b: np.ndarray, T: np.ndarray, pos: np.ndarray, j: np.ndarray, F: Arith) -> tuple[np.ndarray, np.ndarray]:
+    """New (a, b) of rows with a = 0, after c times row and column j went into row and column 0; b_j or a_jj != 0.
 
     A function of its own, so that its temporaries are freed before the caller's main step allocates.
     """
     r = np.arange(len(b))
-    j = (b != 0).argmax(axis=1)
     bj, ajj, tj = b[r, j], T[r, pos[j, j]], T[r[:, None], pos[j]]  # tj: row j of T
     two_bj = F.add(bj, bj)
     minus = F.reduce(F.add(two_bj, ajj)) == 0  # c = -1 where a_jj = -2 b_j
@@ -354,8 +357,8 @@ def _build_matrices(digits: np.ndarray, j: np.ndarray, n: int, F: Arith) -> np.n
 
 
 def _pfaffian_split(digits, k: int, n: int, cap: int, F: Arith):
-    """The tail of min(nonzero coordinates, cap) + rank4 (module docstring): the half-ranks of
-    skew n x n matrices for n <= 5 and cap = 1, the number of nonzero coordinates for n = 0."""
+    """The per-chunk tail of min(nonzero coordinates, cap) + [a principal Pfaffian is nonzero] (module
+    docstring): the half-ranks of skew n x n matrices for n <= 5 and cap = 1; for n = 0, the vec labels."""
     pos = {pair: c for c, pair in enumerate(itertools.combinations(range(n), 2))}
     rank4, high = np.zeros(len(digits), dtype=bool), []
     for i, j, kk, l in itertools.combinations(range(n), 4):
@@ -394,7 +397,7 @@ def _alt_labels_pfaffian(digits: np.ndarray, n: int, F: Arith) -> np.ndarray:
 
 
 def _step_split(digits, k: int, n: int, F: Arith):
-    """Per-call part of the half-ranks of skew n x n matrices by one hyperbolic-plane step (module docstring)."""
+    """Per-call hyperbolic-plane step of the half-ranks of skew n x n matrices (module docstring); returns the tail."""
     b, rows = digits[:, : n - 1], np.arange(len(digits))
     nz = b != 0
     j = nz.argmax(axis=1) + 1
