@@ -32,14 +32,15 @@ in a chunk, so each labeller is split in two:
 - a per-chunk tail (_label_indices) adds the high digits s_t. A coordinate
   s_t - P_t adds q^i reduce(s_t - P_t), read from a table of q^h entries per
   chunk at the row's per-call code of its P_t; one gather reads the label.
-Rows whose step reads a high digit (the pivot row of T, or row 0 when k is
-below its width) form a fixed repair set per call, which the full kernel
-labels in every chunk. A functional sends coordinate k with coefficient c_k
-through T_c[x] = Tr(c_k x) in F_p, which is F_p-linear in the base-p digits of
-x, so t = t_lo + t_hi: outer sums of the T tables over the low digits (one
-vector per call) and over the high digits (one value per chunk). A chunk
-folds g functionals by one bincount over (label, their t_lo), each rolled by
-its t_hi.
+Rows whose step reads a high digit (the pivot row of T for sym and alt, the
+pivot column below row 0 for mat, and every row when k is below the width of
+row 0) form a fixed repair set per call, which the full kernel labels in every
+chunk. A functional sends coordinate k with coefficient c_k through
+T_c[x] = Tr(c_k x) in F_p, which is F_p-linear in the base-p digits of x, so
+t = t_lo + t_hi: outer sums of the T tables over the low digits (one vector
+per call) and over the high digits (one value per chunk). A chunk folds g
+functionals, as many as keep nbins p^g <= 2^16, by one bincount over
+(label, their t_lo), and rolls each marginal by its t_hi.
 
 A matrix is labelled in three steps: one reduction step on row 0 leaves a
 matrix of the (n-1) space; its digits give its index in counting order; its
@@ -252,8 +253,11 @@ def _codes(split, dim: int, *args) -> np.ndarray:
 
 
 def _gather(digits, k: int, F: Arith, entries, tables, cls, repair, full):
-    """The per-chunk tail of a row-0 step (module docstring): tables[cls][index of the (n-1) coordinates],
-    whose i-th is digit c - P for (c, P) = entries[i]; full labels the rows in repair in every chunk."""
+    """The per-chunk tail of a row-0 step (module docstring).
+
+    A row's label is tables[cls][index of its (n-1) coordinates], the i-th of which is
+    digit c - P for (c, P) = entries[i]; full labels the rows in repair in every chunk.
+    """
     idx, high, P = cls.astype(np.int32) * len(tables[0]), [], 0
     for i, (c, Pc) in enumerate(entries):
         if c < k:
@@ -357,8 +361,11 @@ def _build_matrices(digits: np.ndarray, j: np.ndarray, n: int, F: Arith) -> np.n
 
 
 def _pfaffian_split(digits, k: int, n: int, cap: int, F: Arith):
-    """The per-chunk tail of min(nonzero coordinates, cap) + [a principal Pfaffian is nonzero] (module
-    docstring): the half-ranks of skew n x n matrices for n <= 5 and cap = 1; for n = 0, the vec labels."""
+    """The per-chunk tail of min(nonzero coordinates, cap) + [a principal Pfaffian is nonzero].
+
+    These are the half-ranks of skew n x n matrices for n <= 5 and cap = 1 (module
+    docstring), and the vec labels for n = 0 and cap = dim.
+    """
     pos = {pair: c for c, pair in enumerate(itertools.combinations(range(n), 2))}
     rank4, high = np.zeros(len(digits), dtype=bool), []
     for i, j, kk, l in itertools.combinations(range(n), 4):

@@ -99,7 +99,6 @@ def bad_input_grid() -> list[list[str]]:
     return grid + [
         ["export", "--family", "vec", "--q", "3", "--n", "1"],
         ["compute", "--family", "vec", "--q", "3", "--n", "1", "--format", "csv", "--format", "json"],
-        ["compute", "--family", "vec", "--q", "1000003", "--n", "1"],
         ["verify", "gauss", "--q", "6"],
         ["verify", "gauss", "--budget", "0"],
         ["verify", "nosuchsuite"],
