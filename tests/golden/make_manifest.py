@@ -9,7 +9,7 @@ the argv, the sha256 of stdout and of stderr, and the exit code. The grid:
   (and, for mat, the largest m for each n) under the budget, and at one past
   it, over q in {3, 5, 7, 11} with twists 1 and 2 and over q in {4, 9, 25, 27}
   with twists 1, 2 and p;
-- `verify all`;
+- `verify all`, each `verify` suite alone, and `verify --jobs 2 all`;
 - the bad-input grid (family x q in {2, 3, 4, 9} x n in {-1, 0, 2} x m in
   {none, -1, 3} x method x json/csv x twist in {1, 0} x symbolic, at
   `--budget 5000`): the invocations that exit 2, plus fixed bad inputs of
@@ -32,6 +32,7 @@ import sys
 from pathlib import Path
 
 from gftables.cli import main
+from gftables.verify import SUITES
 
 MANIFEST = Path(__file__).with_name("manifest.json")
 FAMILIES = ("vec", "mat", "alt", "sym", "symscaled")
@@ -87,6 +88,11 @@ def compute_grid() -> list[list[str]]:
     return grid
 
 
+def verify_grid() -> list[list[str]]:
+    """Every suite alone, then `verify all` in two worker processes (--jobs before the suite name)."""
+    return [["verify", name] for name in SUITES] + [["verify", "--jobs", "2", "all"]]
+
+
 def bad_input_grid() -> list[list[str]]:
     grid = []
     for family, q, n, m, method, fmt, twist, symbolic in itertools.product(
@@ -108,6 +114,7 @@ def bad_input_grid() -> list[list[str]]:
 def build() -> list[dict]:
     records = [capture(argv) for argv in compute_grid()]
     records.append(capture(["verify", "all"]))
+    records += [capture(argv) for argv in verify_grid()]
     records += [rec for rec in map(capture, bad_input_grid()) if rec["exit"] == 2]
     return records
 

@@ -19,6 +19,7 @@ RECORDS = json.loads((GOLDEN / "manifest.json").read_text())["invocations"]
         pytest.param(lambda r: "20000" in r["argv"], id="compute-grid"),
         pytest.param(lambda r: r["argv"][:2] == ["verify", "all"], id="verify-all"),
         pytest.param(lambda r: r["exit"] == 2 and "20000" not in r["argv"], id="bad-inputs"),
+        pytest.param(lambda r: r["argv"] in make_manifest.verify_grid(), id="verify-suites"),
     ],
 )
 def test_manifest_replays_byte_identical(monkeypatch, part):
@@ -31,3 +32,8 @@ def test_manifest_replays_byte_identical(monkeypatch, part):
 def test_manifest_covers_the_grid():
     assert [rec["argv"] for rec in RECORDS if "20000" in rec["argv"]] == make_manifest.compute_grid()
     assert sum(rec["argv"][:2] == ["verify", "all"] and rec["exit"] == 0 for rec in RECORDS) == 1
+
+
+def test_manifest_covers_each_verify_suite():
+    assert [rec["argv"] for rec in RECORDS if rec["argv"] in make_manifest.verify_grid()] == make_manifest.verify_grid()
+    assert all(rec["exit"] == 0 for rec in RECORDS if rec["argv"] in make_manifest.verify_grid())
