@@ -63,6 +63,11 @@ label is read from the table of the (n-1) space at that index.
   column 0 makes the pivot c (2 b_j + c a_jj), nonzero for c = 1, or for
   c = -1 when a_jj = -2 b_j. Row j = 0 of T has only low digits, so it is
   tried first. The code is 2 rank + (sign < 0).
+
+row_labels runs a split at k = dim on a given code array: every digit is low,
+so there is no chunk and no repair set. coset_counts labels an affine coset,
+a fixed code vector plus the span of some coordinates, that way and folds it
+into one histogram; the commutative diagrams take their fibers from it.
 """
 
 from __future__ import annotations
@@ -443,6 +448,34 @@ def _labeller(space: Space):
                 lut[2 * lbl.r + neg] = i
         return _sym_split, (space.n, F), lut
     raise TypeError(f"no bulk classifier for {type(space).__name__}")
+
+
+def row_labels(space: Space, digits: np.ndarray, raw: bool = False) -> np.ndarray:
+    """The label index of each row of a (B, dim) int32 code array, or with raw its label code.
+
+    One pass of the space's split at k = dim, the path of batch_rank: every digit is low.
+    """
+    split, args, lut = _labeller(space)
+    digits.flags.writeable = False  # as in _walk: the kernels only read
+    if not (space.dim and len(digits)):  # the zero space has label 0; the tails read row 0
+        return np.zeros(len(digits), dtype=np.intp)
+    codes = _label_indices(split(digits, space.dim, *args), digits)
+    return codes if raw else lut[codes]
+
+
+def coset_counts(space: Space, base: list[int], free: tuple[int, ...], coefvec: list[int], raw: bool = False) -> np.ndarray:
+    """(labels, p) histogram over (label index, t) of the coset base + span of the free coordinates.
+
+    base holds the codes of the fixed coordinates (its free entries are ignored),
+    t = sum over k of Tr(coefvec[k] a_k), and with raw the rows are label codes.
+    """
+    F = arith(space.field)
+    size = F.q ** len(free)
+    digits = np.repeat(np.asarray([base], dtype=np.int32), size, axis=0)
+    digits[:, list(free)] = _digits(0, size, len(free), F.q)
+    t = _mod(sum(F.trace_table(c)[digits[:, k]] for k, c in enumerate(coefvec)), F.p)
+    nbins = len(_labeller(space)[2]) if raw else len(space.labels())
+    return np.bincount(row_labels(space, digits, raw).astype(np.intp) * F.p + t, minlength=nbins * F.p).reshape(nbins, F.p)
 
 
 def orbit_counts(space: Space, coefvecs: list[list[int]]) -> tuple[list[np.ndarray], np.ndarray]:

@@ -32,6 +32,7 @@ from .symmetric import psi_brute, psi_closed, scaled_canonical_from_blocks
 from .transform import DEFAULT_BUDGET, CanonicalMatrix, brute_force_phi
 from .verify import SUITES, GridFilter, run_suite
 
+FAMILIES = ("vec", "mat", "alt", "sym", "symscaled")
 INTEGER_FAMILIES = ("vec", "mat", "alt")
 
 
@@ -157,6 +158,8 @@ def cmd_compute(req: ComputeRequest) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.jobs < 1:
+        raise ValueError("jobs must be at least 1")
     flt = GridFilter(
         qs=frozenset(_field(int(t)).q for t in args.q.split(",")) if args.q else None,
         family=args.family,
@@ -183,7 +186,7 @@ def cmd_verify(args) -> int:
 
 
 def _add_compute_args(sub) -> None:
-    sub.add_argument("--family", required=True, choices=["vec", "mat", "alt", "sym", "symscaled"])
+    sub.add_argument("--family", required=True, choices=FAMILIES)
     sub.add_argument("--q", type=int, required=True, help="field order, a prime power")
     sub.add_argument("--n", type=int, required=True)
     sub.add_argument("--m", type=int, default=None, help="column count for mat")
@@ -210,7 +213,7 @@ def _parser() -> argparse.ArgumentParser:
     pv = subs.add_parser("verify", help="run an identity suite")
     pv.add_argument("suite", choices=["gauss", "orthogonality", "multi", "genfun", "diagrams", "sym-relations", "limits", "oracle", "all"])
     pv.add_argument("--q", default=None, help="comma-separated field orders")
-    pv.add_argument("--family", default=None)
+    pv.add_argument("--family", default=None, choices=FAMILIES, metavar="FAMILY", help=", ".join(FAMILIES))
     pv.add_argument("--n", type=int, default=None)
     pv.add_argument("--m", type=int, default=None)
     pv.add_argument("--budget", type=int, default=None)

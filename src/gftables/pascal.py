@@ -427,34 +427,26 @@ def genfun_affine_krawtchouk(N: int, a: Fraction, q: Fraction) -> bool:
     return True
 
 
-def krawtchouk_orthogonality(N: int, p: Fraction) -> bool:
-    for y in range(N + 1):
-        for y2 in range(N + 1):
-            acc = sum(
-                p**x * (1 - p) ** (N - x) * comb(N, x) * krawtchouk(y, x, p, N) * krawtchouk(y2, x, p, N)
-                for x in range(N + 1)
-            )
-            want = (1 - p) ** y / (comb(N, y) * p**y) if y == y2 else Fraction(0)
-            if acc != want:
+def _orthogonal(K: list[list[Fraction]], weight: list[Fraction], norm) -> bool:
+    """sum over x of weight[x] K[y][x] K[y2][x] is norm(y) when y == y2, else 0, for every y and y2."""
+    for y, Ky in enumerate(K):
+        for y2, Ky2 in enumerate(K):
+            acc = sum(w * a * b for w, a, b in zip(weight, Ky, Ky2))
+            if acc != (norm(y) if y == y2 else Fraction(0)):
                 return False
     return True
+
+
+def krawtchouk_orthogonality(N: int, p: Fraction) -> bool:
+    K = [[krawtchouk(y, x, p, N) for x in range(N + 1)] for y in range(N + 1)]
+    weight = [p**x * (1 - p) ** (N - x) * comb(N, x) for x in range(N + 1)]
+    return _orthogonal(K, weight, lambda y: (1 - p) ** y / (comb(N, y) * p**y))
 
 
 def affine_orthogonality(N: int, a: Fraction, q: Fraction) -> bool:
-    for y in range(N + 1):
-        for y2 in range(N + 1):
-            acc = sum(
-                a ** (N - x)
-                * q_pochhammer(a, q, x)
-                * gauss_binom(N, x, q)
-                * affine_q_krawtchouk(y, x, a, N, q)
-                * affine_q_krawtchouk(y2, x, a, N, q)
-                for x in range(N + 1)
-            )
-            want = a**y / (q_pochhammer(a, q, y) * gauss_binom(N, y, q)) if y == y2 else Fraction(0)
-            if acc != want:
-                return False
-    return True
+    K = [[affine_q_krawtchouk(y, x, a, N, q) for x in range(N + 1)] for y in range(N + 1)]
+    weight = [a ** (N - x) * q_pochhammer(a, q, x) * gauss_binom(N, x, q) for x in range(N + 1)]
+    return _orthogonal(K, weight, lambda y: a**y / (q_pochhammer(a, q, y) * gauss_binom(N, y, q)))
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@ from .spaces import OrbitLabel, SymScaled, make_space
 from .transform import (
     DEFAULT_BUDGET,
     CanonicalMatrix,
+    _cyc_from_hist,
     brute_force_phi,
     brute_phi_bar,
     standard_diagram,
@@ -340,15 +341,13 @@ def _sym_rank_sign_values(char: CharSpec, n_upper: int, lower_n: int, e_corner: 
 
     out: dict[tuple[str, int], dict[tuple[int, int], CycInt]] = {}
     for key, rep in reps.items():
-        sums: dict[tuple[str, int], list[int]] = {}
-        for a in d.fiber(rep):
-            rank, sign = d.upper.rank_and_sign(a)
-            t = (-d.zeta_exponent(char, a)) % p
-            sums.setdefault(("chi", rank), [0] * p)[t] += 1
-            if rank:
-                sums.setdefault(("sgn", rank), [0] * p)[t] += sign
-        for fk, vec in sums.items():
-            out.setdefault(fk, {})[key] = CycInt.reduce(p, vec)
+        hist = d.fiber_counts(char, rep, raw=True)  # row 2 rank + (sign < 0)
+        for rank in range(len(hist) // 2):
+            plus, minus = hist[2 * rank], hist[2 * rank + 1]
+            if (plus + minus).any():
+                out.setdefault(("chi", rank), {})[key] = _cyc_from_hist(p, (plus + minus).tolist(), conj=True)
+                if rank:
+                    out.setdefault(("sgn", rank), {})[key] = _cyc_from_hist(p, (plus - minus).tolist(), conj=True)
     zero = CycInt.zero(p)
     for fk in list(out):
         for key in reps:

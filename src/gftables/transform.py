@@ -16,12 +16,13 @@ matrices produced here.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+
+import numpy as np
 
 from . import bulk
 from .cyclotomic import CycInt
@@ -334,10 +335,6 @@ def zonal_table_direct(space: Space, char: CharSpec | None = None, budget: int =
 # multi-orthogonality
 
 
-def orbit_elements(space: Space, label: OrbitLabel, budget: int = DEFAULT_BUDGET) -> list[Elem]:
-    return [a for a in space.elements(budget) if space.classify(a) == label]
-
-
 def multi_orthogonality_check(
     phi: CanonicalMatrix,
     parts: tuple[OrbitLabel, ...],
@@ -349,7 +346,8 @@ def multi_orthogonality_check(
     Left: sum_mu |P(mu)| Phi(mu,l_1) ... Phi(mu,l_k) conj(Phi(mu,l)).
     Right: the number of tuples (a_1, ..., a_k) in O(l_1) x ... x O(l_k)
     with a_1 + ... + a_k in O(l), counted by brute enumeration (to be
-    multiplied by |A| by the caller).
+    multiplied by |A| by the caller): the orbits are read from the labels of
+    the whole space, and the sums of all tuples are labelled in one pass.
     """
     if len(parts) < 1:
         raise ValueError("need at least one factor")
@@ -361,19 +359,21 @@ def multi_orthogonality_check(
             term = term * phi.entry(phi.labels[mu], lbl)
         term = term * phi.entry(phi.labels[mu], target).conjugate()
         lhs = lhs + term
-    lists = [orbit_elements(space, lbl, budget) for lbl in parts]
+    if space.size > budget:
+        raise BudgetError(f"|A| = {space.size} exceeds the budget {budget}")
+    F, index = bulk.arith(space.field), space.labels().index
+    digits = bulk._digits(0, space.size, space.dim, space.field.q)
+    label_of = bulk.row_labels(space, digits)
+    orbits = [digits[label_of == index(lbl)] for lbl in parts]
     work = 1
-    for lst in lists:
-        work *= len(lst)
+    for orbit in orbits:
+        work *= len(orbit)
     if work > budget:
         raise BudgetError(f"{work} tuples exceed the budget {budget}")
-    count = 0
-    for combo in itertools.product(*lists):
-        total = combo[0]
-        for a in combo[1:]:
-            total = space.add(total, a)
-        if space.classify(total) == target:
-            count += 1
+    total = np.zeros((1, space.dim), dtype=np.int32)
+    for orbit in orbits:
+        total = F.reduce(F.add(orbit[:, None, :], total[None, :, :])).reshape(-1, space.dim)
+    count = int(np.count_nonzero(bulk.row_labels(space, total) == index(target)))
     return lhs, count
 
 
@@ -388,6 +388,9 @@ class Diagram:
     pi drops the free coordinates of the upper space that are not listed in
     `embed`; embed[k] is the upper coordinate carrying lower coordinate k, so
     the adjoint of pi is zero-padding. The intersection character is theta_e.
+    The fiber over b is the affine coset lift(b) + span(fiber positions). Its
+    histogram over (label, zeta exponent) comes from one pass of the bulk
+    labeller over the coset (bulk.coset_counts), never element by element.
     """
 
     upper: Space
@@ -395,68 +398,60 @@ class Diagram:
     embed: tuple[int, ...]
     e: Elem
 
-    def lift(self, b: Elem) -> Elem:
-        zero = self.upper.field.zero()
-        out = [zero] * self.upper.dim
+    def lift(self, b: Elem) -> list[int]:
+        """The codes of the zero-padded upper element over b."""
+        out = [0] * self.upper.dim
         for k, pos in enumerate(self.embed):
-            out[pos] = b[k]
-        return tuple(out)
+            out[pos] = self.lower.field.index_of(b[k])
+        return out
 
     @property
     def fiber_positions(self) -> tuple[int, ...]:
         return tuple(k for k in range(self.upper.dim) if k not in set(self.embed))
 
-    def fiber(self, b: Elem):
-        """Every upper element projecting to b, in enumeration order."""
-        base = list(self.lift(b))
-        field = self.upper.field
-        positions = self.fiber_positions
-        for idx in range(field.q ** len(positions)):
-            a = base[:]
-            rest = idx
-            for pos in positions:
-                a[pos] = field.element_at(rest % field.q)
-                rest //= field.q
-            yield tuple(a)
-
-    def zeta_exponent(self, char: CharSpec, a: Elem) -> int:
-        return char.exponent(self.upper.pair(self.e, a))
+    def fiber_counts(self, char: CharSpec, b: Elem, raw: bool = False) -> np.ndarray:
+        """Histogram of the fiber over b by (upper label, Tr(twist <e|a>)); raw: by label code."""
+        coef = [self.upper.field.index_of(c) for c in _pair_coefvec(self.upper, char, self.e)]
+        return bulk.coset_counts(self.upper, self.lift(b), self.fiber_positions, coef, raw)
 
     def zeta_nontrivial_on_kernel(self, char: CharSpec) -> bool:
-        return any(
-            self.zeta_exponent(char, a) != 0 for a in self.fiber(self.lower.zero())
-        )
+        return bool(self.fiber_counts(char, self.lower.zero())[:, 1:].any())
+
+    def _lifted_labels(self, lower_codes: np.ndarray) -> np.ndarray:
+        """Upper label index of lift(b) + e for each row b of a (B, lower dim) code array."""
+        F = bulk.arith(self.upper.field)
+        up = np.zeros((len(lower_codes), self.upper.dim), dtype=np.int32)
+        up[:, list(self.embed)] = lower_codes
+        e = np.array([self.upper.field.index_of(x) for x in self.e], dtype=np.int32)
+        return bulk.row_labels(self.upper, F.reduce(F.add(up, e)))
+
+    def _lower_codes(self, elems: list[Elem]) -> np.ndarray:
+        index_of = self.lower.field.index_of
+        return np.array([[index_of(x) for x in b] for b in elems], dtype=np.int32).reshape(len(elems), self.lower.dim)
 
     def label_map(self) -> dict[OrbitLabel, OrbitLabel]:
-        """The induced map on orbit labels, from classify(lift(rep) + e)."""
-        out = {}
-        for lbl in self.lower.labels():
-            lifted = self.upper.add(self.lift(self.lower.representative(lbl)), self.e)
-            out[lbl] = self.upper.classify(lifted)
-        return out
+        """The induced map on orbit labels, from the label of lift(rep) + e."""
+        lows = self.lower.labels()
+        lifted = self._lifted_labels(self._lower_codes([self.lower.representative(lbl) for lbl in lows]))
+        return {lbl: self.upper.labels()[i] for lbl, i in zip(lows, lifted.tolist())}
 
     def validate_label_map(self, seed: int = 0, mates: int = 50, exhaustive_below: int = 20000) -> bool:
         """The orbit-compatibility condition behind the diagram.
 
-        classify(lift(b) + e) must be constant on lower orbits; checked on
+        The label of lift(b) + e must be constant on lower orbits; checked on
         every lower element when the lower space is small, plus random orbit
         mates of each representative either way.
         """
-        lm = self.label_map()
+        lm, ups, lows = self.label_map(), self.upper.labels(), self.lower.labels()
+        want = np.array([ups.index(lm[lbl]) for lbl in lows])  # by lower label index
         if self.lower.size <= exhaustive_below:
-            for b in self.lower.elements():
-                lbl = self.lower.classify(b)
-                up = self.upper.classify(self.upper.add(self.lift(b), self.e))
-                if up != lm[lbl]:
-                    return False
+            digits = bulk._digits(0, self.lower.size, self.lower.dim, self.lower.field.q)
+            if (self._lifted_labels(digits) != want[bulk.row_labels(self.lower, digits)]).any():
+                return False
         rng = random.Random(seed)
-        for lbl in self.lower.labels():
-            rep = self.lower.representative(lbl)
-            for _ in range(mates):
-                b = self.lower.random_mate(rep, rng)
-                if self.upper.classify(self.upper.add(self.lift(b), self.e)) != lm[lbl]:
-                    return False
-        return True
+        reps = [self.lower.representative(lbl) for lbl in lows]
+        drawn = [self.lower.random_mate(rep, rng) for rep in reps for _ in range(mates)]
+        return bool((self._lifted_labels(self._lower_codes(drawn)) == np.repeat(want, mates)).all())
 
 
 def standard_diagram(upper: Space, lower: Space) -> Diagram:
@@ -502,15 +497,10 @@ def pushforward_matrix(d: Diagram, char: CharSpec | None = None) -> list[list[Cy
     """E(omega, lambda): fiber sums of conj(zeta) against orbit indicators."""
     char = char or default_char(d.upper.field)
     p = d.upper.field.p
-    upper_index = {lbl: i for i, lbl in enumerate(d.upper.labels())}
-    out = []
-    for w in d.lower.labels():
-        vecs = [[0] * p for _ in upper_index]
-        for a in d.fiber(d.lower.representative(w)):
-            li = upper_index[d.upper.classify(a)]
-            vecs[li][(-d.zeta_exponent(char, a)) % p] += 1
-        out.append([CycInt.reduce(p, v) for v in vecs])
-    return out
+    return [
+        [_cyc_from_hist(p, hist, conj=True) for hist in d.fiber_counts(char, d.lower.representative(w)).tolist()]
+        for w in d.lower.labels()
+    ]
 
 
 def diagram_check(

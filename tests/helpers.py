@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+from gftables.cyclotomic import CycInt
 from gftables.pascal import PascalParams
 
 F = Fraction
@@ -34,3 +35,54 @@ def draw_params(rng: random.Random, case: int, n_max: int = 4) -> PascalParams:
         if sigma == 0:
             continue
         return PascalParams(a, b, c, d, t, sigma, n_max)
+
+
+def fiber_elements(d, b):
+    """Every upper element of the diagram d over b, in counting order on the fiber positions."""
+    field = d.upper.field
+    base = [field.zero()] * d.upper.dim
+    for k, pos in enumerate(d.embed):
+        base[pos] = b[k]
+    for idx in range(field.q ** len(d.fiber_positions)):
+        a, rest = base[:], idx
+        for pos in d.fiber_positions:
+            a[pos] = field.element_at(rest % field.q)
+            rest //= field.q
+        yield tuple(a)
+
+
+def _conj_zeta(d, char, a) -> int:
+    return (-char.exponent(d.upper.pair(d.e, a))) % d.upper.field.p
+
+
+def pushforward_reference(d, char):
+    """transform.pushforward_matrix element by element: classify each fiber element."""
+    p = d.upper.field.p
+    upper_index = {lbl: i for i, lbl in enumerate(d.upper.labels())}
+    out = []
+    for w in d.lower.labels():
+        vecs = [[0] * p for _ in upper_index]
+        for a in fiber_elements(d, d.lower.representative(w)):
+            vecs[upper_index[d.upper.classify(a)]][_conj_zeta(d, char, a)] += 1
+        out.append([CycInt.reduce(p, v) for v in vecs])
+    return out
+
+
+def sym_fiber_sums_reference(d, char, reps):
+    """The chi and sgn fiber sums of symmetric._sym_rank_sign_values element by element, by rank_and_sign."""
+    p = d.upper.field.p
+    out = {}
+    for key, rep in reps.items():
+        sums = {}
+        for a in fiber_elements(d, rep):
+            rank, sign = d.upper.rank_and_sign(a)
+            t = _conj_zeta(d, char, a)
+            sums.setdefault(("chi", rank), [0] * p)[t] += 1
+            if rank:
+                sums.setdefault(("sgn", rank), [0] * p)[t] += sign
+        for fk, vec in sums.items():
+            out.setdefault(fk, {})[key] = CycInt.reduce(p, vec)
+    for fk in out:
+        for key in reps:
+            out[fk].setdefault(key, CycInt.zero(p))
+    return out

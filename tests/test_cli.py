@@ -168,3 +168,14 @@ class TestVerify:
         with pytest.raises(SystemExit) as exc:
             run(capsys, "verify", "nonsense")
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_exit_2(self, capsys, jobs):
+        code, out, err = run(capsys, "verify", "gauss", "--jobs", jobs)
+        assert code == 2 and out == "" and err == "error: jobs must be at least 1\n"
+
+    def test_unknown_family_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, "verify", "diagrams", "--family", "foo")
+        assert exc.value.code == 2
+        assert "invalid choice: 'foo'" in capsys.readouterr().err

@@ -9,9 +9,10 @@ from gftables import bulk
 from gftables.cyclotomic import CycInt
 from gftables.gfq import CharSpec, default_char, make_field
 from gftables.pascal import closed_form_table
-from gftables.spaces import BudgetError, OrbitLabel, make_space, matrix_rank, symmetric_sign
-from gftables.symmetric import phi_from_psi, psi_closed, scaled_canonical_from_blocks
+from gftables.spaces import BudgetError, OrbitLabel, Space, make_space, matrix_rank, symmetric_sign
+from gftables.symmetric import _sym_rank_sign_values, phi_from_psi, psi_closed, scaled_canonical_from_blocks
 from gftables.transform import (
+    Diagram,
     InvariantFunction,
     _counts_bulk,
     _counts_pure,
@@ -27,6 +28,8 @@ from gftables.transform import (
     zonal_table,
     zonal_table_direct,
 )
+from gftables.verify import run_suite
+from helpers import pushforward_reference, sym_fiber_sums_reference
 
 F3 = make_field(3)
 F5 = make_field(5)
@@ -286,6 +289,66 @@ class TestDiagrams:
         # unit in an embedded coordinate: lift(b) + e is not constant on orbits
         bad = Diagram(up, low, embed=(0,), e=(F3.one(), F3.zero()))
         assert not bad.validate_label_map()
+
+
+DIAGRAM_CHAINS = [
+    ("vec", 3, None, 2, None),
+    ("vec", 2, None, 1, None),
+    ("mat", 2, 3, 1, 2),
+    ("alt", 4, None, 2, None),
+    ("sym", 3, None, 2, None),
+    ("symscaled", 3, None, 1, None),
+]
+
+
+class TestFiberHistograms:
+    """The coset histograms of the diagrams against the element-by-element fiber walk."""
+
+    @pytest.mark.parametrize(
+        "fam,nu,mu,nl,ml,q,twist",
+        [(*chain, q, twist) for chain in DIAGRAM_CHAINS for q, twist in [(3, 1), (3, 2), (5, 1)]] + [("sym", 3, None, 2, None, 9, 1)],
+    )
+    def test_pushforward_matrix(self, fam, nu, mu, nl, ml, q, twist):
+        up, low = make_space(fam, field(q), nu, mu), make_space(fam, field(q), nl, ml)
+        d = standard_diagram(up, low)
+        ch = CharSpec(up.field, up.field.element_at(twist))
+        assert pushforward_matrix(d, ch) == pushforward_reference(d, ch)
+
+    @pytest.mark.parametrize(
+        "fam,nu,nl,corner,q,twist",
+        [(fam, nu, nl, corner, q, twist) for fam, nu, nl, corner in [("sym", 3, 2, 1), ("symscaled", 3, 1, 2)] for q, twist in [(3, 1), (3, 2), (5, 1)]]
+        + [("sym", 3, 2, 1, 9, 1)],
+    )
+    def test_sym_rank_sign_values(self, fam, nu, nl, corner, q, twist):
+        F = field(q)
+        ch = CharSpec(F, F.element_at(twist))
+        vals, reps = _sym_rank_sign_values(ch, nu, nl, corner)
+        d = standard_diagram(make_space(fam, F, nu), make_space(fam, F, nl))
+        assert vals == sym_fiber_sums_reference(d, ch, reps)
+
+    def test_each_validation_pass_catches_a_bad_intersection_element(self):
+        up, low = make_space("vec", F3, 2), make_space("vec", F3, 1)
+        bad = Diagram(up, low, embed=(0,), e=(F3.one(), F3.zero()))
+        assert not bad.validate_label_map(mates=0)  # the pass over every lower element alone
+        assert not bad.validate_label_map(exhaustive_below=0)  # the random orbit mates alone
+        good = standard_diagram(up, low)
+        assert good.validate_label_map(mates=0) and good.validate_label_map(exhaustive_below=0)
+
+    def test_suites_never_classify_element_by_element(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("element-by-element classification on a verify path")
+
+        classes = [Space]
+        for cls in classes:
+            classes.extend(cls.__subclasses__())
+        for cls in classes:
+            monkeypatch.setattr(cls, "classify", refuse)
+            monkeypatch.setattr(cls, "rank_and_sign", refuse, raising=False)
+        with pytest.raises(AssertionError):
+            make_space("sym", F3, 2).classify(make_space("sym", F3, 2).zero())
+        for name, checks in (("diagrams", 36), ("multi", 26)):
+            rep = run_suite(name)
+            assert rep.ok and len(rep.checks) == checks, "\n".join(rep.lines())
 
 
 class TestBulkAgainstPure:
