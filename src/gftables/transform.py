@@ -442,14 +442,13 @@ class Diagram:
         every lower element when the lower space is small, plus random orbit
         mates of each representative either way.
         """
-        lm, ups, lows = self.label_map(), self.upper.labels(), self.lower.labels()
-        want = np.array([ups.index(lm[lbl]) for lbl in lows])  # by lower label index
+        reps = [self.lower.representative(lbl) for lbl in self.lower.labels()]
+        want = self._lifted_labels(self._lower_codes(reps))  # the label map, by lower label index
         if self.lower.size <= exhaustive_below:
             digits = bulk._digits(0, self.lower.size, self.lower.dim, self.lower.field.q)
             if (self._lifted_labels(digits) != want[bulk.row_labels(self.lower, digits)]).any():
                 return False
         rng = random.Random(seed)
-        reps = [self.lower.representative(lbl) for lbl in lows]
         drawn = [self.lower.random_mate(rep, rng) for rep in reps for _ in range(mates)]
         return bool((self._lifted_labels(self._lower_codes(drawn)) == np.repeat(want, mates)).all())
 
