@@ -463,6 +463,14 @@ def row_labels(space: Space, digits: np.ndarray, raw: bool = False) -> np.ndarra
     return codes if raw else lut[codes]
 
 
+def placed_labels(space: Space, positions: tuple[int, ...], shift: list[int], codes) -> np.ndarray:
+    """The label index of each row of a (B, len(positions)) code array, set at those coordinates (zero elsewhere) plus shift."""
+    F = arith(space.field)
+    rows = np.zeros((len(codes), space.dim), dtype=np.int32)
+    rows[:, list(positions)] = np.asarray(codes, dtype=np.int32).reshape(len(codes), len(positions))
+    return row_labels(space, F.reduce(F.add(rows, np.asarray(shift, dtype=np.int32))))
+
+
 def coset_counts(space: Space, base: list[int], free: tuple[int, ...], coefvec: list[int], raw: bool = False) -> np.ndarray:
     """(labels, p) histogram over (label index, t) of the coset base + span of the free coordinates.
 

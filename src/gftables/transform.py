@@ -22,8 +22,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-import numpy as np
-
 from . import bulk
 from .cyclotomic import CycInt
 from .gfq import CharSpec, default_char, trace
@@ -370,10 +368,10 @@ def multi_orthogonality_check(
         work *= len(orbit)
     if work > budget:
         raise BudgetError(f"{work} tuples exceed the budget {budget}")
-    total = np.zeros((1, space.dim), dtype=np.int32)
-    for orbit in orbits:
+    total = orbits[0]
+    for orbit in orbits[1:]:
         total = F.reduce(F.add(orbit[:, None, :], total[None, :, :])).reshape(-1, space.dim)
-    count = int(np.count_nonzero(bulk.row_labels(space, total) == index(target)))
+    count = int((bulk.row_labels(space, total) == index(target)).sum())
     return lhs, count
 
 
@@ -409,7 +407,7 @@ class Diagram:
     def fiber_positions(self) -> tuple[int, ...]:
         return tuple(k for k in range(self.upper.dim) if k not in set(self.embed))
 
-    def fiber_counts(self, char: CharSpec, b: Elem, raw: bool = False) -> np.ndarray:
+    def fiber_counts(self, char: CharSpec, b: Elem, raw: bool = False):
         """Histogram of the fiber over b by (upper label, Tr(twist <e|a>)); raw: by label code."""
         coef = [self.upper.field.index_of(c) for c in _pair_coefvec(self.upper, char, self.e)]
         return bulk.coset_counts(self.upper, self.lift(b), self.fiber_positions, coef, raw)
@@ -417,17 +415,13 @@ class Diagram:
     def zeta_nontrivial_on_kernel(self, char: CharSpec) -> bool:
         return bool(self.fiber_counts(char, self.lower.zero())[:, 1:].any())
 
-    def _lifted_labels(self, lower_codes: np.ndarray) -> np.ndarray:
+    def _lifted_labels(self, lower_codes):
         """Upper label index of lift(b) + e for each row b of a (B, lower dim) code array."""
-        F = bulk.arith(self.upper.field)
-        up = np.zeros((len(lower_codes), self.upper.dim), dtype=np.int32)
-        up[:, list(self.embed)] = lower_codes
-        e = np.array([self.upper.field.index_of(x) for x in self.e], dtype=np.int32)
-        return bulk.row_labels(self.upper, F.reduce(F.add(up, e)))
+        e = [self.upper.field.index_of(x) for x in self.e]
+        return bulk.placed_labels(self.upper, self.embed, e, lower_codes)
 
-    def _lower_codes(self, elems: list[Elem]) -> np.ndarray:
-        index_of = self.lower.field.index_of
-        return np.array([[index_of(x) for x in b] for b in elems], dtype=np.int32).reshape(len(elems), self.lower.dim)
+    def _lower_codes(self, elems: list[Elem]) -> list[list[int]]:
+        return [[self.lower.field.index_of(x) for x in b] for b in elems]
 
     def label_map(self) -> dict[OrbitLabel, OrbitLabel]:
         """The induced map on orbit labels, from the label of lift(rep) + e."""
@@ -450,7 +444,7 @@ class Diagram:
                 return False
         rng = random.Random(seed)
         drawn = [self.lower.random_mate(rep, rng) for rep in reps for _ in range(mates)]
-        return bool((self._lifted_labels(self._lower_codes(drawn)) == np.repeat(want, mates)).all())
+        return bool((self._lifted_labels(self._lower_codes(drawn)) == want.repeat(mates)).all())
 
 
 def standard_diagram(upper: Space, lower: Space) -> Diagram:
