@@ -37,10 +37,17 @@ pivot column below row 0 for mat, and every row when k is below the width of
 row 0) form a fixed repair set per call, which the full kernel labels in every
 chunk. A functional sends coordinate k with coefficient c_k through
 T_c[x] = Tr(c_k x) in F_p, which is F_p-linear in the base-p digits of x, so
-t = t_lo + t_hi: outer sums of the T tables over the low digits (one vector
-per call) and over the high digits (one value per chunk). A chunk folds g
-functionals, as many as keep nbins p^g <= 2^16, by one bincount over
-(label, their t_lo), and rolls each marginal by its t_hi.
+t = t_lo + t_hi: t_lo reads the low digits, and t_hi, an outer sum of the T
+tables over the high digits, is one value per chunk. t_lo is a vector over
+F_p: its entry at base-p digit i of low coordinate k is Tr(c_k w_i), w_i the
+element coded p^i. Functionals often share few such vectors (the sym n=4
+functionals read only three low digits), so they are grouped greedily, each
+group with an F_p basis of its vectors of rank rho and nbins p^rho <= 2^16
+(or one functional). Per call a group keys each low element by the t_lo of
+its basis, sum_j p^j t_lo(basis_j), and maps each key to the t_lo of every
+member, sum_j lambda_j digit_j. Per chunk a group runs one bincount over
+(label, key); each member sums its (nbins, p^rho) counts by that map into
+(nbins, p) and adds them rolled by its t_hi.
 
 A matrix is labelled in three steps: one reduction step on row 0 leaves a
 matrix of the (n-1) space; its digits give its index in counting order; its
@@ -398,7 +405,7 @@ def _pfaffian_split(digits, k: int, n: int, cap: int, F: Arith):
                 x = np.arange(F.q, dtype=np.int32)[:, None] if c < k else digits[0, c]
                 pf = (F.add if sign > 0 else F.sub)(pf, F.mul(x, digits[0, d])).ravel()
             r4 = r4 | np.take(F.reduce(pf) != 0, code)
-        return np.minimum(nonzero + np.count_nonzero(digits[0, k:]), cap) + r4
+        return np.minimum(nonzero + int(np.count_nonzero(digits[0, k:])), cap) + r4  # int: an np.int64 would widen the int8 labels
 
     return tail
 
@@ -486,32 +493,76 @@ def coset_counts(space: Space, base: list[int], free: tuple[int, ...], coefvec: 
     return np.bincount(row_labels(space, digits, raw).astype(np.intp) * F.p + t, minlength=nbins * F.p).reshape(nbins, F.p)
 
 
+def _fold_groups(low: list[list[int]], nbins: int, p: int) -> list[tuple[list[int], list[tuple[int, list[int]]]]]:
+    """Greedy groups of the functionals by their vectors low[r] of t_lo coefficients (module docstring).
+
+    A group is (basis, members): t_lo of member (r, lam) is sum_j lam[j] t_lo(basis[j]) mod p.
+    A group keeps nbins p^len(basis) <= 2^16, or holds one functional.
+    """
+    groups = []  # (basis, echelon rows (pivot, row, its coefficients in basis), members)
+    for r, v in enumerate(low):
+        for fresh in (not groups, True):
+            if fresh:
+                groups.append(([], [], []))
+            basis, echelon, members = groups[-1]
+            lam, rest = [0] * len(basis), v  # v = sum_j lam[j] low[basis[j]] + rest
+            for piv, row, comb in echelon:  # each row is zero at the pivots before its own
+                f = rest[piv]
+                rest = [(a - f * b) % p for a, b in zip(rest, row)]
+                lam = [(a + f * b) % p for a, b in itertools.zip_longest(lam, comb, fillvalue=0)]
+            piv = next((i for i, a in enumerate(rest) if a), None)
+            if piv is not None:
+                if members and nbins * p ** (len(basis) + 1) > 1 << 16:
+                    continue  # a new group
+                s = pow(rest[piv], -1, p)
+                echelon.append((piv, [a * s % p for a in rest], [-a * s % p for a in lam] + [s]))
+                lam = [0] * len(basis) + [1]
+                basis.append(r)
+            members.append((r, lam))
+            break
+    return [(basis, [(r, lam + [0] * (len(basis) - len(lam))) for r, lam in members]) for basis, _, members in groups]
+
+
+def _fold_keys(tabs, k: int, p: int, basis: list[int], members: list[tuple[int, list[int]]]):
+    """(p^rho, the key of each low element, (r, order, nvals) per member) of one group (module docstring).
+
+    Sorted by order, the keys fall into nvals equal runs, one per value of the member's t_lo.
+    """
+    key = sum((p**j * _outer_sum(tabs[b][:k], p) for j, b in enumerate(basis)), np.zeros(1, dtype=np.int64))
+    digits = _digits(0, p ** len(basis), len(basis), p)  # base-p digit j of a key is t_lo(basis[j])
+    folds = []
+    for r, lam in members:  # a nonzero map takes each value on p^(rho-1) keys, a zero map only 0
+        t_lo = _mod(digits @ np.asarray(lam, dtype=np.int64), p)
+        folds.append((r, np.argsort(t_lo, kind="stable"), p if any(lam) else 1))
+    return p ** len(basis), _frozen(key.astype(np.min_scalar_type(p ** len(basis) - 1))), folds
+
+
 def orbit_counts(space: Space, coefvecs: list[list[int]]) -> tuple[list[np.ndarray], np.ndarray]:
     """Histogram pass over the whole space, in chunks of q^k consecutive elements.
 
     coefvecs[r][k] is the code of the coefficient c of free coordinate k in
     the r-th functional a -> sum_k Tr(c a_k), with at least one functional.
     Returns one (n_labels, p) count array per functional plus the orbit sizes.
+    Each chunk runs one bincount over (label, key) per group of functionals,
+    the key coding an F_p basis of the group's t_lo (module docstring).
     """
     F = arith(space.field)
     p, q, dim = F.p, F.q, space.dim
     split, args, lut = _labeller(space)
-    nbins = len(lut)
-    k, R, g = _low_width(dim, q), len(coefvecs), 1
-    while g < R and nbins * p ** (g + 1) <= 1 << 16:  # g functionals share one bincount of nbins p^g bins
-        g += 1
-    groups = [range(i, min(i + g, R)) for i in range(0, R, g)]
+    nbins, k = len(lut), _low_width(dim, q)
     tabs = [[F.trace_table(c) for c in coef] for coef in coefvecs]
     t_hi = [_outer_sum(tab[k:], p).tolist() for tab in tabs]  # t over the high digits, one value per chunk
-    t_lo = [_frozen(sum(p**j * _outer_sum(tabs[r][:k], p) for j, r in enumerate(grp)).astype(np.int32)) for grp in groups]
+    low = [[int(tab[w]) for tab in tb[:k] for w in F._weights] for tb in tabs]  # Tr(c_k w_i) at low digit (k, i)
+    groups = [_fold_keys(tabs, k, p, *group) for group in _fold_groups(low, nbins, p)]
     hists = [np.zeros((nbins, p), dtype=np.int64) for _ in coefvecs]
     for chunk, labels in enumerate(_walk(split, dim, *args)):
-        labels = labels.astype(np.intp)
-        for grp, tl in zip(groups, t_lo):  # t_lo of functional grp[j] is base-p digit j of tl
-            h = np.bincount(labels * p ** len(grp) + tl, minlength=nbins * p ** len(grp)).reshape((nbins,) + (p,) * len(grp))
-            for j, r in enumerate(grp):
-                hr = h.sum(axis=tuple(a for a in range(1, len(grp) + 1) if a != len(grp) - j))
-                hists[r] += np.roll(hr, t_hi[r][chunk], axis=1)  # t = t_lo + t_hi
+        if chunk == 0:  # after the split, whose own peak it would otherwise raise
+            buf = np.empty(len(labels), dtype=np.intp)
+        for nkeys, key, folds in groups:
+            np.multiply(labels, nkeys, out=buf, dtype=np.intp)  # in intp: int8 labels times nkeys would wrap
+            h = np.bincount(np.add(buf, key, out=buf), minlength=nbins * nkeys).reshape(nbins, nkeys)
+            for r, order, nvals in folds:
+                hists[r][:, (np.arange(nvals) + t_hi[r][chunk]) % p] += h[:, order].reshape(nbins, nvals, -1).sum(axis=2)
     to_label = (np.arange(len(space.labels()))[:, None] == lut).astype(np.int64)  # sums the codes of each label
     hists = [to_label @ h for h in hists]
     return hists, hists[0].sum(axis=1)  # every histogram counts each element once

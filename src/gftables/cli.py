@@ -178,6 +178,8 @@ def cmd_verify(args) -> int:
     else:
         for name in names:
             rep.extend(run_suite(name, budget, flt))
+    if not rep.checks:
+        raise ValueError("the filter selects no check")
     for line in rep.lines():
         print(line)
     failures = rep.failures

@@ -3,6 +3,9 @@
 import random
 from fractions import Fraction
 
+import numpy as np
+
+from gftables import bulk
 from gftables.cyclotomic import CycInt
 from gftables.pascal import PascalParams
 
@@ -86,3 +89,18 @@ def sym_fiber_sums_reference(d, char, reps):
         for key in reps:
             out[fk].setdefault(key, CycInt.zero(p))
     return out
+
+
+def fold_reference(space, coefvecs):
+    """bulk.orbit_counts by one bincount over (label, t) per functional alone, on the whole space at once."""
+    F = bulk.arith(space.field)
+    digits = bulk._digits(0, space.size, space.dim, F.q)
+    labels = bulk.row_labels(space, digits).astype(np.int64)
+    nlab = len(space.labels())
+    hists = []
+    for coef in coefvecs:
+        t = np.zeros(space.size, dtype=np.int64)
+        for k, c in enumerate(coef):
+            t = (t + F.trace_table(c)[digits[:, k]]) % F.p
+        hists.append(np.bincount(labels * F.p + t, minlength=nlab * F.p).reshape(nlab, F.p))
+    return hists, hists[0].sum(axis=1)

@@ -153,6 +153,11 @@ class TestVerify:
         code, out, err = run(capsys, "verify", "gauss", "--q", "6")
         assert code == 2 and out == "" and err.startswith("error:")
 
+    @pytest.mark.parametrize("flag,value", [("--n", "99"), ("--q", "13")])
+    def test_filter_selecting_no_check_exits_2(self, capsys, flag, value):
+        code, out, err = run(capsys, "verify", "orthogonality", flag, value)
+        assert code == 2 and out == "" and err == "error: the filter selects no check\n"
+
     def test_limits_with_filter(self, capsys):
         code, out, _ = run(capsys, "verify", "limits", "--family", "vec", "--n", "3")
         assert code == 0

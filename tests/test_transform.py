@@ -13,6 +13,7 @@ from gftables.spaces import BudgetError, OrbitLabel, Space, make_space, matrix_r
 from gftables.symmetric import _sym_rank_sign_values, phi_from_psi, psi_closed, scaled_canonical_from_blocks
 from gftables.transform import (
     Diagram,
+    _pair_coefvec,
     InvariantFunction,
     _counts_bulk,
     _counts_pure,
@@ -29,7 +30,7 @@ from gftables.transform import (
     zonal_table_direct,
 )
 from gftables.verify import run_suite
-from helpers import pushforward_reference, sym_fiber_sums_reference
+from helpers import fold_reference, pushforward_reference, sym_fiber_sums_reference
 
 F3 = make_field(3)
 F5 = make_field(5)
@@ -558,3 +559,65 @@ def test_kernels_get_read_only_digits(monkeypatch):
     assert np.concatenate(list(bulk._walk(bulk._step_split, 6, 4, bulk.arith(F5)))).tolist() == bulk._codes(bulk._alt_split, 6, 4, bulk.arith(F5)).tolist()
     assert writeable and not any(writeable)
     assert state and not any(state)  # the per-call state the tails read is read-only too
+
+
+@pytest.mark.parametrize("fam,n,m,q", [("vec", 4, None, 5), ("mat", 2, 3, 5), ("alt", 5, None, 3), ("alt", 6, None, 3), ("sym", 3, None, 5), ("symscaled", 3, None, 5), ("vec", 0, None, 5)])
+def test_walk_yields_int8_labels(fam, n, m, q):
+    sp = make_space(fam, field(q), n, m)
+    split, args, _ = bulk._labeller(sp)
+    assert next(bulk._walk(split, sp.dim, *args)).dtype == np.int8
+
+
+def _pair_coefvecs(sp, twist=1):
+    ch = CharSpec(sp.field, sp.field.element_at(twist))
+    return [[sp.field.index_of(v) for v in _pair_coefvec(sp, ch, sp.representative(l))] for l in sp.labels()]
+
+
+def _assert_fold(monkeypatch, sp, coefvecs, chunk):
+    if chunk is not None:
+        monkeypatch.setattr(bulk, "CHUNK", chunk)
+    hists, sizes = bulk.orbit_counts(sp, coefvecs)
+    want, want_sizes = fold_reference(sp, coefvecs)
+    assert sizes.tolist() == want_sizes.tolist()
+    assert [h.tolist() for h in hists] == [h.tolist() for h in want]
+
+
+class TestFold:
+    """orbit_counts against one bincount per functional alone, at the default CHUNK and a small one."""
+
+    @pytest.mark.parametrize("chunk", [None, 25])
+    def test_dependent_functionals(self, monkeypatch, chunk):
+        sp = make_space("sym", F5, 3)
+        u, v = [1, 2, 0, 3, 4, 1], [0, 4, 4, 1, 0, 2]
+        coefvecs = [[0] * 6, u, u, [2 * x % 5 for x in u], v, [(x + y) % 5 for x, y in zip(u, v)], [0] * 6, [4 * x % 5 for x in v]]
+        _assert_fold(monkeypatch, sp, coefvecs, chunk)
+
+    @pytest.mark.parametrize("chunk", [None, 27])
+    def test_verify_sym_functionals(self, monkeypatch, chunk):
+        sp = make_space("sym", F3, 4)
+        _assert_fold(monkeypatch, sp, _pair_coefvecs(sp), chunk)
+
+    @pytest.mark.parametrize("chunk", [None, 5**6])
+    def test_rank_forces_several_groups(self, monkeypatch, chunk):
+        sp = make_space("vec", F5, 7)  # 8 labels: 8 * 5^6 > 2^16, so six independent low vectors need two groups
+        rng = random.Random(13)
+        coefvecs = [[rng.randrange(5) for _ in range(7)] for _ in range(9)]
+        fold_groups, groups = bulk._fold_groups, []
+        monkeypatch.setattr(bulk, "_fold_groups", lambda *a: groups.extend(fold_groups(*a)) or fold_groups(*a))
+        _assert_fold(monkeypatch, sp, coefvecs, chunk)
+        assert len(groups) > 1 and sorted(r for _, members in groups for r, _ in members) == list(range(9))
+
+    @pytest.mark.parametrize("chunk", [None, 30])
+    @pytest.mark.parametrize("twist", ["1", "2", "p"])
+    @pytest.mark.parametrize("fam,n,m,q", [("sym", 2, None, 9), ("mat", 1, 2, 25), ("vec", 2, None, 27), ("alt", 3, None, 9)])
+    def test_extension_fields(self, monkeypatch, fam, n, m, q, twist, chunk):
+        sp = make_space(fam, field(q), n, m)
+        rng = random.Random(q)
+        coefvecs = _pair_coefvecs(sp, sp.field.p if twist == "p" else int(twist))
+        coefvecs += [[rng.randrange(q) for _ in range(sp.dim)] for _ in range(3)]
+        _assert_fold(monkeypatch, sp, coefvecs, chunk)
+
+    @pytest.mark.parametrize("chunk", [None, 5])
+    def test_prime_above_bincount_cap(self, monkeypatch, chunk):
+        sp = make_space("vec", make_field(65537), 1)  # 2 labels: nbins p > 2^16, one functional per group
+        _assert_fold(monkeypatch, sp, [[0], [1], [3], [65536], [3]], chunk)
