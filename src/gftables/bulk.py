@@ -108,10 +108,14 @@ def _prime_factors(n: int) -> list[int]:
 
 
 def _outer_sum(tables: list[np.ndarray], p: int) -> np.ndarray:
-    """t[i] = sum over k of tables[k][digit k of i] mod p, digit 0 fastest."""
-    t = np.zeros(1, dtype=np.int64)
+    """t[i] = sum over k of tables[k][digit k of i] mod p, digit 0 fastest; every table entry is below p.
+
+    In the narrowest unsigned type that holds 2 (p - 1): numpy divides narrow ints many times faster than int64.
+    """
+    dtype = np.min_scalar_type(2 * p - 2)
+    t = np.zeros(1, dtype=dtype)
     for tab in tables:
-        t = _mod(np.add.outer(tab, t).ravel(), p)
+        t = _mod(np.add.outer(tab.astype(dtype), t).ravel(), p)
     return t
 
 
@@ -191,9 +195,10 @@ class Arith:
 
     @lru_cache(maxsize=None)  # every orbit_counts call asks again for the same few c
     def trace_table(self, c: int) -> np.ndarray:
-        """Tr(c x) in F_p for every code x, from the traces of c times the basis x^i; read-only."""
+        """Tr(c x) in F_p for every code x, from the traces of c times the basis x^i; read-only int64, so callers may sum many."""
         f, cx = self.field, self.field.element_at(c)
-        return _frozen(_outer_sum([np.arange(self.p, dtype=np.int64) * trace(cx * f.element_at(w)) for w in self._weights], self.p))
+        digit = np.arange(self.p, dtype=np.int64)
+        return _frozen(_outer_sum([_mod(digit * trace(cx * f.element_at(w)), self.p) for w in self._weights], self.p).astype(np.int64))
 
 
 class PrimeArith(Arith):
@@ -528,13 +533,15 @@ def _fold_keys(tabs, k: int, p: int, basis: list[int], members: list[tuple[int, 
 
     Sorted by order, the keys fall into nvals equal runs, one per value of the member's t_lo.
     """
-    key = sum((p**j * _outer_sum(tabs[b][:k], p) for j, b in enumerate(basis)), np.zeros(1, dtype=np.int64))
+    key = np.zeros(1, dtype=np.min_scalar_type(p ** len(basis) - 1))
+    for j, b in enumerate(basis):
+        key = key + p**j * _outer_sum(tabs[b][:k], p).astype(key.dtype)
     digits = _digits(0, p ** len(basis), len(basis), p)  # base-p digit j of a key is t_lo(basis[j])
     folds = []
     for r, lam in members:  # a nonzero map takes each value on p^(rho-1) keys, a zero map only 0
         t_lo = _mod(digits @ np.asarray(lam, dtype=np.int64), p)
         folds.append((r, np.argsort(t_lo, kind="stable"), p if any(lam) else 1))
-    return p ** len(basis), _frozen(key.astype(np.min_scalar_type(p ** len(basis) - 1))), folds
+    return p ** len(basis), _frozen(key), folds
 
 
 def orbit_counts(space: Space, coefvecs: list[list[int]]) -> tuple[list[np.ndarray], np.ndarray]:
