@@ -529,7 +529,7 @@ def _fold_groups(low: list[list[int]], nbins: int, p: int) -> list[tuple[list[in
 
 
 def _fold_keys(tabs, k: int, p: int, basis: list[int], members: list[tuple[int, list[int]]]):
-    """(p^rho, the key of each low element, (r, order, nvals) per member) of one group (module docstring).
+    """(p^rho, the key of each low element, (r, order, nvals) per member) of one group, rho = len(basis) (module docstring).
 
     Sorted by order, the keys fall into nvals equal runs, one per value of the member's t_lo.
     """
