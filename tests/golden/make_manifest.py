@@ -7,8 +7,12 @@ Each invocation runs in process through `gftables.cli.main`; its record holds
 the argv, the sha256 of stdout and of stderr, and the exit code. The grid:
 - `compute --method all --budget 20000` for every family at the largest n
   (and, for mat, the largest m for each n) under the budget, and at one past
-  it, over q in {3, 5, 7, 11} with twists 1 and 2 and over q in {4, 9, 25, 27}
+  it, over q in {3, 5, 7, 11} with twists 1 and 2 and over q in {4, 9, 25, 27, 8}
   with twists 1, 2 and p;
+- `export` of every family in `--format json` (`--method all`; `closed` for
+  sym at q = 9) and in `csv` (not sym), and `--symbolic` in both formats for
+  vec, mat and alt, at q = 5 with twist 1 and at q = 9 with twist 3; these
+  records also hold the sha256 of the `--out` file;
 - `verify all`, each `verify` suite alone, and `verify --jobs 2 all`;
 - the bad-input grid (family x q in {2, 3, 4, 9} x n in {-1, 0, 2} x m in
   {none, -1, 3} x method x json/csv x twist in {1, 0} x symbolic, at
@@ -29,6 +33,7 @@ import itertools
 import json
 import os
 import sys
+import tempfile
 from pathlib import Path
 
 from gftables.cli import main
@@ -41,11 +46,11 @@ BUDGET = 20000
 
 
 def capture(argv: list[str]) -> dict:
-    """The record of one in-process invocation."""
+    """The record of one in-process invocation, run in a fresh directory that holds its --out file."""
     out, err = io.StringIO(), io.StringIO()
     columns = os.environ.get("COLUMNS")
     os.environ["COLUMNS"] = "80"  # argparse wraps its usage lines at this width
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
         except SystemExit as exc:  # argparse rejects with exit code 2
@@ -55,8 +60,11 @@ def capture(argv: list[str]) -> dict:
                 del os.environ["COLUMNS"]
             else:
                 os.environ["COLUMNS"] = columns
-    sha = lambda s: hashlib.sha256(s.encode()).hexdigest()
-    return {"argv": argv, "stdout_sha256": sha(out.getvalue()), "stderr_sha256": sha(err.getvalue()), "exit": code}
+        target = Path(argv[argv.index("--out") + 1]) if "--out" in argv else None
+        written = target.read_bytes() if target and target.is_file() else None
+    sha = lambda b: hashlib.sha256(b).hexdigest()
+    rec = {"argv": argv, "stdout_sha256": sha(out.getvalue().encode()), "stderr_sha256": sha(err.getvalue().encode()), "exit": code}
+    return rec if written is None else rec | {"out_sha256": sha(written)}
 
 
 def _shapes(family: str, q: int) -> list[tuple[int, int | None]]:
@@ -79,12 +87,27 @@ def _shapes(family: str, q: int) -> list[tuple[int, int | None]]:
 
 def compute_grid() -> list[list[str]]:
     grid = []
-    for q, twists in [(q, (1, 2)) for q in (3, 5, 7, 11)] + [(q, (1, 2, p)) for q, p in ((4, 2), (9, 3), (25, 5), (27, 3))]:
+    for q, twists in [(q, (1, 2)) for q in (3, 5, 7, 11)] + [(q, (1, 2, p)) for q, p in ((4, 2), (9, 3), (25, 5), (27, 3), (8, 2))]:
         for family in FAMILIES:
             for (n, m), twist in itertools.product(_shapes(family, q), dict.fromkeys(twists)):
                 argv = ["compute", "--family", family, "--q", str(q), "--n", str(n), "--method", "all"]
                 argv += ["--twist", str(twist), "--budget", str(BUDGET)]
                 grid.append(argv + (["--m", str(m)] if m is not None else []))
+    return grid
+
+
+def export_grid() -> list[list[str]]:
+    grid = []
+    for q, twist in ((5, 1), (9, 3)):
+        for family, n, m in (("vec", 3, None), ("mat", 2, 3), ("alt", 4, None), ("sym", 2, None), ("symscaled", 3, None)):
+            base = ["export", "--family", family, "--q", str(q), "--n", str(n), "--twist", str(twist)]
+            base += ["--m", str(m)] if m is not None else []
+            method = "closed" if family == "sym" and q == 9 else "all"  # brute sign blocks need an odd degree
+            grid.append(base + ["--method", method, "--format", "json", "--out", "table.json"])
+            if family != "sym":  # sign blocks hold Gauss-sum entries: JSON only
+                grid.append(base + ["--format", "csv", "--out", "table.csv"])
+            if family in ("vec", "mat", "alt"):
+                grid += [base + ["--symbolic", "--format", fmt, "--out", f"table.{fmt}"] for fmt in ("json", "csv")]
     return grid
 
 
@@ -116,6 +139,7 @@ def build() -> list[dict]:
     records.append(capture(["verify", "all"]))
     records += [capture(argv) for argv in verify_grid()]
     records += [rec for rec in map(capture, bad_input_grid()) if rec["exit"] == 2]
+    records += [capture(argv) for argv in export_grid()]
     return records
 
 

@@ -20,6 +20,7 @@ RECORDS = json.loads((GOLDEN / "manifest.json").read_text())["invocations"]
         pytest.param(lambda r: r["argv"][:2] == ["verify", "all"], id="verify-all"),
         pytest.param(lambda r: r["exit"] == 2 and "20000" not in r["argv"], id="bad-inputs"),
         pytest.param(lambda r: r["argv"] in make_manifest.verify_grid(), id="verify-suites"),
+        pytest.param(lambda r: r["argv"][0] == "export" and "--out" in r["argv"], id="exports"),
     ],
 )
 def test_manifest_replays_byte_identical(monkeypatch, part):
@@ -37,3 +38,9 @@ def test_manifest_covers_the_grid():
 def test_manifest_covers_each_verify_suite():
     assert [rec["argv"] for rec in RECORDS if rec["argv"] in make_manifest.verify_grid()] == make_manifest.verify_grid()
     assert all(rec["exit"] == 0 for rec in RECORDS if rec["argv"] in make_manifest.verify_grid())
+
+
+def test_manifest_covers_the_exports():
+    exports = [rec for rec in RECORDS if rec["argv"] in make_manifest.export_grid()]
+    assert [rec["argv"] for rec in exports] == make_manifest.export_grid()
+    assert all(rec["exit"] == 0 and "out_sha256" in rec for rec in exports)
