@@ -10,18 +10,7 @@ arithmetic; the brute force path is the oracle for all the others.
 """
 
 from .cyclotomic import CycInt, PolyQ, QuadraticGamma, Rational, decompose_gamma
-from .gfq import (
-    CharSpec,
-    FieldElem,
-    FieldSpec,
-    default_char,
-    epsilon,
-    gauss_sum,
-    make_field,
-    nonsquare_delta,
-    sgn,
-    trace,
-)
+from .gfq import CharSpec, FieldSpec, arith, default_char, epsilon, gauss_sum, make_field, nonsquare_delta
 from .pascal import (
     FamilyTable,
     PascalParams,

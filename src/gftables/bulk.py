@@ -1,25 +1,18 @@
 """Vectorized enumeration over every field GF(q), q = p^e.
 
-An element of GF(q) is coded by its index in gfq's base-p counting order
-(`element_at`/`index_of`), so the base-q digits of an element's index in a
-space are the codes of its coordinates. Brute-force character sums only need,
-per element, its orbit label and the value of a few F_p linear functionals
-(one per table row). Both are computed here in numpy batches and folded into
-integer histograms indexed by (label, functional value), from which the exact
-cyclotomic sums are assembled. All of it is integer arithmetic, so the results
-are bit-identical to an element-by-element enumeration.
+An element of GF(q) is its integer code (gfq), so the base-q digits of an
+element's index in a space are the codes of its coordinates. Brute-force
+character sums only need, per element, its orbit label and the value of a few
+F_p linear functionals (one per table row). Both are computed here in numpy
+batches and folded into integer histograms indexed by (label, functional
+value), from which the exact cyclotomic sums are assembled. All of it is
+integer arithmetic, so the results are bit-identical to an element-by-element
+enumeration.
 
-The kernels reach the field only through its arithmetic object, arith(field),
-one per FieldSpec (two moduli of one q are two fields):
-- F_p keeps delayed reduction: add, sub, neg and mul return unreduced ints,
-  and reduce takes them mod p, so a chain of products is reduced once.
-- GF(p^e), e > 1: add, sub and neg work digitwise mod p, and mul gathers
-  from log and antilog tables of a primitive element g (Lidl & Niederreiter,
-  *Finite Fields*, ch. 9). Every result is a code, and reduce is the identity.
-Both read inv and sgn (the parity of the log, sgn(0) = +1) from the log
-tables of size q, which are built on first use from the powers of g by
-doubling. No table is q x q, and a space without arithmetic (vec) builds none.
-Callers reduce a computed value before they compare it with zero.
+The kernels reach the field only through the array ops of its arithmetic
+object, gfq.arith(field): vadd, vsub, vneg, vmul and vreduce (delayed
+reduction over F_p, log and antilog tables for e > 1), and the tables
+inv_table, sgn_table and trace_table.
 
 One walker, _walk, serves orbit_counts and the memoized (n-1) tables of _codes.
 It takes a space in chunks of q^k consecutive elements, k the largest exponent
@@ -30,7 +23,7 @@ in a chunk, so each labeller is split in two:
   row-0 step below and every (n-1) coordinate that reads only low digits. It
   keeps read-only int32/int8 state;
 - a per-chunk tail (_label_indices) adds the high digits s_t. A coordinate
-  s_t - P_t adds q^i reduce(s_t - P_t), read from a table of q^h entries per
+  s_t - P_t adds q^i vreduce(s_t - P_t), read from a table of q^h entries per
   chunk at the row's per-call code of its P_t; one gather reads the label.
 Rows whose step reads a high digit (the pivot row of T for sym and alt, the
 pivot column below row 0 for mat, and every row when k is below the width of
@@ -80,141 +73,14 @@ into one histogram; the commutative diagrams take their fibers from it.
 from __future__ import annotations
 
 import itertools
-import operator
-from functools import cached_property, lru_cache, partial
+from functools import lru_cache, partial
 
 import numpy as np
 
-from .gfq import FieldSpec, trace
+from .gfq import Arith, _frozen, _mod, _outer_sum, arith
 from .spaces import AltMat, MatRect, Space, SymGL, SymScaled, VecWreath
 
 CHUNK = 1 << 19
-
-
-def _frozen(table: np.ndarray) -> np.ndarray:
-    table.flags.writeable = False  # shared by every caller through the memo
-    return table
-
-
-def _prime_factors(n: int) -> list[int]:
-    out, d = [], 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    return out + [n] if n > 1 else out
-
-
-def _outer_sum(tables: list[np.ndarray], p: int) -> np.ndarray:
-    """t[i] = sum over k of tables[k][digit k of i] mod p, digit 0 fastest; every table entry is below p.
-
-    In the narrowest unsigned type that holds 2 (p - 1): numpy divides narrow ints many times faster than int64.
-    """
-    dtype = np.min_scalar_type(2 * p - 2)
-    t = np.zeros(1, dtype=dtype)
-    for tab in tables:
-        t = _mod(np.add.outer(tab.astype(dtype), t).ravel(), p)
-    return t
-
-
-class Arith:
-    """GF(p^e) arithmetic on element codes for e > 1; PrimeArith overrides it for F_p."""
-
-    def __init__(self, field: FieldSpec):
-        self.field, self.p, self.q = field, field.p, field.q
-        self._weights = [self.p**i for i in range(field.e)]  # place value of each base-p digit
-
-    def _digitwise(self, op, a, b):
-        out = 0
-        for w in self._weights:  # digit i of a code x is x // w mod p; higher digits vanish mod p
-            out = out + _mod(op(a // w, b // w), self.p) * w
-        return out
-
-    def add(self, a, b):
-        return self._digitwise(np.add, a, b)
-
-    def sub(self, a, b):
-        return self._digitwise(np.subtract, a, b)
-
-    def neg(self, a):
-        return self._digitwise(np.subtract, 0, a)
-
-    def mul(self, a, b):
-        log = self._log_exp[0]
-        return self._mul_exp[log[a] + log[b]]
-
-    def reduce(self, x):
-        return x
-
-    @cached_property
-    def _log_exp(self) -> tuple[np.ndarray, np.ndarray]:
-        """log[x] and exp[k] = g^k (k < q - 1) for the first primitive g in counting order.
-
-        log[0] = 2 (q - 1): even, and beyond every sum of two logs of nonzero codes.
-        """
-        f, p, q = self.field, self.p, self.q
-        factors = _prime_factors(q - 1)
-        g = next(x for x in map(f.element_at, range(1, q)) if all(x ** ((q - 1) // r) != f.one() for r in factors))
-        weights = np.array(self._weights, dtype=np.int64)
-        exp = np.ones(q - 1, dtype=np.int64)
-        gn, n, block = g, 1, max(1, CHUNK // f.e)
-        while n < q - 1:  # exp[n:2n] = exp[:n] * g^n, by the matrix of x -> x g^n on the digits
-            A = np.array([(gn * f.element_at(w)).coeffs for w in self._weights], dtype=np.int64)
-            m = min(n, q - 1 - n)
-            for s in range(0, m, block):
-                x = exp[s : min(s + block, m)]
-                exp[n + s : n + s + len(x)] = _mod(_mod(x[:, None] // weights, p) @ A, p) @ weights
-            gn, n = gn * gn, 2 * n
-        log = np.empty(q, dtype=np.int32)
-        log[0] = 2 * (q - 1)
-        log[exp] = np.arange(q - 1)
-        return _frozen(log), _frozen(exp.astype(np.int32))
-
-    @cached_property
-    def _mul_exp(self) -> np.ndarray:
-        """exp twice, then zeros: the product of codes a and b is _mul_exp[log a + log b]."""
-        exp = self._log_exp[1]
-        return _frozen(np.concatenate([exp, exp, np.zeros(2 * self.q - 1, dtype=exp.dtype)]))
-
-    @cached_property
-    def inv(self) -> np.ndarray:
-        """1 / x for every code x, with inv[0] = 0."""
-        log, exp = self._log_exp
-        inv = np.zeros(self.q, dtype=np.int32)
-        inv[1:] = exp[(self.q - 1 - log[1:]) % (self.q - 1)]
-        return _frozen(inv)
-
-    @cached_property
-    def sgn(self) -> np.ndarray:
-        """The quadratic character of every code: +1 on squares (and 0), -1 elsewhere."""
-        if self.q % 2 == 0:
-            raise ValueError("quadratic character requires odd characteristic")
-        return _frozen(1 - 2 * (self._log_exp[0] & 1).astype(np.int8))  # log[0] is even
-
-    @lru_cache(maxsize=None)  # every orbit_counts call asks again for the same few c
-    def trace_table(self, c: int) -> np.ndarray:
-        """Tr(c x) in F_p for every code x, from the traces of c times the basis x^i; read-only int64, so callers may sum many."""
-        f, cx = self.field, self.field.element_at(c)
-        digit = np.arange(self.p, dtype=np.int64)
-        return _frozen(_outer_sum([_mod(digit * trace(cx * f.element_at(w)), self.p) for w in self._weights], self.p).astype(np.int64))
-
-
-class PrimeArith(Arith):
-    """F_p on codes 0..p-1 with delayed reduction: only reduce takes a value mod p."""
-
-    # the bare operators, not methods: numpy may then reuse a temporary operand's buffer
-    add, sub, neg, mul = map(staticmethod, (operator.add, operator.sub, operator.neg, operator.mul))
-
-    def reduce(self, x):
-        return _mod(x, self.p)
-
-
-@lru_cache(maxsize=None)
-def arith(field: FieldSpec) -> Arith:
-    """The shared arithmetic object of a field."""
-    return (PrimeArith if field.e == 1 else Arith)(field)
 
 
 def _digits(start: int, stop: int, dim: int, q: int) -> np.ndarray:
@@ -229,11 +95,6 @@ def _digits(start: int, stop: int, dim: int, q: int) -> np.ndarray:
         out[k] = idx - nxt * q  # not np.divmod: see _mod
         idx = nxt
     return out.T
-
-
-def _mod(x: np.ndarray, p: int) -> np.ndarray:
-    """x mod p; numpy floor-divides by a scalar far faster than np.remainder runs."""
-    return x - x // p * p
 
 
 def _low_width(dim: int, q: int) -> int:
@@ -278,16 +139,16 @@ def _gather(digits, k: int, F: Arith, entries, tables, cls, repair, full):
     idx, high, P = cls.astype(np.int32) * len(tables[0]), [], 0
     for i, (c, Pc) in enumerate(entries):
         if c < k:
-            idx += F.q**i * F.reduce(F.sub(digits[:, c], Pc))
+            idx += F.q**i * F.vreduce(F.vsub(digits[:, c], Pc))
         else:
-            P, high = P + F.q ** len(high) * F.reduce(Pc), high + [(c, F.q**i)]
+            P, high = P + F.q ** len(high) * F.vreduce(Pc), high + [(c, F.q**i)]
     P = _frozen(np.asarray(P, dtype=np.int8 if F.q ** len(high) <= 128 else np.int32))  # base-q digit i codes high[i]
     idx, table, repair = _frozen(idx), _frozen(np.concatenate(tables)), _frozen(repair.astype(np.int32))
 
     def tail(digits: np.ndarray) -> np.ndarray:
-        lut = np.zeros(1, dtype=np.int32)  # lut[P] sums w reduce(s_t - P_t) over the (t, w) in high
+        lut = np.zeros(1, dtype=np.int32)  # lut[P] sums w vreduce(s_t - P_t) over the (t, w) in high
         for t, w in high:
-            lut = np.add.outer(w * F.reduce(F.sub(digits[0, t], np.arange(F.q, dtype=np.int32))), lut).ravel()
+            lut = np.add.outer(w * F.vreduce(F.vsub(digits[0, t], np.arange(F.q, dtype=np.int32))), lut).ravel()
         labels = np.take(table, idx + np.take(lut, P))  # take: faster than [] on narrow indices
         if repair.size:
             labels[repair] = full(digits.T[:, repair].T)  # columns stay contiguous
@@ -309,9 +170,9 @@ def _mat_split(digits, k: int, n: int, m: int, F: Arith):
     r0, rows = digits[:, :m], np.arange(len(digits))
     nz = r0 != 0
     j = nz.argmax(axis=1)
-    s = F.inv[r0[rows, j]]  # zero where row 0 is zero
-    f = {i: F.reduce(F.mul(digits[rows, i * m + j], s)) for i in range(1, n)}  # R_i[j] / r0[j]
-    entries = [(i * m + c, F.mul(f[i], r0[:, c])) for i in range(1, n) for c in range(m)]
+    s = F.inv_table[r0[rows, j]]  # zero where row 0 is zero
+    f = {i: F.vreduce(F.vmul(digits[rows, i * m + j], s)) for i in range(1, n)}  # R_i[j] / r0[j]
+    entries = [(i * m + c, F.vmul(f[i], r0[:, c])) for i in range(1, n) for c in range(m)]
     T, cls = _codes(_mat_split, (n - 1) * m, n - 1, m, F), nz.any(axis=1)
     repair = np.flatnonzero((k < m) | cls & ((n - 1) * m + j >= k))  # f_i or row 0 reads a high digit
     return _gather(digits, k, F, entries, [T, T + 1], cls, repair, partial(batch_rank, n=n, m=m, F=F))
@@ -334,11 +195,11 @@ def _sym_split(digits, k: int, n: int, F: Arith):
         late = (n + pos.max(axis=1) >= k)[j]  # row j of T reaches a high digit
         repair, rep = rep[late], rep[~late]
         a[rep], b[rep] = _sym_pivot(b[rep], T[rep], pos, j[~late], F)
-    u = F.reduce(F.mul(b, F.inv[a][:, None]))  # b / a; zero where no pivot, then C = T
+    u = F.vreduce(F.vmul(b, F.inv_table[a][:, None]))  # b / a; zero where no pivot, then C = T
     C = _codes(_sym_split, len(iu), n - 1, F)
     tables = [C, C + 2, (C + 2) ^ 1]  # by (a != 0) + (sign of a < 0); the code is 2 rank + (sign < 0)
-    entries = [(n + c, F.mul(u[:, iu[c]], b[:, ju[c]])) for c in range(len(iu))]
-    cls = (a != 0) + (F.sgn[a] < 0).astype(np.int8)
+    entries = [(n + c, F.vmul(u[:, iu[c]], b[:, ju[c]])) for c in range(len(iu))]
+    cls = (a != 0) + (F.sgn_table[a] < 0).astype(np.int8)
     return _gather(digits, k, F, entries, tables, cls, repair, partial(batch_sym_rank_sign, n=n, F=F))
 
 
@@ -358,10 +219,10 @@ def _sym_pivot(b: np.ndarray, T: np.ndarray, pos: np.ndarray, j: np.ndarray, F: 
     """
     r = np.arange(len(b))
     bj, ajj, tj = b[r, j], T[r, pos[j, j]], T[r[:, None], pos[j]]  # tj: row j of T
-    two_bj = F.add(bj, bj)
-    minus = F.reduce(F.add(two_bj, ajj)) == 0  # c = -1 where a_jj = -2 b_j
-    a = F.reduce(np.where(minus, F.sub(ajj, two_bj), F.add(ajj, two_bj)))
-    return a, F.reduce(np.where(minus[:, None], F.sub(b, tj), F.add(b, tj)))
+    two_bj = F.vadd(bj, bj)
+    minus = F.vreduce(F.vadd(two_bj, ajj)) == 0  # c = -1 where a_jj = -2 b_j
+    a = F.vreduce(np.where(minus, F.vsub(ajj, two_bj), F.vadd(ajj, two_bj)))
+    return a, F.vreduce(np.where(minus[:, None], F.vsub(b, tj), F.vadd(b, tj)))
 
 
 def _build_matrices(digits: np.ndarray, j: np.ndarray, n: int, F: Arith) -> np.ndarray:
@@ -373,7 +234,7 @@ def _build_matrices(digits: np.ndarray, j: np.ndarray, n: int, F: Arith) -> np.n
         for l in range(n):
             if l != jj:  # T_jj = 0
                 np.copyto(w[l], digits[:, pos[jj, l]], where=at)
-    np.copyto(w, F.neg(w), where=np.arange(n)[:, None] < j)  # T_jl = -T_lj below the diagonal
+    np.copyto(w, F.vneg(w), where=np.arange(n)[:, None] < j)  # T_jl = -T_lj below the diagonal
     return w
 
 
@@ -391,11 +252,11 @@ def _pfaffian_split(digits, k: int, n: int, cap: int, F: Arith):
         for sign, x, y in ((1, (i, j), (kk, l)), (-1, (i, kk), (j, l)), (1, (i, l), (j, kk))):
             c, d = sorted((pos[x], pos[y]))
             if d < k:
-                pf = (F.add if sign > 0 else F.sub)(pf, F.mul(digits[:, c], digits[:, d]))
+                pf = (F.vadd if sign > 0 else F.vsub)(pf, F.vmul(digits[:, c], digits[:, d]))
             else:
                 terms.append((sign, c, d))
         low = [c for _, c, _ in terms if c < k]  # code = P + sum q^(i+1) x_i over the low factors x_i
-        code = F.reduce(pf) + sum(F.q ** (i + 1) * digits[:, c] for i, c in enumerate(low))
+        code = F.vreduce(pf) + sum(F.q ** (i + 1) * digits[:, c] for i, c in enumerate(low))
         if terms:
             high.append((_frozen(code.astype(np.int8 if F.q ** (1 + len(low)) <= 128 else np.int32)), terms))
         else:
@@ -408,8 +269,8 @@ def _pfaffian_split(digits, k: int, n: int, cap: int, F: Arith):
             pf = np.arange(F.q, dtype=np.int32)
             for sign, c, d in terms:
                 x = np.arange(F.q, dtype=np.int32)[:, None] if c < k else digits[0, c]
-                pf = (F.add if sign > 0 else F.sub)(pf, F.mul(x, digits[0, d])).ravel()
-            r4 = r4 | np.take(F.reduce(pf) != 0, code)
+                pf = (F.vadd if sign > 0 else F.vsub)(pf, F.vmul(x, digits[0, d])).ravel()
+            r4 = r4 | np.take(F.vreduce(pf) != 0, code)
         return np.minimum(nonzero + int(np.count_nonzero(digits[0, k:])), cap) + r4  # int: an np.int64 would widen the int8 labels
 
     return tail
@@ -425,10 +286,10 @@ def _step_split(digits, k: int, n: int, F: Arith):
     b, rows = digits[:, : n - 1], np.arange(len(digits))
     nz = b != 0
     j = nz.argmax(axis=1) + 1
-    u = F.reduce(F.mul(b, F.inv[b[rows, j - 1]][:, None]))  # b / b_j; zero where b = 0
+    u = F.vreduce(F.vmul(b, F.inv_table[b[rows, j - 1]][:, None]))  # b / b_j; zero where b = 0
     w = _build_matrices(digits, j, n, F)  # w[l] = T_jl
     pairs = itertools.combinations(range(1, n), 2)
-    entries = [(n - 1 + t, F.sub(F.mul(u[:, c - 1], w[d]), F.mul(u[:, d - 1], w[c]))) for t, (c, d) in enumerate(pairs)]
+    entries = [(n - 1 + t, F.vsub(F.vmul(u[:, c - 1], w[d]), F.vmul(u[:, d - 1], w[c]))) for t, (c, d) in enumerate(pairs)]
     T, cls = _codes(_alt_split, (n - 1) * (n - 2) // 2, n - 1, F), nz.any(axis=1)
     late = _positions(n, False).max(axis=1) >= k  # row j of T reaches a high digit
     repair = np.flatnonzero((k < n - 1) | cls & late[j])  # all rows if row 0 reaches a high digit
@@ -480,7 +341,7 @@ def placed_labels(space: Space, positions: tuple[int, ...], shift: list[int], co
     F = arith(space.field)
     rows = np.zeros((len(codes), space.dim), dtype=np.int32)
     rows[:, list(positions)] = np.asarray(codes, dtype=np.int32).reshape(len(codes), len(positions))
-    return row_labels(space, F.reduce(F.add(rows, np.asarray(shift, dtype=np.int32))))
+    return row_labels(space, F.vreduce(F.vadd(rows, np.asarray(shift, dtype=np.int32))))
 
 
 def coset_counts(space: Space, base: list[int], free: tuple[int, ...], coefvec: list[int], raw: bool = False) -> np.ndarray:

@@ -72,8 +72,9 @@ def _budget(flag: int | None) -> int:
 class ComputeRequest:
     """A compute/export invocation, validated before any computation.
 
-    Checks that library constructors already make (n <= m for mat, odd q
-    for alt and sym, odd degree for brute sign blocks) stay with them.
+    Checks that library constructors already make (a nonzero twist, n <= m
+    for mat, odd q for alt and sym, odd degree for brute sign blocks) stay
+    with them.
     """
 
     family: str
@@ -90,9 +91,7 @@ class ComputeRequest:
     def from_args(cls, args) -> ComputeRequest:
         if args.command == "export" and not args.out:
             raise ValueError("export needs --out")
-        field = _field(args.q)
-        if not 1 <= args.twist < field.q:
-            raise ValueError("twist must index a nonzero field element")
+        char = CharSpec(_field(args.q), args.twist)
         if args.n < 0:
             raise ValueError(f"n must be >= 0, got {args.n}")
         fmt = args.format or "json"
@@ -102,7 +101,6 @@ class ComputeRequest:
             raise ValueError("symmetric families have no integer recursion; use brute, closed, or all")
         if args.family == "sym" and fmt == "csv":
             raise ValueError("sign blocks contain Gauss-sum entries; use JSON")
-        char = CharSpec(field, field.element_at(args.twist))
         return cls(args.family, char, args.n, args.m, args.method, args.symbolic, fmt, _budget(args.budget), args.out)
 
     @property

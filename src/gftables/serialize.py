@@ -27,7 +27,7 @@ def canonical_matrix_obj(phi: CanonicalMatrix, method: str) -> dict:
         "space": space.to_obj(),
         "q": space.field.q,
         "field": space.field.to_obj(),
-        "twist": list(phi.char.twist.coeffs),
+        "twist": space.field.digits(phi.char.twist),
         "labels": [str(l) for l in phi.labels],
         "orbit_sizes": list(phi.orbit_sizes),
         "entries": [[e.to_obj() for e in row] for row in phi.entries],

@@ -5,7 +5,8 @@ action; what the rest of the package needs from the action is only the orbit
 invariant (weight, rank, even rank, or rank with a quadratic sign), the label
 set, canonical representatives, and closed-form orbit sizes where they exist.
 
-Elements are flat tuples of field elements, one per free coordinate:
+Elements are flat tuples of field element codes (gfq), one per free
+coordinate:
 
     vec  : the n vector entries
     mat  : all n*m entries, row major
@@ -22,7 +23,7 @@ import random
 from dataclasses import dataclass
 
 from .cyclotomic import POLY_Q, PolyQ
-from .gfq import FieldElem, FieldSpec, sgn
+from .gfq import FieldSpec, arith
 from .qseries import binomial, gauss_binom_poly
 
 
@@ -47,10 +48,7 @@ class OrbitLabel:
         return f"{self.r}{'+' if self.sign > 0 else '-'}"
 
     def __lt__(self, other: "OrbitLabel") -> bool:
-        def key(lbl: OrbitLabel):
-            return (lbl.r, 0 if lbl.sign in (None, 1) else 1)
-
-        return key(self) < key(other)
+        return (self.r, self.sign == -1) < (other.r, other.sign == -1)
 
     @classmethod
     def parse(cls, text: str) -> "OrbitLabel":
@@ -61,28 +59,28 @@ class OrbitLabel:
         return cls(int(text))
 
 
-Elem = tuple[FieldElem, ...]
-Matrix = list[list[FieldElem]]
+Elem = tuple[int, ...]
+Matrix = list[list[int]]
 
 
-def matrix_rank(rows: Matrix) -> int:
-    """Row rank over GF(q) by Gaussian elimination."""
+def matrix_rank(rows: Matrix, field: FieldSpec) -> int:
+    """Row rank over GF(q) by Gaussian elimination to row echelon form."""
     if not rows:
         return 0
+    F = arith(field)
+    mul, sub = F.mul, F.sub
     work = [list(r) for r in rows]
-    ncols = len(work[0])
     rank = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(rank, len(work)) if not work[i][col].is_zero()), None)
+    for col in range(len(work[0])):
+        pivot = next((i for i in range(rank, len(work)) if work[i][col]), None)
         if pivot is None:
             continue
         work[rank], work[pivot] = work[pivot], work[rank]
-        inv = work[rank][col].inverse()
-        work[rank] = [x * inv for x in work[rank]]
-        for i in range(len(work)):
-            if i != rank and not work[i][col].is_zero():
-                f = work[i][col]
-                work[i] = [x - f * y for x, y in zip(work[i], work[rank])]
+        top, inv = work[rank], F.inv(work[rank][col])
+        for i in range(rank + 1, len(work)):
+            if work[i][col]:
+                f = mul(work[i][col], inv)
+                work[i] = [sub(x, mul(f, y)) for x, y in zip(work[i], top)]
         rank += 1
         if rank == len(work):
             break
@@ -99,68 +97,58 @@ def symmetric_sign(rows: Matrix, field: FieldSpec) -> tuple[int, int]:
     of the product of the nonzero diagonal entries; the zero matrix gets
     +1 by the sgn(0) = +1 convention.
     """
+    F = arith(field)
+    mul, sub = F.mul, F.sub
     n = len(rows)
     m = [list(r) for r in rows]
     rank = 0
-    disc = field.one()
+    disc = 1
     for k in range(n):
-        pivot = next((j for j in range(k, n) if not m[j][j].is_zero()), None)
+        pivot = next((j for j in range(k, n) if m[j][j]), None)
         if pivot is None:
-            off = next(
-                ((i, j) for i in range(k, n) for j in range(i + 1, n) if not m[i][j].is_zero()),
-                None,
-            )
+            off = next(((i, j) for i in range(k, n) for j in range(i + 1, n) if m[i][j]), None)
             if off is None:
                 break  # trailing block is zero
             i, j = off
             for c in range(n):
-                m[i][c] = m[i][c] + m[j][c]
+                m[i][c] = F.add(m[i][c], m[j][c])
             for r in range(n):
-                m[r][i] = m[r][i] + m[r][j]
+                m[r][i] = F.add(m[r][i], m[r][j])
             pivot = i
         if pivot != k:
             m[k], m[pivot] = m[pivot], m[k]
             for r in range(n):
                 m[r][k], m[r][pivot] = m[r][pivot], m[r][k]
         d = m[k][k]
-        inv = d.inverse()
+        inv = F.inv(d)
         for i in range(k + 1, n):
-            f = m[i][k] * inv
-            if f.is_zero():
-                continue
-            for c in range(n):
-                m[i][c] = m[i][c] - f * m[k][c]
+            f = mul(m[i][k], inv)
+            if f:
+                m[i] = [sub(x, mul(f, y)) for x, y in zip(m[i], m[k])]
         for j in range(k + 1, n):
-            f = m[k][j] * inv
-            if f.is_zero():
-                continue
-            for r in range(n):
-                m[r][j] = m[r][j] - f * m[r][k]
-        disc = disc * d
+            f = mul(m[k][j], inv)
+            if f:
+                for r in range(n):
+                    m[r][j] = sub(m[r][j], mul(f, m[r][k]))
+        disc = mul(disc, d)
         rank += 1
-    return rank, sgn(disc)
+    return rank, F.sgn(disc)
 
 
-def _mat_mul(a: Matrix, b: Matrix, zero: FieldElem) -> Matrix:
-    out = [[zero for _ in range(len(b[0]))] for _ in range(len(a))]
+def _mat_mul(a: Matrix, b: Matrix, F) -> Matrix:
+    out = [[0] * len(b[0]) for _ in range(len(a))]
     for i in range(len(a)):
         for k in range(len(b)):
             aik = a[i][k]
-            if aik.is_zero():
-                continue
-            for j in range(len(b[0])):
-                out[i][j] = out[i][j] + aik * b[k][j]
+            if aik:
+                out[i] = [F.add(x, F.mul(aik, y)) for x, y in zip(out[i], b[k])]
     return out
-
-
-def _transpose(a: Matrix) -> Matrix:
-    return [list(col) for col in zip(*a)]
 
 
 def _random_invertible(field: FieldSpec, n: int, rng: random.Random) -> Matrix:
     while True:
-        m = [[field.element_at(rng.randrange(field.q)) for _ in range(n)] for _ in range(n)]
-        if matrix_rank(m) == n:
+        m = [[rng.randrange(field.q) for _ in range(n)] for _ in range(n)]
+        if matrix_rank(m, field) == n:
             return m
 
 
@@ -171,6 +159,7 @@ class Space:
 
     def __init__(self, field: FieldSpec):
         self.field = field
+        self.arith = arith(field)
 
     def _key(self):
         return (self.family, self.field, getattr(self, "n", None), getattr(self, "m", None))
@@ -196,29 +185,25 @@ class Space:
         return self.field.q**self.dim
 
     def zero(self) -> Elem:
-        return (self.field.zero(),) * self.dim
+        return (0,) * self.dim
 
     def add(self, a: Elem, b: Elem) -> Elem:
-        return tuple(x + y for x, y in zip(a, b))
+        return tuple(map(self.arith.add, a, b))
 
-    def pair(self, a: Elem, b: Elem) -> FieldElem:
+    def pair(self, a: Elem, b: Elem) -> int:
         """The bilinear form trace(a^T b), restricted to this space."""
         if len(a) != self.dim or len(b) != self.dim:
             raise ValueError("shape mismatch")
-        acc = self.field.zero()
+        F, acc = self.arith, 0
         for w, x, y in zip(self.pair_weights, a, b):
-            t = x * y
-            if w == 2:
-                t = t + t
-            acc = acc + t
+            t = F.mul(x, y)
+            acc = F.add(acc, F.add(t, t) if w == 2 else t)
         return acc
 
     def element_at(self, index: int) -> Elem:
-        out = []
-        for _ in range(self.dim):
-            out.append(self.field.element_at(index % self.field.q))
-            index //= self.field.q
-        return tuple(out)
+        """Element number `index` in base-q counting order, coordinate 0 fastest."""
+        q = self.field.q
+        return tuple(index // q**k % q for k in range(self.dim))
 
     def elements(self, budget: int | None = None):
         if budget is not None and self.size > budget:
@@ -255,10 +240,11 @@ class Space:
             raise ValueError(f"label {label} is not legal for {self.describe()}")
 
     def describe(self) -> str:
-        raise NotImplementedError
+        shape = f"n={self.n}" + (f", m={self.m}" if self.family == "mat" else "")
+        return f"{self.family}({shape}, q={self.field.q})"
 
     def to_obj(self) -> dict:
-        raise NotImplementedError
+        return {"family": self.family, "n": self.n, "q": self.field.q} | ({"m": self.m} if self.family == "mat" else {})
 
 
 class VecWreath(Space):
@@ -276,12 +262,11 @@ class VecWreath(Space):
         return tuple(OrbitLabel(r) for r in range(self.n + 1))
 
     def classify(self, elem):
-        return OrbitLabel(sum(1 for x in elem if not x.is_zero()))
+        return OrbitLabel(sum(1 for x in elem if x))
 
     def representative(self, label):
         self._check_label(label)
-        one, zero = self.field.one(), self.field.zero()
-        return tuple(one if i < label.r else zero for i in range(self.n))
+        return tuple(1 if i < label.r else 0 for i in range(self.n))
 
     def orbit_size_poly(self, label):
         self._check_label(label)
@@ -290,20 +275,10 @@ class VecWreath(Space):
     def random_mate(self, elem, rng):
         perm = list(range(self.n))
         rng.shuffle(perm)
-        out = [None] * self.n
-        for i in range(self.n):
-            c = self.field.element_at(rng.randrange(1, self.field.q))
-            out[i] = c * elem[perm[i]]
-        return tuple(out)
+        return tuple(self.arith.mul(rng.randrange(1, self.field.q), elem[perm[i]]) for i in range(self.n))
 
     def as_matrix(self, elem):
         return [list(elem)]
-
-    def describe(self):
-        return f"vec(n={self.n}, q={self.field.q})"
-
-    def to_obj(self):
-        return {"family": "vec", "n": self.n, "q": self.field.q}
 
 
 class _MatrixSpace(Space):
@@ -313,19 +288,29 @@ class _MatrixSpace(Space):
     ncols: int
 
     def as_matrix(self, elem) -> Matrix:
-        zero = self.field.zero()
-        m = [[zero for _ in range(self.ncols)] for _ in range(self.nrows)]
+        m = [[0] * self.ncols for _ in range(self.nrows)]
         for x, pos in zip(elem, self.coords):
             i, j = pos
             m[i][j] = x
             if self.family == "alt" and i != j:
-                m[j][i] = -x
+                m[j][i] = self.arith.neg(x)
             elif self.family in ("sym", "symscaled") and i != j:
                 m[j][i] = x
         return m
 
     def from_matrix(self, m: Matrix) -> Elem:
         return tuple(m[i][j] for i, j in self.coords)
+
+    def random_mate(self, elem, rng):
+        """g A h^T with g and h random invertible (h = g but for mat), then times a random unit for symscaled."""
+        F = self.arith
+        g = _random_invertible(self.field, self.nrows, rng)
+        h = _random_invertible(self.field, self.ncols, rng) if self.family == "mat" else g
+        out = _mat_mul(_mat_mul(g, self.as_matrix(elem), F), [list(col) for col in zip(*h)], F)
+        if self.family == "symscaled":
+            c = rng.randrange(1, self.field.q)
+            out = [[F.mul(c, x) for x in row] for row in out]
+        return self.from_matrix(out)
 
 
 class MatRect(_MatrixSpace):
@@ -346,12 +331,11 @@ class MatRect(_MatrixSpace):
         return tuple(OrbitLabel(r) for r in range(self.n + 1))
 
     def classify(self, elem):
-        return OrbitLabel(matrix_rank(self.as_matrix(elem)))
+        return OrbitLabel(matrix_rank(self.as_matrix(elem), self.field))
 
     def representative(self, label):
         self._check_label(label)
-        one, zero = self.field.one(), self.field.zero()
-        return tuple(one if (i == j and i < label.r) else zero for i, j in self.coords)
+        return tuple(1 if (i == j and i < label.r) else 0 for i, j in self.coords)
 
     def orbit_size_poly(self, label):
         self._check_label(label)
@@ -360,18 +344,6 @@ class MatRect(_MatrixSpace):
         for i in range(r):
             out = out * (1 - PolyQ.monomial(1, self.m - i))
         return out
-
-    def random_mate(self, elem, rng):
-        g = _random_invertible(self.field, self.n, rng)
-        h = _random_invertible(self.field, self.m, rng)
-        a = self.as_matrix(elem)
-        return self.from_matrix(_mat_mul(_mat_mul(g, a, self.field.zero()), _transpose(h), self.field.zero()))
-
-    def describe(self):
-        return f"mat(n={self.n}, m={self.m}, q={self.field.q})"
-
-    def to_obj(self):
-        return {"family": "mat", "n": self.n, "m": self.m, "q": self.field.q}
 
 
 class AltMat(_MatrixSpace):
@@ -392,16 +364,15 @@ class AltMat(_MatrixSpace):
         return tuple(OrbitLabel(r) for r in range(0, self.n + 1, 2))
 
     def classify(self, elem):
-        r = matrix_rank(self.as_matrix(elem))
+        r = matrix_rank(self.as_matrix(elem), self.field)
         if r % 2:
             raise AssertionError("alternating matrix with odd rank")
         return OrbitLabel(r)
 
     def representative(self, label):
         self._check_label(label)
-        one, zero = self.field.one(), self.field.zero()
         blocks = {(2 * i, 2 * i + 1) for i in range(label.r // 2)}
-        return tuple(one if pos in blocks else zero for pos in self.coords)
+        return tuple(1 if pos in blocks else 0 for pos in self.coords)
 
     def orbit_size_poly(self, label):
         self._check_label(label)
@@ -414,19 +385,10 @@ class AltMat(_MatrixSpace):
             den = den * (1 - PolyQ.monomial(1, 2 * i))
         return num.exact_div(den)
 
-    def random_mate(self, elem, rng):
-        g = _random_invertible(self.field, self.n, rng)
-        a = self.as_matrix(elem)
-        return self.from_matrix(_mat_mul(_mat_mul(g, a, self.field.zero()), _transpose(g), self.field.zero()))
-
-    def describe(self):
-        return f"alt(n={self.n}, q={self.field.q})"
-
-    def to_obj(self):
-        return {"family": "alt", "n": self.n, "q": self.field.q}
-
 
 class _SymBase(_MatrixSpace):
+    """The symmetric spaces; only the labels of odd ranks differ between the two."""
+
     def __init__(self, n: int, field: FieldSpec):
         if field.q % 2 == 0:
             raise ValueError("symmetric spaces require odd q")
@@ -436,27 +398,31 @@ class _SymBase(_MatrixSpace):
         self.coords = tuple((i, j) for i in range(n) for j in range(i, n))
         self.pair_weights = tuple(1 if i == j else 2 for i, j in self.coords)
 
+    def labels(self):
+        out = [OrbitLabel(0)]
+        for r in range(1, self.n + 1):
+            if r % 2 and self.family == "symscaled":
+                out.append(OrbitLabel(r))
+            else:
+                out += [OrbitLabel(r, 1), OrbitLabel(r, -1)]
+        return tuple(out)
+
     def rank_and_sign(self, elem) -> tuple[int, int]:
         return symmetric_sign(self.as_matrix(elem), self.field)
 
-    def _sign_representative(self, r: int, sign: int) -> Elem:
-        one, zero = self.field.one(), self.field.zero()
-        delta = self.field.delta()
-        vals = {}
-        for i in range(r):
-            vals[(i, i)] = one
-        if sign < 0:
-            vals[(r - 1, r - 1)] = delta
-        return tuple(vals.get(pos, zero) for pos in self.coords)
+    def classify(self, elem):
+        r, s = self.rank_and_sign(elem)
+        if r == 0:
+            return OrbitLabel(0)
+        return OrbitLabel(r) if r % 2 and self.family == "symscaled" else OrbitLabel(r, s)
 
-    def random_mate(self, elem, rng):
-        g = _random_invertible(self.field, self.n, rng)
-        a = self.as_matrix(elem)
-        out = _mat_mul(_mat_mul(g, a, self.field.zero()), _transpose(g), self.field.zero())
-        if self.family == "symscaled":
-            c = self.field.element_at(rng.randrange(1, self.field.q))
-            out = [[c * x for x in row] for row in out]
-        return self.from_matrix(out)
+    def representative(self, label):
+        """diag(1, ..., 1, 0, ...) of rank r, with delta for its last 1 when the sign is -1."""
+        self._check_label(label)
+        vals = {(i, i): 1 for i in range(label.r)}
+        if label.sign == -1:
+            vals[(label.r - 1, label.r - 1)] = self.field.delta()
+        return tuple(vals.get(pos, 0) for pos in self.coords)
 
 
 class SymGL(_SymBase):
@@ -464,75 +430,18 @@ class SymGL(_SymBase):
 
     family = "sym"
 
-    def labels(self):
-        out = [OrbitLabel(0)]
-        for r in range(1, self.n + 1):
-            out.append(OrbitLabel(r, 1))
-            out.append(OrbitLabel(r, -1))
-        return tuple(out)
-
-    def classify(self, elem):
-        r, s = self.rank_and_sign(elem)
-        return OrbitLabel(0) if r == 0 else OrbitLabel(r, s)
-
-    def representative(self, label):
-        self._check_label(label)
-        if label.r == 0:
-            return self.zero()
-        return self._sign_representative(label.r, label.sign)
-
-    def describe(self):
-        return f"sym(n={self.n}, q={self.field.q})"
-
-    def to_obj(self):
-        return {"family": "sym", "n": self.n, "q": self.field.q}
-
 
 class SymScaled(_SymBase):
     """Symmetric matrices under scaling and congruence; odd-rank signs merge."""
 
     family = "symscaled"
 
-    def labels(self):
-        out = [OrbitLabel(0)]
-        for r in range(1, self.n + 1):
-            if r % 2:
-                out.append(OrbitLabel(r))
-            else:
-                out.append(OrbitLabel(r, 1))
-                out.append(OrbitLabel(r, -1))
-        return tuple(out)
-
-    def classify(self, elem):
-        r, s = self.rank_and_sign(elem)
-        if r == 0:
-            return OrbitLabel(0)
-        return OrbitLabel(r) if r % 2 else OrbitLabel(r, s)
-
-    def representative(self, label):
-        self._check_label(label)
-        if label.r == 0:
-            return self.zero()
-        return self._sign_representative(label.r, label.sign if label.sign else 1)
-
-    def describe(self):
-        return f"symscaled(n={self.n}, q={self.field.q})"
-
-    def to_obj(self):
-        return {"family": "symscaled", "n": self.n, "q": self.field.q}
-
 
 def make_space(family: str, field: FieldSpec, n: int, m: int | None = None) -> Space:
-    if family == "vec":
-        return VecWreath(n, field)
     if family == "mat":
         if m is None:
             raise ValueError("mat spaces need both n and m")
         return MatRect(n, m, field)
-    if family == "alt":
-        return AltMat(n, field)
-    if family == "sym":
-        return SymGL(n, field)
-    if family == "symscaled":
-        return SymScaled(n, field)
-    raise ValueError(f"unknown family {family!r}")
+    if family not in ("vec", "alt", "sym", "symscaled"):
+        raise ValueError(f"unknown family {family!r}")
+    return {"vec": VecWreath, "alt": AltMat, "sym": SymGL, "symscaled": SymScaled}[family](n, field)

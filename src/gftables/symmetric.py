@@ -79,8 +79,8 @@ class PsiBlocks:
             "q": self.q,
             "epsilon": self.eps,
             "field": self.char.field.to_obj(),
-            "twist": list(self.char.twist.coeffs),
-            "delta": list(self.char.field.delta().coeffs),
+            "twist": self.char.field.digits(self.char.twist),
+            "delta": self.char.field.digits(self.char.field.delta()),
             "psi1": [[e.to_obj() for e in row] for row in self.psi1],
             "psi2": [[e.to_obj() for e in row] for row in self.psi2],
             "psi3": [[e.to_obj() for e in row] for row in self.psi3],
@@ -322,16 +322,14 @@ def _sym_rank_sign_values(char: CharSpec, n_upper: int, lower_n: int, e_corner: 
         make_space("sym" if e_corner == 1 else "symscaled", char.field, lower_n),
     )
     field = char.field
-    inv_delta = field.delta().inverse()
+    inv_delta = lower.arith.inv(field.delta())
     p = field.p
 
     def lower_rep(u: int, sign: int):
-        vals = {}
-        for i in range(u):
-            vals[(i, i)] = field.one()
+        vals = {(i, i): 1 for i in range(u)}
         if sign < 0 and u >= 1:
             vals[(u - 1, u - 1)] = inv_delta
-        return tuple(vals.get(pos, field.zero()) for pos in lower.coords)
+        return tuple(vals.get(pos, 0) for pos in lower.coords)
 
     reps = {}
     for u in range(lower_n + 1):

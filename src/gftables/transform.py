@@ -24,7 +24,7 @@ from math import gcd
 
 from . import bulk
 from .cyclotomic import CycInt
-from .gfq import CharSpec, default_char, trace
+from .gfq import CharSpec, default_char
 from .reporting import Report
 from .spaces import BudgetError, Elem, OrbitLabel, Space
 
@@ -35,24 +35,22 @@ DEFAULT_BUDGET = 10**7
 # histogram layer
 
 
-def _pair_coefvec(space: Space, char: CharSpec, rep: Elem) -> list:
-    """Per-coordinate field coefficients of a |-> twist * <rep|a>."""
-    c = char.twist
+def _pair_coefvec(space: Space, char: CharSpec, rep: Elem) -> list[int]:
+    """Per-coordinate coefficient codes of a |-> twist * <rep|a>."""
+    F = space.arith
     out = []
     for w, x in zip(space.pair_weights, rep):
-        v = c * x
-        if w == 2:
-            v = v + v
-        out.append(v)
+        v = F.mul(char.twist, x)
+        out.append(F.add(v, v) if w == 2 else v)
     return out
 
 
 def _counts_pure(space: Space, char: CharSpec, reps: list[Elem], budget: int):
-    """The element-by-element reference of the bulk histograms, on FieldElem arithmetic.
+    """The element-by-element reference of the bulk histograms, by classify and scalar arithmetic.
 
     No enumeration path calls it; the tests check orbit_counts against it.
     """
-    p = space.field.p
+    add, mul, trace, p = space.arith.add, space.arith.mul, space.arith.trace, space.field.p
     nlab = len(space.labels())
     index = {lbl: i for i, lbl in enumerate(space.labels())}
     coefs = [_pair_coefvec(space, char, rep) for rep in reps]
@@ -62,9 +60,9 @@ def _counts_pure(space: Space, char: CharSpec, reps: list[Elem], budget: int):
         li = index[space.classify(a)]
         sizes[li] += 1
         for r, coef in enumerate(coefs):
-            acc = space.field.zero()
+            acc = 0
             for cv, av in zip(coef, a):
-                acc = acc + cv * av
+                acc = add(acc, mul(cv, av))
             hists[r][li][trace(acc)] += 1
     return hists, sizes
 
@@ -72,8 +70,7 @@ def _counts_pure(space: Space, char: CharSpec, reps: list[Elem], budget: int):
 def _counts_bulk(space: Space, char: CharSpec, reps: list[Elem], budget: int):
     if space.size > budget:
         raise BudgetError(f"|A| = {space.size} exceeds the budget {budget}")
-    coefvecs = [[space.field.index_of(v) for v in _pair_coefvec(space, char, rep)] for rep in reps]
-    hists, sizes = bulk.orbit_counts(space, coefvecs)
+    hists, sizes = bulk.orbit_counts(space, [_pair_coefvec(space, char, rep) for rep in reps])
     return [h.tolist() for h in hists], sizes.tolist()
 
 
@@ -359,7 +356,7 @@ def multi_orthogonality_check(
         lhs = lhs + term
     if space.size > budget:
         raise BudgetError(f"|A| = {space.size} exceeds the budget {budget}")
-    F, index = bulk.arith(space.field), space.labels().index
+    F, index = space.arith, space.labels().index
     digits = bulk._digits(0, space.size, space.dim, space.field.q)
     label_of = bulk.row_labels(space, digits)
     orbits = [digits[label_of == index(lbl)] for lbl in parts]
@@ -370,7 +367,7 @@ def multi_orthogonality_check(
         raise BudgetError(f"{work} tuples exceed the budget {budget}")
     total = orbits[0]
     for orbit in orbits[1:]:
-        total = F.reduce(F.add(orbit[:, None, :], total[None, :, :])).reshape(-1, space.dim)
+        total = F.vreduce(F.vadd(orbit[:, None, :], total[None, :, :])).reshape(-1, space.dim)
     count = int((bulk.row_labels(space, total) == index(target)).sum())
     return lhs, count
 
@@ -397,10 +394,10 @@ class Diagram:
     e: Elem
 
     def lift(self, b: Elem) -> list[int]:
-        """The codes of the zero-padded upper element over b."""
+        """The zero-padded upper element over b."""
         out = [0] * self.upper.dim
         for k, pos in enumerate(self.embed):
-            out[pos] = self.lower.field.index_of(b[k])
+            out[pos] = b[k]
         return out
 
     @property
@@ -409,24 +406,19 @@ class Diagram:
 
     def fiber_counts(self, char: CharSpec, b: Elem, raw: bool = False):
         """Histogram of the fiber over b by (upper label, Tr(twist <e|a>)); raw: by label code."""
-        coef = [self.upper.field.index_of(c) for c in _pair_coefvec(self.upper, char, self.e)]
-        return bulk.coset_counts(self.upper, self.lift(b), self.fiber_positions, coef, raw)
+        return bulk.coset_counts(self.upper, self.lift(b), self.fiber_positions, _pair_coefvec(self.upper, char, self.e), raw)
 
     def zeta_nontrivial_on_kernel(self, char: CharSpec) -> bool:
         return bool(self.fiber_counts(char, self.lower.zero())[:, 1:].any())
 
-    def _lifted_labels(self, lower_codes):
-        """Upper label index of lift(b) + e for each row b of a (B, lower dim) code array."""
-        e = [self.upper.field.index_of(x) for x in self.e]
-        return bulk.placed_labels(self.upper, self.embed, e, lower_codes)
-
-    def _lower_codes(self, elems: list[Elem]) -> list[list[int]]:
-        return [[self.lower.field.index_of(x) for x in b] for b in elems]
+    def _lifted_labels(self, lower):
+        """Upper label index of lift(b) + e for each lower element b: the rows of a (B, lower dim) code array, or a list."""
+        return bulk.placed_labels(self.upper, self.embed, list(self.e), lower)
 
     def label_map(self) -> dict[OrbitLabel, OrbitLabel]:
         """The induced map on orbit labels, from the label of lift(rep) + e."""
         lows = self.lower.labels()
-        lifted = self._lifted_labels(self._lower_codes([self.lower.representative(lbl) for lbl in lows]))
+        lifted = self._lifted_labels([self.lower.representative(lbl) for lbl in lows])
         return {lbl: self.upper.labels()[i] for lbl, i in zip(lows, lifted.tolist())}
 
     def validate_label_map(self, seed: int = 0, mates: int = 50, exhaustive_below: int = 20000) -> bool:
@@ -437,14 +429,14 @@ class Diagram:
         mates of each representative either way.
         """
         reps = [self.lower.representative(lbl) for lbl in self.lower.labels()]
-        want = self._lifted_labels(self._lower_codes(reps))  # the label map, by lower label index
+        want = self._lifted_labels(reps)  # the label map, by lower label index
         if self.lower.size <= exhaustive_below:
             digits = bulk._digits(0, self.lower.size, self.lower.dim, self.lower.field.q)
             if (self._lifted_labels(digits) != want[bulk.row_labels(self.lower, digits)]).any():
                 return False
         rng = random.Random(seed)
         drawn = [self.lower.random_mate(rep, rng) for rep in reps for _ in range(mates)]
-        return bool((self._lifted_labels(self._lower_codes(drawn)) == want.repeat(mates)).all())
+        return bool((self._lifted_labels(drawn) == want.repeat(mates)).all())
 
 
 def standard_diagram(upper: Space, lower: Space) -> Diagram:
@@ -458,7 +450,6 @@ def standard_diagram(upper: Space, lower: Space) -> Diagram:
         raise ValueError("diagram endpoints must share family and field")
     upper_index = {pos: k for k, pos in enumerate(upper.coords)}
     embed = tuple(upper_index[pos] for pos in lower.coords)
-    one, zero = upper.field.one(), upper.field.zero()
     fam, n = upper.family, getattr(upper, "n")
     if fam == "vec":
         if lower.n != n - 1:
@@ -482,7 +473,7 @@ def standard_diagram(upper: Space, lower: Space) -> Diagram:
         e_pos = upper_index[(n - 2, n - 1)]
     else:
         raise ValueError(f"unknown family {fam!r}")
-    e = tuple(one if k == e_pos else zero for k in range(upper.dim))
+    e = tuple(1 if k == e_pos else 0 for k in range(upper.dim))
     return Diagram(upper, lower, embed, e)
 
 

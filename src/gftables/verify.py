@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cyclotomic import CycInt
-from .gfq import default_char, epsilon, gauss_sum, make_field, sgn
+from .gfq import arith, default_char, epsilon, gauss_sum, make_field
 from .pascal import (
     affine_orthogonality,
     closed_form_table,
@@ -49,7 +49,12 @@ SYM_GRID = [(n, None, q) for n in (1, 2, 3) for q in (3, 5)]
 
 @dataclass(frozen=True)
 class GridFilter:
-    """Optional narrowing of the default verification grids."""
+    """Optional narrowing of the default verification grids.
+
+    A check names the family, n, m and q it runs on, where it has them. A
+    filter on a parameter the check does not name lets it pass, except that a
+    check on a space without an m (every family but mat) fails a filter on m.
+    """
 
     qs: frozenset[int] | None = None
     family: str | None = None
@@ -63,7 +68,7 @@ class GridFilter:
             return False
         if self.n is not None and n is not None and n != self.n:
             return False
-        if self.m is not None and m is not None and m != self.m:
+        if self.m is not None and (m is not None or family is not None) and m != self.m:
             return False
         return True
 
@@ -83,15 +88,15 @@ def suite_gauss(budget: int = DEFAULT_BUDGET, flt: GridFilter = EVERYTHING) -> R
         if not flt.allows(q=q):
             continue
         f = field_for(q)
-        ch = default_char(f)
+        F, ch = arith(f), default_char(f)
         g = gauss_sum(ch)
         rep.add("gauss/square-is-eps-q", f"q={q}", g * g == epsilon(q) * q)
         rep.add("gauss/norm-is-q", f"q={q}", g * g.conjugate() == q)
         vec = [0] * f.p
-        for x in f.elements():
-            vec[(-ch.exponent(x * x)) % f.p] += 1
+        for x in range(f.q):
+            vec[(-ch.exponent(F.mul(x, x))) % f.p] += 1
         rep.add("gauss/square-sum", f"q={q}", CycInt.reduce(f.p, vec) == g)
-        rep.add("gauss/eps-is-sign-of-minus-one", f"q={q}", epsilon(q) == sgn(-f.one()))
+        rep.add("gauss/eps-is-sign-of-minus-one", f"q={q}", epsilon(q) == F.sgn(F.neg(1)))
     return rep
 
 
@@ -135,7 +140,7 @@ def suite_multi(budget: int = DEFAULT_BUDGET, flt: GridFilter = EVERYTHING) -> R
         ("mat", make_space("mat", f3, 2, 2), [((1,), 1), ((2,), 2), ((1,), 2), ((1, 1), 2), ((1, 1), 1)]),
     ]
     for family, space, pairs in cases:
-        if not flt.allows(family=family, n=space.n, q=3):
+        if not flt.allows(family=family, n=space.n, m=getattr(space, "m", None), q=3):
             continue
         phi = brute_force_phi(space, None, budget)
         for parts, target in pairs:
@@ -196,9 +201,9 @@ def suite_diagrams(budget: int = DEFAULT_BUDGET, flt: GridFilter = EVERYTHING) -
         ("symscaled", [(3, None), (1, None)]),
     ]
     for family, sizes in chains:
-        if not flt.allows(family=family):
-            continue
         for (nu, mu_), (nl, ml) in zip(sizes, sizes[1:]):
+            if not flt.allows(family=family, n=nu, m=mu_, q=3):  # a diagram check names its upper space
+                continue
             upper = make_space(family, f3, nu, mu_)
             lower = make_space(family, f3, nl, ml)
             d = standard_diagram(upper, lower)
@@ -212,8 +217,9 @@ def suite_diagrams(budget: int = DEFAULT_BUDGET, flt: GridFilter = EVERYTHING) -
                     for j in range(len(upper.labels()))
                 )
                 rep.add("diagram/push-matrix-pattern", f"{family} {nu}->{nl} q=3", ok)
-    rep.extend(sym_diagram_matrices(3, default_char(f3), 1))
-    rep.extend(sym_diagram_matrices(3, default_char(f3), 2))
+    if flt.allows(family="sym", n=3, q=3):
+        for which in (1, 2):
+            rep.extend(sym_diagram_matrices(3, default_char(f3), which))
     return rep
 
 

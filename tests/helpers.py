@@ -1,12 +1,14 @@
 """Shared test helpers."""
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from gftables import bulk
-from gftables.cyclotomic import CycInt
+from gftables.cyclotomic import CycInt, square_and_multiply
+from gftables.gfq import FieldSpec
 from gftables.pascal import PascalParams
 
 F = Fraction
@@ -40,16 +42,96 @@ def draw_params(rng: random.Random, case: int, n_max: int = 4) -> PascalParams:
         return PascalParams(a, b, c, d, t, sigma, n_max)
 
 
+@dataclass(frozen=True)
+class FieldElem:
+    """An element of GF(p^e) as its coefficients over F_p, lowest first, with polynomial arithmetic modulo the field's modulus.
+
+    The independent reference of the library's arithmetic on codes: it reads no table and no code but its own.
+    """
+
+    field: FieldSpec
+    coeffs: tuple[int, ...]
+
+    @classmethod
+    def of(cls, field: FieldSpec, code: int) -> "FieldElem":
+        """Element number `code` in base-p counting order."""
+        coeffs = []
+        for _ in range(field.e):
+            coeffs.append(code % field.p)
+            code //= field.p
+        return cls(field, tuple(coeffs))
+
+    @property
+    def code(self) -> int:
+        idx = 0
+        for c in reversed(self.coeffs):
+            idx = idx * self.field.p + c
+        return idx
+
+    def is_zero(self) -> bool:
+        return not any(self.coeffs)
+
+    def __add__(self, other):
+        return FieldElem(self.field, tuple((a + b) % self.field.p for a, b in zip(self.coeffs, other.coeffs)))
+
+    def __sub__(self, other):
+        return FieldElem(self.field, tuple((a - b) % self.field.p for a, b in zip(self.coeffs, other.coeffs)))
+
+    def __neg__(self):
+        return FieldElem(self.field, tuple(-a % self.field.p for a in self.coeffs))
+
+    def __mul__(self, other):
+        f = self.field
+        prod = [0] * (2 * f.e - 1)
+        for i, a in enumerate(self.coeffs):
+            for j, b in enumerate(other.coeffs):
+                prod[i + j] += a * b
+        for i in range(len(prod) - 1, f.e - 1, -1):  # x^e = -(modulus below x^e), from the top down
+            c, prod[i] = prod[i], 0
+            for j in range(f.e):
+                prod[i - f.e + j] -= c * f.modulus[j]
+        return FieldElem(f, tuple(c % f.p for c in prod[: f.e]))
+
+    def __pow__(self, n: int):
+        return square_and_multiply(self, n, FieldElem.of(self.field, 1))
+
+    def inverse(self):
+        if self.is_zero():
+            raise ZeroDivisionError("inverse of zero")
+        return self ** (self.field.q - 2)
+
+    def trace(self) -> int:
+        """Tr(x) = sum of x^(p^i), an element of F_p returned as an int."""
+        acc, frob = self, self
+        for _ in range(self.field.e - 1):
+            frob = frob**self.field.p
+            acc = acc + frob
+        assert not any(acc.coeffs[1:]), "trace left the prime field"
+        return acc.coeffs[0]
+
+    def sgn(self) -> int:
+        """The quadratic character, with sgn(0) = +1."""
+        return 1 if self.is_zero() or self ** ((self.field.q - 1) // 2) == FieldElem.of(self.field, 1) else -1
+
+
+def power(F, x: int, n: int) -> int:
+    """x^n by n scalar products of the arithmetic F."""
+    out = 1
+    for _ in range(n):
+        out = F.mul(out, x)
+    return out
+
+
 def fiber_elements(d, b):
     """Every upper element of the diagram d over b, in counting order on the fiber positions."""
     field = d.upper.field
-    base = [field.zero()] * d.upper.dim
+    base = [0] * d.upper.dim
     for k, pos in enumerate(d.embed):
         base[pos] = b[k]
     for idx in range(field.q ** len(d.fiber_positions)):
         a, rest = base[:], idx
         for pos in d.fiber_positions:
-            a[pos] = field.element_at(rest % field.q)
+            a[pos] = rest % field.q
             rest //= field.q
         yield tuple(a)
 

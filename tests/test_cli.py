@@ -158,6 +158,17 @@ class TestVerify:
         code, out, err = run(capsys, "verify", "orthogonality", flag, value)
         assert code == 2 and out == "" and err == "error: the filter selects no check\n"
 
+    @pytest.mark.parametrize("argv", [("diagrams", "--n", "99"), ("diagrams", "--q", "5"), ("multi", "--m", "-3")])
+    def test_diagrams_and_multi_read_the_filter(self, capsys, argv):
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 2 and out == "" and err == "error: the filter selects no check\n"
+
+    def test_diagrams_and_multi_narrowed(self, capsys):
+        code, out, _ = run(capsys, "verify", "diagrams", "--family", "vec", "--n", "2")
+        assert code == 0 and "vec 2->1" in out and "vec 3->2" not in out and "sym" not in out
+        code, out, _ = run(capsys, "verify", "multi", "--m", "2")
+        assert code == 0 and "mat q=3" in out and "vec" not in out
+
     def test_limits_with_filter(self, capsys):
         code, out, _ = run(capsys, "verify", "limits", "--family", "vec", "--n", "3")
         assert code == 0

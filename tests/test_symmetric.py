@@ -180,5 +180,5 @@ class TestTwistDependence:
         # a square twist relabels within the same sign classes
         f = make_field(5)
         base = brute_force_phi(make_space("sym", f, 2), default_char(f))
-        sq = brute_force_phi(make_space("sym", f, 2), CharSpec(f, f.from_int(4)))
+        sq = brute_force_phi(make_space("sym", f, 2), CharSpec(f, 4))
         assert sq.entries == base.entries
