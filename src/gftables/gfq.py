@@ -214,9 +214,11 @@ class Arith:
 
     def trace(self, a):
         """Tr(a) = a + a^p + ... + a^(p^(e-1)), a code below p."""
+        if not a:
+            return 0
         log, exp = self._lists
         t = 0
-        for w in self._weights if a else ():  # a^(p^i) = g^(p^i log a)
+        for w in self._weights:  # a^(p^i) = g^(p^i log a)
             t = self.add(t, exp[log[a] * w % (self.q - 1)])
         return t
 
