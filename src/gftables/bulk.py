@@ -14,11 +14,11 @@ object, gfq.arith(field): vadd, vsub, vneg, vmul and vreduce (delayed
 reduction over F_p, log and antilog tables for e > 1), and the tables
 inv_table, sgn_table and trace_table.
 
-One walker, _walk, serves orbit_counts and the memoized (n-1) tables of _codes.
-It takes a space in chunks of q^k consecutive elements, k the largest exponent
-with q^k <= CHUNK, capped at dim and at least 1 when dim >= 1. The low k digits
-run through all of GF(q)^k in every chunk and the dim - k high digits are fixed
-in a chunk, so each labeller is split in two:
+One walker, _chunks, serves orbit_counts and, through _walk, the memoized
+(n-1) tables of _codes. It takes a space in chunks of q^k consecutive elements,
+k the largest exponent with q^k <= CHUNK, capped at dim and at least 1 when
+dim >= 1. The low k digits run through all of GF(q)^k in every chunk and the
+dim - k high digits are fixed in a chunk, so each labeller is split in two:
 - a per-call part (the *_split functions) runs once on the low digits: the
   row-0 step below and every (n-1) coordinate that reads only low digits. It
   keeps read-only int32/int8 state;
@@ -64,6 +64,24 @@ label is read from the table of the (n-1) space at that index.
   c = -1 when a_jj = -2 b_j. Row j = 0 of T has only low digits, so it is
   tried first. The code is 2 rank + (sign < 0).
 
+A split returns per-call labels, the rows that vary and a tail that labels only
+those. Every other row has its per-call label plus the chunk's shift in every
+chunk, so orbit_counts folds it once per call into one (label, key) histogram
+per group, which each chunk adds moved up the label axis by its shift.
+_scatter makes one int8 array of a chunk for _walk (and so _codes), row_labels
+and the batch_* wrappers. Only the Pfaffian split reports such rows, by
+comparisons of its per-call codes; the row-0 steps report every row as
+varying. A Pfaffian whose terms with a high digit all have a low factor x_i is
+affine in the high digits, so it is constant iff every x_i is 0, that is iff
+its code is below q, and then it equals P; a term with two high digits makes
+it vary. The Pfaffian bit of a
+row is fixed if a Pfaffian with no high term or a constant one is nonzero (it
+is 1), or if every Pfaffian with a high term is constant (it is the per-call
+bit). min(count, 1) is 1 in every chunk once a low digit is nonzero, so for alt
+the shift is 0. vec (no Pfaffians, cap = dim) never reaches its cap: every row
+has the low count of nonzero coordinates plus the chunk's count of nonzero high
+digits, which is the shift.
+
 row_labels runs a split at k = dim on a given code array: every digit is low,
 so there is no chunk and no repair set. coset_counts labels an affine coset,
 a fixed code vector plus the span of some coordinates, that way and folds it
@@ -102,26 +120,55 @@ def _low_width(dim: int, q: int) -> int:
     return max(min(dim, 1), next((k for k in range(dim, 0, -1) if q**k <= CHUNK), 0))
 
 
-def _walk(split, dim: int, *args):
-    """Labels of the dim-digit space over the field of args[-1], by chunks; split(digits, k, *args) runs once."""
+def _chunks(split, dim: int, *args):
+    """(per-call labels, varying rows, an iterator of (labels of the varying rows, shift) per chunk).
+
+    The space has dim digits over the field of args[-1]. split(digits, k, *args)
+    runs once; a row that does not vary has its per-call label plus the chunk's
+    shift in every chunk (module docstring).
+    """
     q = args[-1].q
     if dim == 0:  # one element, the zero matrix, with label 0 in every family
-        yield np.zeros(1, dtype=np.int8)
-        return
+        return _frozen(np.zeros(1, dtype=np.int8)), _frozen(np.zeros(1, dtype=bool)), iter([(np.zeros(0, dtype=np.int8), 0)])
     k = _low_width(dim, q)
     buf = np.zeros((dim, q**k), dtype=np.int32)  # one digit row per coordinate; high rows zero until a chunk sets them
     buf[:k] = _digits(0, q**k, k, q).T  # low digits: all of GF(q)^k, the same in every chunk
     digits = buf.T
     digits.flags.writeable = False  # the kernels must not write into rows later chunks reuse
-    tail = split(digits, k, *args)
-    for chunk in range(q ** (dim - k)):
-        buf[k:] = np.array([chunk // q**i % q for i in range(dim - k)], dtype=np.int32)[:, None]
-        yield _label_indices(tail, digits)
+    labels, varies, tail = split(digits, k, *args)
+
+    def chunks():
+        for chunk in range(q ** (dim - k)):
+            buf[k:] = np.array([chunk // q**i % q for i in range(dim - k)], dtype=np.int32)[:, None]
+            yield _label_indices(tail, digits)
+
+    return labels, varies, chunks()
 
 
-def _label_indices(tail, digits: np.ndarray) -> np.ndarray:
-    """The labels of one chunk, by the per-chunk tail that a split returned; the high digits are digits[0, k:]."""
+def _scatter(labels: np.ndarray, varies: np.ndarray, chunk) -> np.ndarray:
+    """The int8 labels of every row of a chunk: the per-call labels plus its shift, and the tail's at the varying rows."""
+    lab, shift = chunk
+    out = labels + shift
+    out[varies] = lab
+    return out
+
+
+def _walk(split, dim: int, *args):
+    """The labels of the dim-digit space over the field of args[-1], one int8 array per chunk (_chunks)."""
+    labels, varies, chunks = _chunks(split, dim, *args)
+    for chunk in chunks:
+        yield _scatter(labels, varies, chunk)
+
+
+def _label_indices(tail, digits: np.ndarray):
+    """(labels of the varying rows, shift) of one chunk, by the tail that a split returned; the high digits are digits[0, k:]."""
     return tail(digits)
+
+
+def _labels(split, digits: np.ndarray, *args) -> np.ndarray:
+    """The labels of every row of digits by one pass of split at k = dim: every digit is low, so the rows are one chunk."""
+    labels, varies, tail = split(digits, digits.shape[1], *args)
+    return _scatter(labels, varies, tail(digits))
 
 
 @lru_cache(maxsize=None)
@@ -131,7 +178,7 @@ def _codes(split, dim: int, *args) -> np.ndarray:
 
 
 def _gather(digits, k: int, F: Arith, entries, tables, cls, repair, full):
-    """The per-chunk tail of a row-0 step (module docstring).
+    """The split of a row-0 step (module docstring): every row varies, and the tail labels them all.
 
     A row's label is tables[cls][index of its (n-1) coordinates], the i-th of which is
     digit c - P for (c, P) = entries[i]; full labels the rows in repair in every chunk.
@@ -152,9 +199,9 @@ def _gather(digits, k: int, F: Arith, entries, tables, cls, repair, full):
         labels = np.take(table, idx + np.take(lut, P))  # take: faster than [] on narrow indices
         if repair.size:
             labels[repair] = full(digits.T[:, repair].T)  # columns stay contiguous
-        return labels
+        return labels, 0
 
-    return tail
+    return np.broadcast_to(np.int8(0), idx.shape), np.broadcast_to(True, idx.shape), tail  # read-only, no memory
 
 
 def _positions(n: int, diagonal: bool) -> np.ndarray:
@@ -180,7 +227,7 @@ def _mat_split(digits, k: int, n: int, m: int, F: Arith):
 
 def batch_rank(digits: np.ndarray, n: int, m: int, F: Arith) -> np.ndarray:
     """Ranks of n x m matrices from their row-major digits (module docstring)."""
-    return _mat_split(digits, n * m, n, m, F)(digits)
+    return _labels(_mat_split, digits, n, m, F)
 
 
 def _sym_split(digits, k: int, n: int, F: Arith):
@@ -209,7 +256,7 @@ def batch_sym_rank_sign(digits: np.ndarray, n: int, F: Arith) -> np.ndarray:
     digits holds the upper-triangular row-major coordinates, so row 0 is the
     first n columns and the trailing block T is in the (n-1) counting order.
     """
-    return _sym_split(digits, digits.shape[1], n, F)(digits)
+    return _labels(_sym_split, digits, n, F)
 
 
 def _sym_pivot(b: np.ndarray, T: np.ndarray, pos: np.ndarray, j: np.ndarray, F: Arith) -> tuple[np.ndarray, np.ndarray]:
@@ -239,13 +286,14 @@ def _build_matrices(digits: np.ndarray, j: np.ndarray, n: int, F: Arith) -> np.n
 
 
 def _pfaffian_split(digits, k: int, n: int, cap: int, F: Arith):
-    """The per-chunk tail of min(nonzero coordinates, cap) + [a principal Pfaffian is nonzero].
+    """The split of min(nonzero coordinates, cap) + [a principal Pfaffian is nonzero].
 
     These are the half-ranks of skew n x n matrices for n <= 5 and cap = 1 (module
-    docstring), and the vec labels for n = 0 and cap = dim.
+    docstring), and the vec labels for n = 0 and cap = dim. A row varies unless its
+    label is its per-call label plus the chunk's shift in every chunk (module docstring).
     """
     pos = {pair: c for c, pair in enumerate(itertools.combinations(range(n), 2))}
-    rank4, high = np.zeros(len(digits), dtype=bool), []
+    rank4, fixed, high = np.zeros(len(digits), dtype=bool), np.ones(len(digits), dtype=bool), []
     for i, j, kk, l in itertools.combinations(range(n), 4):
         # over F_p a sum stays int32: |pf| < 3 (p-1)^2 < 2^31 for p < 26755; a larger p has |A| >= p^6 > 10^26
         pf, terms = np.zeros(len(digits), dtype=np.int32), []
@@ -257,13 +305,24 @@ def _pfaffian_split(digits, k: int, n: int, cap: int, F: Arith):
                 terms.append((sign, c, d))
         low = [c for _, c, _ in terms if c < k]  # code = P + sum q^(i+1) x_i over the low factors x_i
         code = F.vreduce(pf) + sum(F.q ** (i + 1) * digits[:, c] for i, c in enumerate(low))
-        if terms:
-            high.append((_frozen(code.astype(np.int8 if F.q ** (1 + len(low)) <= 128 else np.int32)), terms))
-        else:
+        if not terms:
             rank4 |= code != 0
-    nonzero, rank4 = _frozen((digits[:, :k] != 0).sum(axis=1, dtype=np.int8)), _frozen(rank4)
+            continue
+        if len(low) < len(terms):  # a term with two high digits: the Pfaffian is never constant
+            fixed[:] = False
+        else:  # affine in the high digits: constant, and equal to P, iff every low factor is 0
+            const = code < F.q
+            fixed &= const
+            rank4 |= const & (code != 0)
+        high.append((code.astype(np.int8 if F.q ** (1 + len(low)) <= 128 else np.int32), terms))
+    nonzero = (digits[:, :k] != 0).sum(axis=1, dtype=np.int8)
+    grows = cap >= digits.shape[1]  # the count never reaches cap: it grows by the chunk's nonzero high digits
+    varies = ~((rank4 | fixed) & (grows | (nonzero >= cap)))
+    labels = np.minimum(nonzero, cap) + rank4
+    nonzero, rank4 = _frozen(nonzero[varies]), _frozen(rank4[varies])
+    high = [(_frozen(code[varies]), terms) for code, terms in high]
 
-    def tail(digits: np.ndarray) -> np.ndarray:
+    def tail(digits: np.ndarray) -> tuple[np.ndarray, int]:
         r4 = rank4
         for code, terms in high:  # pf at every code, one base-q digit per low factor
             pf = np.arange(F.q, dtype=np.int32)
@@ -271,14 +330,15 @@ def _pfaffian_split(digits, k: int, n: int, cap: int, F: Arith):
                 x = np.arange(F.q, dtype=np.int32)[:, None] if c < k else digits[0, c]
                 pf = (F.vadd if sign > 0 else F.vsub)(pf, F.vmul(x, digits[0, d])).ravel()
             r4 = r4 | np.take(F.vreduce(pf) != 0, code)
-        return np.minimum(nonzero + int(np.count_nonzero(digits[0, k:])), cap) + r4  # int: an np.int64 would widen the int8 labels
+        shift = int(np.count_nonzero(digits[0, k:]))  # int: an np.int64 would widen the int8 labels
+        return np.minimum(nonzero + shift, cap) + r4, shift if grows else 0
 
-    return tail
+    return _frozen(labels), _frozen(varies), tail
 
 
 def _alt_labels_pfaffian(digits: np.ndarray, n: int, F: Arith) -> np.ndarray:
     """Half-rank of skew matrices with n <= 5 from principal Pfaffians (_pfaffian_split)."""
-    return _pfaffian_split(digits, digits.shape[1], n, 1, F)(digits)
+    return _labels(_pfaffian_split, digits, n, 1, F)
 
 
 def _step_split(digits, k: int, n: int, F: Arith):
@@ -298,7 +358,7 @@ def _step_split(digits, k: int, n: int, F: Arith):
 
 def _alt_step(digits: np.ndarray, n: int, F: Arith) -> np.ndarray:
     """Half-ranks of skew n x n matrices by one hyperbolic-plane step (module docstring)."""
-    return _step_split(digits, digits.shape[1], n, F)(digits)
+    return _labels(_step_split, digits, n, F)
 
 
 def _alt_split(digits, k: int, n: int, F: Arith):
@@ -332,7 +392,8 @@ def row_labels(space: Space, digits: np.ndarray, raw: bool = False) -> np.ndarra
     digits.flags.writeable = False  # as in _walk: the kernels only read
     if not (space.dim and len(digits)):  # the zero space has label 0; the tails read row 0
         return np.zeros(len(digits), dtype=np.intp)
-    codes = _label_indices(split(digits, space.dim, *args), digits)
+    labels, varies, tail = split(digits, space.dim, *args)
+    codes = _scatter(labels, varies, _label_indices(tail, digits))
     return codes if raw else lut[codes]
 
 
@@ -422,13 +483,19 @@ def orbit_counts(space: Space, coefvecs: list[list[int]]) -> tuple[list[np.ndarr
     t_hi = [_outer_sum(tab[k:], p).tolist() for tab in tabs]  # t over the high digits, one value per chunk
     low = [[int(tab[w]) for tab in tb[:k] for w in F._weights] for tb in tabs]  # Tr(c_k w_i) at low digit (k, i)
     groups = [_fold_keys(tabs, k, p, *group) for group in _fold_groups(low, nbins, p)]
+    labels, varies, chunks = _chunks(split, dim, *args)
+    fixed = ~varies
+    for g, (nkeys, key, folds) in enumerate(groups):  # the rows that do not vary, folded once: (label, key) counts
+        key = np.broadcast_to(key, varies.shape)  # one key for all when the basis is empty
+        h = np.bincount(labels[fixed].astype(np.intp) * nkeys + key[fixed], minlength=nbins * nkeys)
+        groups[g] = nkeys, _frozen(key[varies]), _frozen(h.reshape(nbins, nkeys)), folds
     hists = [np.zeros((nbins, p), dtype=np.int64) for _ in coefvecs]
-    for chunk, labels in enumerate(_walk(split, dim, *args)):
-        if chunk == 0:  # after the split, whose own peak it would otherwise raise
-            buf = np.empty(len(labels), dtype=np.intp)
-        for nkeys, key, folds in groups:
-            np.multiply(labels, nkeys, out=buf, dtype=np.intp)  # in intp: int8 labels times nkeys would wrap
+    buf = np.empty(np.count_nonzero(varies), dtype=np.intp)  # after the split, whose own peak it would otherwise raise
+    for chunk, (lab, shift) in enumerate(chunks):
+        for nkeys, key, fixed_h, folds in groups:
+            np.multiply(lab, nkeys, out=buf, dtype=np.intp)  # in intp: int8 labels times nkeys would wrap
             h = np.bincount(np.add(buf, key, out=buf), minlength=nbins * nkeys).reshape(nbins, nkeys)
+            h[shift:] += fixed_h[: nbins - shift]  # their labels move up by the chunk's shift
             for r, order, nvals in folds:
                 hists[r][:, (np.arange(nvals) + t_hi[r][chunk]) % p] += h[:, order].reshape(nbins, nvals, -1).sum(axis=2)
     to_label = (np.arange(len(space.labels()))[:, None] == lut).astype(np.int64)  # sums the codes of each label

@@ -145,8 +145,11 @@ def _build_compute_output(req: ComputeRequest) -> tuple[str, bool]:
 def cmd_compute(req: ComputeRequest) -> int:
     payload, ok = _build_compute_output(req)
     if req.out:
-        with open(req.out, "w", newline="\n") as fh:
-            fh.write(payload)
+        try:
+            with open(req.out, "w", newline="\n") as fh:
+                fh.write(payload)
+        except OSError as exc:  # a missing directory, a directory, no permission
+            raise ValueError(f"cannot write {req.out}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(payload)
     if not ok:

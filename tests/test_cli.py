@@ -130,6 +130,14 @@ class TestExport:
     def test_requires_out(self, capsys):
         assert run(capsys, "export", "--family", "vec", "--q", "3", "--n", "1")[0] == 2
 
+    @pytest.mark.parametrize("where,reason", [("missing/x.json", "No such file or directory"), (".", "Is a directory")])
+    @pytest.mark.parametrize("command", ["compute", "export"])
+    def test_unwritable_out_exits_2(self, tmp_path, capsys, command, where, reason):
+        path = tmp_path / where  # a file in a missing directory, or the directory itself
+        code, out, err = run(capsys, command, "--family", "vec", "--q", "3", "--n", "2", "--out", str(path))
+        assert (code, out, err) == (2, "", f"error: cannot write {path}: {reason}\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_duplicate_format_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run(capsys, "export", "--family", "vec", "--q", "3", "--n", "1", "--format", "csv", "--format", "json", "--out", "/tmp/x")

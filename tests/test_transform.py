@@ -512,6 +512,8 @@ def _chunk_params():
     for fam, n, m, q, dim in [("sym", 4, None, 3, 10), ("mat", 3, 3, 3, 9), ("alt", 5, None, 3, 10), ("sym", 3, None, 9, 6)]:
         for chunk in (q * q, 729, q**dim):
             yield pytest.param(fam, n, m, q, chunk, id=f"{fam}-{n}-{m}-q{q}-{chunk}")
+    # alt n=5 q=5 in one chunk against the default CHUNK, where its rows that do not vary are folded once per call
+    yield pytest.param("alt", 5, None, 5, 5**10, id="alt-5-None-q5-one-chunk")
 
 
 def _tail_state(tail):
@@ -555,10 +557,41 @@ def test_kernels_get_read_only_digits(monkeypatch):
     for fam, n, m in [("vec", 4, None), ("mat", 2, 2), ("alt", 4, None), ("sym", 3, None)]:
         sp = make_space(fam, F5, n, m)
         bulk.orbit_counts(sp, [[1] * sp.dim])
+        split, args, _ = bulk._labeller(sp)
+        state.extend(a.flags.writeable for a in bulk._chunks(split, sp.dim, *args)[:2])  # per-call labels, varying rows
     monkeypatch.setattr(bulk, "CHUNK", 125)  # the hyperbolic step (alt n >= 6) on alt n = 4, in chunks
     assert np.concatenate(list(bulk._walk(bulk._step_split, 6, 4, bulk.arith(F5)))).tolist() == bulk._codes(bulk._alt_split, 6, 4, bulk.arith(F5)).tolist()
     assert writeable and not any(writeable)
     assert state and not any(state)  # the per-call state the tails read is read-only too
+
+
+# the low/high boundary at k digits; alt n=4 has the terms (0, 5), (1, 4), (2, 3) and alt n=5 the term (6, 7) of
+# the Pfaffian on {1, 2, 3, 4} by digit position: k = 2 (n=4) and k = 6 (n=5) put both factors of a term high
+@pytest.mark.parametrize(
+    "fam,n,q,chunk",
+    [("alt", 4, 3, 9), ("alt", 4, 3, 27), ("alt", 4, 3, 81), ("alt", 4, 5, 25), ("alt", 4, 5, 125), ("alt", 4, 9, 729), ("alt", 4, 9, 6561)]
+    + [("alt", 5, 3, 729), ("alt", 5, 3, 2187), ("alt", 5, 3, 6561), ("alt", 5, 5, 5**6), ("alt", 5, 5, None)]
+    + [("vec", 4, 5, 25), ("vec", 3, 9, 81), ("vec", 9, 5, None)],
+)
+def test_rows_that_do_not_vary(monkeypatch, fam, n, q, chunk):
+    """Each chunk's labels against the whole kernel on its digits; a row that does not vary keeps its per-call label plus the shift."""
+    if chunk is not None:
+        monkeypatch.setattr(bulk, "CHUNK", chunk)
+    sp = make_space(fam, field(q), n)
+    split, args, _ = bulk._labeller(sp)
+    F, k = bulk.arith(sp.field), bulk._low_width(sp.dim, q)
+    labels, varies, chunks = bulk._chunks(split, sp.dim, *args)
+    for c, ((lab, shift), got) in enumerate(zip(chunks, bulk._walk(split, sp.dim, *args), strict=True)):
+        digits = bulk._digits(c * q**k, (c + 1) * q**k, sp.dim, q)
+        want = bulk._alt_labels_pfaffian(digits, n, F) if fam == "alt" else np.count_nonzero(digits, axis=1)
+        assert np.array_equal(got, want)
+        assert shift == (np.count_nonzero(digits[0, k:]) if fam == "vec" else 0)  # vec: the chunk's nonzero high digits
+        assert np.array_equal(want[~varies], labels[~varies] + shift) and np.array_equal(want[varies], lab)
+    assert c == q ** (sp.dim - k) - 1
+    if fam == "vec":
+        assert not varies.any()
+    if (fam, n, q, chunk) == ("alt", 5, 5, None):  # the default CHUNK leaves most rows of alt n=5 q=5 to the per-call fold
+        assert 0 < varies.sum() < len(varies) / 4
 
 
 @pytest.mark.parametrize("fam,n,m,q", [("vec", 4, None, 5), ("mat", 2, 3, 5), ("alt", 5, None, 3), ("alt", 6, None, 3), ("sym", 3, None, 5), ("symscaled", 3, None, 5), ("vec", 0, None, 5)])
