@@ -13,6 +13,10 @@ the argv, the sha256 of stdout and of stderr, and the exit code. The grid:
   sym at q = 9) and in `csv` (not sym), and `--symbolic` in both formats for
   vec, mat and alt, at q = 5 with twist 1 and at q = 9 with twist 3; these
   records also hold the sha256 of the `--out` file;
+- `compute --method closed` for every family at each size past the brute
+  budget up to n = 8 (mat: n <= 5 and m <= n + 2), over q in
+  {3, 5, 9, 25, 27} with twists 1 and 2, and the closed sign blocks of sym
+  at q = 3, n = 20;
 - `verify all`, each `verify` suite alone, and `verify --jobs 2 all`;
 - the bad-input grid (family x q in {2, 3, 4, 9} x n in {-1, 0, 2} x m in
   {none, -1, 3} x method x json/csv x twist in {1, 0} x symbolic, at
@@ -67,6 +71,11 @@ def capture(argv: list[str]) -> dict:
     return rec if written is None else rec | {"out_sha256": sha(written)}
 
 
+def _dim(family: str, n: int, m: int | None = None) -> int:
+    """The dimension of the space the family acts on."""
+    return {"vec": n, "mat": n * (m or 0), "alt": n * (n - 1) // 2}.get(family, n * (n + 1) // 2)
+
+
 def _shapes(family: str, q: int) -> list[tuple[int, int | None]]:
     """(n, m) at the largest size under BUDGET and one past it."""
     if family == "mat":
@@ -78,9 +87,8 @@ def _shapes(family: str, q: int) -> list[tuple[int, int | None]]:
             while q ** (n * (m + 1)) <= BUDGET:
                 m += 1
             out += [(n, m), (n, m + 1)]
-    dim = {"vec": lambda n: n, "alt": lambda n: n * (n - 1) // 2}.get(family, lambda n: n * (n + 1) // 2)
     n = 0
-    while q ** dim(n + 1) <= BUDGET:
+    while q ** _dim(family, n + 1) <= BUDGET:
         n += 1
     return [(n, None), (n + 1, None)]
 
@@ -94,6 +102,18 @@ def compute_grid() -> list[list[str]]:
                 argv += ["--twist", str(twist), "--budget", str(BUDGET)]
                 grid.append(argv + (["--m", str(m)] if m is not None else []))
     return grid
+
+
+def closed_grid() -> list[list[str]]:
+    """The closed route at the sizes brute force cannot reach under BUDGET."""
+    grid = []
+    for q, family in itertools.product((3, 5, 9, 25, 27), FAMILIES):
+        shapes = [(n, m) for n in range(1, 6) for m in range(n, n + 3)] if family == "mat" else [(n, None) for n in range(1, 9)]
+        for (n, m), twist in itertools.product(shapes, (1, 2)):
+            if q ** _dim(family, n, m) > BUDGET:
+                argv = ["compute", "--family", family, "--q", str(q), "--n", str(n), "--method", "closed", "--twist", str(twist)]
+                grid.append(argv + (["--m", str(m)] if m is not None else []))
+    return grid + [["compute", "--family", "sym", "--q", "3", "--n", "20", "--method", "closed"]]
 
 
 def export_grid() -> list[list[str]]:
@@ -136,6 +156,7 @@ def bad_input_grid() -> list[list[str]]:
 
 def build() -> list[dict]:
     records = [capture(argv) for argv in compute_grid()]
+    records += [capture(argv) for argv in closed_grid()]
     records.append(capture(["verify", "all"]))
     records += [capture(argv) for argv in verify_grid()]
     records += [rec for rec in map(capture, bad_input_grid()) if rec["exit"] == 2]

@@ -11,6 +11,7 @@ _spec = importlib.util.spec_from_file_location("make_manifest", GOLDEN / "make_m
 make_manifest = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(make_manifest)
 RECORDS = json.loads((GOLDEN / "manifest.json").read_text())["invocations"]
+CLOSED_GRID = make_manifest.closed_grid()
 
 
 @pytest.mark.parametrize(
@@ -21,6 +22,7 @@ RECORDS = json.loads((GOLDEN / "manifest.json").read_text())["invocations"]
         pytest.param(lambda r: r["exit"] == 2 and "20000" not in r["argv"], id="bad-inputs"),
         pytest.param(lambda r: r["argv"] in make_manifest.verify_grid(), id="verify-suites"),
         pytest.param(lambda r: r["argv"][0] == "export" and "--out" in r["argv"], id="exports"),
+        pytest.param(lambda r: r["argv"] in CLOSED_GRID, id="closed-grid"),
     ],
 )
 def test_manifest_replays_byte_identical(monkeypatch, part):
@@ -44,3 +46,9 @@ def test_manifest_covers_the_exports():
     exports = [rec for rec in RECORDS if rec["argv"] in make_manifest.export_grid()]
     assert [rec["argv"] for rec in exports] == make_manifest.export_grid()
     assert all(rec["exit"] == 0 and "out_sha256" in rec for rec in exports)
+
+
+def test_manifest_covers_the_closed_grid():
+    closed = [rec for rec in RECORDS if rec["argv"] in CLOSED_GRID]
+    assert [rec["argv"] for rec in closed] == CLOSED_GRID
+    assert all(rec["exit"] == 0 for rec in closed)
