@@ -20,7 +20,9 @@ b != d, and affine q-Krawtchouk times the bottom row when t != 1.
 
 The canonical-matrix families are the special cases below; their tables are
 built symbolically in Z[q] so that the q -> 1 limits come straight out of the
-coefficients.
+coefficients. Their closed forms, and that of the t != 1 case, are each a
+sign and a power of q times the one column `qseries.q_krawtchouk_column`;
+the module docstring of `qseries` lists every family's parameters.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .cyclotomic import POLY_Q, PolyQ
-from .qseries import affine_q_krawtchouk, gauss_binom, krawtchouk, q_pochhammer
+from .qseries import affine_q_krawtchouk, gauss_binom, krawtchouk, q_krawtchouk_column, q_pochhammer
 
 Table = dict[tuple[int, int], Fraction]
 
@@ -109,19 +111,11 @@ def closed_tables(p: PascalParams) -> list[Table]:
                 for y in range(n + 1):
                     cur[(y, x)] = _tpow(p.c, y) * o * krawtchouk(y, x, kp, n)
         else:
-            aff_a = (p.b / p.d) * _tpow(p.t, -n)
+            big_a = (p.d / p.b) * _tpow(p.t, n)
             for x in range(n + 1):
-                o = (
-                    p.sigma
-                    * _tpow(p.a, n - x)
-                    * _tpow(-p.b, x)
-                    / _tpow(p.c, n)
-                    * _tpow(p.t, x * (x - 1) // 2)
-                    * q_pochhammer((p.d / p.b) * _tpow(p.t, n), 1 / p.t, x)
-                    * gauss_binom(n, x, p.t)
-                )
+                o = p.sigma * _tpow(p.a, n - x) * _tpow(-p.b, x) / _tpow(p.c, n) * _tpow(p.t, x * (x - 1) // 2)
                 for y in range(n + 1):
-                    cur[(y, x)] = _tpow(p.c, y) * o * affine_q_krawtchouk(y, x, aff_a, n, p.t)
+                    cur[(y, x)] = _tpow(p.c, y) * o * q_krawtchouk_column(y, x, big_a, n, p.t)
         out.append(cur)
     return out
 
@@ -282,7 +276,7 @@ def family_table(family: str, n: int, m: int | None = None) -> FamilyTable:
 
 
 def closed_form_phi(family: str, n: int, m: int | None, s: int, r: int, q: int | Fraction) -> Fraction:
-    """Orbit size times the matching (q-)Krawtchouk value."""
+    """Orbit size times the matching (q-)Krawtchouk value; row s = 0 holds the orbit sizes."""
     q = Fraction(q)
     if family == "vec":
         if not (0 <= s <= n and 0 <= r <= n):
@@ -291,23 +285,14 @@ def closed_form_phi(family: str, n: int, m: int | None, s: int, r: int, q: int |
     if family == "mat":
         if m is None or not (0 <= s <= n <= m and 0 <= r <= n):
             raise ValueError("out of range")
-        size = (
-            Fraction(-1) ** r
-            * q ** comb(r, 2)
-            * q_pochhammer(q**m, 1 / q, r)
-            * gauss_binom(n, r, q)
-        )
-        return size * affine_q_krawtchouk(s, r, q**-m, n, q)
+        return (-1) ** r * q ** comb(r, 2) * q_krawtchouk_column(s, r, q**m, n, q)
     if family == "alt":
         if s % 2 or r % 2:
             raise ValueError("alternating labels are even")
         if not (0 <= s <= n and 0 <= r <= n):
             raise ValueError("out of range")
-        y, x = s // 2, r // 2
-        size = Fraction(-1) ** x * q ** (x * (x - 1)) * q_pochhammer(q**n, 1 / q, 2 * x) / q_pochhammer(q**2, q**2, x)
-        cap = n // 2
-        param = q ** -(2 * cap - 1) if n % 2 == 0 else q ** -(2 * cap + 1)
-        return size * affine_q_krawtchouk(y, x, param, cap, q**2)
+        x = r // 2
+        return (-1) ** x * q ** (x * (x - 1)) * q_krawtchouk_column(s // 2, x, q ** (n - 1 + n % 2), n // 2, q**2)
     raise ValueError(f"no closed form for family {family!r}")
 
 
@@ -459,17 +444,13 @@ def multi_orthogonality_closed(
     """Closed forms of both sides of the k-fold relation; requires sum <= r."""
     if sum(parts) > r:
         raise ValueError("the closed count needs sum of the parts <= r")
-    qf = Fraction(q)
-    values = range(n + 1)
-    if family == "vec":
-        weight = lambda s: (qf - 1) ** s * comb(n, s)
-    elif family == "mat":
-        weight = lambda s: Fraction(-1) ** s * qf ** comb(s, 2) * q_pochhammer(qf**m, 1 / qf, s) * gauss_binom(n, s, qf)
-    else:
+    if family not in ("vec", "mat"):
         raise ValueError("closed multi-orthogonality exists for vec and mat only")
+    qf = Fraction(q)
     lhs = Fraction(0)
-    for s in values:
-        term = weight(s) * closed_form_phi(family, n, m, s, r, qf)
+    for s in range(n + 1):
+        # row 0 of the table holds the orbit sizes, the weights of the sum
+        term = closed_form_phi(family, n, m, 0, s, qf) * closed_form_phi(family, n, m, s, r, qf)
         for ri in parts:
             term *= closed_form_phi(family, n, m, s, ri, qf)
         lhs += term

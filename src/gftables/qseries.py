@@ -13,6 +13,27 @@ and the affine q-Krawtchouk polynomial is the terminating 3phi2 sum
 
 The Gaussian binomial [N x]_q is evaluated through its integer polynomial in
 q, so the same code path gives binom(N, x) at q = 1.
+
+Every closed form with t != 1 is one column of the bilinear-forms scheme
+(Delsarte, JCTA 25, 1978): an orbit-size weight times an affine
+q-Krawtchouk value,
+
+    C_y(x; A, N, t) = (A; 1/t)_x [N x]_t K_y(x; 1/A, N; t),
+
+which is 0 for x > N (`q_krawtchouk_column`). Each caller adds only a sign
+and a power of q; its parameters are
+
+- mat n x m (pascal):   A = q^m, N = n, t = q, times (-1)^x q^C(x,2);
+- alt n (pascal):       A = q^(n-1+n%2), N = floor(n/2), t = q^2, times
+  (-1)^x q^(x(x-1)), at half-ranks y = s/2, x = r/2;
+- the Pascal solution with t != 1 (pascal.closed_tables):
+                        A = (d/b) t^n, N = n;
+- the sign blocks psi1..psi4 of sym n (symmetric): the alt column at size
+  n - c for c = 1, 0, 2, 1, read at y = floor((s-c)/2). That is
+  N = cap = floor((n-c)/2), t = q^2 and A = q^(2 cap + (-1)^n) for psi1
+  and psi4, A = q^(2 cap - (-1)^n) for psi2 and psi3.
+
+The vec family is the t = 1 limit: (q-1)^x binom(n, x) K_y(x; (q-1)/q, n).
 """
 
 from __future__ import annotations
@@ -109,6 +130,14 @@ def affine_q_krawtchouk(y: int, x: int, a: RationalLike, N: int, q: RationalLike
             raise ValueError("parameter pole")
         term *= num / den
     return total
+
+
+def q_krawtchouk_column(y: int, x: int, A: RationalLike, N: int, t: RationalLike) -> Fraction:
+    """(A; 1/t)_x [N x]_t K_y(x; 1/A, N; t), exact; 0 when x > N."""
+    if x > N:
+        return Fraction(0)
+    t = Fraction(t)
+    return q_pochhammer(A, 1 / t, x) * gauss_binom(N, x, t) * affine_q_krawtchouk(y, x, 1 / Fraction(A), N, t)
 
 
 def binomial(n: int, k: int) -> int:

@@ -50,10 +50,21 @@ def family_table_obj(tab: FamilyTable, q: int | None) -> dict:
 
 
 def psi_blocks_obj(blocks: PsiBlocks, method: str) -> dict:
-    obj = blocks.to_obj()
-    obj["kind"] = "sign-blocks"
-    obj["method"] = method
-    return obj
+    field = blocks.char.field
+    return {
+        "kind": "sign-blocks",
+        "method": method,
+        "n": blocks.n,
+        "q": blocks.q,
+        "epsilon": blocks.eps,
+        "field": field.to_obj(),
+        "twist": field.digits(blocks.char.twist),
+        "delta": field.digits(field.delta()),
+        "psi1": [[e.to_obj() for e in row] for row in blocks.psi1],
+        "psi2": [[e.to_obj() for e in row] for row in blocks.psi2],
+        "psi3": [[e.to_obj() for e in row] for row in blocks.psi3],
+        "psi4": [[e.to_obj() for e in row] for row in blocks.psi4],
+    }
 
 
 def matrix_csv(labels: list[str], rows) -> str:

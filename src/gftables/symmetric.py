@@ -9,9 +9,11 @@ bases the transform becomes a 2x2 block matrix
           [ psi3  psi4 ]
 
 whose entries live in Z + Z*gamma for the quadratic Gauss sum gamma. The
-blocks have closed forms in affine q-Krawtchouk polynomials; the brute
-sign-labeled canonical matrix is the oracle every formula here is checked
-against.
+blocks have closed forms in affine q-Krawtchouk polynomials: each block is a
+sign and a power of q times the alternating family's column at size n - 1,
+n, n - 2 or n - 1 (the `qseries` module docstring states the column and its
+parameters). The brute sign-labeled canonical matrix is the oracle every
+formula here is checked against.
 
 Block index ranges: psi1 on 0<=s,r<=n, psi2 on 0<=s<=n and 1<=r<=n, psi3 on
 1<=s<=n and 0<=r<=n, psi4 on 1<=s,r<=n.
@@ -24,7 +26,7 @@ from fractions import Fraction
 
 from .cyclotomic import CycInt, QuadraticGamma, decompose_gamma, epsilon_of
 from .gfq import CharSpec, default_char, gauss_sum
-from .qseries import affine_q_krawtchouk, gauss_binom, q_pochhammer
+from .qseries import q_krawtchouk_column
 from .reporting import Report
 from .spaces import OrbitLabel, SymScaled, make_space
 from .transform import (
@@ -73,28 +75,21 @@ class PsiBlocks:
             and self.psi4 == other.psi4
         )
 
-    def to_obj(self) -> dict:
-        return {
-            "n": self.n,
-            "q": self.q,
-            "epsilon": self.eps,
-            "field": self.char.field.to_obj(),
-            "twist": self.char.field.digits(self.char.twist),
-            "delta": self.char.field.digits(self.char.field.delta()),
-            "psi1": [[e.to_obj() for e in row] for row in self.psi1],
-            "psi2": [[e.to_obj() for e in row] for row in self.psi2],
-            "psi3": [[e.to_obj() for e in row] for row in self.psi3],
-            "psi4": [[e.to_obj() for e in row] for row in self.psi4],
-        }
-
 
 def _halved(x: CycInt) -> CycInt:
     return x.exact_div(2)
 
 
-def _combine_entries(n: int, p: int, ent) -> list[list[list[CycInt]]]:
-    """Sign-labeled entries -> the four blocks, as cyclotomic values."""
-    zero = CycInt.zero(p)
+def _grid_to_blocks(labels, grid, char: CharSpec) -> list[tuple[tuple[QuadraticGamma, ...], ...]]:
+    """A sign-labeled grid (rows and columns in label order) -> the four blocks over Z + Z*gamma."""
+    n = max(lbl.r for lbl in labels)
+    zero = CycInt.zero(char.field.p)
+
+    def ent(s: int, alpha: int, r: int, beta: int) -> CycInt:
+        mu = OrbitLabel(0) if s == 0 else OrbitLabel(s, alpha)
+        lam = OrbitLabel(0) if r == 0 else OrbitLabel(r, beta)
+        return grid[labels.index(mu)][labels.index(lam)]
+
     b1 = [[zero] * (n + 1) for _ in range(n + 1)]
     b2 = [[zero] * n for _ in range(n + 1)]
     b3 = [[zero] * (n + 1) for _ in range(n)]
@@ -121,18 +116,8 @@ def _combine_entries(n: int, p: int, ent) -> list[list[list[CycInt]]]:
             b2[s][r - 1] = _halved(pp - pm + mp - mm)
             b3[s - 1][r] = _halved(pp + pm - mp - mm)
             b4[s - 1][r - 1] = _halved(pp - pm - mp + mm)
-    return [b1, b2, b3, b4]
-
-
-def _combine_to_blocks(phi: CanonicalMatrix) -> list[list[list[CycInt]]]:
-    n = max(lbl.r for lbl in phi.labels)
-
-    def ent(s: int, alpha: int, r: int, beta: int) -> CycInt:
-        mu = OrbitLabel(0) if s == 0 else OrbitLabel(s, alpha)
-        lam = OrbitLabel(0) if r == 0 else OrbitLabel(r, beta)
-        return phi.entry(mu, lam)
-
-    return _combine_entries(n, phi.space.field.p, ent)
+    gamma = gauss_sum(char)
+    return [tuple(tuple(decompose_gamma(x, gamma, char.field.q) for x in row) for row in b) for b in (b1, b2, b3, b4)]
 
 
 def psi_brute(
@@ -148,15 +133,8 @@ def psi_brute(
     """
     if char.field.e % 2 == 0:
         raise ValueError("sign-block recovery needs an odd-degree field")
-    space = make_space("sym", char.field, n)
-    phi = brute_force_phi(space, char, budget)
-    gamma = gauss_sum(char)
-    q = char.field.q
-    blocks = [
-        tuple(tuple(decompose_gamma(x, gamma, q) for x in row) for row in b)
-        for b in _combine_to_blocks(phi)
-    ]
-    return PsiBlocks(n, q, char, *blocks), phi
+    phi = brute_force_phi(make_space("sym", char.field, n), char, budget)
+    return PsiBlocks(n, char.field.q, char, *_grid_to_blocks(phi.labels, phi.entries, char)), phi
 
 
 def phi_from_psi(blocks: PsiBlocks) -> CanonicalMatrix:
@@ -198,83 +176,43 @@ def _assert_int(x: Fraction) -> int:
     return int(x)
 
 
+def _alt_column(q: int, size: int, y: int, x: int) -> Fraction:
+    """The alternating family's column at this size (see qseries): N = size // 2, t = q^2."""
+    qf = Fraction(q)
+    return q_krawtchouk_column(y, x, qf ** (size - 1 + size % 2), size // 2, qf**2)
+
+
 def psi1_closed(n: int, q: int, s: int, r: int) -> int:
     """psi1 for s >= 1 (the s = 0 row has its own product formula)."""
-    qf = Fraction(q)
-    cap = (n - 1) // 2
-    y, x = (s - 1) // 2, r // 2
-    if x > cap:  # the half-size binomial terminates the column range
-        return 0
-    val = (
-        Fraction(-1) ** (r + x)
-        * qf ** (x * (x + 1))
-        * q_pochhammer(qf ** (2 * cap + (-1) ** n), qf**-2, x)
-        * gauss_binom(cap, x, qf**2)
-        * affine_q_krawtchouk(y, x, qf ** -(2 * cap + (-1) ** n), cap, qf**2)
-    )
-    return _assert_int(val)
+    x = r // 2
+    return _assert_int((-1) ** (r + x) * q ** (x * (x + 1)) * _alt_column(q, n - 1, (s - 1) // 2, x))
 
 
 def psi1_row0_closed(n: int, q: int, r: int) -> int:
-    qf = Fraction(q)
+    """psi1 at s = 0: the number of symmetric matrices of rank r."""
     x = r // 2
-    val = qf ** (x * (x + 1)) * q_pochhammer(qf**n, 1 / qf, r) / q_pochhammer(qf**2, qf**2, x)
-    val *= Fraction(-1) ** x if r % 2 == 0 else Fraction(-1) ** (x + 1)
-    return _assert_int(val)
+    col = _alt_column(q, n, 0, x) if r % 2 == 0 else (q**n - 1) * _alt_column(q, n - 1, 0, x)
+    return _assert_int((-1) ** x * q ** (x * (x + 1)) * col)
 
 
 def psi2_closed(n: int, q: int, s: int, r: int) -> int:
     """psi2 for even r >= 2; odd columns vanish."""
-    qf = Fraction(q)
-    eps = epsilon_of(q)
-    cap = n // 2
-    y, x = s // 2, r // 2
-    val = (
-        Fraction(-eps) ** x
-        * qf ** (x * x)
-        * q_pochhammer(qf ** (2 * cap - (-1) ** n), qf**-2, x)
-        * gauss_binom(cap, x, qf**2)
-        * affine_q_krawtchouk(y, x, qf ** (-2 * cap + (-1) ** n), cap, qf**2)
-    )
-    return _assert_int(val)
+    x = r // 2
+    return _assert_int((-epsilon_of(q)) ** x * q ** (x * x) * _alt_column(q, n, s // 2, x))
 
 
 def psi3_closed(n: int, q: int, s: int, r: int) -> int:
     """psi3 for even s >= 2 and r >= 1; odd rows and the r = 0 column vanish."""
-    qf = Fraction(q)
-    eps = epsilon_of(q)
-    cap = (n - 2) // 2
     y, x = (s - 2) // 2, (r - 1) // 2
-    if x > cap:
-        return 0
-    val = (
-        Fraction(-1) ** (r + x + 1)
-        * Fraction(eps) ** (y + 1)
-        * qf ** (n + x * x + x - y - 1)
-        * q_pochhammer(qf ** (2 * cap - (-1) ** n), qf**-2, x)
-        * gauss_binom(cap, x, qf**2)
-        * affine_q_krawtchouk(y, x, qf ** (-2 * cap + (-1) ** n), cap, qf**2)
-    )
-    return _assert_int(val)
+    pre = (-1) ** (r + x + 1) * epsilon_of(q) ** (y + 1) * q ** (n + x * x + x - y - 1)
+    return _assert_int(pre * _alt_column(q, n - 2, y, x))
 
 
 def psi4_closed_gamma_part(n: int, q: int, s: int, r: int) -> int:
     """psi4 at odd (s, r) equals gamma times this integer."""
-    qf = Fraction(q)
-    eps = epsilon_of(q)
-    cap = (n - 1) // 2
     y, x = (s - 1) // 2, (r - 1) // 2
-    if x > cap:
-        return 0
-    val = (
-        Fraction(-1) ** x
-        * Fraction(eps) ** (x + y)
-        * qf ** (n + x * x - y - 1)
-        * q_pochhammer(qf ** (2 * cap + (-1) ** n), qf**-2, x)
-        * gauss_binom(cap, x, qf**2)
-        * affine_q_krawtchouk(y, x, qf ** -(2 * cap + (-1) ** n), cap, qf**2)
-    )
-    return _assert_int(val)
+    pre = (-1) ** x * epsilon_of(q) ** (x + y) * q ** (n + x * x - y - 1)
+    return _assert_int(pre * _alt_column(q, n - 1, y, x))
 
 
 def psi_closed(n: int, char: CharSpec) -> PsiBlocks:
@@ -368,17 +306,20 @@ def sym_diagram_matrices(n: int, char: CharSpec, which: int) -> Report:
     zero = CycInt.zero(p)
     one = CycInt.one(p)
     where = f"sym n={n} q={q} diagram {which}"
+    lower_n = n - which
+    vals, reps = _sym_rank_sign_values(char, n, lower_n, which)
+
+    def combo(kind: str, r: int, u: int, sign_part: int) -> CycInt:
+        tab = vals.get((kind, r), {})
+        if u == 0:
+            return tab.get((0, 1), zero) if sign_part > 0 else zero
+        plus, minus = tab.get((u, 1), zero), tab.get((u, -1), zero)
+        if which == 2 and u % 2 and plus != minus:
+            # odd ranks merge under scaling; both sign points must agree
+            raise AssertionError("scaled pushforward not constant on a merged orbit")
+        return (plus + minus).exact_div(2) if sign_part > 0 else (plus - minus).exact_div(2)
+
     if which == 1:
-        lower_n = n - 1
-        vals, reps = _sym_rank_sign_values(char, n, lower_n, 1)
-
-        def combo(kind: str, r: int, u: int, sign_part: int) -> CycInt:
-            tab = vals.get((kind, r), {})
-            if u == 0:
-                return tab.get((0, 1), zero) if sign_part > 0 else zero
-            plus, minus = tab.get((u, 1), zero), tab.get((u, -1), zero)
-            return (plus + minus).exact_div(2) if sign_part > 0 else (plus - minus).exact_div(2)
-
         ok1 = ok2 = ok3 = ok4 = True
         for u in range(lower_n + 1):
             for r in range(n + 1):
@@ -435,25 +376,10 @@ def sym_diagram_matrices(n: int, char: CharSpec, which: int) -> Report:
         return rep
 
     # which == 2: scaled two-step chain
-    lower_n = n - 2
-    vals, reps = _sym_rank_sign_values(char, n, lower_n, 2)
-
-    def merged(kind: str, r: int, u: int, sign_part: int) -> CycInt:
-        tab = vals.get((kind, r), {})
-        if u == 0:
-            return tab.get((0, 1), zero) if sign_part > 0 else zero
-        plus, minus = tab.get((u, 1), zero), tab.get((u, -1), zero)
-        if u % 2:
-            # odd ranks merge under scaling; both sign points must agree
-            if plus != minus:
-                raise AssertionError("scaled pushforward not constant on a merged orbit")
-            return plus if sign_part > 0 else zero
-        return (plus + minus).exact_div(2) if sign_part > 0 else (plus - minus).exact_div(2)
-
     ok1 = ok2 = ok3 = ok4 = True
     for u in range(lower_n + 1):
         for r in range(n + 1):
-            e1 = merged("chi", r, u, 1)
+            e1 = combo("chi", r, u, 1)
             want1 = zero
             if r == u:
                 want1 = CycInt.integer(p, q**u)
@@ -463,15 +389,15 @@ def sym_diagram_matrices(n: int, char: CharSpec, which: int) -> Report:
                 want1 = CycInt.integer(p, -(q ** (u + 1)))
             ok1 &= e1 == want1
             if u >= 2 and u % 2 == 0:
-                e3 = merged("chi", r, u, -1)
+                e3 = combo("chi", r, u, -1)
                 ok3 &= e3 == zero
             if r >= 2 and r % 2 == 0:
-                e2 = merged("sgn", r, u, 1)
+                e2 = combo("sgn", r, u, 1)
                 want2 = -CycInt.integer(p, eps * q) if (u == 0 and r == 2) else zero
                 if u >= 2 and u % 2 == 0:
                     if r == u:
                         want2 = zero  # E2 rows u >= 2 vanish; the signed part sits in E4
-                    e4 = merged("sgn", r, u, -1)
+                    e4 = combo("sgn", r, u, -1)
                     want4 = zero
                     if r == u:
                         want4 = CycInt.integer(p, q**u)
@@ -743,19 +669,7 @@ def relation_suite(
 
     # conjugated matrix of the inverse transform equals the conjugated blocks
     sym_space = make_space("sym", char.field, n)
-    bar = brute_phi_bar(sym_space, char, budget)
-    labels = sym_space.labels()
-
-    def bar_ent(s, alpha, r, beta):
-        mu = OrbitLabel(0) if s == 0 else OrbitLabel(s, alpha)
-        lam = OrbitLabel(0) if r == 0 else OrbitLabel(r, beta)
-        return bar[labels.index(mu)][labels.index(lam)]
-
-    gamma_cyc = gauss_sum(char)
-    bar_blocks = [
-        tuple(tuple(decompose_gamma(x, gamma_cyc, q) for x in row) for row in b)
-        for b in _combine_entries(n, char.field.p, bar_ent)
-    ]
+    bar_blocks = _grid_to_blocks(sym_space.labels(), brute_phi_bar(sym_space, char, budget), char)
     conj_blocks = [
         tuple(tuple(e.conjugate() for e in row) for row in b)
         for b in (cur.psi1, cur.psi2, cur.psi3, cur.psi4)
@@ -857,43 +771,23 @@ def scaled_matrix_from_canonical(phi: CanonicalMatrix) -> list[list[QuadraticGam
 def scaled_canonical_from_blocks(blocks: PsiBlocks) -> CanonicalMatrix:
     """Canonical matrix of the scaled action, rebuilt from the sign blocks.
 
-    Merged odd ranks read the unsigned blocks directly; even sign pairs go
-    through the same half-sum combinations as the full base change.
+    This is phi_from_psi with the two sign columns of each merged odd rank
+    summed and its (r, +) row kept. The (r, -) row is the same, because
+    psi3 vanishes on odd rows and psi4 off odd x odd.
     """
-    char = blocks.char
-    space = make_space("symscaled", char.field, blocks.n)
+    full = phi_from_psi(blocks)
+    space = make_space("symscaled", blocks.char.field, blocks.n)
     labels = space.labels()
-    gamma = gauss_sum(char)
-
-    def cyc(x: QuadraticGamma) -> CycInt:
-        return x.to_cyc(gamma)
 
     def entry(mu: OrbitLabel, lam: OrbitLabel) -> CycInt:
-        s, alpha = mu.r, mu.sign
-        r, beta = lam.r, lam.sign
-        # coefficient of the mu indicator in the transform of the lam indicator
-        col = []  # (basis kind, weight) pairs expanding the lam indicator
-        if r == 0 or beta is None:
-            col.append(("chi", Fraction(1)))
-        else:
-            col.append(("chi", Fraction(1, 2)))
-            col.append(("sgn", Fraction(beta, 2)))
-        acc = [Fraction(0)] * (char.field.p - 1)
-        for kind, weight in col:
-            if kind == "chi":
-                v1, v3 = blocks.b1(s, r), (blocks.b3(s, r) if s else QuadraticGamma(0, 0, blocks.q))
-            else:
-                v1, v3 = blocks.b2(s, r), (blocks.b4(s, r) if s else QuadraticGamma(0, 0, blocks.q))
-            val = cyc(v1) + (cyc(v3) * alpha if alpha is not None and s else CycInt.zero(char.field.p))
-            for k, c in enumerate(val.coeffs):
-                acc[k] += weight * c
-        if any(f.denominator != 1 for f in acc):
-            raise AssertionError("scaled base change produced a non-integral entry")
-        return CycInt(char.field.p, [int(f) for f in acc])
+        row = full.entries[full.index(OrbitLabel(mu.r, 1) if mu.r and mu.sign is None else mu)]
+        if lam.r and lam.sign is None:  # a merged odd rank
+            return row[full.index(OrbitLabel(lam.r, 1))] + row[full.index(OrbitLabel(lam.r, -1))]
+        return row[full.index(lam)]
 
     entries = tuple(tuple(entry(mu, lam) for lam in labels) for mu in labels)
-    sizes = tuple(entries[0][j].as_int() for j in range(len(labels)))
-    return CanonicalMatrix(space, char, labels, entries, sizes)
+    sizes = tuple(e.as_int() for e in entries[0])
+    return CanonicalMatrix(space, blocks.char, labels, entries, sizes)
 
 
 def twist_swaps_odd_sign_rows(n: int, field, budget: int = DEFAULT_BUDGET) -> bool:

@@ -108,6 +108,16 @@ class TestFamilyTables:
             closed = closed_form_table(fam, n, m, q)
             assert [[F(v) for v in row] for row in brute] == closed
 
+    @pytest.mark.parametrize("fam", ["vec", "mat", "alt"])
+    def test_closed_row_zero_is_the_orbit_sizes(self, fam):
+        for q in (3, 5, 9):
+            field = make_field(*FIELD_OF[q])
+            for n in range(1 if fam == "mat" else 0, 9):
+                for m in range(n, n + 3) if fam == "mat" else (None,):
+                    space = make_space(fam, field, n, m)
+                    sizes = [space.orbit_size_poly(lbl).eval_at(q) for lbl in space.labels()]
+                    assert closed_form_table(fam, n, m, q)[0] == sizes
+
     def test_sym_has_no_symbolic_table(self):
         with pytest.raises(ValueError, match="Gauss sum"):
             family_table("sym", 2)

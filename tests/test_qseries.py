@@ -8,6 +8,7 @@ from gftables.qseries import (
     gauss_binom_poly,
     krawtchouk,
     pochhammer,
+    q_krawtchouk_column,
     q_pochhammer,
 )
 
@@ -128,3 +129,12 @@ class TestAffineQKrawtchouk:
                 if order == y and y > 0:
                     assert any(dd)
             assert all(v == 0 for v in dd)
+
+
+class TestKrawtchoukColumn:
+    def test_zero_past_N(self):
+        for N in range(4):
+            for y in range(N + 1):
+                for x in range(N + 1, N + 3):
+                    assert q_krawtchouk_column(y, x, F(25), N, F(25)) == 0
+                    assert q_krawtchouk_column(y, x, F(2, 3), N, F(5, 7)) == 0
