@@ -275,6 +275,12 @@ def family_table(family: str, n: int, m: int | None = None) -> FamilyTable:
     return FamilyTable(family, n, m if family == "mat" else None, values, tuple(tuple(r) for r in grid))
 
 
+def alt_column(q: int | Fraction, size: int, y: int, x: int) -> Fraction:
+    """The column of the alternating family of this size at half-ranks (y, x): A = q^(size-1+size%2), N = size // 2, t = q^2."""
+    q = Fraction(q)
+    return q_krawtchouk_column(y, x, q ** (size - 1 + size % 2), size // 2, q**2)
+
+
 def closed_form_phi(family: str, n: int, m: int | None, s: int, r: int, q: int | Fraction) -> Fraction:
     """Orbit size times the matching (q-)Krawtchouk value; row s = 0 holds the orbit sizes."""
     q = Fraction(q)
@@ -292,7 +298,7 @@ def closed_form_phi(family: str, n: int, m: int | None, s: int, r: int, q: int |
         if not (0 <= s <= n and 0 <= r <= n):
             raise ValueError("out of range")
         x = r // 2
-        return (-1) ** x * q ** (x * (x - 1)) * q_krawtchouk_column(s // 2, x, q ** (n - 1 + n % 2), n // 2, q**2)
+        return (-1) ** x * q ** (x * (x - 1)) * alt_column(q, n, s // 2, x)
     raise ValueError(f"no closed form for family {family!r}")
 
 

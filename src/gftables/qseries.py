@@ -20,18 +20,20 @@ q-Krawtchouk value,
 
     C_y(x; A, N, t) = (A; 1/t)_x [N x]_t K_y(x; 1/A, N; t),
 
-which is 0 for x > N (`q_krawtchouk_column`). Each caller adds only a sign
-and a power of q; its parameters are
+which is 0 for x > N (`q_krawtchouk_column`). Each caller multiplies it by
+its own prefactor, a sign and a power of q for the families. The parameters:
 
-- mat n x m (pascal):   A = q^m, N = n, t = q, times (-1)^x q^C(x,2);
-- alt n (pascal):       A = q^(n-1+n%2), N = floor(n/2), t = q^2, times
-  (-1)^x q^(x(x-1)), at half-ranks y = s/2, x = r/2;
-- the Pascal solution with t != 1 (pascal.closed_tables):
-                        A = (d/b) t^n, N = n;
-- the sign blocks psi1..psi4 of sym n (symmetric): the alt column at size
-  n - c for c = 1, 0, 2, 1, read at y = floor((s-c)/2). That is
-  N = cap = floor((n-c)/2), t = q^2 and A = q^(2 cap + (-1)^n) for psi1
-  and psi4, A = q^(2 cap - (-1)^n) for psi2 and psi3.
+- mat n x m (`pascal.closed_form_phi`): A = q^m, N = n, t = q, at
+  (y, x) = (s, r), times (-1)^x q^C(x,2).
+- alt n (`pascal.alt_column`): A = q^(n-1+n%2), N = floor(n/2), t = q^2,
+  at the half-ranks (y, x) = (s/2, r/2), times (-1)^x q^(x(x-1)).
+- the Pascal solution with t != 1 (`pascal.closed_tables`): A = (d/b) t^n,
+  N = n, times sigma a^(n-x) (-b)^x c^(y-n) t^C(x,2).
+- the sign blocks psi1..psi4 of sym n (`symmetric`): the alt column at size
+  n - c for c = 1, 0, 2, 1, at y = floor((s-c)/2) and x = floor(r/2) for
+  psi1, psi2 or floor((r-1)/2) for psi3, psi4. That is N = cap =
+  floor((n-c)/2), t = q^2, and A = q^(2 cap + (-1)^n) for psi1 and psi4,
+  A = q^(2 cap - (-1)^n) for psi2 and psi3.
 
 The vec family is the t = 1 limit: (q-1)^x binom(n, x) K_y(x; (q-1)/q, n).
 """

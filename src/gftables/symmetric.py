@@ -10,9 +10,9 @@ bases the transform becomes a 2x2 block matrix
 
 whose entries live in Z + Z*gamma for the quadratic Gauss sum gamma. The
 blocks have closed forms in affine q-Krawtchouk polynomials: each block is a
-sign and a power of q times the alternating family's column at size n - 1,
-n, n - 2 or n - 1 (the `qseries` module docstring states the column and its
-parameters). The brute sign-labeled canonical matrix is the oracle every
+sign and a power of q times the alternating family's column
+(`pascal.alt_column`) at size n - 1, n, n - 2 or n - 1. The `qseries`
+module docstring states the column and its parameters. The brute sign-labeled canonical matrix is the oracle every
 formula here is checked against.
 
 Block index ranges: psi1 on 0<=s,r<=n, psi2 on 0<=s<=n and 1<=r<=n, psi3 on
@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from .cyclotomic import CycInt, QuadraticGamma, decompose_gamma, epsilon_of
 from .gfq import CharSpec, default_char, gauss_sum
-from .qseries import q_krawtchouk_column
+from .pascal import alt_column
 from .reporting import Report
 from .spaces import OrbitLabel, SymScaled, make_space
 from .transform import (
@@ -176,43 +176,37 @@ def _assert_int(x: Fraction) -> int:
     return int(x)
 
 
-def _alt_column(q: int, size: int, y: int, x: int) -> Fraction:
-    """The alternating family's column at this size (see qseries): N = size // 2, t = q^2."""
-    qf = Fraction(q)
-    return q_krawtchouk_column(y, x, qf ** (size - 1 + size % 2), size // 2, qf**2)
-
-
 def psi1_closed(n: int, q: int, s: int, r: int) -> int:
     """psi1 for s >= 1 (the s = 0 row has its own product formula)."""
     x = r // 2
-    return _assert_int((-1) ** (r + x) * q ** (x * (x + 1)) * _alt_column(q, n - 1, (s - 1) // 2, x))
+    return _assert_int((-1) ** (r + x) * q ** (x * (x + 1)) * alt_column(q, n - 1, (s - 1) // 2, x))
 
 
 def psi1_row0_closed(n: int, q: int, r: int) -> int:
     """psi1 at s = 0: the number of symmetric matrices of rank r."""
     x = r // 2
-    col = _alt_column(q, n, 0, x) if r % 2 == 0 else (q**n - 1) * _alt_column(q, n - 1, 0, x)
+    col = alt_column(q, n, 0, x) if r % 2 == 0 else (q**n - 1) * alt_column(q, n - 1, 0, x)
     return _assert_int((-1) ** x * q ** (x * (x + 1)) * col)
 
 
 def psi2_closed(n: int, q: int, s: int, r: int) -> int:
     """psi2 for even r >= 2; odd columns vanish."""
     x = r // 2
-    return _assert_int((-epsilon_of(q)) ** x * q ** (x * x) * _alt_column(q, n, s // 2, x))
+    return _assert_int((-epsilon_of(q)) ** x * q ** (x * x) * alt_column(q, n, s // 2, x))
 
 
 def psi3_closed(n: int, q: int, s: int, r: int) -> int:
     """psi3 for even s >= 2 and r >= 1; odd rows and the r = 0 column vanish."""
     y, x = (s - 2) // 2, (r - 1) // 2
     pre = (-1) ** (r + x + 1) * epsilon_of(q) ** (y + 1) * q ** (n + x * x + x - y - 1)
-    return _assert_int(pre * _alt_column(q, n - 2, y, x))
+    return _assert_int(pre * alt_column(q, n - 2, y, x))
 
 
 def psi4_closed_gamma_part(n: int, q: int, s: int, r: int) -> int:
     """psi4 at odd (s, r) equals gamma times this integer."""
     y, x = (s - 1) // 2, (r - 1) // 2
     pre = (-1) ** x * epsilon_of(q) ** (x + y) * q ** (n + x * x - y - 1)
-    return _assert_int(pre * _alt_column(q, n - 1, y, x))
+    return _assert_int(pre * alt_column(q, n - 1, y, x))
 
 
 def psi_closed(n: int, char: CharSpec) -> PsiBlocks:
