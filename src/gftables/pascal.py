@@ -20,9 +20,9 @@ b != d, and affine q-Krawtchouk times the bottom row when t != 1.
 
 The canonical-matrix families are the special cases below; their tables are
 built symbolically in Z[q] so that the q -> 1 limits come straight out of the
-coefficients. Their closed forms, and that of the t != 1 case, are each a
-sign and a power of q times the one column `qseries.q_krawtchouk_column`;
-the module docstring of `qseries` lists every family's parameters.
+coefficients. Their q-closed forms, and that of the t != 1 case, are each a
+prefactor times the one column `qseries.q_krawtchouk_column`; the module
+docstring of `qseries` lists every caller's parameters.
 """
 
 from __future__ import annotations
@@ -276,7 +276,7 @@ def family_table(family: str, n: int, m: int | None = None) -> FamilyTable:
 
 
 def alt_column(q: int | Fraction, size: int, y: int, x: int) -> Fraction:
-    """The column of the alternating family of this size at half-ranks (y, x): A = q^(size-1+size%2), N = size // 2, t = q^2."""
+    """The alternating family's column at half-ranks (y, x): A = q^(size-1+size%2), N = size // 2, t = q^2."""
     q = Fraction(q)
     return q_krawtchouk_column(y, x, q ** (size - 1 + size % 2), size // 2, q**2)
 
