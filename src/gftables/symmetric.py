@@ -177,7 +177,7 @@ def _assert_int(x: Fraction) -> int:
 
 
 def psi1_closed(n: int, q: int, s: int, r: int) -> int:
-    """psi1 for s >= 1 (the s = 0 row has its own product formula)."""
+    """psi1 for s >= 1; psi1_row0_closed gives the s = 0 row."""
     x = r // 2
     return _assert_int((-1) ** (r + x) * q ** (x * (x + 1)) * alt_column(q, n - 1, (s - 1) // 2, x))
 
