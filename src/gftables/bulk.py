@@ -22,16 +22,18 @@ dim - k high digits are fixed in a chunk, so each labeller is split in two:
 - a per-call part (the *_split functions) runs once on the low digits: the
   row-0 step below and every (n-1) coordinate that reads only low digits. It
   keeps read-only int32/int8 state;
-- a per-chunk tail (_label_indices) adds the high digits s_t. A coordinate
-  s_t - P_t adds q^i vreduce(s_t - P_t), read from a table of q^h entries per
-  chunk at the row's per-call code of its P_t; one gather reads the label.
-Rows whose step reads a high digit (the pivot row of T for sym and alt, the
-pivot column below row 0 for mat, and every row when k is below the width of
-row 0) form a fixed repair set per call, which the full kernel labels in every
-chunk. A functional sends coordinate k with coefficient c_k through
-T_c[x] = Tr(c_k x) in F_p, which is F_p-linear in the base-p digits of x, so
-t = t_lo + t_hi: t_lo reads the low digits, and t_hi, an outer sum of the T
-tables over the high digits, is one value per chunk. t_lo is a vector over
+- a per-chunk tail (_label_indices) adds the high digits s_t. In the steps
+  of _gather, a coordinate s_t - P_t adds q^i vreduce(s_t - P_t), read from a
+  table of q^h entries per chunk at the row's per-call code of its P_t; one
+  gather reads the label. The mat step reads its table G instead (below).
+In the steps of _gather, rows whose step reads a high digit (the pivot row of
+T for sym and alt, the pivot column below row 0 for mat, and every row when k
+is below the width of row 0) form a fixed repair set per call, which the full
+kernel labels in every chunk. A functional sends coordinate k with
+coefficient c_k through T_c[x] = Tr(c_k x) in F_p, which is F_p-linear in
+the base-p digits of x, so t = t_lo + t_hi: t_lo reads the low digits, and
+t_hi, an outer sum of the T tables over the high digits, is one value per
+chunk. t_lo is a vector over
 F_p: its entry at base-p digit i of low coordinate k is Tr(c_k w_i), w_i the
 element coded p^i. Functionals often share few such vectors (the sym n=4
 functionals read only three low digits), so they are grouped greedily, each
@@ -45,8 +47,18 @@ member, sum_j lambda_j digit_j. Per chunk a group runs one bincount over
 A matrix is labelled in three steps: one reduction step on row 0 leaves a
 matrix of the (n-1) space; its digits give its index in counting order; its
 label is read from the table of the (n-1) space at that index.
-- mat: row 0 clears its first nonzero column from rows 1..n-1, so rank A is
-  [row 0 != 0] + the rank of those rows.
+- mat: row 0 (r0) clears its first nonzero column j from rows 1..n-1, so
+  rank A is [r0 != 0] + the rank of those rows. New row i depends on R_i and
+  r0 alone, so one memoized table per (m, field) holds every step:
+  G[R q^m + r] is the code of R - (R[j] / r[j]) r (R where r = 0). With T the
+  (n-1) table, the label is [T, T+1][[r0 != 0] |T| + sum_{i>=1} q^((i-1)m)
+  G[R_i q^m + r0]]. Where q^(2m) <= CHUNK, G has at most CHUNK entries and
+  rows 0 and 1 are low. Per call: the codes of the rows, from their low
+  digits, and the partial sum over the rows with no high digit. Per chunk: a
+  row with a high digit adds one offset to its per-call G index; then one take
+  from G per such row and one from the label table. No row is repaired. Where
+  q^(2m) > CHUNK (shapes like 2x5 q=5, 2x4 q=7, 2x6 q=3) the step runs row by
+  row through _gather, with its repair set.
 - alt, n >= 6: with b = row 0 and b_j its first nonzero entry, the block on
   {0, j} is a hyperbolic plane (Artin, *Geometric Algebra*, ch. III). Its
   Schur complement S_kl = T_kl - (b_k T_jl - b_l T_jk) / b_j, an (n-1) skew
@@ -106,8 +118,12 @@ def _digits(start: int, stop: int, dim: int, q: int) -> np.ndarray:
 
     int32, not narrower: the callers' products of digits must not wrap.
     """
-    idx = np.arange(start, stop, dtype=np.int32 if stop <= 2**31 else np.int64)
     out = np.empty((dim, stop - start), dtype=np.int32)
+    if start == 0 and stop == q**dim:  # every digit string: digit k runs through 0..q-1, each held for q^k codes
+        for k in range(dim):
+            out[k].reshape(-1, q, q**k)[:] = np.arange(q, dtype=np.int32)[:, None]
+        return out.T
+    idx = np.arange(start, stop, dtype=np.int32 if stop <= 2**31 else np.int64)
     for k in range(dim):
         nxt = idx // q
         out[k] = idx - nxt * q  # not np.divmod: see _mod
@@ -212,15 +228,64 @@ def _positions(n: int, diagonal: bool) -> np.ndarray:
     return pos
 
 
+@lru_cache(maxsize=None)
+def _mat_reduction(m: int, F: Arith) -> np.ndarray:
+    """G[R q^m + r], the code of R - (R[j] / r[j]) r for every two rows R and r of GF(q)^m, j the first nonzero entry of r.
+
+    Where r = 0 the code is that of R.
+    """
+    D = _digits(0, F.q**m, m, F.q)  # D[x, c]: entry c of the row coded x
+    j = (D != 0).argmax(axis=1)
+    f = F.vreduce(F.vmul(D[:, j], F.inv_table[D[np.arange(len(D)), j]]))  # f[R, r] = R[j] / r[j], 0 where r = 0
+    G = np.zeros(f.shape, dtype=np.int32)
+    for c in reversed(range(m)):
+        G = G * F.q + F.vreduce(F.vsub(D[:, c, None], F.vmul(f, D[:, c])))
+    return _frozen(G.ravel())
+
+
 def _mat_split(digits, k: int, n: int, m: int, F: Arith):
     """Per-call row-0 step of the ranks of n x m matrices (module docstring); returns the per-chunk tail."""
+    q, qm = F.q, F.q**m
+    T = _codes(_mat_split, (n - 1) * m, n - 1, m, F)
+    if q ** (2 * m) > CHUNK:  # no table G: the step row by row, with its repair set
+        return _mat_gather(digits, k, n, m, F, T)
+
+    def code(i: int) -> np.ndarray:  # the code of row i from its low digits, a prefix of the row
+        out = np.zeros(len(digits), dtype=np.int32)
+        for c in reversed(range(min(m, k - i * m))):
+            out *= q
+            out += digits[:, i * m + c]
+        return out
+
+    r0, G, table = code(0), _mat_reduction(m, F) if n > 1 else None, _frozen(np.concatenate([T, T + 1]))
+    idx = (r0 != 0).astype(np.int32 if 2 * len(T) < 2**31 else np.int64) * len(T)
+    high = []  # (G index of the low digits of row i, the weight of row i in T, the high digits of row i)
+    for i in range(1, n):
+        at = code(i) * qm + r0
+        if (i + 1) * m <= k:
+            idx += q ** ((i - 1) * m) * np.take(G, at)  # take: faster than [] on narrow indices
+        else:
+            high.append((_frozen(at), q ** ((i - 1) * m), [(i * m + c, qm * q**c) for c in range(m) if i * m + c >= k]))
+    idx = _frozen(idx)
+
+    def tail(digits: np.ndarray) -> tuple[np.ndarray, int]:
+        lab = idx
+        for at, w, cols in high:  # the high digits add one offset to the row's G index
+            lab = lab + w * np.take(G, at + sum(v * int(digits[0, t]) for t, v in cols))
+        return np.take(table, lab), 0
+
+    return np.broadcast_to(np.int8(0), idx.shape), np.broadcast_to(True, idx.shape), tail  # read-only, no memory
+
+
+def _mat_gather(digits, k: int, n: int, m: int, F: Arith, T: np.ndarray):
+    """The row-0 step of _mat_split row by row, for q^(2m) > CHUNK; rows whose f_i or row 0 reads a high digit are repaired."""
     r0, rows = digits[:, :m], np.arange(len(digits))
     nz = r0 != 0
     j = nz.argmax(axis=1)
     s = F.inv_table[r0[rows, j]]  # zero where row 0 is zero
     f = {i: F.vreduce(F.vmul(digits[rows, i * m + j], s)) for i in range(1, n)}  # R_i[j] / r0[j]
     entries = [(i * m + c, F.vmul(f[i], r0[:, c])) for i in range(1, n) for c in range(m)]
-    T, cls = _codes(_mat_split, (n - 1) * m, n - 1, m, F), nz.any(axis=1)
+    cls = nz.any(axis=1)
     repair = np.flatnonzero((k < m) | cls & ((n - 1) * m + j >= k))  # f_i or row 0 reads a high digit
     return _gather(digits, k, F, entries, [T, T + 1], cls, repair, partial(batch_rank, n=n, m=m, F=F))
 

@@ -138,8 +138,13 @@ def q_krawtchouk_column(y: int, x: int, A: RationalLike, N: int, t: RationalLike
     """(A; 1/t)_x [N x]_t K_y(x; 1/A, N; t), exact; 0 when x > N."""
     if x > N:
         return Fraction(0)
-    t = Fraction(t)
-    return q_pochhammer(A, 1 / t, x) * gauss_binom(N, x, t) * affine_q_krawtchouk(y, x, 1 / Fraction(A), N, t)
+    return _column_weight(x, A, N, t) * affine_q_krawtchouk(y, x, 1 / Fraction(A), N, t)
+
+
+@lru_cache(maxsize=None)
+def _column_weight(x: int, A: RationalLike, N: int, t: RationalLike) -> Fraction:
+    """(A; 1/t)_x [N x]_t, the factor of q_krawtchouk_column that does not depend on y: once per column."""
+    return q_pochhammer(A, 1 / Fraction(t), x) * gauss_binom(N, x, t)
 
 
 def binomial(n: int, k: int) -> int:

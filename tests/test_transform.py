@@ -477,11 +477,36 @@ class TestSymKernelAgainstReference:
         assert repairs == ({None} if n == 1 else {None, 1, -1})
 
 
-@pytest.mark.parametrize("n,m,q", [(1, 4, 3), (2, 2, 3), (2, 3, 3), (3, 3, 3), (2, 3, 5)])
+@pytest.mark.parametrize("n,m,q", [(1, 4, 3), (2, 2, 3), (2, 3, 3), (3, 3, 3), (2, 3, 5), (1, 3, 4), (2, 2, 4), (2, 2, 8), (2, 2, 9)])
 def test_mat_kernel_against_reference(n, m, q):
     sp = make_space("mat", field(q), n, m)
     ranks = bulk.batch_rank(bulk._digits(0, sp.size, sp.dim, q), n, m, bulk.arith(sp.field)).tolist()
     assert ranks == [matrix_rank(sp.as_matrix(elem), sp.field) for elem in sp.elements()]
+
+
+@pytest.mark.parametrize("n,m,q", [(3, 3, 5), (2, 3, 4)])
+def test_mat_row_labels_of_random_rows(n, m, q):
+    sp = make_space("mat", field(q), n, m)
+    rng = np.random.default_rng(17)
+    digits = rng.integers(0, q, size=(2000, sp.dim), dtype=np.int32)
+    digits[:200, :m] = 0  # row 0 zero: no step
+    digits[:20] = 0  # the zero matrix
+    digits[200:400, : rng.integers(1, m)] = 0  # a later pivot column
+    ranks = bulk.row_labels(sp, digits, raw=True).tolist()
+    assert ranks == [matrix_rank(sp.as_matrix(tuple(row)), sp.field) for row in digits.tolist()]
+    assert set(ranks) == set(range(n + 1))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 11])
+def test_digits_of_a_full_range(q):
+    def reference(start, stop, d):  # digit i of x is x // q^i mod q
+        return np.arange(start, stop, dtype=np.int64)[:, None] // q ** np.arange(d, dtype=np.int64) % q
+
+    for d in range(7):
+        got = bulk._digits(0, q**d, d, q)
+        assert got.dtype == np.int32 and np.array_equal(got, reference(0, q**d, d))
+    start, stop = q + 1, q**3 - 1  # not a full range: the division path
+    assert np.array_equal(bulk._digits(start, stop, 3, q), reference(start, stop, 3))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -508,10 +533,13 @@ def _chunk_params():
     for fam, n, m, q, case in cases:
         for chunk in (3, 7, 1000, bulk.CHUNK):
             yield pytest.param(fam, n, m, q, chunk, id=f"{case}-{chunk}")
-    # the low/high boundary inside row 0, inside T (a non-empty repair set for sym and mat), past dim (one chunk)
+    # the low/high boundary inside row 0, inside T (a non-empty repair set for sym), past dim (one chunk)
     for fam, n, m, q, dim in [("sym", 4, None, 3, 10), ("mat", 3, 3, 3, 9), ("alt", 5, None, 3, 10), ("sym", 3, None, 9, 6)]:
         for chunk in (q * q, 729, q**dim):
             yield pytest.param(fam, n, m, q, chunk, id=f"{fam}-{n}-{m}-q{q}-{chunk}")
+    # the mat table G over several chunks: row 2 all high, then partly low; and the step row by row where q^(2m) > CHUNK
+    for n, m, q, chunk in [(3, 3, 3, 2187), (3, 3, 4, 4**6), (3, 3, 4, 4**7), (3, 4, 3, 3**8), (3, 4, 3, 3**10), (2, 3, 5, 5**5)]:
+        yield pytest.param("mat", n, m, q, chunk, id=f"mat-{n}-{m}-q{q}-{chunk}")
     # alt n=5 q=5 in one chunk against the default CHUNK, where its rows that do not vary are folded once per call
     yield pytest.param("alt", 5, None, 5, 5**10, id="alt-5-None-q5-one-chunk")
 
@@ -541,8 +569,10 @@ def test_chunk_size_does_not_change_orbit_counts(monkeypatch, fam, n, m, q, chun
     hists2, sizes2 = bulk.orbit_counts(sp, coefvecs)
     assert sizes2.tolist() == sizes.tolist()
     assert [h.tolist() for h in hists2] == [h.tolist() for h in hists]
-    if chunk == 729 and fam in ("sym", "mat"):  # the boundary inside T: some rows repaired in every chunk
+    if chunk == 729 and fam == "sym":  # the boundary inside T: some rows repaired in every chunk
         assert repairs[-1].size and len(repairs) > 1
+    if fam == "mat":  # the table G leaves no repair set; the step row by row repairs some rows
+        assert all(r is None for r in repairs) if q ** (2 * m) <= chunk else repairs[-1].size
 
 
 def test_kernels_get_read_only_digits(monkeypatch):
