@@ -25,11 +25,13 @@ dim - k high digits are fixed in a chunk, so each labeller is split in two:
 - a per-chunk tail (_label_indices) adds the high digits s_t. In the steps
   of _gather, a coordinate s_t - P_t adds q^i vreduce(s_t - P_t), read from a
   table of q^h entries per chunk at the row's per-call code of its P_t; one
-  gather reads the label. The mat step reads its table G instead (below).
-In the steps of _gather, rows whose step reads a high digit (the pivot row of
-T for sym and alt, the pivot column below row 0 for mat, and every row when k
-is below the width of row 0) form a fixed repair set per call, which the full
-kernel labels in every chunk. A functional sends coordinate k with
+  gather reads the label. The mat and sym steps read their own tables instead
+  (below).
+In the steps of _gather (alt n >= 6, and mat where q^(2m) > CHUNK), rows whose
+step reads a high digit (the pivot row of T for alt, the pivot column below
+row 0 for mat, and every row when k is below the width of row 0) form a fixed
+repair set per call, which the full kernel labels in every chunk. The mat and
+sym steps repair no row. A functional sends coordinate k with
 coefficient c_k through T_c[x] = Tr(c_k x) in F_p, which is F_p-linear in
 the base-p digits of x, so t = t_lo + t_hi: t_lo reads the low digits, and
 t_hi, an outer sum of the T tables over the high digits, is one value per
@@ -69,12 +71,31 @@ label is read from the table of the (n-1) space at that index.
   is P + sum x_i s_i over its terms with a high digit s_i. Each row codes
   (P, x_i) per call, and a table per chunk says which codes are nonzero.
 - sym, A = [[a, b^T], [b, T]] (Lam, *Introduction to Quadratic Forms over
-  Fields*, ch. I): a != 0 makes A congruent to diag(a, T - b b^T / a);
-  a = b = 0 leaves the label of T; if a = 0, b != 0 and j is the first index
-  with b_j != 0 or a_jj != 0, adding c times row and column j into row and
-  column 0 makes the pivot c (2 b_j + c a_jj), nonzero for c = 1, or for
-  c = -1 when a_jj = -2 b_j. Row j = 0 of T has only low digits, so it is
-  tried first. The code is 2 rank + (sign < 0).
+  Fields*, ch. I), with T' the block of T below its row 0, in the (n-2)
+  counting order. The step reads the row-0 code x: the first 2n - 1 digits,
+  row 0 of A and row 0 of T. a != 0 makes A congruent to diag(a, T - b b^T /
+  a); a = b = 0 leaves the label of T; if a = 0 and b_0 or T_00 != 0, adding
+  c times row and column 1 into row and column 0 makes the pivot c (2 b_0 + c
+  T_00), nonzero for c = 1, or for c = -1 when T_00 = -2 b_0. Then entry
+  e = (l, m) of T' becomes T'_e - P_e, with P_e = u_l b_m and u = b / a
+  functions of x. The other rows, a = b_0 = T_00 = 0 and b != 0 (the hyp rows,
+  0.8 % of sym n=4 q=5), split off the hyperbolic plane on {0, j + 1}, j >= 1
+  the first index with b_j != 0: rank 2, and the sign of -1. The rest is T on
+  the hyperplane b^perp, P T P^T with P = I - u e_j^T and u = b / b_j: its row
+  0 reads x, and T' enters linearly, with coefficients from u alone. The code
+  is 2 rank + (sign < 0), read from [C, C+2, (C+2)^1, (C+4)^[sgn(-1) < 0]] by
+  class, C the (n-1) table.
+  _sym_reduction memoizes the step per (n, field) at all q^(2n-1) codes x: the
+  class times |C| plus T-row-0's share of the (n-1) index, the codes of -P_e,
+  and the hyp class, 1 + the code of (u_1..u_{n-2}). Per call: x from the low
+  digits, one take per table, and the low entries of T'; the hyp rows take
+  P T' P^T of their low digits. Each row also gets a code z q^h + sum q^i L_i
+  over the h high entries of T', z = 0 or its hyp class and L_i the low part of
+  entry i. Per chunk, a table of (1 + q^(n-2)) q^h entries adds the high terms
+  at that code, and one take reads the label. Where q^(2n-1) > CHUNK there is
+  no memo and the step runs on the rows themselves: per call, or, where the
+  row-0 code reaches a high digit (k < 2n - 1: sym n=2 q >= 81, n=3 q >= 17,
+  n=4 q >= 7, n=5 q >= 5), per chunk with all of T' high.
 
 A split returns per-call labels, the rows that vary and a tail that labels only
 those. Every other row has its per-call label plus the chunk's shift in every
@@ -120,8 +141,12 @@ def _digits(start: int, stop: int, dim: int, q: int) -> np.ndarray:
     """
     out = np.empty((dim, stop - start), dtype=np.int32)
     if start == 0 and stop == q**dim:  # every digit string: digit k runs through 0..q-1, each held for q^k codes
+        m = next((i for i in range(dim) if q**i >= 64), dim)  # digits below m repeat with period B = q^m: fill one, copy it
+        B = q**m
         for k in range(dim):
-            out[k].reshape(-1, q, q**k)[:] = np.arange(q, dtype=np.int32)[:, None]
+            (out[k] if k >= m else out[k, :B]).reshape(-1, q, q**k)[:] = np.arange(q, dtype=np.int32)[:, None]
+        if m < dim:  # from a copy: numpy would expand a source that overlaps out to the full shape first
+            out[:m, B:].reshape(m, -1, B)[:] = out[:m, None, :B].copy()  # a view: runs of B, not of q^k
         return out.T
     idx = np.arange(start, stop, dtype=np.int32 if stop <= 2**31 else np.int64)
     for k in range(dim):
@@ -295,24 +320,114 @@ def batch_rank(digits: np.ndarray, n: int, m: int, F: Arith) -> np.ndarray:
     return _labels(_mat_split, digits, n, m, F)
 
 
+def _sym_row0(D: np.ndarray, n: int, F: Arith):
+    """The row-0 step of symmetric n x n matrices at rows D of their first 2n - 1 digits, row 0 and row 0 of T (module docstring).
+
+    Returns base, the class times |C| plus T-row-0's share of the (n-1) index; neg[e], the code of -P_e at each entry
+    e of T' (P_e = u_l b_m); and hyp, 1 + the code of u' = (u_1..u_{n-2}) where the step reads T' (a = b_0 = T_00 = 0,
+    b != 0), else 0.
+    """
+    a, b, t0 = D[:, 0].copy(), D[:, 1:n].copy(), D[:, n:]  # t0 = row 0 of T
+    hyp = np.zeros(len(D), dtype=np.int32)
+    if n == 1:  # no b and no T
+        return (a != 0) + (F.sgn_table[a] < 0).astype(np.int32), np.zeros((0, len(D)), np.int32), hyp
+    z = np.flatnonzero(a == 0)
+    add = z[(b[z, 0] != 0) | (t0[z, 0] != 0)]  # c times row and column 1 into row and column 0
+    two = F.vadd(b[add, 0], b[add, 0])
+    c = np.where(F.vreduce(F.vadd(two, t0[add, 0])) == 0, F.neg(1), 1)  # c = -1 where T_00 = -2 b_0
+    a[add] = F.vreduce(F.vadd(t0[add, 0], F.vmul(c, two)))  # c (2 b_0 + c T_00)
+    b[add] = F.vreduce(F.vadd(b[add], F.vmul(c[:, None], t0[add])))
+    u = F.vreduce(F.vmul(b, F.inv_table[a][:, None]))  # b / a; zero where a = 0
+    S0 = F.vreduce(F.vsub(t0, F.vmul(u[:, :1], b)))  # t0_d - u_0 b_d
+    h = z[(a[z] == 0) & b[z].any(axis=1)]  # now b_0 = 0: the hyperbolic plane on {0, j + 1}, j >= 1 the first b_j != 0
+    j = (b[h] != 0).argmax(axis=1)
+    u[h] = F.vreduce(F.vmul(b[h], F.inv_table[b[h, j]][:, None]))  # b / b_j
+    S0[h] = F.vreduce(F.vsub(t0[h], F.vmul(u[h], t0[h, j][:, None])))  # t0_d - u_d t0_j, 0 at d = j
+    hyp[h] = 1 + u[h, 1:] @ F.q ** np.arange(n - 2)
+    cls = (a != 0) + (F.sgn_table[a] < 0).astype(np.int32)
+    cls[h] = 3
+    iu, ju = np.triu_indices(n - 2)
+    neg = np.ascontiguousarray(F.vreduce(F.vneg(F.vmul(u[:, 1 + iu], b[:, 1 + ju]))).T, dtype=np.int32)
+    base = cls * F.q ** (n * (n - 1) // 2) + sum(F.q**d * S0[:, d] for d in range(n - 1))  # not @: numpy has no fast int matmul
+    return base.astype(np.int32), neg, hyp
+
+
+@lru_cache(maxsize=None)
+def _sym_reduction(n: int, F: Arith):
+    """_sym_row0 at every code of the first 2n - 1 digits, read-only.
+
+    In blocks of 2^14 codes: the temporaries of one pass over all q^(2n-1) codes would take 100 bytes a code.
+    """
+    X = F.q ** (2 * n - 1)
+    parts = [_sym_row0(_digits(s, min(s + (1 << 14), X), 2 * n - 1, F.q), n, F) for s in range(0, X, 1 << 14)]
+    return tuple(_frozen(np.concatenate(t, axis=-1)) for t in zip(*parts))
+
+
+def _schur(R: np.ndarray, u: np.ndarray, n: int, F: Arith) -> np.ndarray:
+    """P R P^T for (B, |T'|) blocks R of T' and (B, n-2) rows u' whose first nonzero entry u_j is 1, P = I - u' e_j^T.
+
+    S_lm = R_lm - u_l R_jm - u_m R_jl + u_l u_m R_jj: linear in R, and zero on row and column j.
+    """
+    r, pos, (iu, ju) = np.arange(len(R))[:, None], _positions(n - 2, True), np.triu_indices(n - 2)
+    j = (u != 0).argmax(axis=1)
+    Rj = R[r, pos[j]]  # row j of R
+    v = F.vreduce(F.vsub(Rj, F.vmul(u, Rj[r, j[:, None]])))  # R_jm - u_m R_jj
+    return F.vreduce(F.vsub(F.vsub(R, F.vmul(u[:, iu], v[:, ju])), F.vmul(u[:, ju], Rj[:, iu])))
+
+
 def _sym_split(digits, k: int, n: int, F: Arith):
     """Per-call row-0 step of the codes of symmetric n x n matrices (module docstring); returns the per-chunk tail."""
-    a, b, T = digits[:, 0].copy(), digits[:, 1:n].copy(), digits[:, n:]
-    iu, ju = np.triu_indices(n - 1)
-    pos = _positions(n - 1, True)  # column of T holding (i, j)
-    rep, repair = np.flatnonzero((a == 0) & b.any(axis=1)), np.arange(len(a) if k < n else 0)  # all if row 0 reads a high digit
-    if rep.size and k >= n:
-        diag = np.diagonal(pos)
-        j = ((b[rep] != 0) | (T[rep[:, None], diag] != 0)).argmax(axis=1)  # the pivot: j = 0 wherever it can be
-        late = (n + pos.max(axis=1) >= k)[j]  # row j of T reaches a high digit
-        repair, rep = rep[late], rep[~late]
-        a[rep], b[rep] = _sym_pivot(b[rep], T[rep], pos, j[~late], F)
-    u = F.vreduce(F.vmul(b, F.inv_table[a][:, None]))  # b / a; zero where no pivot, then C = T
-    C = _codes(_sym_split, len(iu), n - 1, F)
-    tables = [C, C + 2, (C + 2) ^ 1]  # by (a != 0) + (sign of a < 0); the code is 2 rank + (sign < 0)
-    entries = [(n + c, F.vmul(u[:, iu[c]], b[:, ju[c]])) for c in range(len(iu))]
-    cls = (a != 0) + (F.sgn_table[a] < 0).astype(np.int8)
-    return _gather(digits, k, F, entries, tables, cls, repair, partial(batch_sym_rank_sign, n=n, F=F))
+    q, K0, E = F.q, 2 * n - 1, (n - 1) * (n - 2) // 2  # the row-0 code has K0 digits, T' has E
+    C = _codes(_sym_split, n * (n - 1) // 2, n - 1, F)
+    table = _frozen(np.concatenate([C, C + 2, (C + 2) ^ 1, (C + 4) ^ int(F.sgn(F.neg(1)) < 0)]))  # by class
+    low, high = [e for e in range(E) if K0 + e < k], [e for e in range(E) if K0 + e >= k]
+    w, qh = q ** (n - 1 + np.arange(E)), q ** np.arange(len(high))  # w: the weight of each entry of T' in the (n-1) index
+    U = _frozen(_digits(0, q ** (n - 2), n - 2, q)) if E else None  # u' at each hyp class 1 + its code
+
+    def index(digits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(the index of each row without its high terms, its code in lut)."""
+        if q**K0 <= CHUNK:  # the memoized step, read at each row's row-0 code x
+            x = np.zeros(len(digits), dtype=np.int32)
+            for c in reversed(range(K0)):
+                x *= q
+                x += digits[:, c]
+            base, neg, hyp = _sym_reduction(n, F)
+            at = partial(np.take, indices=x)
+        else:  # the step on these rows
+            base, neg, hyp = _sym_row0(digits[:, :K0], n, F)
+            at = lambda t: t  # noqa: E731
+        base = idx = at(base)
+        for e in low:
+            idx = idx + int(w[e]) * F.vreduce(F.vadd(digits[:, K0 + e], at(neg[e])))  # int: an np.int64 would widen idx
+        code, hyp = at((qh @ neg[high]).astype(np.int32)), at(hyp)
+        rows = np.flatnonzero(hyp)
+        if rows.size:  # T' enters through P R P^T: its low digits here, its high terms from lut
+            R = np.zeros((len(rows), E), dtype=np.int32)
+            R[:, low] = digits[rows, K0:k]
+            S = _schur(R, U[hyp[rows] - 1], n, F)
+            idx[rows] = base[rows] + S[:, low] @ w[low]
+            code[rows] = hyp[rows] * q ** len(high) + S[:, high] @ qh
+        return idx, code
+
+    def lut(digits: np.ndarray) -> np.ndarray:
+        """lut[z q^h + sum_i q^i L_i] = sum_i w vreduce(L_i + Y_zi) over the h high entries, Y_zi their high terms in class z."""
+        s = np.zeros((1, E), dtype=np.int32)
+        if high:  # a chunk has a row 0; a call at k = dim may have no rows
+            s[0, high] = digits[0, [K0 + e for e in high]]
+        Y = np.concatenate([s, _schur(np.broadcast_to(s, (len(U), E)), U, n, F)])[:, high] if E else s
+        out = np.zeros((len(Y), 1), dtype=np.int32)
+        for i, e in enumerate(high):
+            out = (int(w[e]) * F.vreduce(F.vadd(np.arange(q, dtype=np.int32), Y[:, i, None]))[:, :, None] + out[:, None, :]).reshape(len(Y), -1)
+        return out.ravel()
+
+    # where the row-0 code reaches a high digit (k < K0), so does all of T', and each chunk runs the step on its own rows
+    fixed = tuple(map(_frozen, index(digits))) if k >= K0 else None
+
+    def tail(digits: np.ndarray) -> tuple[np.ndarray, int]:
+        idx, code = fixed or index(digits)
+        return np.take(table, idx + np.take(lut(digits), code)), 0
+
+    return np.broadcast_to(np.int8(0), len(digits)), np.broadcast_to(True, len(digits)), tail  # read-only, no memory
 
 
 def batch_sym_rank_sign(digits: np.ndarray, n: int, F: Arith) -> np.ndarray:
@@ -322,19 +437,6 @@ def batch_sym_rank_sign(digits: np.ndarray, n: int, F: Arith) -> np.ndarray:
     first n columns and the trailing block T is in the (n-1) counting order.
     """
     return _labels(_sym_split, digits, n, F)
-
-
-def _sym_pivot(b: np.ndarray, T: np.ndarray, pos: np.ndarray, j: np.ndarray, F: Arith) -> tuple[np.ndarray, np.ndarray]:
-    """New (a, b) of rows with a = 0, after c times row and column j went into row and column 0; b_j or a_jj != 0.
-
-    A function of its own, so that its temporaries are freed before the caller's main step allocates.
-    """
-    r = np.arange(len(b))
-    bj, ajj, tj = b[r, j], T[r, pos[j, j]], T[r[:, None], pos[j]]  # tj: row j of T
-    two_bj = F.vadd(bj, bj)
-    minus = F.vreduce(F.vadd(two_bj, ajj)) == 0  # c = -1 where a_jj = -2 b_j
-    a = F.vreduce(np.where(minus, F.vsub(ajj, two_bj), F.vadd(ajj, two_bj)))
-    return a, F.vreduce(np.where(minus[:, None], F.vsub(b, tj), F.vadd(b, tj)))
 
 
 def _build_matrices(digits: np.ndarray, j: np.ndarray, n: int, F: Arith) -> np.ndarray:

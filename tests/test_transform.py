@@ -34,7 +34,7 @@ from helpers import fold_reference, pushforward_reference, sym_fiber_sums_refere
 
 F3 = make_field(3)
 F5 = make_field(5)
-FIELD_OF = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 8: (2, 3), 9: (3, 2), 25: (5, 2), 27: (3, 3), 131: (131, 1)}
+FIELD_OF = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 7: (7, 1), 8: (2, 3), 9: (3, 2), 25: (5, 2), 27: (3, 3), 131: (131, 1)}
 
 
 def field(q):
@@ -497,6 +497,26 @@ def test_mat_row_labels_of_random_rows(n, m, q):
     assert set(ranks) == set(range(n + 1))
 
 
+@pytest.mark.parametrize("fam,n,q", [("sym", 4, 5), ("symscaled", 4, 7), ("sym", 4, 9), ("sym", 5, 3)])
+def test_sym_row_labels_of_random_rows(fam, n, q):
+    sp = make_space(fam, field(q), n)
+    F = bulk.arith(sp.field)
+    rng = np.random.default_rng(19)
+    digits = rng.integers(0, q, size=(2000, sp.dim), dtype=np.int32)
+    digits[:400, 0] = 0  # a = 0, b != 0: the pivot from row and column 1 ...
+    digits[200:400, n] = F.vreduce(F.vneg(F.vadd(digits[200:400, 1], digits[200:400, 1])))  # ... with c = -1, T_00 = -2 b_0
+    digits[400:800, [0, 1, n]] = 0  # a = b_0 = T_00 = 0: the hyperbolic plane on {0, j + 1}, j >= 1 ...
+    digits[600:800, 2] = 0  # ... and j >= 2
+    digits[800:900, 3:] = 0  # rank at most 2
+    digits[900:1000, 1:] = 0  # rank at most 1
+    digits[:20] = 0  # the zero matrix
+    codes = bulk.row_labels(sp, digits, raw=True).tolist()
+    want = [symmetric_sign(sp.as_matrix(tuple(row)), sp.field) for row in digits.tolist()]
+    assert codes == [2 * r + (s < 0) for r, s in want]
+    assert set(codes) == set(range(2 * n + 2)) - {1}  # every rank with both signs
+    assert bulk.batch_sym_rank_sign(digits[:0], n, F).shape == (0,)  # no rows
+
+
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 11])
 def test_digits_of_a_full_range(q):
     def reference(start, stop, d):  # digit i of x is x // q^i mod q
@@ -533,10 +553,15 @@ def _chunk_params():
     for fam, n, m, q, case in cases:
         for chunk in (3, 7, 1000, bulk.CHUNK):
             yield pytest.param(fam, n, m, q, chunk, id=f"{case}-{chunk}")
-    # the low/high boundary inside row 0, inside T (a non-empty repair set for sym), past dim (one chunk)
+    # the low/high boundary inside row 0, inside T, past dim (one chunk)
     for fam, n, m, q, dim in [("sym", 4, None, 3, 10), ("mat", 3, 3, 3, 9), ("alt", 5, None, 3, 10), ("sym", 3, None, 9, 6)]:
         for chunk in (q * q, 729, q**dim):
             yield pytest.param(fam, n, m, q, chunk, id=f"{fam}-{n}-{m}-q{q}-{chunk}")
+    # the sym step with k low digits: inside T's row 0 (k < 2n - 1), and inside or at the start of a row j >= 1 of T;
+    # q = 1 and 3 mod 4 (the sign of -1 differs), and an extension field
+    for fam, n, q, ks in [("sym", 3, 5, (4, 5)), ("sym", 4, 3, (5, 7, 8, 9)), ("symscaled", 3, 7, (4, 5)), ("sym", 3, 9, (4, 5))]:
+        for k in ks:
+            yield pytest.param(fam, n, None, q, q**k, id=f"{fam}-{n}-None-q{q}-{q**k}")
     # the mat table G over several chunks: row 2 all high, then partly low; and the step row by row where q^(2m) > CHUNK
     for n, m, q, chunk in [(3, 3, 3, 2187), (3, 3, 4, 4**6), (3, 3, 4, 4**7), (3, 4, 3, 3**8), (3, 4, 3, 3**10), (2, 3, 5, 5**5)]:
         yield pytest.param("mat", n, m, q, chunk, id=f"mat-{n}-{m}-q{q}-{chunk}")
@@ -562,15 +587,19 @@ def test_chunk_size_does_not_change_orbit_counts(monkeypatch, fam, n, m, q, chun
     sp = make_space(fam, field(q), n, m)
     coefvecs = [[(r * k + 1) % q for k in range(sp.dim)] for r in range(3)]
     hists, sizes = bulk.orbit_counts(sp, coefvecs)
+    split, args, _ = bulk._labeller(sp)
+    labels = np.concatenate(list(bulk._walk(split, sp.dim, *args)))
     monkeypatch.setattr(bulk, "CHUNK", chunk)
     bulk._codes.cache_clear()  # rebuild the (n-1) tables in chunks too
-    label_indices, repairs = bulk._label_indices, []
+    label_indices, repairs, full_kernel, full = bulk._label_indices, [], bulk._labels, []
     monkeypatch.setattr(bulk, "_label_indices", lambda tail, digits: repairs.append(_tail_state(tail).get("repair")) or label_indices(tail, digits))
+    monkeypatch.setattr(bulk, "_labels", lambda split, *args: full.append(split) or full_kernel(split, *args))
     hists2, sizes2 = bulk.orbit_counts(sp, coefvecs)
     assert sizes2.tolist() == sizes.tolist()
     assert [h.tolist() for h in hists2] == [h.tolist() for h in hists]
-    if chunk == 729 and fam == "sym":  # the boundary inside T: some rows repaired in every chunk
-        assert repairs[-1].size and len(repairs) > 1
+    assert np.array_equal(np.concatenate(list(bulk._walk(split, sp.dim, *args))), labels)  # a histogram can hide swapped labels
+    if fam in ("sym", "symscaled"):  # the sym step leaves no repair set, and no chunk runs the full kernel
+        assert all(r is None for r in repairs) and not full
     if fam == "mat":  # the table G leaves no repair set; the step row by row repairs some rows
         assert all(r is None for r in repairs) if q ** (2 * m) <= chunk else repairs[-1].size
 
