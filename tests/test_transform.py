@@ -593,7 +593,7 @@ def test_chunk_size_does_not_change_orbit_counts(monkeypatch, fam, n, m, q, chun
     bulk._codes.cache_clear()  # rebuild the (n-1) tables in chunks too
     label_indices, repairs, full_kernel, full = bulk._label_indices, [], bulk._labels, []
     monkeypatch.setattr(bulk, "_label_indices", lambda tail, digits: repairs.append(_tail_state(tail).get("repair")) or label_indices(tail, digits))
-    monkeypatch.setattr(bulk, "_labels", lambda split, *args: full.append(split) or full_kernel(split, *args))
+    monkeypatch.setattr(bulk, "_labels", lambda step, *rest: full.append(step) or full_kernel(step, *rest))
     hists2, sizes2 = bulk.orbit_counts(sp, coefvecs)
     assert sizes2.tolist() == sizes.tolist()
     assert [h.tolist() for h in hists2] == [h.tolist() for h in hists]
