@@ -22,16 +22,10 @@ dim - k high digits are fixed in a chunk, so each labeller is split in two:
 - a per-call part (the *_split functions) runs once on the low digits: the
   row-0 step below and every (n-1) coordinate that reads only low digits. It
   keeps read-only int32/int8 state;
-- a per-chunk tail (_label_indices) adds the high digits s_t. In the steps
-  of _gather, a coordinate s_t - P_t adds q^i vreduce(s_t - P_t), read from a
-  table of q^h entries per chunk at the row's per-call code of its P_t; one
-  gather reads the label. The mat and sym steps read their own tables instead
-  (below).
-In the steps of _gather (alt n >= 6, and mat where q^(2m) > CHUNK), rows whose
-step reads a high digit (the pivot row of T for alt, the pivot column below
-row 0 for mat, and every row when k is below the width of row 0) form a fixed
-repair set per call, which the full kernel labels in every chunk. The mat and
-sym steps repair no row. A functional sends coordinate k with
+- a per-chunk tail (_label_indices) adds the high digits s_t: for the row-0
+  steps, one table per chunk read at each row's per-call code, then one take
+  reads the label.
+A functional sends coordinate k with
 coefficient c_k through T_c[x] = Tr(c_k x) in F_p, which is F_p-linear in
 the base-p digits of x, so t = t_lo + t_hi: t_lo reads the low digits, and
 t_hi, an outer sum of the T tables over the high digits, is one value per
@@ -46,25 +40,33 @@ member, sum_j lambda_j digit_j. Per chunk a group runs one bincount over
 (label, key); each member sums its (nbins, p^rho) counts by that map into
 (nbins, p) and adds them rolled by its t_hi.
 
-A matrix is labelled in three steps: one reduction step on row 0 leaves a
-matrix of the (n-1) space; its digits give its index in counting order; its
-label is read from the table of the (n-1) space at that index.
+A matrix is labelled by one row-0 step: it reads row 0, the first K0 digits,
+and leaves a matrix S of the (n-1) space, whose index in counting order reads
+the label from the (n-1) table, shifted by the step's class. The rest of the
+matrix, the digits after K0, enters the step linearly, with coefficients from
+u = b / b_j alone, b the part of row 0 the step pivots on and b_j its first
+nonzero entry. An entry of S reads only digits at or before its own position,
+so a low entry reads only low digits. Per call, _row0_split computes the low
+entries of S and, per row, a code z q^h + sum_i q^i L_i over the h high
+entries: z is the class of u, a column of a table U, and L_i the low part of
+high entry i. Per chunk, a table of |U| q^h entries adds at that code the
+step of each class on the high digits alone. Where row 0 reaches a high digit
+(k < K0), each chunk runs the step on its own rows. No row is repaired.
 - mat: row 0 (r0) clears its first nonzero column j from rows 1..n-1, so
-  rank A is [r0 != 0] + the rank of those rows. New row i depends on R_i and
-  r0 alone, so one memoized table per (m, field) holds every step:
-  G[R q^m + r] is the code of R - (R[j] / r[j]) r (R where r = 0). With T the
-  (n-1) table, the label is [T, T+1][[r0 != 0] |T| + sum_{i>=1} q^((i-1)m)
-  G[R_i q^m + r0]]. Where q^(2m) <= CHUNK, G has at most CHUNK entries and
-  rows 0 and 1 are low. Per call: the codes of the rows, from their low
-  digits, and the partial sum over the rows with no high digit. Per chunk: a
-  row with a high digit adds one offset to its per-call G index; then one take
-  from G per such row and one from the label table. No row is repaired. Where
-  q^(2m) > CHUNK (shapes like 2x5 q=5, 2x4 q=7, 2x6 q=3) the step runs row by
-  row through _gather, with its repair set.
-- alt, n >= 6: with b = row 0 and b_j its first nonzero entry, the block on
-  {0, j} is a hyperbolic plane (Artin, *Geometric Algebra*, ch. III). Its
-  Schur complement S_kl = T_kl - (b_k T_jl - b_l T_jk) / b_j, an (n-1) skew
-  matrix with zero row and column j, has half-rank one less.
+  rank A is [r0 != 0] + the rank of those rows: new row i is R_i - R_i[j] u,
+  u = r0 / r0[j]. U holds the zero vector and the vectors of GF(q)^m with
+  first nonzero entry 1 (_classes). Where q^(2m) <= CHUNK (so rows 0 and 1
+  are low) one memoized table per (m, field) holds every row step instead:
+  G[R q^m + r] is the code of R - (R[j] / r[j]) r (R where r = 0), and with T
+  the (n-1) table the label is [T, T+1][[r0 != 0] |T| + sum_{i>=1}
+  q^((i-1)m) G[R_i q^m + r0]]. Per call: the G index of each row from its
+  low digits, and the sum over the rows with no high digit; per chunk, a row
+  with a high digit adds one offset to its G index.
+- alt, n >= 6: with b = row 0, the block on {0, j} is a hyperbolic plane
+  (Artin, *Geometric Algebra*, ch. III). The rest is T on the hyperplane
+  b^perp: S = P T P^T with P = I - u e_j^T, that is S_cd = T_cd - u_c T_jd +
+  u_d T_jc, an (n-1) skew matrix with zero row and column j and half-rank
+  one less. U is as for mat, over GF(q)^(n-1).
 - alt, n <= 5: the rank is that of the largest nonsingular principal
   submatrix, at most 4, and a 4x4 principal minor is the square of the
   Pfaffian a_ij a_kl - a_ik a_jl + a_il a_jk. It is multilinear: per chunk it
@@ -72,30 +74,21 @@ label is read from the table of the (n-1) space at that index.
   (P, x_i) per call, and a table per chunk says which codes are nonzero.
 - sym, A = [[a, b^T], [b, T]] (Lam, *Introduction to Quadratic Forms over
   Fields*, ch. I), with T' the block of T below its row 0, in the (n-2)
-  counting order. The step reads the row-0 code x: the first 2n - 1 digits,
-  row 0 of A and row 0 of T. a != 0 makes A congruent to diag(a, T - b b^T /
-  a); a = b = 0 leaves the label of T; if a = 0 and b_0 or T_00 != 0, adding
-  c times row and column 1 into row and column 0 makes the pivot c (2 b_0 + c
-  T_00), nonzero for c = 1, or for c = -1 when T_00 = -2 b_0. Then entry
-  e = (l, m) of T' becomes T'_e - P_e, with P_e = u_l b_m and u = b / a
-  functions of x. The other rows, a = b_0 = T_00 = 0 and b != 0 (the hyp rows,
-  0.8 % of sym n=4 q=5), split off the hyperbolic plane on {0, j + 1}, j >= 1
-  the first index with b_j != 0: rank 2, and the sign of -1. The rest is T on
-  the hyperplane b^perp, P T P^T with P = I - u e_j^T and u = b / b_j: its row
-  0 reads x, and T' enters linearly, with coefficients from u alone. The code
-  is 2 rank + (sign < 0), read from [C, C+2, (C+2)^1, (C+4)^[sgn(-1) < 0]] by
-  class, C the (n-1) table.
-  _sym_reduction memoizes the step per (n, field) at all q^(2n-1) codes x: the
-  class times |C| plus T-row-0's share of the (n-1) index, the codes of -P_e,
-  and the hyp class, 1 + the code of (u_1..u_{n-2}). Per call: x from the low
-  digits, one take per table, and the low entries of T'; the hyp rows take
-  P T' P^T of their low digits. Each row also gets a code z q^h + sum q^i L_i
-  over the h high entries of T', z = 0 or its hyp class and L_i the low part of
-  entry i. Per chunk, a table of (1 + q^(n-2)) q^h entries adds the high terms
-  at that code, and one take reads the label. Where q^(2n-1) > CHUNK there is
-  no memo and the step runs on the rows themselves: per call, or, where the
-  row-0 code reaches a high digit (k < 2n - 1: sym n=2 q >= 81, n=3 q >= 17,
-  n=4 q >= 7, n=5 q >= 5), per chunk with all of T' high.
+  counting order. The step reads the row-0 code x, K0 = 2n - 1 digits: row 0
+  of A and of T. a != 0 makes A congruent to diag(a, T - b b^T / a); a = b = 0
+  leaves T; if a = 0 and b_0 or T_00 != 0, adding c times row and column 1
+  into row and column 0 makes the pivot c (2 b_0 + c T_00), nonzero for
+  c = 1, or for c = -1 when T_00 = -2 b_0. Then entry e = (l, m) of T'
+  becomes T'_e - P_e, P_e = u_l b_m and u = b / a: class 0, shifted by -P_e.
+  The other rows, a = b_0 = T_00 = 0 and b != 0 (the hyp rows, 0.8 % of sym
+  n=4 q=5), split off the hyperbolic plane on {0, j + 1}, j >= 1 the first
+  index with b_j != 0: rank 2, and the sign of -1. The rest is P T P^T with
+  P = I - u e_j^T and u = b / b_j, the symmetric form of the alt step, in the
+  class of u' = (u_1..u_{n-2}) (_classes), never 0. The label code 2 rank +
+  (sign < 0) is read from [C, C+2, (C+2)^1, (C+4)^[sgn(-1) < 0]] by class, C
+  the (n-1) table. Where q^(2n-1) <= CHUNK, _sym_reduction memoizes at every
+  x the class times |C| plus T-row-0's share of the index, the codes of -P_e
+  and the hyp class; elsewhere the step runs on the rows themselves.
 
 A split returns per-call labels, the rows that vary and a tail that labels only
 those. Every other row has its per-call label plus the chunk's shift in every
@@ -116,7 +109,7 @@ has the low count of nonzero coordinates plus the chunk's count of nonzero high
 digits, which is the shift.
 
 row_labels runs a split at k = dim on a given code array: every digit is low,
-so there is no chunk and no repair set. coset_counts labels an affine coset,
+so the rows are one chunk. coset_counts labels an affine coset,
 a fixed code vector plus the span of some coordinates, that way and folds it
 into one histogram; the commutative diagrams take their fibers from it.
 """
@@ -218,31 +211,91 @@ def _codes(split, dim: int, *args) -> np.ndarray:
     return _frozen(np.concatenate(list(_walk(split, dim, *args))))
 
 
-def _gather(digits, k: int, F: Arith, entries, tables, cls, repair, full):
-    """The split of a row-0 step (module docstring): every row varies, and the tail labels them all.
+def _code(digits: np.ndarray, q: int) -> np.ndarray:
+    """The int32 code sum_c q^c digits[:, c] of each row."""
+    out = np.zeros(len(digits), dtype=np.int32)
+    for c in reversed(range(digits.shape[1])):
+        out *= q
+        out += digits[:, c]
+    return out
 
-    A row's label is tables[cls][index of its (n-1) coordinates], the i-th of which is
-    digit c - P for (c, P) = entries[i]; full labels the rows in repair in every chunk.
+
+def _normalize(b: np.ndarray, F: Arith) -> tuple[np.ndarray, np.ndarray]:
+    """(b / b_j, j) for each column b of the array b, b_j its first nonzero entry; a zero column stays zero, with j = 0."""
+    j = np.zeros(b.shape[1], dtype=np.intp)
+    for c in reversed(range(len(b))):  # a pass per entry: faster than argmax on few entries
+        np.copyto(j, c, where=b[c] != 0)
+    return F.vreduce(F.vmul(b, F.inv_table[b[j, np.arange(b.shape[1])]])), j
+
+
+@lru_cache(maxsize=None)
+def _classes(d: int, F: Arith) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(U, J, cls), read-only: the columns of U are the vectors of GF(q)^d that are zero or have first nonzero entry 1,
+    zero first, J holds their pivots j, and cls[x] is the column of U at b / b_j for the vector b coded x."""
+    u, j = _normalize(_digits(0, F.q**d, d, F.q).T, F)
+    _, first, cls = np.unique(_code(u.T, F.q), return_index=True, return_inverse=True)
+    return _frozen(np.ascontiguousarray(u[:, first])), _frozen(j[first]), _frozen(cls.astype(np.int32))
+
+
+def _rest(digits: np.ndarray, K0: int, k: int, apply, u: np.ndarray, j: np.ndarray, w: np.ndarray, q: int):
+    """(sum of w_e S_e over the low entries e, sum_i q^i S_i over the high ones) per row of digits, S = apply(R, u, j),
+    R the rest of each row, its digits K0.., in a column with the high ones (digits k..) zero. In blocks of 2^14 rows:
+    the heap then reuses the temporaries, which at full size it would map and fault in again each time."""
+    lo, hi = np.zeros((2, len(digits)), dtype=np.int32)
+    for s in range(0, len(digits), 1 << 14):
+        b = slice(s, s + (1 << 14))
+        R = np.zeros((len(w), len(lo[b])), dtype=np.int32)
+        R[: k - K0] = digits[b, K0:k].T
+        S = apply(R, u[:, b], j[b]) if len(R) else R  # alt n=2 and mat n=1 have no rest
+        lo[b] = sum(w[e] * S[e] for e in range(k - K0))
+        hi[b] = q ** np.arange(len(w) - k + K0, dtype=np.int32) @ S[k - K0 :]
+    return lo, hi
+
+
+def _row0_split(digits, k: int, F: Arith, K0: int, w: np.ndarray, table: np.ndarray, index, classes, apply):
+    """The split of a row-0 step whose rest, the digits K0.. of a row, enters linearly (module docstring).
+
+    index(digits, k) gives each row's index in table without its high terms, and its code z q^h + sum_i q^i L_i. The
+    columns of U for (U, J, cls) = classes are the u of each class z, J their pivots j; apply(R, u, j) runs the step on
+    the rest R (_rest), and w is the weight of each rest entry in the index.
     """
-    idx, high, P = cls.astype(np.int32) * len(tables[0]), [], 0
-    for i, (c, Pc) in enumerate(entries):
-        if c < k:
-            idx += F.q**i * F.vreduce(F.vsub(digits[:, c], Pc))
-        else:
-            P, high = P + F.q ** len(high) * F.vreduce(Pc), high + [(c, F.q**i)]
-    P = _frozen(np.asarray(P, dtype=np.int8 if F.q ** len(high) <= 128 else np.int32))  # base-q digit i codes high[i]
-    idx, table, repair = _frozen(idx), _frozen(np.concatenate(tables)), _frozen(repair.astype(np.int32))
+    q, dim = F.q, digits.shape[1]
+    fixed = tuple(map(_frozen, index(digits, k))) if K0 <= k < dim else None  # else each chunk runs the step on its rows
 
-    def tail(digits: np.ndarray) -> np.ndarray:
-        lut = np.zeros(1, dtype=np.int32)  # lut[P] sums w vreduce(s_t - P_t) over the (t, w) in high
-        for t, w in high:
-            lut = np.add.outer(w * F.vreduce(F.vsub(digits[0, t], np.arange(F.q, dtype=np.int32))), lut).ravel()
-        labels = np.take(table, idx + np.take(lut, P))  # take: faster than [] on narrow indices
-        if repair.size:
-            labels[repair] = full(digits.T[:, repair].T)  # columns stay contiguous
-        return labels, 0
+    def tail(digits: np.ndarray) -> tuple[np.ndarray, int]:
+        if fixed is None:  # row 0 has a high digit, or no entry has
+            return np.take(table, index(digits, dim)[0]), 0
+        s = np.zeros((len(w), 1), dtype=np.int32)
+        s[k - K0 :, 0] = digits[0, k:]
+        U, J, _ = classes
+        Y = apply(np.broadcast_to(s, (len(w), len(J))), U, J)[k - K0 :]  # the high terms of each class
+        lut = np.zeros((len(J), 1), dtype=np.int32)  # lut[z q^h + sum_i q^i L_i] = sum_i w vreduce(L_i + Y_iz)
+        for i, wi in enumerate(w[k - K0 :]):
+            lut = (wi * F.vreduce(F.vadd(np.arange(q, dtype=np.int32), Y[i, :, None]))[:, :, None] + lut[:, None, :]).reshape(len(J), -1)
+        return np.take(table, fixed[0] + np.take(lut, fixed[1])), 0  # take: faster than [] on narrow indices
 
-    return np.broadcast_to(np.int8(0), idx.shape), np.broadcast_to(True, idx.shape), tail  # read-only, no memory
+    return np.broadcast_to(np.int8(0), len(digits)), np.broadcast_to(True, len(digits)), tail  # read-only, no memory
+
+
+def _pivot_split(digits, k: int, F: Arith, K0: int, T: np.ndarray, apply):
+    """The split of a step on row 0, the first K0 digits b: the rest, in the order of the (n-1) table T, becomes
+    S = apply(rest, u, j), u = b / b_j, and the label is [T, T+1][[b != 0] |T| + the index of S] (module docstring)."""
+    q, dim = F.q, digits.shape[1]
+    w = _frozen(q ** np.arange(dim - K0, dtype=np.int32))
+    classes = _classes(K0, F) if K0 <= k < dim else None
+
+    def index(digits: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+        b = digits[:, :K0]
+        if classes is None:  # every digit is known: the step on these rows
+            z, (u, j) = 0, _normalize(b.T, F)
+        else:  # the class of each row, read at the code of b
+            U, J, cls = classes
+            z = np.take(cls, _code(b, q))
+            u, j = np.take(U, z, axis=1), np.take(J, z)  # take: faster than []
+        lo, hi = _rest(digits, K0, k, apply, u, j, w, q)
+        return b.any(axis=1) * np.int32(len(T)) + lo, z * q ** (dim - k) + hi
+
+    return _row0_split(digits, k, F, K0, w, _frozen(np.concatenate([T, T + 1])), index, classes, apply)
 
 
 def _positions(n: int, diagonal: bool) -> np.ndarray:
@@ -260,11 +313,10 @@ def _mat_reduction(m: int, F: Arith) -> np.ndarray:
     Where r = 0 the code is that of R.
     """
     D = _digits(0, F.q**m, m, F.q)  # D[x, c]: entry c of the row coded x
-    j = (D != 0).argmax(axis=1)
-    f = F.vreduce(F.vmul(D[:, j], F.inv_table[D[np.arange(len(D)), j]]))  # f[R, r] = R[j] / r[j], 0 where r = 0
-    G = np.zeros(f.shape, dtype=np.int32)
+    u, j = _normalize(D.T, F)  # u[:, r] = r / r[j], 0 where r = 0
+    f, G = D[:, j], 0  # f[R, r] = R[j]
     for c in reversed(range(m)):
-        G = G * F.q + F.vreduce(F.vsub(D[:, c, None], F.vmul(f, D[:, c])))
+        G = G * F.q + F.vreduce(F.vsub(D[:, c, None], F.vmul(f, u[c])))
     return _frozen(G.ravel())
 
 
@@ -272,21 +324,13 @@ def _mat_split(digits, k: int, n: int, m: int, F: Arith):
     """Per-call row-0 step of the ranks of n x m matrices (module docstring); returns the per-chunk tail."""
     q, qm = F.q, F.q**m
     T = _codes(_mat_split, (n - 1) * m, n - 1, m, F)
-    if q ** (2 * m) > CHUNK:  # no table G: the step row by row, with its repair set
-        return _mat_gather(digits, k, n, m, F, T)
-
-    def code(i: int) -> np.ndarray:  # the code of row i from its low digits, a prefix of the row
-        out = np.zeros(len(digits), dtype=np.int32)
-        for c in reversed(range(min(m, k - i * m))):
-            out *= q
-            out += digits[:, i * m + c]
-        return out
-
-    r0, G, table = code(0), _mat_reduction(m, F) if n > 1 else None, _frozen(np.concatenate([T, T + 1]))
+    if q ** (2 * m) > CHUNK:  # no table G: the pivot step
+        return _pivot_split(digits, k, F, m, T, partial(_mat_apply, F=F))
+    r0, G, table = _code(digits[:, : min(m, k)], q), _mat_reduction(m, F) if n > 1 else None, _frozen(np.concatenate([T, T + 1]))
     idx = (r0 != 0).astype(np.int32 if 2 * len(T) < 2**31 else np.int64) * len(T)
     high = []  # (G index of the low digits of row i, the weight of row i in T, the high digits of row i)
     for i in range(1, n):
-        at = code(i) * qm + r0
+        at = _code(digits[:, i * m : min((i + 1) * m, k)], q) * qm + r0  # the code of row i from its low digits, a prefix
         if (i + 1) * m <= k:
             idx += q ** ((i - 1) * m) * np.take(G, at)  # take: faster than [] on narrow indices
         else:
@@ -302,17 +346,12 @@ def _mat_split(digits, k: int, n: int, m: int, F: Arith):
     return np.broadcast_to(np.int8(0), idx.shape), np.broadcast_to(True, idx.shape), tail  # read-only, no memory
 
 
-def _mat_gather(digits, k: int, n: int, m: int, F: Arith, T: np.ndarray):
-    """The row-0 step of _mat_split row by row, for q^(2m) > CHUNK; rows whose f_i or row 0 reads a high digit are repaired."""
-    r0, rows = digits[:, :m], np.arange(len(digits))
-    nz = r0 != 0
-    j = nz.argmax(axis=1)
-    s = F.inv_table[r0[rows, j]]  # zero where row 0 is zero
-    f = {i: F.vreduce(F.vmul(digits[rows, i * m + j], s)) for i in range(1, n)}  # R_i[j] / r0[j]
-    entries = [(i * m + c, F.vmul(f[i], r0[:, c])) for i in range(1, n) for c in range(m)]
-    cls = nz.any(axis=1)
-    repair = np.flatnonzero((k < m) | cls & ((n - 1) * m + j >= k))  # f_i or row 0 reads a high digit
-    return _gather(digits, k, F, entries, [T, T + 1], cls, repair, partial(batch_rank, n=n, m=m, F=F))
+def _mat_apply(R: np.ndarray, u: np.ndarray, j: np.ndarray, F: Arith) -> np.ndarray:
+    """R_i - R_i[j] u for each row R_i of the (n-1) x m matrices in the columns of R, and the vectors u in the columns of
+    the (m, B) array u, each zero or with first nonzero entry u_j = 1."""
+    (m, B), R = u.shape, R.reshape(-1, *u.shape)
+    f = np.take(R.reshape(len(R), m * B), j * B + np.arange(B), axis=1)  # (n-1, B): R_i[j]
+    return F.vreduce(F.vsub(R, F.vmul(f[:, None, :], u))).reshape(-1, B)
 
 
 def batch_rank(digits: np.ndarray, n: int, m: int, F: Arith) -> np.ndarray:
@@ -324,7 +363,7 @@ def _sym_row0(D: np.ndarray, n: int, F: Arith):
     """The row-0 step of symmetric n x n matrices at rows D of their first 2n - 1 digits, row 0 and row 0 of T (module docstring).
 
     Returns base, the class times |C| plus T-row-0's share of the (n-1) index; neg[e], the code of -P_e at each entry
-    e of T' (P_e = u_l b_m); and hyp, 1 + the code of u' = (u_1..u_{n-2}) where the step reads T' (a = b_0 = T_00 = 0,
+    e of T' (P_e = u_l b_m); and hyp, the class of u' = (u_1..u_{n-2}) where the step reads T' (a = b_0 = T_00 = 0,
     b != 0), else 0.
     """
     a, b, t0 = D[:, 0].copy(), D[:, 1:n].copy(), D[:, n:]  # t0 = row 0 of T
@@ -340,10 +379,11 @@ def _sym_row0(D: np.ndarray, n: int, F: Arith):
     u = F.vreduce(F.vmul(b, F.inv_table[a][:, None]))  # b / a; zero where a = 0
     S0 = F.vreduce(F.vsub(t0, F.vmul(u[:, :1], b)))  # t0_d - u_0 b_d
     h = z[(a[z] == 0) & b[z].any(axis=1)]  # now b_0 = 0: the hyperbolic plane on {0, j + 1}, j >= 1 the first b_j != 0
-    j = (b[h] != 0).argmax(axis=1)
-    u[h] = F.vreduce(F.vmul(b[h], F.inv_table[b[h, j]][:, None]))  # b / b_j
+    uh, j = _normalize(b[h].T, F)
+    u[h] = uh.T  # b / b_j
     S0[h] = F.vreduce(F.vsub(t0[h], F.vmul(u[h], t0[h, j][:, None])))  # t0_d - u_d t0_j, 0 at d = j
-    hyp[h] = 1 + u[h, 1:] @ F.q ** np.arange(n - 2)
+    if h.size:
+        hyp[h] = np.take(_classes(n - 2, F)[2], _code(u[h, 1:], F.q))
     cls = (a != 0) + (F.sgn_table[a] < 0).astype(np.int32)
     cls[h] = 3
     iu, ju = np.triu_indices(n - 2)
@@ -363,71 +403,49 @@ def _sym_reduction(n: int, F: Arith):
     return tuple(_frozen(np.concatenate(t, axis=-1)) for t in zip(*parts))
 
 
-def _schur(R: np.ndarray, u: np.ndarray, n: int, F: Arith) -> np.ndarray:
-    """P R P^T for (B, |T'|) blocks R of T' and (B, n-2) rows u' whose first nonzero entry u_j is 1, P = I - u' e_j^T.
+def _schur(R: np.ndarray, u: np.ndarray, j: np.ndarray, F: Arith, skew: bool = False) -> np.ndarray:
+    """P R P^T, P = I - u e_j^T, for the symmetric d x d matrices in the columns of R, in row-major upper-triangular order
+    (with skew: alternating ones, without the diagonal), and the columns of u, vectors that are zero or have first nonzero
+    entry u_j = 1 (j = 0 for u = 0).
 
-    S_lm = R_lm - u_l R_jm - u_m R_jl + u_l u_m R_jj: linear in R, and zero on row and column j.
+    S_cd = R_cd - u_c (R_jd - u_d R_jj) - u_d R_cj: linear in R, zero on row and column j, and R where u = 0.
     """
-    r, pos, (iu, ju) = np.arange(len(R))[:, None], _positions(n - 2, True), np.triu_indices(n - 2)
-    j = (u != 0).argmax(axis=1)
-    Rj = R[r, pos[j]]  # row j of R
-    v = F.vreduce(F.vsub(Rj, F.vmul(u, Rj[r, j[:, None]])))  # R_jm - u_m R_jj
-    return F.vreduce(F.vsub(F.vsub(R, F.vmul(u[:, iu], v[:, ju])), F.vmul(u[:, ju], Rj[:, iu])))
+    (d, B), cols = u.shape, np.arange(u.shape[1])
+    iu, ju = np.triu_indices(d, int(skew))
+    Rj = _build_matrices(R, j, d, F) if skew else R[_positions(d, True)[j].T, cols]  # row j of each matrix
+    v = Rj if skew else F.vreduce(F.vsub(Rj, F.vmul(u, Rj[j, cols])))  # R_jd - u_d R_jj; R_jj = 0 if skew
+    return F.vreduce((F.vadd if skew else F.vsub)(F.vsub(R, F.vmul(u[iu], v[ju])), F.vmul(u[ju], Rj[iu])))  # R_cj = -R_jc if skew
 
 
 def _sym_split(digits, k: int, n: int, F: Arith):
     """Per-call row-0 step of the codes of symmetric n x n matrices (module docstring); returns the per-chunk tail."""
-    q, K0, E = F.q, 2 * n - 1, (n - 1) * (n - 2) // 2  # the row-0 code has K0 digits, T' has E
+    q, dim, K0, E = F.q, digits.shape[1], 2 * n - 1, (n - 1) * (n - 2) // 2  # the row-0 code has K0 digits, T' has E
     C = _codes(_sym_split, n * (n - 1) // 2, n - 1, F)
     table = _frozen(np.concatenate([C, C + 2, (C + 2) ^ 1, (C + 4) ^ int(F.sgn(F.neg(1)) < 0)]))  # by class
-    low, high = [e for e in range(E) if K0 + e < k], [e for e in range(E) if K0 + e >= k]
-    w, qh = q ** (n - 1 + np.arange(E)), q ** np.arange(len(high))  # w: the weight of each entry of T' in the (n-1) index
-    U = _frozen(_digits(0, q ** (n - 2), n - 2, q)) if E else None  # u' at each hyp class 1 + its code
+    w = _frozen(q ** (n - 1 + np.arange(E, dtype=np.int32)))  # the weight of each entry of T' in the (n-1) index
+    classes = _classes(n - 2, F) if E else None  # class 0 is the identity, and u' has first nonzero entry 1
+    apply = partial(_schur, F=F)
 
-    def index(digits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(the index of each row without its high terms, its code in lut)."""
+    def index(digits: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         if q**K0 <= CHUNK:  # the memoized step, read at each row's row-0 code x
-            x = np.zeros(len(digits), dtype=np.int32)
-            for c in reversed(range(K0)):
-                x *= q
-                x += digits[:, c]
             base, neg, hyp = _sym_reduction(n, F)
-            at = partial(np.take, indices=x)
+            at = partial(np.take, indices=_code(digits[:, :K0], q))
         else:  # the step on these rows
             base, neg, hyp = _sym_row0(digits[:, :K0], n, F)
             at = lambda t: t  # noqa: E731
         base = idx = at(base)
-        for e in low:
-            idx = idx + int(w[e]) * F.vreduce(F.vadd(digits[:, K0 + e], at(neg[e])))  # int: an np.int64 would widen idx
-        code, hyp = at((qh @ neg[high]).astype(np.int32)), at(hyp)
+        for e in range(k - K0):
+            idx = idx + w[e] * F.vreduce(F.vadd(digits[:, K0 + e], at(neg[e])))
+        code, hyp = at((q ** np.arange(dim - k) @ neg[k - K0 :]).astype(np.int32)), at(hyp)
         rows = np.flatnonzero(hyp)
-        if rows.size:  # T' enters through P R P^T: its low digits here, its high terms from lut
-            R = np.zeros((len(rows), E), dtype=np.int32)
-            R[:, low] = digits[rows, K0:k]
-            S = _schur(R, U[hyp[rows] - 1], n, F)
-            idx[rows] = base[rows] + S[:, low] @ w[low]
-            code[rows] = hyp[rows] * q ** len(high) + S[:, high] @ qh
+        if rows.size:  # T' enters through P T' P^T
+            z = hyp[rows]
+            lo, hi = _rest(digits[rows], K0, k, apply, classes[0][:, z], classes[1][z], w, q)
+            idx[rows] = base[rows] + lo
+            code[rows] = z * q ** (dim - k) + hi
         return idx, code
 
-    def lut(digits: np.ndarray) -> np.ndarray:
-        """lut[z q^h + sum_i q^i L_i] = sum_i w vreduce(L_i + Y_zi) over the h high entries, Y_zi their high terms in class z."""
-        s = np.zeros((1, E), dtype=np.int32)
-        if high:  # a chunk has a row 0; a call at k = dim may have no rows
-            s[0, high] = digits[0, [K0 + e for e in high]]
-        Y = np.concatenate([s, _schur(np.broadcast_to(s, (len(U), E)), U, n, F)])[:, high] if E else s
-        out = np.zeros((len(Y), 1), dtype=np.int32)
-        for i, e in enumerate(high):
-            out = (int(w[e]) * F.vreduce(F.vadd(np.arange(q, dtype=np.int32), Y[:, i, None]))[:, :, None] + out[:, None, :]).reshape(len(Y), -1)
-        return out.ravel()
-
-    # where the row-0 code reaches a high digit (k < K0), so does all of T', and each chunk runs the step on its own rows
-    fixed = tuple(map(_frozen, index(digits))) if k >= K0 else None
-
-    def tail(digits: np.ndarray) -> tuple[np.ndarray, int]:
-        idx, code = fixed or index(digits)
-        return np.take(table, idx + np.take(lut(digits), code)), 0
-
-    return np.broadcast_to(np.int8(0), len(digits)), np.broadcast_to(True, len(digits)), tail  # read-only, no memory
+    return _row0_split(digits, k, F, K0, w, table, index, classes, apply)
 
 
 def batch_sym_rank_sign(digits: np.ndarray, n: int, F: Arith) -> np.ndarray:
@@ -439,16 +457,12 @@ def batch_sym_rank_sign(digits: np.ndarray, n: int, F: Arith) -> np.ndarray:
     return _labels(_sym_split, digits, n, F)
 
 
-def _build_matrices(digits: np.ndarray, j: np.ndarray, n: int, F: Arith) -> np.ndarray:
-    """(n, B) rows w[l] = T_jl of skew matrices, pivot j per matrix, from their row-major upper digits."""
-    pos = _positions(n, False)  # digit position of T_il and of T_li
-    w = np.zeros((n, len(digits)), dtype=np.int32)
-    for jj in range(1, n):
-        at = j == jj
-        for l in range(n):
-            if l != jj:  # T_jj = 0
-                np.copyto(w[l], digits[:, pos[jj, l]], where=at)
-    np.copyto(w, F.vneg(w), where=np.arange(n)[:, None] < j)  # T_jl = -T_lj below the diagonal
+def _build_matrices(R: np.ndarray, j: np.ndarray, n: int, F: Arith) -> np.ndarray:
+    """(n, B) rows w[l] = T_jl of the skew n x n matrices T in the columns of R, in row-major upper order, pivot j per matrix."""
+    cols = np.arange(R.shape[1])
+    w = R[_positions(n, False)[j].T, cols]
+    w = np.where(np.arange(n)[:, None] < j, F.vneg(w), w)  # T_jl = -T_lj below the diagonal
+    w[j, cols] = 0  # T_jj = 0
     return w
 
 
@@ -510,22 +524,7 @@ def _alt_labels_pfaffian(digits: np.ndarray, n: int, F: Arith) -> np.ndarray:
 
 def _step_split(digits, k: int, n: int, F: Arith):
     """Per-call hyperbolic-plane step of the half-ranks of skew n x n matrices (module docstring); returns the tail."""
-    b, rows = digits[:, : n - 1], np.arange(len(digits))
-    nz = b != 0
-    j = nz.argmax(axis=1) + 1
-    u = F.vreduce(F.vmul(b, F.inv_table[b[rows, j - 1]][:, None]))  # b / b_j; zero where b = 0
-    w = _build_matrices(digits, j, n, F)  # w[l] = T_jl
-    pairs = itertools.combinations(range(1, n), 2)
-    entries = [(n - 1 + t, F.vsub(F.vmul(u[:, c - 1], w[d]), F.vmul(u[:, d - 1], w[c]))) for t, (c, d) in enumerate(pairs)]
-    T, cls = _codes(_alt_split, (n - 1) * (n - 2) // 2, n - 1, F), nz.any(axis=1)
-    late = _positions(n, False).max(axis=1) >= k  # row j of T reaches a high digit
-    repair = np.flatnonzero((k < n - 1) | cls & late[j])  # all rows if row 0 reaches a high digit
-    return _gather(digits, k, F, entries, [T, T + 1], cls, repair, partial(_alt_step, n=n, F=F))
-
-
-def _alt_step(digits: np.ndarray, n: int, F: Arith) -> np.ndarray:
-    """Half-ranks of skew n x n matrices by one hyperbolic-plane step (module docstring)."""
-    return _labels(_step_split, digits, n, F)
+    return _pivot_split(digits, k, F, n - 1, _codes(_alt_split, (n - 1) * (n - 2) // 2, n - 1, F), partial(_schur, F=F, skew=True))
 
 
 def _alt_split(digits, k: int, n: int, F: Arith):
@@ -556,7 +555,7 @@ def row_labels(space: Space, digits: np.ndarray, raw: bool = False) -> np.ndarra
     One pass of the space's split at k = dim, the path of batch_rank: every digit is low.
     """
     split, args, lut = _labeller(space)
-    digits.flags.writeable = False  # as in _walk: the kernels only read
+    digits = _frozen(digits.view())  # read-only as in _walk, for the kernels only read; the caller's array stays writeable
     if not (space.dim and len(digits)):  # the zero space has label 0; the tails read row 0
         return np.zeros(len(digits), dtype=np.intp)
     labels, varies, tail = split(digits, space.dim, *args)

@@ -16,7 +16,7 @@ import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .gfq import MAX_FIELD_ORDER, CharSpec, FieldSpec, make_field
+from .gfq import CharSpec, field_for
 from .pascal import closed_form_table, family_table
 from .reporting import Report
 from .serialize import (
@@ -44,19 +44,6 @@ class _Once(argparse.Action):
             parser.error(f"{option_string} given more than once")
         setattr(namespace, f"_seen_{self.dest}", True)
         setattr(namespace, self.dest, values)
-
-
-def _field(q: int) -> FieldSpec:
-    """GF(q); the one parser of field orders for every subcommand."""
-    if q > MAX_FIELD_ORDER:
-        raise ValueError("field too large")
-    p = next((d for d in range(2, q + 1) if q % d == 0), None)
-    e = 1
-    while p is not None and p**e < q:
-        e += 1
-    if p is None or p**e != q:
-        raise ValueError(f"q={q} is not a prime power")
-    return make_field(p, e)
 
 
 def _budget(flag: int | None) -> int:
@@ -91,7 +78,7 @@ class ComputeRequest:
     def from_args(cls, args) -> ComputeRequest:
         if args.command == "export" and not args.out:
             raise ValueError("export needs --out")
-        char = CharSpec(_field(args.q), args.twist)
+        char = CharSpec(field_for(args.q), args.twist)
         if args.n < 0:
             raise ValueError(f"n must be >= 0, got {args.n}")
         fmt = args.format or "json"
@@ -162,7 +149,7 @@ def cmd_verify(args) -> int:
     if args.jobs < 1:
         raise ValueError("jobs must be at least 1")
     flt = GridFilter(
-        qs=frozenset(_field(int(t)).q for t in args.q.split(",")) if args.q else None,
+        qs=frozenset(field_for(int(t)).q for t in args.q.split(",")) if args.q else None,
         family=args.family,
         n=args.n,
         m=args.m,

@@ -141,6 +141,19 @@ def make_field(p: int, e: int = 1) -> FieldSpec:
     raise RuntimeError("no irreducible polynomial found")  # pragma: no cover
 
 
+def field_for(q: int) -> FieldSpec:
+    """GF(q); the one parser of field orders, for the command line and the verification grid."""
+    if q > MAX_FIELD_ORDER:
+        raise ValueError("field too large")
+    p = next((d for d in range(2, q + 1) if q % d == 0), None)
+    e = 1
+    while p is not None and p**e < q:
+        e += 1
+    if p is None or p**e != q:
+        raise ValueError(f"q={q} is not a prime power")
+    return make_field(p, e)
+
+
 def _frozen(table: np.ndarray) -> np.ndarray:
     table.flags.writeable = False  # shared by every caller through the memo
     return table

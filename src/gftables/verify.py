@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cyclotomic import CycInt
-from .gfq import arith, default_char, epsilon, gauss_sum, make_field
+from .gfq import arith, default_char, epsilon, field_for, gauss_sum
 from .pascal import (
     affine_orthogonality,
     closed_form_table,
@@ -38,8 +38,6 @@ from .transform import (
     zonal_table,
     zonal_table_direct,
 )
-
-FIELD_OF = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 7: (7, 1), 9: (3, 2), 11: (11, 1), 13: (13, 1)}
 
 VEC_GRID = [(n, None, q) for n in (1, 2, 3) for q in (2, 3, 4, 5, 9)]
 MAT_GRID = [(n, m, q) for n in (1, 2) for m in range(1, 4) if n <= m for q in (2, 3, 4, 5)]
@@ -74,12 +72,6 @@ class GridFilter:
 
 
 EVERYTHING = GridFilter()
-
-
-def field_for(q: int):
-    if q not in FIELD_OF:
-        raise ValueError(f"q={q} outside the verification grid")
-    return make_field(*FIELD_OF[q])
 
 
 def suite_gauss(budget: int = DEFAULT_BUDGET, flt: GridFilter = EVERYTHING) -> Report:

@@ -13,11 +13,12 @@ from gftables.gfq import (
     arith,
     default_char,
     epsilon,
+    field_for,
     gauss_sum,
     make_field,
     nonsquare_delta,
 )
-from gftables.verify import FIELD_OF, field_for, run_suite
+from gftables.verify import run_suite
 from helpers import FieldElem, power
 
 FIELDS = [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (3, 2)]
@@ -37,6 +38,12 @@ class TestConstruction:
     def test_rejects_huge(self):
         with pytest.raises(ValueError, match="too large"):
             make_field(2, 40)
+
+    def test_field_orders(self):
+        assert field_for(9) == make_field(3, 2) and field_for(13) == make_field(13)
+        for q, message in ((6, "q=6 is not a prime power"), (1, "q=1 is not a prime power"), (1 << 21, "field too large")):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                field_for(q)
 
     def test_enumeration_is_a_bijection(self):
         f = make_field(3, 2)
@@ -221,7 +228,7 @@ def test_suites_need_no_polynomial_product_once_the_tables_exist(monkeypatch):
     def refuse(*args):
         raise AssertionError("polynomial product after the tables were built")
 
-    for q in FIELD_OF:
+    for q in (2, 3, 4, 5, 7, 9, 11, 13):  # every field of the verification grid
         arith(field_for(q))._log_exp
     transform._orbit_counts_cached.cache_clear()  # enumerate again, not from the memo
     bulk._codes.cache_clear()

@@ -484,7 +484,7 @@ def test_mat_kernel_against_reference(n, m, q):
     assert ranks == [matrix_rank(sp.as_matrix(elem), sp.field) for elem in sp.elements()]
 
 
-@pytest.mark.parametrize("n,m,q", [(3, 3, 5), (2, 3, 4)])
+@pytest.mark.parametrize("n,m,q", [(3, 3, 5), (2, 3, 4), (2, 5, 5)])
 def test_mat_row_labels_of_random_rows(n, m, q):
     sp = make_space("mat", field(q), n, m)
     rng = np.random.default_rng(17)
@@ -493,8 +493,22 @@ def test_mat_row_labels_of_random_rows(n, m, q):
     digits[:20] = 0  # the zero matrix
     digits[200:400, : rng.integers(1, m)] = 0  # a later pivot column
     ranks = bulk.row_labels(sp, digits, raw=True).tolist()
+    assert digits.flags.writeable  # row_labels freezes a view, not the caller's array
     assert ranks == [matrix_rank(sp.as_matrix(tuple(row)), sp.field) for row in digits.tolist()]
     assert set(ranks) == set(range(n + 1))
+
+
+def test_alt_row_labels_of_random_rows():
+    sp = make_space("alt", F3, 6)
+    rng = np.random.default_rng(23)
+    digits = rng.integers(0, 3, size=(2000, sp.dim), dtype=np.int32)
+    digits[:200, :5] = 0  # row 0 zero: no step
+    digits[200:400, : rng.integers(1, 5)] = 0  # a later pivot j
+    digits[400:600, 5:] = 0  # T = 0: half-rank 1
+    digits[:20] = 0  # the zero matrix
+    half = bulk.row_labels(sp, digits, raw=True).tolist()
+    assert half == [matrix_rank(sp.as_matrix(tuple(row)), sp.field) // 2 for row in digits.tolist()]
+    assert set(half) == {0, 1, 2, 3}
 
 
 @pytest.mark.parametrize("fam,n,q", [("sym", 4, 5), ("symscaled", 4, 7), ("sym", 4, 9), ("sym", 5, 3)])
@@ -537,14 +551,26 @@ def test_alt_step_against_reference(n, q):
     pivots = set()
     for start in range(0, sp.size, bulk.CHUNK):
         digits = bulk._digits(start, min(start + bulk.CHUNK, sp.size), sp.dim, q)
-        half = bulk._alt_step(digits, n, F)  # the step itself, below its n >= 6 dispatch
+        half = bulk._labels(bulk._step_split, digits, n, F)  # the step itself, below its n >= 6 dispatch
         assert np.array_equal(half, bulk._alt_labels_pfaffian(digits, n, F))
         row0 = digits[:, : n - 1]
         pivots.update(np.unique((row0 != 0).argmax(axis=1)[row0.any(axis=1)] + 1).tolist())
     assert pivots == set(range(1, n))  # every pivot position j occurs
     if q == 3 and n <= 4:  # small enough for the pure reference too
         digits = bulk._digits(0, sp.size, sp.dim, q)
-        assert bulk._alt_step(digits, n, F).tolist() == [matrix_rank(sp.as_matrix(e), sp.field) // 2 for e in sp.elements()]
+        assert bulk._labels(bulk._step_split, digits, n, F).tolist() == [matrix_rank(sp.as_matrix(e), sp.field) // 2 for e in sp.elements()]
+
+
+# the hyperbolic step (alt n >= 6) below its dispatch, against the Pfaffians, at k low digits: inside row 0 (k < n - 1), with
+# row j of T high for the later pivots j, and with only the last entries high
+@pytest.mark.parametrize("n,q,ks", [(4, 3, (1, 2, 3, 4, 5)), (4, 5, (2, 3, 5)), (4, 9, (2, 4, 5)), (5, 3, (3, 5, 7, 9)), (5, 5, (7, 9))])
+def test_hyperbolic_step_in_chunks(monkeypatch, n, q, ks):
+    F, dim = bulk.arith(field(q)), n * (n - 1) // 2
+    want = bulk._codes(bulk._alt_split, dim, n, F).tolist()  # the Pfaffian split, at the default CHUNK
+    for k in ks:
+        monkeypatch.setattr(bulk, "CHUNK", q**k)
+        bulk._codes.cache_clear()  # the (n-1) tables in chunks too
+        assert np.concatenate(list(bulk._walk(bulk._step_split, dim, n, F))).tolist() == want, k
 
 
 def _chunk_params():
@@ -562,8 +588,12 @@ def _chunk_params():
     for fam, n, q, ks in [("sym", 3, 5, (4, 5)), ("sym", 4, 3, (5, 7, 8, 9)), ("symscaled", 3, 7, (4, 5)), ("sym", 3, 9, (4, 5))]:
         for k in ks:
             yield pytest.param(fam, n, None, q, q**k, id=f"{fam}-{n}-None-q{q}-{q**k}")
-    # the mat table G over several chunks: row 2 all high, then partly low; and the step row by row where q^(2m) > CHUNK
-    for n, m, q, chunk in [(3, 3, 3, 2187), (3, 3, 4, 4**6), (3, 3, 4, 4**7), (3, 4, 3, 3**8), (3, 4, 3, 3**10), (2, 3, 5, 5**5)]:
+    # the mat table G over several chunks: row 2 all high, then partly low; and the pivot step where q^(2m) > CHUNK, with
+    # the pivot column or row 1 high (2x3 q=5, 2x4 q=3) or row 0 high (1x3 q=5)
+    for n, m, q, chunk in [
+        (3, 3, 3, 2187), (3, 3, 4, 4**6), (3, 3, 4, 4**7), (3, 4, 3, 3**8), (3, 4, 3, 3**10),
+        (2, 3, 5, 5**5), (2, 4, 3, 3**5), (2, 4, 3, 3**6), (1, 3, 5, 5**2),
+    ]:
         yield pytest.param("mat", n, m, q, chunk, id=f"mat-{n}-{m}-q{q}-{chunk}")
     # alt n=5 q=5 in one chunk against the default CHUNK, where its rows that do not vary are folded once per call
     yield pytest.param("alt", 5, None, 5, 5**10, id="alt-5-None-q5-one-chunk")
@@ -598,10 +628,7 @@ def test_chunk_size_does_not_change_orbit_counts(monkeypatch, fam, n, m, q, chun
     assert sizes2.tolist() == sizes.tolist()
     assert [h.tolist() for h in hists2] == [h.tolist() for h in hists]
     assert np.array_equal(np.concatenate(list(bulk._walk(split, sp.dim, *args))), labels)  # a histogram can hide swapped labels
-    if fam in ("sym", "symscaled"):  # the sym step leaves no repair set, and no chunk runs the full kernel
-        assert all(r is None for r in repairs) and not full
-    if fam == "mat":  # the table G leaves no repair set; the step row by row repairs some rows
-        assert all(r is None for r in repairs) if q ** (2 * m) <= chunk else repairs[-1].size
+    assert all(r is None for r in repairs) and not full  # no step leaves a repair set, and no chunk runs the full kernel
 
 
 def test_kernels_get_read_only_digits(monkeypatch):
