@@ -40,6 +40,21 @@ member, sum_j lambda_j digit_j. Per chunk a group runs one bincount over
 (label, key); each member sums its (nbins, p^rho) counts by that map into
 (nbins, p) and adds them rolled by its t_hi.
 
+orbit_counts labels one chunk per class of scalar multiples. A scalar lambda
+of F_p^* sends chunk s (s its high digits) onto chunk lambda s, for the low
+digits run through all of GF(q)^k. It keeps the rank, the half-rank and the
+count of nonzero coordinates; on a sym label code 2 rank + (sign < 0) it acts
+as pi_lambda, which flips the sign of an odd rank where lambda is a nonsquare
+of GF(q) (Lam, ch. I), and the symscaled lut merges what it flips. A functional
+is F_p-linear, t(lambda a) = lambda t(a), so chunk lambda s holds chunk s's
+histogram H at (pi_lambda L, t / lambda). The walk visits chunk 0 and, of each
+class {lambda s}, the chunk whose code sum_i q^i s_i has top base-p digit 1,
+a code in [p^i, 2 p^i): 1 + (q^h - 1) / (p - 1) chunks for h = dim - k, and all
+of them at p = 2. _scalar_fold spreads the sum H of the visited nonzero chunks
+over their classes once per call. The lambda that are squares of GF(q) form a
+subgroup S of F_p^*, and the others its coset N or nothing (e even), so at
+t != 0 the sum over lambda reads only the sums of H over t S and over t N.
+
 A matrix is labelled by one row-0 step: it reads row 0, the first K0 digits,
 and leaves a matrix S of the (n-1) space, whose index in counting order reads
 the label from the (n-1) table, shifted by the step's class. The rest of the
@@ -154,12 +169,13 @@ def _low_width(dim: int, q: int) -> int:
     return max(min(dim, 1), next((k for k in range(dim, 0, -1) if q**k <= CHUNK), 0))
 
 
-def _chunks(split, dim: int, *args):
+def _chunks(split, dim: int, *args, visit=None):
     """(per-call labels, varying rows, an iterator of (labels of the varying rows, shift) per chunk).
 
     The space has dim digits over the field of args[-1]. split(digits, k, *args)
     runs once; a row that does not vary has its per-call label plus the chunk's
-    shift in every chunk (module docstring).
+    shift in every chunk (module docstring). visit holds the codes sum_i q^i s_i
+    of the chunks to label, s their high digits; by default every chunk, in order.
     """
     q = args[-1].q
     if dim == 0:  # one element, the zero matrix, with label 0 in every family
@@ -172,7 +188,7 @@ def _chunks(split, dim: int, *args):
     labels, varies, tail = split(digits, k, *args)
 
     def chunks():
-        for chunk in range(q ** (dim - k)):
+        for chunk in range(q ** (dim - k)) if visit is None else visit:
             buf[k:] = np.array([chunk // q**i % q for i in range(dim - k)], dtype=np.int32)[:, None]
             yield _label_indices(tail, digits)
 
@@ -632,14 +648,29 @@ def _fold_keys(tabs, k: int, p: int, basis: list[int], members: list[tuple[int, 
     return p ** len(basis), _frozen(key), folds
 
 
+def _scalar_fold(H: np.ndarray, flip: np.ndarray, square: np.ndarray) -> np.ndarray:
+    """sum over lambda in F_p^* of H[pi_lambda L, t / lambda], for an (nbins, p) histogram H over (label code L, t).
+
+    pi_lambda is flip where square[lambda - 1] is False and the identity elsewhere. At t != 0 the sum reads only the
+    sums of H over the squares S and over the rest N (module docstring).
+    """
+    nonzero = H[:, 1:]
+    s, n = nonzero[:, square].sum(axis=1), nonzero[:, ~square].sum(axis=1)
+    out = np.empty_like(H)
+    out[:, 0] = np.count_nonzero(square) * H[:, 0] + np.count_nonzero(~square) * H[flip, 0]
+    out[:, 1:] = np.where(square, (s + n[flip])[:, None], (n + s[flip])[:, None])
+    return out
+
+
 def orbit_counts(space: Space, coefvecs: list[list[int]]) -> tuple[list[np.ndarray], np.ndarray]:
     """Histogram pass over the whole space, in chunks of q^k consecutive elements.
 
     coefvecs[r][k] is the code of the coefficient c of free coordinate k in
     the r-th functional a -> sum_k Tr(c a_k), with at least one functional.
     Returns one (n_labels, p) count array per functional plus the orbit sizes.
-    Each chunk runs one bincount over (label, key) per group of functionals,
-    the key coding an F_p basis of the group's t_lo (module docstring).
+    Each visited chunk runs one bincount over (label, key) per group of
+    functionals, the key coding an F_p basis of the group's t_lo, and one chunk
+    per class of scalar multiples stands for its class (module docstring).
     """
     F = arith(space.field)
     p, q, dim = F.p, F.q, space.dim
@@ -649,21 +680,27 @@ def orbit_counts(space: Space, coefvecs: list[list[int]]) -> tuple[list[np.ndarr
     t_hi = [_outer_sum(tab[k:], p).tolist() for tab in tabs]  # t over the high digits, one value per chunk
     low = [[int(tab[w]) for tab in tb[:k] for w in F._weights] for tb in tabs]  # Tr(c_k w_i) at low digit (k, i)
     groups = [_fold_keys(tabs, k, p, *group) for group in _fold_groups(low, nbins, p)]
-    labels, varies, chunks = _chunks(split, dim, *args)
+    # chunk 0, then one chunk per class {lambda s}: the codes whose top base-p digit is 1
+    visit = [0, *itertools.chain(*(range(p**i, 2 * p**i) for i in range((dim - k) * space.field.e)))]
+    labels, varies, chunks = _chunks(split, dim, *args, visit=visit)
     fixed = ~varies
     for g, (nkeys, key, folds) in enumerate(groups):  # the rows that do not vary, folded once: (label, key) counts
         key = np.broadcast_to(key, varies.shape)  # one key for all when the basis is empty
         h = np.bincount(labels[fixed].astype(np.intp) * nkeys + key[fixed], minlength=nbins * nkeys)
         groups[g] = nkeys, _frozen(key[varies]), _frozen(h.reshape(nbins, nkeys)), folds
     hists = [np.zeros((nbins, p), dtype=np.int64) for _ in coefvecs]
+    scaled = [np.zeros((nbins, p), dtype=np.int64) for _ in coefvecs]  # the visited chunks other than chunk 0
     buf = np.empty(np.count_nonzero(varies), dtype=np.intp)  # after the split, whose own peak it would otherwise raise
-    for chunk, (lab, shift) in enumerate(chunks):
+    for chunk, (lab, shift) in zip(visit, chunks):
+        into = scaled if chunk else hists
         for nkeys, key, fixed_h, folds in groups:
             np.multiply(lab, nkeys, out=buf, dtype=np.intp)  # in intp: int8 labels times nkeys would wrap
             h = np.bincount(np.add(buf, key, out=buf), minlength=nbins * nkeys).reshape(nbins, nkeys)
             h[shift:] += fixed_h[: nbins - shift]  # their labels move up by the chunk's shift
             for r, order, nvals in folds:
-                hists[r][:, (np.arange(nvals) + t_hi[r][chunk]) % p] += h[:, order].reshape(nbins, nvals, -1).sum(axis=2)
+                into[r][:, (np.arange(nvals) + t_hi[r][chunk]) % p] += h[:, order].reshape(nbins, nvals, -1).sum(axis=2)
+    codes = np.arange(nbins)  # a nonsquare lambda flips the sign of an odd sym rank and fixes every other label
+    flip, square = (codes ^ (codes >> 1 & 1), F.sgn_table[1:p] > 0) if split is _sym_split else (codes, np.ones(p - 1, dtype=bool))
     to_label = (np.arange(len(space.labels()))[:, None] == lut).astype(np.int64)  # sums the codes of each label
-    hists = [to_label @ h for h in hists]
+    hists = [to_label @ (h + _scalar_fold(H, flip, square)) for h, H in zip(hists, scaled)]
     return hists, hists[0].sum(axis=1)  # every histogram counts each element once

@@ -10,7 +10,7 @@ import time
 from fractions import Fraction
 
 from gftables.cyclotomic import CycInt, QuadraticGamma
-from gftables.gfq import default_char, epsilon, gauss_sum, make_field
+from gftables.gfq import default_char, epsilon, field_for, gauss_sum
 from gftables.pascal import (
     bottom_row_recursion_holds,
     bpr_fpr_solve,
@@ -43,16 +43,11 @@ from gftables.transform import (
 
 from helpers import draw_params
 
-FIELD_OF = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 7: (7, 1), 9: (3, 2), 11: (11, 1), 13: (13, 1)}
 
 VEC_GRID = [(n, None, q) for n in (1, 2, 3) for q in (2, 3, 4, 5, 9)]
 MAT_GRID = [(n, m, q) for n in (1, 2) for m in (1, 2, 3) if n <= m for q in (2, 3, 5)]
 ALT_GRID = [(n, None, q) for n in (2, 3, 4, 5) for q in (3, 5)]
 SYM_GRID = [(n, q) for n in (1, 2, 3) for q in (3, 5, 7)]
-
-
-def field(q):
-    return make_field(*FIELD_OF[q])
 
 
 def _stamp(num: int, label: str, t0: float, limit: float | None = None) -> None:
@@ -65,11 +60,11 @@ def _stamp(num: int, label: str, t0: float, limit: float | None = None) -> None:
 def test_criterion_01_golden_tables():
     t0 = time.perf_counter()
     for q in (2, 3, 4, 5, 9):
-        phi = brute_force_phi(make_space("vec", field(q), 1))
+        phi = brute_force_phi(make_space("vec", field_for(q), 1))
         assert phi.integer_entries() == [[1, q - 1], [1, -1]]
     for q in (2, 3, 5):
         for m in (1, 2, 3):
-            phi = brute_force_phi(make_space("mat", field(q), 1, m))
+            phi = brute_force_phi(make_space("mat", field_for(q), 1, m))
             assert phi.integer_entries() == [[1, q**m - 1], [1, -1]]
     _stamp(1, "golden 2x2 tables", t0, limit=1.0)
 
@@ -81,7 +76,7 @@ def test_criterion_02_oracle_triangle():
         for n, m, q in grid:
             if fam == "alt" and q % 2 == 0:
                 continue
-            brute = brute_force_phi(make_space(fam, field(q), n, m)).integer_entries()
+            brute = brute_force_phi(make_space(fam, field_for(q), n, m)).integer_entries()
             assert family_table(fam, n, m).at_q_int(q) == brute, (fam, n, m, q)
             closed = closed_form_table(fam, n, m, q)
             assert [[Fraction(v) for v in row] for row in brute] == closed, (fam, n, m, q)
@@ -92,7 +87,7 @@ def test_criterion_02_oracle_triangle():
 def test_criterion_03_sign_block_suite():
     t0 = time.perf_counter()
     for n, q in SYM_GRID:
-        ch = default_char(field(q))
+        ch = default_char(field_for(q))
         blocks, phi = psi_brute(n, ch)
         assert blocks.same_blocks(psi_closed(n, ch)), (n, q)
         zero = QuadraticGamma(0, 0, q)
@@ -143,7 +138,7 @@ def test_criterion_03_sign_block_suite():
 def test_criterion_04_gauss_sums():
     t0 = time.perf_counter()
     for q in (3, 5, 7, 9, 11, 13):
-        g = gauss_sum(default_char(field(q)))
+        g = gauss_sum(default_char(field_for(q)))
         assert g * g == epsilon(q) * q
         assert g * g.conjugate() == q
     _stamp(4, "gauss sum square and norm", t0, limit=1.0)
@@ -156,14 +151,14 @@ def test_criterion_05_orthogonality():
         for n, m, q in grid:
             if fam == "alt" and q % 2 == 0:
                 continue
-            matrices.append(brute_force_phi(make_space(fam, field(q), n, m)))
+            matrices.append(brute_force_phi(make_space(fam, field_for(q), n, m)))
     for n, q in SYM_GRID:
-        matrices.append(psi_brute(n, default_char(field(q)))[1])
+        matrices.append(psi_brute(n, default_char(field_for(q)))[1])
     for phi in matrices:
         assert phi.check_row_orthogonality(), phi.space.describe()
 
     for fam, n, m in (("vec", 2, None), ("mat", 2, 2)):
-        sp = make_space(fam, field(3), n, m)
+        sp = make_space(fam, field_for(3), n, m)
         phi = brute_force_phi(sp)
         for parts, target in [((1,), 1), ((2,), 1), ((1, 1), 2), ((1, 1), 1), ((1, 2), 2)]:
             lhs, count = multi_orthogonality_check(
@@ -179,7 +174,7 @@ def test_criterion_05_orthogonality():
 
 def test_criterion_06_diagrams():
     t0 = time.perf_counter()
-    f3 = field(3)
+    f3 = field_for(3)
     chains = [
         ("vec", [(3, None), (2, None), (1, None)]),
         ("mat", [(2, 3), (1, 2)]),
@@ -252,7 +247,7 @@ def test_criterion_09_transform_laws():
     t0 = time.perf_counter()
     rng = random.Random(99)
     for fam, n, m, q in (("vec", 3, None, 3), ("mat", 2, 2, 3), ("alt", 4, None, 3)):
-        sp = make_space(fam, field(q), n, m)
+        sp = make_space(fam, field_for(q), n, m)
         phi = brute_force_phi(sp)
         func = InvariantFunction.from_ints(sp, [rng.randint(-9, 9) for _ in sp.labels()])
         assert inverse_transform(phi, forward_transform(phi, func)).values == func.values
@@ -269,7 +264,7 @@ def test_criterion_09_transform_laws():
         ("sym", 3, None, 5),
         ("symscaled", 3, None, 3),
     ):
-        sp = make_space(fam, field(q), n, m)
+        sp = make_space(fam, field_for(q), n, m)
         phi = brute_force_phi(sp)
         assert phi.check_symmetry(), sp.describe()
         assert zonal_table(phi) == zonal_table_direct(sp), sp.describe()
@@ -279,7 +274,7 @@ def test_criterion_09_transform_laws():
 def test_criterion_10_counting_lemma():
     t0 = time.perf_counter()
     for q in (2, 3):
-        f = field(q)
+        f = field_for(q)
         for n in (1, 2):
             for m in range(n, 3):
                 sp = make_space("mat", f, n, m)

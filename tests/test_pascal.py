@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from gftables.cyclotomic import POLY_Q, PolyQ
-from gftables.gfq import make_field
+from gftables.gfq import field_for, make_field
 from gftables.pascal import (
     PascalParams,
     alternating_binomial_matrix,
@@ -34,7 +34,6 @@ from gftables.transform import brute_force_phi
 from helpers import draw_params
 
 F = Fraction
-FIELD_OF = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 9: (3, 2)}
 
 
 class TestGenericSolver:
@@ -103,7 +102,7 @@ class TestFamilyTables:
         for q in qs:
             if fam == "alt" and q % 2 == 0:
                 continue
-            brute = brute_force_phi(make_space(fam, make_field(*FIELD_OF[q]), n, m)).integer_entries()
+            brute = brute_force_phi(make_space(fam, field_for(q), n, m)).integer_entries()
             assert tab.at_q_int(q) == brute
             closed = closed_form_table(fam, n, m, q)
             assert [[F(v) for v in row] for row in brute] == closed
@@ -111,7 +110,7 @@ class TestFamilyTables:
     @pytest.mark.parametrize("fam", ["vec", "mat", "alt"])
     def test_closed_row_zero_is_the_orbit_sizes(self, fam):
         for q in (3, 5, 9):
-            field = make_field(*FIELD_OF[q])
+            field = field_for(q)
             for n in range(1 if fam == "mat" else 0, 9):
                 for m in range(n, n + 3) if fam == "mat" else (None,):
                     space = make_space(fam, field, n, m)

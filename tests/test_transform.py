@@ -7,7 +7,7 @@ import pytest
 
 from gftables import bulk
 from gftables.cyclotomic import CycInt
-from gftables.gfq import CharSpec, default_char, make_field
+from gftables.gfq import CharSpec, default_char, field_for, make_field
 from gftables.pascal import closed_form_table
 from gftables.spaces import BudgetError, OrbitLabel, Space, make_space, matrix_rank, symmetric_sign
 from gftables.symmetric import _sym_rank_sign_values, phi_from_psi, psi_closed, scaled_canonical_from_blocks
@@ -34,23 +34,18 @@ from helpers import fold_reference, pushforward_reference, sym_fiber_sums_refere
 
 F3 = make_field(3)
 F5 = make_field(5)
-FIELD_OF = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 7: (7, 1), 8: (2, 3), 9: (3, 2), 25: (5, 2), 27: (3, 3), 131: (131, 1)}
-
-
-def field(q):
-    return make_field(*FIELD_OF[q])
 
 
 class TestGoldenTables:
     @pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
     def test_single_coordinate(self, q):
-        phi = brute_force_phi(make_space("vec", field(q), 1))
+        phi = brute_force_phi(make_space("vec", field_for(q), 1))
         assert phi.integer_entries() == [[1, q - 1], [1, -1]]
 
     @pytest.mark.parametrize("q", [2, 3, 5])
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_single_row_matrices(self, q, m):
-        phi = brute_force_phi(make_space("mat", field(q), 1, m))
+        phi = brute_force_phi(make_space("mat", field_for(q), 1, m))
         assert phi.integer_entries() == [[1, q**m - 1], [1, -1]]
 
     def test_trivial_row_and_zero_column(self):
@@ -78,7 +73,7 @@ class TestMatrixInvariants:
         ],
     )
     def test_symmetry_and_orthogonality(self, fam, n, m, q):
-        phi = brute_force_phi(make_space(fam, field(q), n, m))
+        phi = brute_force_phi(make_space(fam, field_for(q), n, m))
         assert phi.check_symmetry()
         assert phi.check_row_orthogonality()
 
@@ -123,7 +118,7 @@ class TestTransforms:
     def test_round_trip(self):
         rng = random.Random(23)
         for fam, n, m, q in [("vec", 2, None, 3), ("mat", 1, 2, 5), ("alt", 4, None, 3), ("sym", 2, None, 3)]:
-            sp = make_space(fam, field(q), n, m)
+            sp = make_space(fam, field_for(q), n, m)
             phi = brute_force_phi(sp)
             func = InvariantFunction.from_ints(sp, [rng.randint(-9, 9) for _ in sp.labels()])
             image = forward_transform(phi, func)
@@ -143,7 +138,7 @@ class TestHatInvolution:
     @pytest.mark.parametrize("fam,n,q", [("vec", 2, 3), ("vec", 3, 3), ("mat", 2, 3), ("alt", 3, 3), ("alt", 4, 5)])
     def test_double_application_is_identity(self, fam, n, q):
         m = 3 if fam == "mat" else None
-        sp = make_space(fam, field(q), n, m)
+        sp = make_space(fam, field_for(q), n, m)
         phi = brute_force_phi(sp)
         rng = random.Random(n * q)
         vals = [rng.randint(-9, 9) for _ in sp.labels()]
@@ -176,7 +171,7 @@ class TestHatInvolution:
 class TestZonal:
     @pytest.mark.parametrize("fam,n,m,q", [("vec", 1, None, 3), ("vec", 2, None, 3), ("mat", 2, 2, 3), ("alt", 4, None, 3), ("sym", 2, None, 3)])
     def test_table_matches_direct_evaluation(self, fam, n, m, q):
-        sp = make_space(fam, field(q), n, m)
+        sp = make_space(fam, field_for(q), n, m)
         phi = brute_force_phi(sp)
         assert zonal_table(phi) == zonal_table_direct(sp)
 
@@ -310,7 +305,7 @@ class TestFiberHistograms:
         [(*chain, q, twist) for chain in DIAGRAM_CHAINS for q, twist in [(3, 1), (3, 2), (5, 1)]] + [("sym", 3, None, 2, None, 9, 1)],
     )
     def test_pushforward_matrix(self, fam, nu, mu, nl, ml, q, twist):
-        up, low = make_space(fam, field(q), nu, mu), make_space(fam, field(q), nl, ml)
+        up, low = make_space(fam, field_for(q), nu, mu), make_space(fam, field_for(q), nl, ml)
         d = standard_diagram(up, low)
         ch = CharSpec(up.field, up.field.element_at(twist))
         assert pushforward_matrix(d, ch) == pushforward_reference(d, ch)
@@ -321,7 +316,7 @@ class TestFiberHistograms:
         + [("sym", 3, 2, 1, 9, 1)],
     )
     def test_sym_rank_sign_values(self, fam, nu, nl, corner, q, twist):
-        F = field(q)
+        F = field_for(q)
         ch = CharSpec(F, F.element_at(twist))
         vals, reps = _sym_rank_sign_values(ch, nu, nl, corner)
         d = standard_diagram(make_space(fam, F, nu), make_space(fam, F, nl))
@@ -366,7 +361,7 @@ class TestBulkAgainstPure:
         ],
     )
     def test_identical_histograms(self, fam, n, m, q):
-        sp = make_space(fam, field(q), n, m)
+        sp = make_space(fam, field_for(q), n, m)
         ch = default_char(sp.field)
         reps = [sp.representative(l) for l in sp.labels()]
         pure = _counts_pure(sp, ch, reps, 10**7)
@@ -409,7 +404,7 @@ class TestBulkAgainstPure:
         ],
     )
     def test_extension_fields(self, fam, n, m, q, twist):
-        sp = make_space(fam, field(q), n, m)
+        sp = make_space(fam, field_for(q), n, m)
         ch = CharSpec(sp.field, sp.field.element_at(sp.field.p if twist == "p" else 1))
         reps = [sp.representative(l) for l in sp.labels()]
         pure = _counts_pure(sp, ch, reps, 10**7)
@@ -421,7 +416,7 @@ class TestBulkAgainstPure:
     @pytest.mark.parametrize("fam,n,q", [("alt", 4, 9), ("sym", 2, 25), ("symscaled", 3, 9)])
     def test_extension_fields_against_closed_forms(self, fam, n, q, twist):
         # too large for the element-by-element reference; the closed forms are independent of enumeration
-        fld = field(q)
+        fld = field_for(q)
         ch = CharSpec(fld, fld.element_at(fld.p if twist == "p" else 1))
         phi = brute_force_phi(make_space(fam, fld, n), ch)
         if fam == "alt":
@@ -432,7 +427,7 @@ class TestBulkAgainstPure:
             assert phi.entries == want.entries
 
     def test_extension_space_over_budget(self):
-        sp = make_space("mat", field(9), 2, 2)
+        sp = make_space("mat", field_for(9), 2, 2)
         ch = default_char(sp.field)
         with pytest.raises(BudgetError) as pure:
             _counts_pure(sp, ch, [], 1000)
@@ -466,7 +461,7 @@ class TestSymKernelAgainstReference:
         [("sym", 1, 3), ("sym", 2, 3), ("sym", 3, 3), ("sym", 1, 5), ("sym", 2, 5), ("sym", 3, 5), ("sym", 4, 3), ("symscaled", 3, 5)],
     )
     def test_every_element(self, fam, n, q):
-        sp = make_space(fam, field(q), n)
+        sp = make_space(fam, field_for(q), n)
         codes = bulk.batch_sym_rank_sign(bulk._digits(0, sp.size, sp.dim, q), n, bulk.arith(sp.field)).tolist()
         repairs = set()
         for code, elem in zip(codes, sp.elements()):
@@ -479,14 +474,14 @@ class TestSymKernelAgainstReference:
 
 @pytest.mark.parametrize("n,m,q", [(1, 4, 3), (2, 2, 3), (2, 3, 3), (3, 3, 3), (2, 3, 5), (1, 3, 4), (2, 2, 4), (2, 2, 8), (2, 2, 9)])
 def test_mat_kernel_against_reference(n, m, q):
-    sp = make_space("mat", field(q), n, m)
+    sp = make_space("mat", field_for(q), n, m)
     ranks = bulk.batch_rank(bulk._digits(0, sp.size, sp.dim, q), n, m, bulk.arith(sp.field)).tolist()
     assert ranks == [matrix_rank(sp.as_matrix(elem), sp.field) for elem in sp.elements()]
 
 
 @pytest.mark.parametrize("n,m,q", [(3, 3, 5), (2, 3, 4), (2, 5, 5)])
 def test_mat_row_labels_of_random_rows(n, m, q):
-    sp = make_space("mat", field(q), n, m)
+    sp = make_space("mat", field_for(q), n, m)
     rng = np.random.default_rng(17)
     digits = rng.integers(0, q, size=(2000, sp.dim), dtype=np.int32)
     digits[:200, :m] = 0  # row 0 zero: no step
@@ -513,7 +508,7 @@ def test_alt_row_labels_of_random_rows():
 
 @pytest.mark.parametrize("fam,n,q", [("sym", 4, 5), ("symscaled", 4, 7), ("sym", 4, 9), ("sym", 5, 3)])
 def test_sym_row_labels_of_random_rows(fam, n, q):
-    sp = make_space(fam, field(q), n)
+    sp = make_space(fam, field_for(q), n)
     F = bulk.arith(sp.field)
     rng = np.random.default_rng(19)
     digits = rng.integers(0, q, size=(2000, sp.dim), dtype=np.int32)
@@ -546,7 +541,7 @@ def test_digits_of_a_full_range(q):
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 @pytest.mark.parametrize("q", [3, 5])
 def test_alt_step_against_reference(n, q):
-    sp = make_space("alt", field(q), n)
+    sp = make_space("alt", field_for(q), n)
     F = bulk.arith(sp.field)
     pivots = set()
     for start in range(0, sp.size, bulk.CHUNK):
@@ -565,7 +560,7 @@ def test_alt_step_against_reference(n, q):
 # row j of T high for the later pivots j, and with only the last entries high
 @pytest.mark.parametrize("n,q,ks", [(4, 3, (1, 2, 3, 4, 5)), (4, 5, (2, 3, 5)), (4, 9, (2, 4, 5)), (5, 3, (3, 5, 7, 9)), (5, 5, (7, 9))])
 def test_hyperbolic_step_in_chunks(monkeypatch, n, q, ks):
-    F, dim = bulk.arith(field(q)), n * (n - 1) // 2
+    F, dim = bulk.arith(field_for(q)), n * (n - 1) // 2
     want = bulk._codes(bulk._alt_split, dim, n, F).tolist()  # the Pfaffian split, at the default CHUNK
     for k in ks:
         monkeypatch.setattr(bulk, "CHUNK", q**k)
@@ -614,7 +609,7 @@ def _arrays(obj):
 
 @pytest.mark.parametrize("fam,n,m,q,chunk", _chunk_params())
 def test_chunk_size_does_not_change_orbit_counts(monkeypatch, fam, n, m, q, chunk):
-    sp = make_space(fam, field(q), n, m)
+    sp = make_space(fam, field_for(q), n, m)
     coefvecs = [[(r * k + 1) % q for k in range(sp.dim)] for r in range(3)]
     hists, sizes = bulk.orbit_counts(sp, coefvecs)
     split, args, _ = bulk._labeller(sp)
@@ -663,7 +658,7 @@ def test_rows_that_do_not_vary(monkeypatch, fam, n, q, chunk):
     """Each chunk's labels against the whole kernel on its digits; a row that does not vary keeps its per-call label plus the shift."""
     if chunk is not None:
         monkeypatch.setattr(bulk, "CHUNK", chunk)
-    sp = make_space(fam, field(q), n)
+    sp = make_space(fam, field_for(q), n)
     split, args, _ = bulk._labeller(sp)
     F, k = bulk.arith(sp.field), bulk._low_width(sp.dim, q)
     labels, varies, chunks = bulk._chunks(split, sp.dim, *args)
@@ -682,7 +677,7 @@ def test_rows_that_do_not_vary(monkeypatch, fam, n, q, chunk):
 
 @pytest.mark.parametrize("fam,n,m,q", [("vec", 4, None, 5), ("mat", 2, 3, 5), ("alt", 5, None, 3), ("alt", 6, None, 3), ("sym", 3, None, 5), ("symscaled", 3, None, 5), ("vec", 0, None, 5)])
 def test_walk_yields_int8_labels(fam, n, m, q):
-    sp = make_space(fam, field(q), n, m)
+    sp = make_space(fam, field_for(q), n, m)
     split, args, _ = bulk._labeller(sp)
     assert next(bulk._walk(split, sp.dim, *args)).dtype == np.int8
 
@@ -696,6 +691,46 @@ def _assert_fold(monkeypatch, sp, coefvecs, chunk):
     if chunk is not None:
         monkeypatch.setattr(bulk, "CHUNK", chunk)
     hists, sizes = bulk.orbit_counts(sp, coefvecs)
+    want, want_sizes = fold_reference(sp, coefvecs)
+    assert sizes.tolist() == want_sizes.tolist()
+    assert [h.tolist() for h in hists] == [h.tolist() for h in want]
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9])
+@pytest.mark.parametrize("fam,n,m", [("vec", 3, None), ("mat", 2, 2), ("alt", 4, None), ("sym", 3, None), ("symscaled", 3, None)])
+def test_labels_under_scalars(fam, n, m, q):
+    """lambda a, lambda in F_p^*, has the label code of a, but a nonsquare lambda of GF(q) flips the sign of an odd sym rank."""
+    sp = make_space(fam, field_for(q), n, m)
+    F = bulk.arith(sp.field)
+    digits = bulk._digits(0, sp.size, sp.dim, q)
+    codes = bulk.row_labels(sp, digits, raw=True)
+    moved = 0
+    for lam in range(1, sp.field.p):
+        want = codes ^ (codes >> 1 & 1) if fam.startswith("sym") and F.sgn(lam) < 0 else codes
+        assert np.array_equal(bulk.row_labels(sp, F.vreduce(F.vmul(lam, digits)), raw=True), want)
+        moved += not np.array_equal(want, codes)
+    assert bool(moved) == (fam.startswith("sym") and q != 9)  # every lambda of F_3 is a square in GF(9)
+
+
+@pytest.mark.parametrize(
+    "fam,n,m,q,chunk",
+    [
+        ("sym", 3, None, 5, 125), ("alt", 4, None, 9, 729), ("symscaled", 3, None, 7, 7**4), ("sym", 2, None, 27, 27),
+        ("mat", 2, 3, 4, 4**4), ("vec", 5, None, 2, 8), ("vec", 4, None, 5, 25), ("vec", 2, None, 1031, None),
+    ],
+)
+def test_one_chunk_per_class_of_scalar_multiples(monkeypatch, fam, n, m, q, chunk):
+    """orbit_counts labels chunk 0 and one chunk per class {lambda s : lambda in F_p^*} of nonzero high digits s."""
+    sp = make_space(fam, field_for(q), n, m)
+    coefvecs = _pair_coefvecs(sp)
+    if chunk is not None:
+        monkeypatch.setattr(bulk, "CHUNK", chunk)
+    bulk.orbit_counts(sp, coefvecs)  # builds the (n-1) tables, whose walks label every chunk
+    label_indices, calls = bulk._label_indices, []
+    monkeypatch.setattr(bulk, "_label_indices", lambda *a: calls.append(1) or label_indices(*a))
+    hists, sizes = bulk.orbit_counts(sp, coefvecs)
+    high, p = sp.dim - bulk._low_width(sp.dim, q), sp.field.p
+    assert high > 0 and len(calls) == (q**high if p == 2 else 1 + (q**high - 1) // (p - 1))
     want, want_sizes = fold_reference(sp, coefvecs)
     assert sizes.tolist() == want_sizes.tolist()
     assert [h.tolist() for h in hists] == [h.tolist() for h in want]
@@ -728,9 +763,11 @@ class TestFold:
 
     @pytest.mark.parametrize("chunk", [None, 30])
     @pytest.mark.parametrize("twist", ["1", "2", "p"])
-    @pytest.mark.parametrize("fam,n,m,q", [("sym", 2, None, 9), ("mat", 1, 2, 25), ("vec", 2, None, 27), ("alt", 3, None, 9)])
+    @pytest.mark.parametrize(
+        "fam,n,m,q", [("sym", 2, None, 9), ("mat", 1, 2, 25), ("vec", 2, None, 27), ("alt", 3, None, 9), ("sym", 2, None, 27), ("symscaled", 2, None, 27)]
+    )
     def test_extension_fields(self, monkeypatch, fam, n, m, q, twist, chunk):
-        sp = make_space(fam, field(q), n, m)
+        sp = make_space(fam, field_for(q), n, m)
         rng = random.Random(q)
         coefvecs = _pair_coefvecs(sp, sp.field.p if twist == "p" else int(twist))
         coefvecs += [[rng.randrange(q) for _ in range(sp.dim)] for _ in range(3)]
