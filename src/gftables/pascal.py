@@ -58,10 +58,6 @@ class PascalParams:
         return 3
 
 
-def _tpow(t: Fraction, e: int) -> Fraction:
-    return Fraction(t) ** e if e >= 0 else 1 / (Fraction(t) ** (-e))
-
-
 def recursion_tables(p: PascalParams) -> list[Table]:
     """f_0 .. f_{n_max}: bottom rows from the y = 0 recursion, the rest from
     the backward recursion."""
@@ -70,17 +66,17 @@ def recursion_tables(p: PascalParams) -> list[Table]:
         prev = tables[-1]
         cur: Table = {}
         for x in range(n + 1):
-            v = p.a * _tpow(p.t, x) * prev.get((0, x), Fraction(0))
+            v = p.a * Fraction(p.t) ** x * prev.get((0, x), Fraction(0))
             if x >= 1:
-                v += (p.d * _tpow(p.t, 2 * n - 1) - p.b * _tpow(p.t, x - 1)) * prev.get(
+                v += (p.d * Fraction(p.t) ** (2 * n - 1) - p.b * Fraction(p.t) ** (x - 1)) * prev.get(
                     (0, x - 1), Fraction(0)
                 )
             cur[(0, x)] = v / p.c
         for y in range(n):
             for x in range(n + 1):
-                v = p.a * _tpow(p.t, x) * prev.get((y, x), Fraction(0))
+                v = p.a * Fraction(p.t) ** x * prev.get((y, x), Fraction(0))
                 if x >= 1:
-                    v -= p.b * _tpow(p.t, x - 1) * prev.get((y, x - 1), Fraction(0))
+                    v -= p.b * Fraction(p.t) ** (x - 1) * prev.get((y, x - 1), Fraction(0))
                 cur[(y + 1, x)] = v
         tables.append(cur)
     return tables
@@ -99,23 +95,23 @@ def closed_tables(p: PascalParams) -> list[Table]:
                     else:
                         cur[(y, x)] = (
                             p.sigma
-                            * _tpow(p.a, n - x)
-                            * _tpow(-p.b, x)
-                            / _tpow(p.c, n - y)
+                            * Fraction(p.a) ** (n - x)
+                            * Fraction(-p.b) ** x
+                            / Fraction(p.c) ** (n - y)
                             * comb(y, x)
                         )
         elif p.case == 2:
             kp = 1 - p.b / p.d
             for x in range(n + 1):
-                o = p.sigma * _tpow(p.a, n - x) / _tpow(p.c, n) * _tpow(p.d - p.b, x) * comb(n, x)
+                o = p.sigma * Fraction(p.a) ** (n - x) / Fraction(p.c) ** n * Fraction(p.d - p.b) ** x * comb(n, x)
                 for y in range(n + 1):
-                    cur[(y, x)] = _tpow(p.c, y) * o * krawtchouk(y, x, kp, n)
+                    cur[(y, x)] = Fraction(p.c) ** y * o * krawtchouk(y, x, kp, n)
         else:
-            big_a = (p.d / p.b) * _tpow(p.t, n)
+            big_a = (p.d / p.b) * Fraction(p.t) ** n
             for x in range(n + 1):
-                o = p.sigma * _tpow(p.a, n - x) * _tpow(-p.b, x) / _tpow(p.c, n) * _tpow(p.t, x * (x - 1) // 2)
+                o = p.sigma * Fraction(p.a) ** (n - x) * Fraction(-p.b) ** x / Fraction(p.c) ** n * Fraction(p.t) ** (x * (x - 1) // 2)
                 for y in range(n + 1):
-                    cur[(y, x)] = _tpow(p.c, y) * o * q_krawtchouk_column(y, x, big_a, n, p.t)
+                    cur[(y, x)] = Fraction(p.c) ** y * o * q_krawtchouk_column(y, x, big_a, n, p.t)
         out.append(cur)
     return out
 
@@ -125,7 +121,7 @@ def forward_recursion_holds(p: PascalParams, tables: list[Table]) -> bool:
         for y in range(n):
             for x in range(n + 1):
                 lhs = tables[n][(y + 1, x)] - p.c * tables[n][(y, x)]
-                rhs = -p.d * _tpow(p.t, 2 * n - y - 1) * tables[n - 1].get((y, x - 1), Fraction(0))
+                rhs = -p.d * Fraction(p.t) ** (2 * n - y - 1) * tables[n - 1].get((y, x - 1), Fraction(0))
                 if lhs != rhs:
                     return False
     return True
@@ -135,9 +131,9 @@ def bottom_row_recursion_holds(p: PascalParams, tables: list[Table]) -> bool:
     for n in range(1, p.n_max + 1):
         for x in range(n + 1):
             lhs = p.c * tables[n][(0, x)]
-            rhs = p.a * _tpow(p.t, x) * tables[n - 1].get((0, x), Fraction(0))
+            rhs = p.a * Fraction(p.t) ** x * tables[n - 1].get((0, x), Fraction(0))
             if x >= 1:
-                rhs += (p.d * _tpow(p.t, 2 * n - 1) - p.b * _tpow(p.t, x - 1)) * tables[
+                rhs += (p.d * Fraction(p.t) ** (2 * n - 1) - p.b * Fraction(p.t) ** (x - 1)) * tables[
                     n - 1
                 ].get((0, x - 1), Fraction(0))
             if lhs != rhs:
@@ -162,9 +158,9 @@ def forward_only_expansion(p: PascalParams, tables: list[Table]) -> bool:
                 for i in range(min(y, x) + 1):
                     exp = -(i * (i - 1) // 2) + 2 * n * i - y * i
                     acc += (
-                        _tpow(p.c, y - i)
-                        * _tpow(-p.d, i)
-                        * _tpow(p.t, exp)
+                        Fraction(p.c) ** (y - i)
+                        * Fraction(-p.d) ** i
+                        * Fraction(p.t) ** exp
                         * gauss_binom(y, i, p.t)
                         * tables[n - i].get((0, x - i), Fraction(0))
                     )

@@ -12,8 +12,17 @@ whose entries live in Z + Z*gamma for the quadratic Gauss sum gamma. The
 blocks have closed forms in affine q-Krawtchouk polynomials: each block is a
 sign and a power of q times the alternating family's column
 (`pascal.alt_column`) at size n - 1, n, n - 2 or n - 1. The `qseries`
-module docstring states the column and its parameters. The brute sign-labeled canonical matrix is the oracle every
-formula here is checked against.
+module docstring states the column and its parameters. The brute
+sign-labeled canonical matrix is the oracle every formula here is checked
+against.
+
+The base change onto rank aggregates is one rule, `_aggregate`: a row of
+rank s averages the grid over the sign orbits of s and a column of rank r
+sums over those of r, each orbit weighted by its sign (+1 when it has none)
+for sgnchi and by 1 for chi. `_grid_to_blocks` (behind `psi_brute` and the
+inverse-transform check of `relation_suite`), `scaled_matrix_from_canonical`,
+`scaled_canonical_from_blocks` and the pull-back check of
+`sym_diagram_matrices` read it; `phi_from_psi` inverts it.
 
 Block index ranges: psi1 on 0<=s,r<=n, psi2 on 0<=s<=n and 1<=r<=n, psi3 on
 1<=s<=n and 0<=r<=n, psi4 on 1<=s,r<=n.
@@ -68,56 +77,39 @@ class PsiBlocks:
         return self.psi4[s - 1][r - 1]
 
     def same_blocks(self, other: "PsiBlocks") -> bool:
-        return (
-            self.psi1 == other.psi1
-            and self.psi2 == other.psi2
-            and self.psi3 == other.psi3
-            and self.psi4 == other.psi4
-        )
+        """The same as ==, under the name the benchmark workloads call."""
+        return self == other
 
 
-def _halved(x: CycInt) -> CycInt:
-    return x.exact_div(2)
+def _by_rank(labels) -> dict[int, list[tuple[int, int]]]:
+    """Each rank -> the (index, sign) pairs of its labels, in label order; a label without a sign counts as +1."""
+    out: dict[int, list[tuple[int, int]]] = {}
+    for i, lbl in enumerate(labels):
+        out.setdefault(lbl.r, []).append((i, lbl.sign or 1))
+    return out
+
+
+def _aggregate(grid, rows, cols, zero):
+    """(1/len(rows)) * the sum of a * b * grid[i][j] over (i, a) in rows and (j, b) in cols.
+
+    Rows average over the sign orbits of a rank and columns sum over them.
+    Pairs with sign 1 read chi, pairs with the label signs read sgnchi. Over
+    Z[zeta_p] the mean must be exact; over Fraction it is a plain quotient.
+    """
+    total = sum((grid[i][j] * (a * b) for i, a in rows for j, b in cols), zero)
+    return total / len(rows) if isinstance(total, Fraction) else total.exact_div(len(rows))
 
 
 def _grid_to_blocks(labels, grid, char: CharSpec) -> list[tuple[tuple[QuadraticGamma, ...], ...]]:
     """A sign-labeled grid (rows and columns in label order) -> the four blocks over Z + Z*gamma."""
-    n = max(lbl.r for lbl in labels)
-    zero = CycInt.zero(char.field.p)
-
-    def ent(s: int, alpha: int, r: int, beta: int) -> CycInt:
-        mu = OrbitLabel(0) if s == 0 else OrbitLabel(s, alpha)
-        lam = OrbitLabel(0) if r == 0 else OrbitLabel(r, beta)
-        return grid[labels.index(mu)][labels.index(lam)]
-
-    b1 = [[zero] * (n + 1) for _ in range(n + 1)]
-    b2 = [[zero] * n for _ in range(n + 1)]
-    b3 = [[zero] * (n + 1) for _ in range(n)]
-    b4 = [[zero] * n for _ in range(n)]
-    for r in range(n + 1):
-        for s in range(n + 1):
-            if s == 0:
-                col_sum = ent(0, 1, r, 1) + (ent(0, 1, r, -1) if r else zero)
-                col_dif = ent(0, 1, r, 1) - ent(0, 1, r, -1) if r else zero
-                b1[0][r] = col_sum if r else ent(0, 1, 0, 1)
-                if r:
-                    b2[0][r - 1] = col_dif
-                continue
-            if r == 0:
-                pp, pm = ent(s, 1, 0, 1), ent(s, -1, 0, 1)
-                b1[s][0] = _halved(pp + pm)
-                b3[s - 1][0] = _halved(pp - pm)
-                continue
-            pp = ent(s, 1, r, 1)
-            pm = ent(s, 1, r, -1)
-            mp = ent(s, -1, r, 1)
-            mm = ent(s, -1, r, -1)
-            b1[s][r] = _halved(pp + pm + mp + mm)
-            b2[s][r - 1] = _halved(pp - pm + mp - mm)
-            b3[s - 1][r] = _halved(pp + pm - mp - mm)
-            b4[s - 1][r - 1] = _halved(pp - pm - mp + mm)
-    gamma = gauss_sum(char)
-    return [tuple(tuple(decompose_gamma(x, gamma, char.field.q) for x in row) for row in b) for b in (b1, b2, b3, b4)]
+    ranks = _by_rank(labels)
+    n = max(ranks)
+    chi = [[(i, 1) for i, _ in ranks[r]] for r in range(n + 1)]
+    sgn = [ranks[r] for r in range(1, n + 1)]
+    zero, gamma, q = CycInt.zero(char.field.p), gauss_sum(char), char.field.q
+    entry = lambda rows, cols: decompose_gamma(_aggregate(grid, rows, cols, zero), gamma, q)
+    bases = ((chi, chi), (chi, sgn), (sgn, chi), (sgn, sgn))
+    return [tuple(tuple(entry(rows, cols) for cols in cbasis) for rows in rbasis) for rbasis, cbasis in bases]
 
 
 def psi_brute(
@@ -290,151 +282,84 @@ def sym_diagram_matrices(n: int, char: CharSpec, which: int) -> Report:
 
     which = 1 is the one-step chain on the full bases; which = 2 is the
     two-step chain of the scaled action on the bases without odd signed
-    functions.
+    functions. Each leg states its label map, and the four blocks of its push
+    and pull-back matrices keyed (row signed, column signed) as in Psi; a
+    block is checked at every lower rank u and upper rank r where its signed
+    rows and columns exist.
     """
     rep = Report()
     q = char.field.q
-    p = char.field.p
     eps = epsilon_of(q)
     gamma = gauss_sum(char)
-    zero = CycInt.zero(p)
-    one = CycInt.one(p)
+    zero = CycInt.zero(char.field.p)
     where = f"sym n={n} q={q} diagram {which}"
     lower_n = n - which
-    vals, reps = _sym_rank_sign_values(char, n, lower_n, which)
+    family = "sym" if which == 1 else "symscaled"
+    upper, lower = make_space(family, char.field, n), make_space(family, char.field, lower_n)
+    lm = standard_diagram(upper, lower).label_map()
+    vals, _ = _sym_rank_sign_values(char, n, lower_n, which)
+    if which == 1:
+        leg, signed = "one-step", lambda k: k >= 1
+        target = lambda lbl: OrbitLabel(lbl.r + 1, lbl.sign or 1)
+        push = {
+            (0, 0): lambda u, r: {u: 1, u + 1: -1}.get(r, 0) if u == 0 else 0,
+            (1, 0): lambda u, r: {u: gamma**u, u + 1: -(gamma**u)}.get(r, 0),
+            (0, 1): lambda u, r: {u: gamma**u, u + 1: gamma ** (u + 1)}.get(r, 0),
+            (1, 1): lambda u, r: 0,
+        }
+        pull = {
+            (0, 0): lambda v, s: {v + 1: 1}.get(s, 0),
+            (1, 0): lambda v, s: 0,
+            (0, 1): lambda v, s: {(0, 1): 1}.get((v, s), 0),
+            (1, 1): lambda v, s: {v + 1: 1}.get(s, 0),
+        }
+    else:
+        leg, signed = "two-step", lambda k: k >= 2 and k % 2 == 0
+        target = lambda lbl: OrbitLabel(lbl.r + 2, None if lbl.r % 2 else (lbl.sign or 1) * eps)
+        push = {
+            (0, 0): lambda u, r: {u: q**u, u + 1: q**u * (q - 1), u + 2: -(q ** (u + 1))}.get(r, 0),
+            (1, 0): lambda u, r: 0,
+            (0, 1): lambda u, r: {(0, 2): -eps * q}.get((u, r), 0),
+            (1, 1): lambda u, r: {u: q**u, u + 2: -eps * q ** (u + 1)}.get(r, 0),
+        }
+        pull = {
+            (0, 0): lambda v, s: {v + 2: 1}.get(s, 0),
+            (1, 0): lambda v, s: 0,
+            (0, 1): lambda v, s: {(0, 2): eps}.get((v, s), 0),
+            (1, 1): lambda v, s: {v + 2: eps}.get(s, 0),
+        }
 
-    def combo(kind: str, r: int, u: int, sign_part: int) -> CycInt:
+    def pushed(kind: str, row_signed: int, u: int, r: int) -> CycInt:
+        """The push of chi_r or sgnchi_r, averaged (or signed) over the sign points of lower rank u."""
         tab = vals.get((kind, r), {})
         if u == 0:
-            return tab.get((0, 1), zero) if sign_part > 0 else zero
+            return tab.get((0, 1), zero)
         plus, minus = tab.get((u, 1), zero), tab.get((u, -1), zero)
         if which == 2 and u % 2 and plus != minus:
             # odd ranks merge under scaling; both sign points must agree
             raise AssertionError("scaled pushforward not constant on a merged orbit")
-        return (plus + minus).exact_div(2) if sign_part > 0 else (plus - minus).exact_div(2)
+        return (plus - minus if row_signed else plus + minus).exact_div(2)
 
-    if which == 1:
-        ok1 = ok2 = ok3 = ok4 = True
-        for u in range(lower_n + 1):
-            for r in range(n + 1):
-                e1 = combo("chi", r, u, 1)
-                want1 = one if (u == 0 and r == 0) else (-one if (u == 0 and r == 1) else zero)
-                ok1 &= e1 == want1
-                e3 = combo("chi", r, u, -1) if u >= 1 else zero
-                want3 = zero
-                if 1 <= u <= lower_n:
-                    if r == u:
-                        want3 = gamma**u
-                    elif r == u + 1:
-                        want3 = -(gamma**u)
-                ok3 &= e3 == want3
-                if r >= 1:
-                    e2 = combo("sgn", r, u, 1)
-                    want2 = zero
-                    if r == u and u >= 1:
-                        want2 = gamma**u
-                    elif r == u + 1:
-                        want2 = gamma ** (u + 1)
-                    ok2 &= e2 == want2
-                    e4 = combo("sgn", r, u, -1) if u >= 1 else zero
-                    ok4 &= e4 == zero
-        rep.add("sym-diagram/one-step-push-chi", where, ok1 and ok3)
-        rep.add("sym-diagram/one-step-push-sgn", where, ok2 and ok4)
+    def holds(forms, value) -> bool:
+        ok = True  # no short cut: every value is computed, so a merged orbit that splits always raises
+        for (rs, cs), want in forms.items():
+            for u in range(lower_n + 1):
+                for r in range(n + 1):
+                    if (signed(u) or not rs) and (signed(r) or not cs):
+                        ok &= value(rs, cs, u, r) == want(u, r)
+        return ok
 
-        upper = make_space("sym", char.field, n)
-        lower = make_space("sym", char.field, lower_n)
-        d = standard_diagram(upper, lower)
-        lm = d.label_map()
-        expect = {OrbitLabel(0): OrbitLabel(1, 1)}
-        for v in range(1, lower_n + 1):
-            expect[OrbitLabel(v, 1)] = OrbitLabel(v + 1, 1)
-            expect[OrbitLabel(v, -1)] = OrbitLabel(v + 1, -1)
-        rep.add("sym-diagram/one-step-label-map", where, lm == expect)
+    for cs, kind in enumerate(("chi", "sgn")):
+        forms = {key: want for key, want in push.items() if key[1] == cs}
+        rep.add(f"sym-diagram/{leg}-push-{kind}", where, holds(forms, lambda rs, _, u, r: pushed(kind, rs, u, r)))
+    rep.add(f"sym-diagram/{leg}-label-map", where, lm == {lbl: target(lbl) for lbl in lower.labels()})
 
-        # pull-back blocks from the label map against their sparse forms
-        ok = True
-        for v in range(lower_n + 1):
-            targets = [lm[OrbitLabel(0)]] if v == 0 else [lm[OrbitLabel(v, 1)], lm[OrbitLabel(v, -1)]]
-            for s in range(n + 1):
-                chi_vals = [1 if t.r == s else 0 for t in targets]
-                sgn_vals = [(t.sign or 0) if (t.r == s and s >= 1) else 0 for t in targets]
-                d1 = Fraction(sum(chi_vals), len(chi_vals))
-                d3 = Fraction(chi_vals[0] - chi_vals[-1], 2) if v else Fraction(0)
-                ok &= d1 == (1 if s == v + 1 else 0) and d3 == 0
-                if s >= 1:
-                    d2 = Fraction(sum(sgn_vals), len(sgn_vals))
-                    d4 = Fraction(sgn_vals[0] - sgn_vals[-1], 2) if v else Fraction(0)
-                    ok &= d2 == (1 if (v == 0 and s == 1) else 0)
-                    ok &= d4 == ((1 if s == v + 1 else 0) if v else 0)
-        rep.add("sym-diagram/one-step-pullback", where, ok)
-        return rep
-
-    # which == 2: scaled two-step chain
-    ok1 = ok2 = ok3 = ok4 = True
-    for u in range(lower_n + 1):
-        for r in range(n + 1):
-            e1 = combo("chi", r, u, 1)
-            want1 = zero
-            if r == u:
-                want1 = CycInt.integer(p, q**u)
-            elif r == u + 1:
-                want1 = CycInt.integer(p, q**u * (q - 1))
-            elif r == u + 2:
-                want1 = CycInt.integer(p, -(q ** (u + 1)))
-            ok1 &= e1 == want1
-            if u >= 2 and u % 2 == 0:
-                e3 = combo("chi", r, u, -1)
-                ok3 &= e3 == zero
-            if r >= 2 and r % 2 == 0:
-                e2 = combo("sgn", r, u, 1)
-                want2 = -CycInt.integer(p, eps * q) if (u == 0 and r == 2) else zero
-                if u >= 2 and u % 2 == 0:
-                    if r == u:
-                        want2 = zero  # E2 rows u >= 2 vanish; the signed part sits in E4
-                    e4 = combo("sgn", r, u, -1)
-                    want4 = zero
-                    if r == u:
-                        want4 = CycInt.integer(p, q**u)
-                    elif r == u + 2:
-                        want4 = CycInt.integer(p, -eps * q ** (u + 1))
-                    ok4 &= e4 == want4
-                ok2 &= e2 == want2
-    rep.add("sym-diagram/two-step-push-chi", where, ok1 and ok3)
-    rep.add("sym-diagram/two-step-push-sgn", where, ok2 and ok4)
-
-    d = standard_diagram(make_space("symscaled", char.field, n), make_space("symscaled", char.field, lower_n))
-    lm = d.label_map()
-    expect = {OrbitLabel(0): OrbitLabel(2, eps)}
-    for v in range(1, lower_n + 1):
-        if v % 2:
-            expect[OrbitLabel(v)] = OrbitLabel(v + 2)
-        else:
-            expect[OrbitLabel(v, 1)] = OrbitLabel(v + 2, eps)
-            expect[OrbitLabel(v, -1)] = OrbitLabel(v + 2, -eps)
-    rep.add("sym-diagram/two-step-label-map", where, lm == expect)
-
-    ok = True
-    for v in range(lower_n + 1):
-        if v == 0:
-            targets = [lm[OrbitLabel(0)]]
-        elif v % 2:
-            targets = [lm[OrbitLabel(v)]]
-        else:
-            targets = [lm[OrbitLabel(v, 1)], lm[OrbitLabel(v, -1)]]
-        for s in range(n + 1):
-            chi_vals = [1 if t.r == s else 0 for t in targets]
-            sgn_vals = [(t.sign or 0) if (t.r == s and s >= 1) else 0 for t in targets]
-            d1 = Fraction(sum(chi_vals), len(chi_vals))
-            ok &= d1 == (1 if s == v + 2 else 0)
-            if len(targets) == 2:
-                ok &= Fraction(chi_vals[0] - chi_vals[1], 2) == 0  # no signed component
-            if s >= 2 and s % 2 == 0:
-                d2 = Fraction(sum(sgn_vals), len(sgn_vals))
-                ok &= d2 == (eps if (v == 0 and s == 2) else 0)
-                if len(targets) == 2:
-                    d4 = Fraction(sgn_vals[0] - sgn_vals[1], 2)
-                    ok &= d4 == (eps if s == v + 2 else 0)
-    rep.add("sym-diagram/two-step-pullback", where, ok)
+    # pull-back blocks from the label map, exact over Fraction so that a wrong map fails and does not raise
+    hits = [[int(lm[a] == b) for b in upper.labels()] for a in lower.labels()]
+    lows, ups = _by_rank(lower.labels()), _by_rank(upper.labels())
+    basis = lambda pairs, sgn: pairs if sgn else [(i, 1) for i, _ in pairs]
+    pulled = lambda rs, cs, v, s: _aggregate(hits, basis(lows[v], rs), basis(ups[s], cs), Fraction(0))
+    rep.add(f"sym-diagram/{leg}-pullback", where, holds(pull, pulled))
     return rep
 
 
@@ -685,7 +610,7 @@ def relation_suite(
     rep.add("sym/base-change-round-trip", where, rt.entries == phi.entries)
 
     # brute against closed forms
-    rep.add("sym/closed-forms-match-brute", where, cur.same_blocks(psi_closed(n, char)))
+    rep.add("sym/closed-forms-match-brute", where, cur == psi_closed(n, char))
     return rep
 
 
@@ -727,59 +652,26 @@ def scaled_matrix_from_canonical(phi: CanonicalMatrix) -> list[list[QuadraticGam
     if not isinstance(space, SymScaled):
         raise ValueError("expected a scaled symmetric canonical matrix")
     n = space.n
-    q = space.field.q
-    gamma = gauss_sum(phi.char)
-    labels = phi.labels
-    evens = list(range(2, n + 1, 2))
-
-    def col(r: int, signed: bool) -> list[CycInt]:
-        if not signed:
-            if r == 0:
-                return [phi.entries[i][labels.index(OrbitLabel(0))] for i in range(len(labels))]
-            if r % 2:
-                return [phi.entries[i][labels.index(OrbitLabel(r))] for i in range(len(labels))]
-            jp, jm = labels.index(OrbitLabel(r, 1)), labels.index(OrbitLabel(r, -1))
-            return [phi.entries[i][jp] + phi.entries[i][jm] for i in range(len(labels))]
-        jp, jm = labels.index(OrbitLabel(r, 1)), labels.index(OrbitLabel(r, -1))
-        return [phi.entries[i][jp] - phi.entries[i][jm] for i in range(len(labels))]
-
-    def row_extract(colvals: list[CycInt], s: int, signed: bool) -> CycInt:
-        if not signed:
-            if s == 0:
-                return colvals[labels.index(OrbitLabel(0))]
-            if s % 2:
-                return colvals[labels.index(OrbitLabel(s))]
-            vp, vm = colvals[labels.index(OrbitLabel(s, 1))], colvals[labels.index(OrbitLabel(s, -1))]
-            return (vp + vm).exact_div(2)
-        vp, vm = colvals[labels.index(OrbitLabel(s, 1))], colvals[labels.index(OrbitLabel(s, -1))]
-        return (vp - vm).exact_div(2)
-
-    cols = [col(r, False) for r in range(n + 1)] + [col(r, True) for r in evens]
-    rows: list[tuple[int, bool]] = [(s, False) for s in range(n + 1)] + [(s, True) for s in evens]
-    out = []
-    for s, signed in rows:
-        out.append([decompose_gamma(row_extract(c, s, signed), gamma, q) for c in cols])
-    return out
+    ranks = _by_rank(phi.labels)
+    basis = [[(i, 1) for i, _ in ranks[r]] for r in range(n + 1)] + [ranks[r] for r in range(2, n + 1, 2)]
+    zero, gamma, q = CycInt.zero(space.field.p), gauss_sum(phi.char), space.field.q
+    return [[decompose_gamma(_aggregate(phi.entries, rows, cols, zero), gamma, q) for cols in basis] for rows in basis]
 
 
 def scaled_canonical_from_blocks(blocks: PsiBlocks) -> CanonicalMatrix:
     """Canonical matrix of the scaled action, rebuilt from the sign blocks.
 
-    This is phi_from_psi with the two sign columns of each merged odd rank
-    summed and its (r, +) row kept. The (r, -) row is the same, because
-    psi3 vanishes on odd rows and psi4 off odd x odd.
+    This is phi_from_psi aggregated onto the scaled labels: each merged odd
+    rank sums its two sign columns and averages its two sign rows. The two
+    rows agree, because psi3 vanishes on odd rows and psi4 off odd x odd.
     """
     full = phi_from_psi(blocks)
     space = make_space("symscaled", blocks.char.field, blocks.n)
     labels = space.labels()
-
-    def entry(mu: OrbitLabel, lam: OrbitLabel) -> CycInt:
-        row = full.entries[full.index(OrbitLabel(mu.r, 1) if mu.r and mu.sign is None else mu)]
-        if lam.r and lam.sign is None:  # a merged odd rank
-            return row[full.index(OrbitLabel(lam.r, 1))] + row[full.index(OrbitLabel(lam.r, -1))]
-        return row[full.index(lam)]
-
-    entries = tuple(tuple(entry(mu, lam) for lam in labels) for mu in labels)
+    ranks = _by_rank(full.labels)
+    covers = [[(i, 1) for i, sign in ranks[lbl.r] if lbl.sign in (None, sign)] for lbl in labels]
+    zero = CycInt.zero(blocks.char.field.p)
+    entries = tuple(tuple(_aggregate(full.entries, rows, cols, zero) for cols in covers) for rows in covers)
     sizes = tuple(e.as_int() for e in entries[0])
     return CanonicalMatrix(space, blocks.char, labels, entries, sizes)
 

@@ -258,7 +258,7 @@ def suite_oracle(budget: int = DEFAULT_BUDGET, flt: GridFilter = EVERYTHING) -> 
             continue
         ch = default_char(field_for(q))
         blocks, _phi = psi_brute(n, ch, budget)
-        rep.add("oracle/sign-blocks", f"sym n={n} q={q}", blocks.same_blocks(psi_closed(n, ch)))
+        rep.add("oracle/sign-blocks", f"sym n={n} q={q}", blocks == psi_closed(n, ch))
     return rep
 
 

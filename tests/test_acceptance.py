@@ -89,7 +89,7 @@ def test_criterion_03_sign_block_suite():
     for n, q in SYM_GRID:
         ch = default_char(field_for(q))
         blocks, phi = psi_brute(n, ch)
-        assert blocks.same_blocks(psi_closed(n, ch)), (n, q)
+        assert blocks == psi_closed(n, ch), (n, q)
         zero = QuadraticGamma(0, 0, q)
         for s in range(n + 1):
             for r in range(1, n + 1):

@@ -1,5 +1,6 @@
 import pytest
 
+from gftables import symmetric
 from gftables.cyclotomic import QuadraticGamma
 from gftables.gfq import CharSpec, default_char, make_field
 from gftables.spaces import OrbitLabel, make_space
@@ -14,7 +15,7 @@ from gftables.symmetric import (
     sym_diagram_matrices,
     twist_swaps_odd_sign_rows,
 )
-from gftables.transform import brute_force_phi
+from gftables.transform import Diagram, brute_force_phi
 
 F3 = make_field(3)
 F5 = make_field(5)
@@ -73,12 +74,12 @@ class TestClosedForms:
     def test_brute_equals_closed(self, n, q):
         ch = default_char(make_field(q))
         blocks, _ = psi_brute(n, ch)
-        assert blocks.same_blocks(psi_closed(n, ch))
+        assert blocks == psi_closed(n, ch)
 
     def test_brute_equals_closed_size_four(self):
         # within budget at q = 3 only
         blocks, _ = psi_brute(4, CH3)
-        assert blocks.same_blocks(psi_closed(4, CH3))
+        assert blocks == psi_closed(4, CH3)
 
     def test_even_degree_fields_rejected_for_recovery(self):
         # over GF(9) the Gauss sum is the rational integer 3, so block
@@ -142,6 +143,33 @@ class TestDiagramBlocks:
         ch = default_char(make_field(q))
         rep = sym_diagram_matrices(n, ch, which)
         assert rep.ok, "\n".join(rep.lines())
+
+    @pytest.mark.parametrize("which,kind,r", [(1, "chi", 1), (1, "sgn", 1), (2, "chi", 2), (2, "sgn", 2)])
+    def test_a_wrong_push_fails_its_own_check(self, monkeypatch, which, kind, r):
+        values = symmetric._sym_rank_sign_values
+
+        def bumped(*args):
+            vals, reps = values(*args)
+            vals[(kind, r)][(0, 1)] += 2  # lower rank 0 has one sign point, so the push reads it unaveraged
+            return vals, reps
+
+        monkeypatch.setattr(symmetric, "_sym_rank_sign_values", bumped)
+        leg = ("one-step", "two-step")[which - 1]
+        assert [c.ident for c in sym_diagram_matrices(3, CH3, which).failures] == [f"sym-diagram/{leg}-push-{kind}"]
+
+    @pytest.mark.parametrize("n,which", [(3, 1), (4, 2)])
+    def test_a_wrong_label_map_fails_the_map_and_pullback_checks(self, monkeypatch, n, which):
+        label_map = Diagram.label_map
+
+        def swapped(self):
+            lm = label_map(self)
+            lm[OrbitLabel(2, 1)], lm[OrbitLabel(2, -1)] = lm[OrbitLabel(2, -1)], lm[OrbitLabel(2, 1)]
+            return lm
+
+        monkeypatch.setattr(Diagram, "label_map", swapped)
+        leg = ("one-step", "two-step")[which - 1]
+        failed = [c.ident for c in sym_diagram_matrices(n, CH3, which).failures]
+        assert failed == [f"sym-diagram/{leg}-label-map", f"sym-diagram/{leg}-pullback"]
 
 
 class TestScaledAction:

@@ -616,14 +616,13 @@ def test_chunk_size_does_not_change_orbit_counts(monkeypatch, fam, n, m, q, chun
     labels = np.concatenate(list(bulk._walk(split, sp.dim, *args)))
     monkeypatch.setattr(bulk, "CHUNK", chunk)
     bulk._codes.cache_clear()  # rebuild the (n-1) tables in chunks too
-    label_indices, repairs, full_kernel, full = bulk._label_indices, [], bulk._labels, []
-    monkeypatch.setattr(bulk, "_label_indices", lambda tail, digits: repairs.append(_tail_state(tail).get("repair")) or label_indices(tail, digits))
+    full_kernel, full = bulk._labels, []
     monkeypatch.setattr(bulk, "_labels", lambda step, *rest: full.append(step) or full_kernel(step, *rest))
     hists2, sizes2 = bulk.orbit_counts(sp, coefvecs)
     assert sizes2.tolist() == sizes.tolist()
     assert [h.tolist() for h in hists2] == [h.tolist() for h in hists]
     assert np.array_equal(np.concatenate(list(bulk._walk(split, sp.dim, *args))), labels)  # a histogram can hide swapped labels
-    assert all(r is None for r in repairs) and not full  # no step leaves a repair set, and no chunk runs the full kernel
+    assert not full  # no chunk runs the full kernel
 
 
 def test_kernels_get_read_only_digits(monkeypatch):
