@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Iterable, Sequence
 
 Rational = Fraction
@@ -282,16 +283,28 @@ def decompose_gamma(x: CycInt, gamma: CycInt, q: int) -> QuadraticGamma:
     return QuadraticGamma(a_int, b_int, q)
 
 
+def _trim(cs: list[int]) -> tuple[int, ...]:
+    """The coefficients without their trailing zeros."""
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
 class PolyQ:
     """Dense integer polynomial in q; zero is the empty coefficient tuple."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[int] = ()):
-        cs = [int(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
+        self.coeffs = _trim([int(c) for c in coeffs])
+
+    @classmethod
+    def _of(cls, coeffs: tuple[int, ...]) -> PolyQ:
+        """From a tuple of plain ints whose last entry is nonzero (or an empty one), without __init__'s conversion
+        and trimming."""
+        out = object.__new__(cls)
+        out.coeffs = coeffs
+        return out
 
     @classmethod
     def const(cls, n: int) -> PolyQ:
@@ -311,24 +324,26 @@ class PolyQ:
     def is_zero(self) -> bool:
         return not self.coeffs
 
+    def shift(self, k: int) -> PolyQ:
+        """q^k times self, for k >= 0."""
+        return PolyQ._of((0,) * k + self.coeffs) if self.coeffs else self
+
     @staticmethod
     def _coerce(x: PolyQ | int) -> PolyQ:
         return x if isinstance(x, PolyQ) else PolyQ.const(x)
 
     def __add__(self, other: PolyQ | int) -> PolyQ:
-        other = self._coerce(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = self.coeffs + (0,) * (n - len(self.coeffs))
-        b = other.coeffs + (0,) * (n - len(other.coeffs))
-        return PolyQ(x + y for x, y in zip(a, b))
+        pairs = zip_longest(self.coeffs, self._coerce(other).coeffs, fillvalue=0)
+        return PolyQ._of(_trim([x + y for x, y in pairs]))
 
     __radd__ = __add__
 
     def __neg__(self) -> PolyQ:
-        return PolyQ(-c for c in self.coeffs)
+        return PolyQ._of(tuple([-c for c in self.coeffs]))
 
     def __sub__(self, other: PolyQ | int) -> PolyQ:
-        return self + (-self._coerce(other))
+        pairs = zip_longest(self.coeffs, self._coerce(other).coeffs, fillvalue=0)
+        return PolyQ._of(_trim([x - y for x, y in pairs]))
 
     def __rsub__(self, other: int) -> PolyQ:
         return PolyQ.const(other) - self
@@ -343,7 +358,7 @@ class PolyQ:
                 continue
             for j, b in enumerate(other.coeffs):
                 out[i + j] += a * b
-        return PolyQ(out)
+        return PolyQ._of(tuple(out))  # Z is a domain: the leading coefficient is the product of two nonzero ones
 
     __rmul__ = __mul__
 

@@ -29,10 +29,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 from .cyclotomic import POLY_Q, PolyQ
-from .qseries import affine_q_krawtchouk, gauss_binom, krawtchouk, q_krawtchouk_column, q_pochhammer
+from .qseries import (
+    Pair,
+    affine_q_krawtchouk_nd,
+    as_pair,
+    gauss_binom,
+    gauss_binom_nd,
+    krawtchouk,
+    krawtchouk_nd,
+    q_krawtchouk_column,
+    q_krawtchouk_column_nd,
+    q_pochhammer,
+    q_pochhammer_nd,
+)
 
 Table = dict[tuple[int, int], Fraction]
 
@@ -218,15 +230,16 @@ def _chain_step(prev: list[list[PolyQ]], size: int, bpr_hi: int, bpr_lo, o_hi: i
 
     cur = [[zero for _ in range(size)] for _ in range(size)]
     for x in range(size):
-        v = PolyQ.monomial(1, bpr_hi * x) * prev_at(0, x)
+        v = prev_at(0, x).shift(bpr_hi * x)
         if x >= 1:
-            v = v + (PolyQ.monomial(1, o_hi) - PolyQ.monomial(1, bpr_lo(x))) * prev_at(0, x - 1)
+            left = prev_at(0, x - 1)
+            v = v + left.shift(o_hi) - left.shift(bpr_lo(x))
         cur[0][x] = v
     for y in range(size - 1):
         for x in range(size):
-            v = PolyQ.monomial(1, bpr_hi * x) * prev_at(y, x)
+            v = prev_at(y, x).shift(bpr_hi * x)
             if x >= 1:
-                v = v - PolyQ.monomial(1, bpr_lo(x)) * prev_at(y, x - 1)
+                v = v - prev_at(y, x - 1).shift(bpr_lo(x))
             cur[y + 1][x] = v
     return cur
 
@@ -271,31 +284,43 @@ def family_table(family: str, n: int, m: int | None = None) -> FamilyTable:
     return FamilyTable(family, n, m if family == "mat" else None, values, tuple(tuple(r) for r in grid))
 
 
+def _alt_column_nd(q: Pair, size: int, y: int, x: int) -> Pair:
+    qn, qd = q
+    e = size - 1 + size % 2
+    return q_krawtchouk_column_nd(y, x, (qn**e, qd**e), size // 2, (qn * qn, qd * qd))
+
+
 def alt_column(q: int | Fraction, size: int, y: int, x: int) -> Fraction:
     """The alternating family's column at half-ranks (y, x): A = q^(size-1+size%2), N = size // 2, t = q^2."""
-    q = Fraction(q)
-    return q_krawtchouk_column(y, x, q ** (size - 1 + size % 2), size // 2, q**2)
+    return Fraction(*_alt_column_nd(as_pair(q), size, y, x))
 
 
 def closed_form_phi(family: str, n: int, m: int | None, s: int, r: int, q: int | Fraction) -> Fraction:
-    """Orbit size times the matching (q-)Krawtchouk value; row s = 0 holds the orbit sizes."""
-    q = Fraction(q)
+    """Orbit size times the matching (q-)Krawtchouk value; row s = 0 holds the orbit sizes.
+
+    Each is an integer pair until the one `Fraction` it returns."""
+    qn, qd = qp = as_pair(q)
     if family == "vec":
         if not (0 <= s <= n and 0 <= r <= n):
             raise ValueError("out of range")
-        return (q - 1) ** r * comb(n, r) * krawtchouk(s, r, (q - 1) / q, n)
+        kn, kd = krawtchouk_nd(s, r, (qn - qd, qn), n)
+        return Fraction((qn - qd) ** r * comb(n, r) * kn, qd**r * kd)
     if family == "mat":
         if m is None or not (0 <= s <= n <= m and 0 <= r <= n):
             raise ValueError("out of range")
-        return (-1) ** r * q ** comb(r, 2) * q_krawtchouk_column(s, r, q**m, n, q)
-    if family == "alt":
+        cn, cd = q_krawtchouk_column_nd(s, r, (qn**m, qd**m), n, qp)
+        e = comb(r, 2)
+    elif family == "alt":
         if s % 2 or r % 2:
             raise ValueError("alternating labels are even")
         if not (0 <= s <= n and 0 <= r <= n):
             raise ValueError("out of range")
-        x = r // 2
-        return (-1) ** x * q ** (x * (x - 1)) * alt_column(q, n, s // 2, x)
-    raise ValueError(f"no closed form for family {family!r}")
+        r //= 2
+        cn, cd = _alt_column_nd(qp, n, s // 2, r)
+        e = r * (r - 1)
+    else:
+        raise ValueError(f"no closed form for family {family!r}")
+    return Fraction((-1) ** r * qn**e * cn, qd**e * cd)
 
 
 def closed_form_table(family: str, n: int, m: int | None, q: int | Fraction) -> list[list[Fraction]]:
@@ -362,78 +387,112 @@ def genfun_vec_symbolic(n: int, s: int) -> bool:
     return lhs == rhs[: len(lhs)] and all(e.is_zero() for e in rhs[len(lhs) :])
 
 
+def _common(pairs: list[Pair]) -> tuple[list[int], int]:
+    """Integer pairs as numerators over one common denominator."""
+    den = lcm(*(d for _, d in pairs))
+    return [n * (den // d) for n, d in pairs], den
+
+
+def _same(lhs: list[Pair], rhs: list[int], den: int) -> bool:
+    """The coefficient list lhs equals rhs / den."""
+    return len(lhs) == len(rhs) and all(n * den == r * d for (n, d), r in zip(lhs, rhs))
+
+
+def _weights(N: int, a: Pair, q: Pair) -> list[Pair]:
+    """(a; q)_x [N x]_q for x = 0..N."""
+    out = []
+    for x in range(N + 1):
+        (pn, pd), (gn, gd) = q_pochhammer_nd(a, q, x), gauss_binom_nd(N, x, q)
+        out.append((pn * gn, pd * gd))
+    return out
+
+
 def genfun_mat_concrete(n: int, m: int, q: int, s: int) -> bool:
     """Row generating function of the rectangular family at a concrete q."""
-    qf = Fraction(q)
-    lhs = [closed_form_phi("mat", n, m, s, r, qf) for r in range(n + 1)]
-    prefix = [Fraction(1)]
+    lhs = [closed_form_phi("mat", n, m, s, r, q) for r in range(n + 1)]
+    qn, qd = qp = as_pair(q)
+    prefix = [1]  # (t; q)_s as a polynomial in t, over qd^C(s,2)
     for i in range(s):
-        # (t; q)_s as a polynomial in t
-        prefix = _t_mul(prefix, [Fraction(1), -(qf**i)], Fraction(0))
-    tail = [
-        Fraction(-1) ** u
-        * qf ** (comb(u, 2) + s * u)
-        * q_pochhammer(qf ** (m - s), 1 / qf, u)
-        * gauss_binom(n - s, u, qf)
-        for u in range(n - s + 1)
-    ]
-    rhs = _t_mul(prefix, tail, Fraction(0))
-    rhs += [Fraction(0)] * (len(lhs) - len(rhs))
-    return lhs == rhs[: len(lhs)] and all(c == 0 for c in rhs[len(lhs) :])
+        prefix = _t_mul(prefix, [qd**i, -(qn**i)], 0)
+    tail = []
+    for u in range(n - s + 1):
+        e = comb(u, 2) + s * u
+        (pn, pd), (gn, gd) = q_pochhammer_nd((qn ** (m - s), qd ** (m - s)), (qd, qn), u), gauss_binom_nd(n - s, u, qp)
+        tail.append(((-1) ** u * qn**e * pn * gn, qd**e * pd * gd))
+    tail, den = _common(tail)
+    return _same([(v.numerator, v.denominator) for v in lhs], _t_mul(prefix, tail, 0), qd ** comb(s, 2) * den)
 
 
 def genfun_krawtchouk(N: int, p: Fraction) -> bool:
     """sum_y C(N,y) K_y(x) T^y = (1 - (1-p)/p T)^x (1+T)^(N-x) for each x."""
+    a, b = pp = as_pair(p)
     for x in range(N + 1):
-        lhs = [comb(N, y) * krawtchouk(y, x, p, N) for y in range(N + 1)]
-        rhs = [Fraction(1)]
+        lhs = []
+        for y in range(N + 1):
+            kn, kd = krawtchouk_nd(y, x, pp, N)
+            lhs.append((comb(N, y) * kn, kd))
+        rhs = [1]  # over a^x: 1 - (1-p)/p T = (a + (a-b) T) / a
         for _ in range(x):
-            rhs = _t_mul(rhs, [Fraction(1), -(1 - p) / p], Fraction(0))
+            rhs = _t_mul(rhs, [a, a - b], 0)
         for _ in range(N - x):
-            rhs = _t_mul(rhs, [Fraction(1), Fraction(1)], Fraction(0))
-        if lhs != rhs:
+            rhs = _t_mul(rhs, [1, 1], 0)
+        if not _same(lhs, rhs, a**x):
             return False
     return True
 
 
 def genfun_affine_krawtchouk(N: int, a: Fraction, q: Fraction) -> bool:
     """sum_y (a;q)_y [N y] K_y(x) T^y = (aT;q)_x sum_u (q^x a;q)_u [N-x u] T^u."""
+    ap, qp = as_pair(a), as_pair(q)
+    (al, be), (u, v) = ap, qp
+    weights = _weights(N, ap, qp)
     for x in range(N + 1):
-        lhs = [
-            q_pochhammer(a, q, y) * gauss_binom(N, y, q) * affine_q_krawtchouk(y, x, a, N, q)
-            for y in range(N + 1)
-        ]
-        pref = [Fraction(1)]
+        lhs = []
+        for y, (wn, wd) in enumerate(weights):
+            kn, kd = affine_q_krawtchouk_nd(y, x, ap, N, qp)
+            lhs.append((wn * kn, wd * kd))
+        pref = [1]  # (aT; q)_x, over be^x v^C(x,2)
         for i in range(x):
-            pref = _t_mul(pref, [Fraction(1), -a * q**i], Fraction(0))
-        tail = [q_pochhammer(q**x * a, q, u) * gauss_binom(N - x, u, q) for u in range(N - x + 1)]
-        rhs = _t_mul(pref, tail, Fraction(0))
-        rhs += [Fraction(0)] * (len(lhs) - len(rhs))
-        if lhs != rhs[: len(lhs)] or any(c != 0 for c in rhs[len(lhs) :]):
+            pref = _t_mul(pref, [be * v**i, -al * u**i], 0)
+        tail, den = _common(_weights(N - x, (al * u**x, be * v**x), qp))
+        if not _same(lhs, _t_mul(pref, tail, 0), be**x * v ** comb(x, 2) * den):
             return False
     return True
 
 
-def _orthogonal(K: list[list[Fraction]], weight: list[Fraction], norm) -> bool:
-    """sum over x of weight[x] K[y][x] K[y2][x] is norm(y) when y == y2, else 0, for every y and y2."""
-    for y, Ky in enumerate(K):
-        for y2, Ky2 in enumerate(K):
-            acc = sum(w * a * b for w, a, b in zip(weight, Ky, Ky2))
-            if acc != (norm(y) if y == y2 else Fraction(0)):
+def _orthogonal(K: list[list[Pair]], weight: list[Pair], norm) -> bool:
+    """sum over x of weight[x] K[y][x] K[y2][x] is norm(y) when y == y2, else 0, for every y and y2.
+
+    Every value is an integer pair. Each row of K and the weights go over one
+    denominator, so each sum is an integer compared with the norm's pair
+    cross-multiplied. The sum is symmetric in y and y2, so y2 > y suffices off the diagonal.
+    """
+    wn, wd = _common(weight)
+    rows = [_common(row) for row in K]
+    for y, (ky, dy) in enumerate(rows):
+        nn, nd = norm(y)
+        if sum(w * a * a for w, a in zip(wn, ky)) * nd != nn * wd * dy * dy:
+            return False
+        for ky2, _ in rows[y + 1 :]:
+            if sum(w * a * b for w, a, b in zip(wn, ky, ky2)):
                 return False
     return True
 
 
 def krawtchouk_orthogonality(N: int, p: Fraction) -> bool:
-    K = [[krawtchouk(y, x, p, N) for x in range(N + 1)] for y in range(N + 1)]
-    weight = [p**x * (1 - p) ** (N - x) * comb(N, x) for x in range(N + 1)]
-    return _orthogonal(K, weight, lambda y: (1 - p) ** y / (comb(N, y) * p**y))
+    a, b = pp = as_pair(p)
+    K = [[krawtchouk_nd(y, x, pp, N) for x in range(N + 1)] for y in range(N + 1)]
+    weight = [(a**x * (b - a) ** (N - x) * comb(N, x), b**N) for x in range(N + 1)]
+    return _orthogonal(K, weight, lambda y: ((b - a) ** y, comb(N, y) * a**y))
 
 
 def affine_orthogonality(N: int, a: Fraction, q: Fraction) -> bool:
-    K = [[affine_q_krawtchouk(y, x, a, N, q) for x in range(N + 1)] for y in range(N + 1)]
-    weight = [a ** (N - x) * q_pochhammer(a, q, x) * gauss_binom(N, x, q) for x in range(N + 1)]
-    return _orthogonal(K, weight, lambda y: a**y / (q_pochhammer(a, q, y) * gauss_binom(N, y, q)))
+    ap, qp = as_pair(a), as_pair(q)
+    al, be = ap
+    K = [[affine_q_krawtchouk_nd(y, x, ap, N, qp) for x in range(N + 1)] for y in range(N + 1)]
+    weights = _weights(N, ap, qp)
+    weight = [(al ** (N - x) * wn, be ** (N - x) * wd) for x, (wn, wd) in enumerate(weights)]
+    return _orthogonal(K, weight, lambda y: (al**y * weights[y][1], be**y * weights[y][0]))
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,21 @@ its own prefactor, a sign and a power of q for the families. The parameters:
   A = q^(2 cap - (-1)^n) for psi2 and psi3.
 
 The vec family is the t = 1 limit: (q-1)^x binom(n, x) K_y(x; (q-1)/q, n).
+
+Evaluation. The `*_nd` functions carry each value as an integer pair
+(numerator, denominator), and each public function builds one `Fraction`
+from its pair. With p = a/b and q = u/v, every factor of a term
+ratio is an integer over an integer, so a sum with term ratios r_k/d_k is
+evaluated backwards, Horner fashion:
+
+    1 + r_0/d_0 (1 + r_1/d_1 (1 + ...)) = n_0 / D_0,
+    n_k = d_k D_(k+1) + r_k n_(k+1),  D_k = d_k D_(k+1),
+
+with no gcd until the end. The powers of u and v are running products.
+The `pascal` identity checks read the pairs and compare integers after
+clearing denominators. The former route, one `Fraction` per operation, is
+kept in `tests/helpers.py` as the independent reference the tests compare
+against.
 """
 
 from __future__ import annotations
@@ -47,6 +62,14 @@ from math import comb
 from .cyclotomic import PolyQ
 
 RationalLike = int | Fraction
+Pair = tuple[int, int]  # (numerator, denominator), the denominator nonzero and of either sign
+
+
+def as_pair(r: RationalLike) -> Pair:
+    """r as (numerator, denominator), without building a Fraction for an int or a Fraction."""
+    if not isinstance(r, (int, Fraction)):
+        r = Fraction(r)
+    return r.numerator, r.denominator
 
 
 def pochhammer(a: RationalLike, k: int) -> Fraction:
@@ -59,16 +82,23 @@ def pochhammer(a: RationalLike, k: int) -> Fraction:
     return out
 
 
-def q_pochhammer(a: RationalLike, q: RationalLike, k: int) -> Fraction:
-    """(a; q)_k = (1-a)(1-aq)...(1-aq^(k-1)), with (a; q)_0 = 1."""
+def q_pochhammer_nd(a: Pair, q: Pair, k: int) -> Pair:
+    """(a; q)_k as a pair: with a = al/be and q = u/v, factor i is (be v^i - al u^i) / (be v^i)."""
     if k < 0:
         raise ValueError("negative length")
-    out = Fraction(1)
-    term = Fraction(a)
+    (al, be), (u, v) = a, q
+    num = den = 1
+    ui = vi = 1
     for _ in range(k):
-        out *= 1 - term
-        term *= q
-    return out
+        num *= be * vi - al * ui
+        den *= be * vi
+        ui, vi = ui * u, vi * v
+    return num, den
+
+
+def q_pochhammer(a: RationalLike, q: RationalLike, k: int) -> Fraction:
+    """(a; q)_k = (1-a)(1-aq)...(1-aq^(k-1)), with (a; q)_0 = 1."""
+    return Fraction(*q_pochhammer_nd(as_pair(a), as_pair(q), k))
 
 
 @lru_cache(maxsize=None)
@@ -77,74 +107,120 @@ def gauss_binom_poly(n: int, x: int) -> PolyQ:
     if x < 0 or x > n:
         raise ValueError("out of range")
     if x == 0 or x == n:
-        return PolyQ.const(1)
-    return gauss_binom_poly(n - 1, x - 1) + PolyQ.monomial(1, x) * gauss_binom_poly(n - 1, x)
+        return PolyQ._of((1,))
+    return gauss_binom_poly(n - 1, x - 1) + gauss_binom_poly(n - 1, x).shift(x)
+
+
+def gauss_binom_nd(n: int, x: int, q: Pair) -> Pair:
+    """[n x]_q as a pair: sum_j c_j u^j v^(d-j) over v^d for q = u/v, by homogeneous Horner."""
+    u, v = q
+    num, vj = 0, 1
+    for c in reversed(gauss_binom_poly(n, x).coeffs):
+        num, vj = num * u + c * vj, vj * v
+    return num, vj // v
 
 
 def gauss_binom(n: int, x: int, q: RationalLike) -> Fraction:
     """The Gaussian binomial [n x]_q; equals binom(n, x) at q = 1."""
-    return Fraction(gauss_binom_poly(n, x).eval_at(Fraction(q)))
+    return Fraction(*gauss_binom_nd(n, x, as_pair(q)))
+
+
+def krawtchouk_nd(y: int, x: int, p: Pair, N: int) -> Pair:
+    """K_y(x; p, N) as a pair. With p = a/b the term ratio is (k-y)(k-x) b / ((k-N)(k+1) a); the sum stops at
+    k = min(x, y) for x >= 0, where (-x)_k vanishes."""
+    if not 0 <= y <= N:
+        raise ValueError("out of range")
+    a, b = p
+    if a == 0:
+        raise ValueError("parameter p must be nonzero")
+    num = den = 1
+    for k in range((min(x, y) if x >= 0 else y) - 1, -1, -1):
+        dk = (k - N) * (k + 1) * a
+        num, den = dk * den + (k - y) * (k - x) * b * num, dk * den
+    return num, den
 
 
 def krawtchouk(y: int, x: int, p: RationalLike, N: int) -> Fraction:
     """K_y(x; p, N), exact; x may be any integer."""
-    if not 0 <= y <= N:
-        raise ValueError("out of range")
-    p = Fraction(p)
-    if p == 0:
-        raise ValueError("parameter p must be nonzero")
-    total = Fraction(0)
-    term = Fraction(1)  # running product of the k-th summand
-    for k in range(y + 1):
-        total += term
-        if k == y:
-            break
-        # extend (-y)_k (-x)_k / ((-N)_k (k+1)! p^(k+1)) by one factor
-        term *= Fraction((-y + k) * (-x + k), (-N + k) * (k + 1)) / p
-        if term == 0:
-            break  # a vanished factor kills every later summand
-    return total
+    return Fraction(*krawtchouk_nd(y, x, as_pair(p), N))
 
 
-def affine_q_krawtchouk(y: int, x: int, a: RationalLike, N: int, q: RationalLike) -> Fraction:
-    """Affine q-Krawtchouk value, exact.
+def affine_q_krawtchouk_nd(y: int, x: int, a: Pair, N: int, q: Pair) -> Pair:
+    """The affine q-Krawtchouk value as a pair.
 
-    The sum is truncated at min(x, y) because (q^-x; q)_k vanishes for
-    k > x, which keeps x > y legal without touching vanishing denominators.
+    With a = al/be and q = u/v, and k < kmax <= y <= N, the term ratio
+    (1 - q^(k-y)) (1 - q^(k-x)) q / ((1 - q^(k-N)) (1 - a q^k) (1 - q^(k+1))) is
+
+        (u^(y-k) - v^(y-k)) X_n be u^(N-y+1) v^(2k)
+        / ((u^(N-k) - v^(N-k)) (be v^k - al u^k) (v^(k+1) - u^(k+1)) X_d),
+
+    where X_n / X_d = 1 - q^(k-x) is (u^(x-k) - v^(x-k)) / u^(x-k) for x >= 0
+    and (v^(k-x) - u^(k-x)) / v^(k-x) for x < 0. The sum is truncated at
+    kmax = min(x, y) because (q^-x; q)_k vanishes for k > x, which keeps
+    x > y legal without touching vanishing denominators.
     """
     if not 0 <= y <= N:
         raise ValueError("out of range")
-    a = Fraction(a)
-    q = Fraction(q)
-    if q == 0:
+    (al, be), (u, v) = a, q
+    if u == 0:
         raise ValueError("parameter q must be nonzero")
     kmax = min(x, y) if x >= 0 else y
-    total = Fraction(0)
-    term = Fraction(1)
-    qinv = 1 / q
-    for k in range(kmax + 1):
-        total += term
-        if k == kmax:
-            break
-        num = (1 - qinv**y * q**k) * (1 - qinv**x * q**k) * q
-        den = (1 - qinv**N * q**k) * (1 - a * q**k) * (1 - q ** (k + 1))
-        if den == 0:
+    pu, pv = [1], [1]  # u^k, v^k for k <= kmax
+    for _ in range(kmax):
+        pu.append(pu[-1] * u)
+        pv.append(pv[-1] * v)
+    # the powers whose exponent grows as k falls, at k = kmax
+    uy, vy, uN, vN = u ** (y - kmax), v ** (y - kmax), u ** (N - kmax), v ** (N - kmax)
+    ux, vx = (u ** (x - kmax), v ** (x - kmax)) if x >= 0 else (u**-x, v**-x)
+    lead = be * u ** (N - y + 1)
+    num = den = 1
+    for k in range(kmax - 1, -1, -1):
+        uy, vy, uN, vN = uy * u, vy * v, uN * u, vN * v
+        if x >= 0:
+            ux, vx = ux * u, vx * v
+            xn, xd = ux - vx, ux
+        else:
+            xd = vx * pv[k]
+            xn = xd - ux * pu[k]
+        dk = (uN - vN) * (be * pv[k] - al * pu[k]) * (pv[k + 1] - pu[k + 1]) * xd
+        if dk == 0:
             raise ValueError("parameter pole")
-        term *= num / den
-    return total
+        num, den = dk * den + (uy - vy) * xn * lead * pv[k] * pv[k] * num, dk * den
+    return num, den
+
+
+def affine_q_krawtchouk(y: int, x: int, a: RationalLike, N: int, q: RationalLike) -> Fraction:
+    """Affine q-Krawtchouk value K_y(x; a, N; q), exact; x > y is legal (see `affine_q_krawtchouk_nd`)."""
+    return Fraction(*affine_q_krawtchouk_nd(y, x, as_pair(a), N, as_pair(q)))
+
+
+def q_krawtchouk_column_nd(y: int, x: int, A: Pair, N: int, t: Pair) -> Pair:
+    """(A; 1/t)_x [N x]_t K_y(x; 1/A, N; t) as a pair; (0, 1) when x > N."""
+    if x > N:
+        return 0, 1
+    if t[0] == 0:
+        raise ZeroDivisionError("t must be nonzero")
+    wn, wd = _column_weight(x, A, N, t)
+    if A[0] == 0:
+        raise ZeroDivisionError("A must be nonzero")
+    kn, kd = affine_q_krawtchouk_nd(y, x, (A[1], A[0]), N, t)
+    return wn * kn, wd * kd
 
 
 def q_krawtchouk_column(y: int, x: int, A: RationalLike, N: int, t: RationalLike) -> Fraction:
     """(A; 1/t)_x [N x]_t K_y(x; 1/A, N; t), exact; 0 when x > N."""
-    if x > N:
-        return Fraction(0)
-    return _column_weight(x, A, N, t) * affine_q_krawtchouk(y, x, 1 / Fraction(A), N, t)
+    return Fraction(*q_krawtchouk_column_nd(y, x, as_pair(A), N, as_pair(t)))
 
 
 @lru_cache(maxsize=None)
-def _column_weight(x: int, A: RationalLike, N: int, t: RationalLike) -> Fraction:
-    """(A; 1/t)_x [N x]_t, the factor of q_krawtchouk_column that does not depend on y: once per column."""
-    return q_pochhammer(A, 1 / Fraction(t), x) * gauss_binom(N, x, t)
+def _column_weight(x: int, A: Pair, N: int, t: Pair) -> Pair:
+    """(A; 1/t)_x [N x]_t, the factor of the column that does not depend on y: once per column.
+
+    At integer A and t both factors have integer numerators, and the only
+    denominator is t^C(x,2)."""
+    pn, pd = q_pochhammer_nd(A, (t[1], t[0]), x)
+    gn, gd = gauss_binom_nd(N, x, t)
+    return pn * gn, pd * gd
 
 
 def binomial(n: int, k: int) -> int:

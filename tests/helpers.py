@@ -3,6 +3,7 @@
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -186,3 +187,100 @@ def fold_reference(space, coefvecs):
             t = (t + F.trace_table(c)[digits[:, k]]) % F.p
         hists.append(np.bincount(labels * F.p + t, minlength=nlab * F.p).reshape(nlab, F.p))
     return hists, hists[0].sum(axis=1)
+
+
+# ---------------------------------------------------------------------------
+# The Fraction route of qseries and pascal, one Fraction per operation: the
+# independent reference for the integer-pair evaluation in the library.
+
+
+@lru_cache(maxsize=None)
+def gauss_binom(n: int, x: int, q: Fraction) -> Fraction:
+    """[n x]_q by the q-Pascal recursion evaluated at q; binom(n, x) at q = 1."""
+    if x < 0 or x > n:
+        raise ValueError("out of range")
+    if x == 0 or x == n:
+        return Fraction(1)
+    return gauss_binom(n - 1, x - 1, q) + q**x * gauss_binom(n - 1, x, q)
+
+
+def q_pochhammer(a, q, k: int) -> Fraction:
+    """(a; q)_k = (1-a)(1-aq)...(1-aq^(k-1)), with (a; q)_0 = 1."""
+    if k < 0:
+        raise ValueError("negative length")
+    out = Fraction(1)
+    term = Fraction(a)
+    for _ in range(k):
+        out *= 1 - term
+        term *= q
+    return out
+
+
+def krawtchouk(y: int, x: int, p, N: int) -> Fraction:
+    """K_y(x; p, N), exact; x may be any integer."""
+    if not 0 <= y <= N:
+        raise ValueError("out of range")
+    p = Fraction(p)
+    if p == 0:
+        raise ValueError("parameter p must be nonzero")
+    total = Fraction(0)
+    term = Fraction(1)  # running product of the k-th summand
+    for k in range(y + 1):
+        total += term
+        if k == y:
+            break
+        # extend (-y)_k (-x)_k / ((-N)_k (k+1)! p^(k+1)) by one factor
+        term *= Fraction((-y + k) * (-x + k), (-N + k) * (k + 1)) / p
+        if term == 0:
+            break  # a vanished factor kills every later summand
+    return total
+
+
+def affine_q_krawtchouk(y: int, x: int, a, N: int, q) -> Fraction:
+    """Affine q-Krawtchouk value, exact.
+
+    The sum is truncated at min(x, y) because (q^-x; q)_k vanishes for
+    k > x, which keeps x > y legal without touching vanishing denominators.
+    """
+    if not 0 <= y <= N:
+        raise ValueError("out of range")
+    a = Fraction(a)
+    q = Fraction(q)
+    if q == 0:
+        raise ValueError("parameter q must be nonzero")
+    kmax = min(x, y) if x >= 0 else y
+    total = Fraction(0)
+    term = Fraction(1)
+    qinv = 1 / q
+    for k in range(kmax + 1):
+        total += term
+        if k == kmax:
+            break
+        num = (1 - qinv**y * q**k) * (1 - qinv**x * q**k) * q
+        den = (1 - qinv**N * q**k) * (1 - a * q**k) * (1 - q ** (k + 1))
+        if den == 0:
+            raise ValueError("parameter pole")
+        term *= num / den
+    return total
+
+
+def q_krawtchouk_column(y: int, x: int, A, N: int, t) -> Fraction:
+    """(A; 1/t)_x [N x]_t K_y(x; 1/A, N; t), exact; 0 when x > N."""
+    if x > N:
+        return Fraction(0)
+    return _column_weight(x, A, N, t) * affine_q_krawtchouk(y, x, 1 / Fraction(A), N, t)
+
+
+def _column_weight(x: int, A, N: int, t) -> Fraction:
+    """(A; 1/t)_x [N x]_t, the factor of q_krawtchouk_column that does not depend on y."""
+    return q_pochhammer(A, 1 / Fraction(t), x) * gauss_binom(N, x, Fraction(t))
+
+
+def _orthogonal(K: list[list[Fraction]], weight: list[Fraction], norm) -> bool:
+    """sum over x of weight[x] K[y][x] K[y2][x] is norm(y) when y == y2, else 0, for every y and y2."""
+    for y, Ky in enumerate(K):
+        for y2, Ky2 in enumerate(K):
+            acc = sum(w * a * b for w, a, b in zip(weight, Ky, Ky2))
+            if acc != (norm(y) if y == y2 else Fraction(0)):
+                return False
+    return True

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from gftables import pascal
 from gftables.cyclotomic import POLY_Q, PolyQ
 from gftables.gfq import field_for, make_field
 from gftables.pascal import (
@@ -172,6 +173,32 @@ class TestGeneratingFunctions:
     def test_affine_orthogonality(self, N, q):
         for m in (N, N + 1, N + 2):
             assert affine_orthogonality(N, F(1, q**m), F(q))
+
+
+class TestIdentityChecksCanFail:
+    """One Krawtchouk value moved by 1/10^9 fails every identity that reads it: clearing denominators left no
+    check that holds whatever the values."""
+
+    CHECKS = {
+        "krawtchouk_orthogonality": ("krawtchouk_nd", lambda: krawtchouk_orthogonality(4, F(2, 3))),
+        "genfun_krawtchouk": ("krawtchouk_nd", lambda: genfun_krawtchouk(4, F(2, 3))),
+        "affine_orthogonality": ("affine_q_krawtchouk_nd", lambda: affine_orthogonality(3, F(1, 27), F(3))),
+        "genfun_affine_krawtchouk": ("affine_q_krawtchouk_nd", lambda: genfun_affine_krawtchouk(3, F(1, 27), F(3))),
+    }
+
+    @pytest.mark.parametrize("check", sorted(CHECKS))
+    @pytest.mark.parametrize("target", [(2, 2), (1, 3)], ids=["diagonal", "off-diagonal"])
+    def test_a_shifted_value_fails(self, monkeypatch, check, target):
+        helper, run = self.CHECKS[check]
+        assert run()
+        real = getattr(pascal, helper)
+
+        def shifted(y, x, *args):
+            num, den = real(y, x, *args)
+            return (num * 10**9 + den, den * 10**9) if (y, x) == target else (num, den)
+
+        monkeypatch.setattr(pascal, helper, shifted)
+        assert run() is False
 
 
 class TestMultiOrthogonalityClosed:
