@@ -216,9 +216,9 @@ def _label_indices(tail, digits: np.ndarray):
 
 
 def _labels(split, digits: np.ndarray, *args) -> np.ndarray:
-    """The labels of every row of digits by one pass of split at k = dim: every digit is low, so the rows are one chunk."""
+    """The label codes of every row of digits by one pass of split at k = dim: every digit is low, so the rows are one chunk."""
     labels, varies, tail = split(digits, digits.shape[1], *args)
-    return _scatter(labels, varies, tail(digits))
+    return _scatter(labels, varies, _label_indices(tail, digits))
 
 
 @lru_cache(maxsize=None)
@@ -565,18 +565,13 @@ def _labeller(space: Space):
     raise TypeError(f"no bulk classifier for {type(space).__name__}")
 
 
-def row_labels(space: Space, digits: np.ndarray, raw: bool = False) -> np.ndarray:
-    """The label index of each row of a (B, dim) int32 code array, or with raw its label code.
-
-    One pass of the space's split at k = dim, the path of batch_rank: every digit is low.
-    """
+def row_labels(space: Space, digits: np.ndarray) -> np.ndarray:
+    """The label index of each row of a (B, dim) int32 code array, by _labels, the path of batch_rank."""
     split, args, lut = _labeller(space)
     digits = _frozen(digits.view())  # read-only as in _walk, for the kernels only read; the caller's array stays writeable
     if not (space.dim and len(digits)):  # the zero space has label 0; the tails read row 0
         return np.zeros(len(digits), dtype=np.intp)
-    labels, varies, tail = split(digits, space.dim, *args)
-    codes = _scatter(labels, varies, _label_indices(tail, digits))
-    return codes if raw else lut[codes]
+    return lut[_labels(split, digits, *args)]
 
 
 def placed_labels(space: Space, positions: tuple[int, ...], shift: list[int], codes) -> np.ndarray:
@@ -587,19 +582,19 @@ def placed_labels(space: Space, positions: tuple[int, ...], shift: list[int], co
     return row_labels(space, F.vreduce(F.vadd(rows, np.asarray(shift, dtype=np.int32))))
 
 
-def coset_counts(space: Space, base: list[int], free: tuple[int, ...], coefvec: list[int], raw: bool = False) -> np.ndarray:
+def coset_counts(space: Space, base: list[int], free: tuple[int, ...], coefvec: list[int]) -> np.ndarray:
     """(labels, p) histogram over (label index, t) of the coset base + span of the free coordinates.
 
-    base holds the codes of the fixed coordinates (its free entries are ignored),
-    t = sum over k of Tr(coefvec[k] a_k), and with raw the rows are label codes.
+    base holds the codes of the fixed coordinates (its free entries are ignored)
+    and t = sum over k of Tr(coefvec[k] a_k).
     """
     F = arith(space.field)
     size = F.q ** len(free)
     digits = np.repeat(np.asarray([base], dtype=np.int32), size, axis=0)
     digits[:, list(free)] = _digits(0, size, len(free), F.q)
     t = _mod(sum(F.trace_table(c)[digits[:, k]] for k, c in enumerate(coefvec)), F.p)
-    nbins = len(_labeller(space)[2]) if raw else len(space.labels())
-    return np.bincount(row_labels(space, digits, raw).astype(np.intp) * F.p + t, minlength=nbins * F.p).reshape(nbins, F.p)
+    nbins = len(space.labels())
+    return np.bincount(row_labels(space, digits).astype(np.intp) * F.p + t, minlength=nbins * F.p).reshape(nbins, F.p)
 
 
 def _fold_groups(low: list[list[int]], nbins: int, p: int) -> list[tuple[list[int], list[tuple[int, list[int]]]]]:

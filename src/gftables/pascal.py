@@ -34,6 +34,7 @@ from math import comb, factorial, lcm
 from .cyclotomic import POLY_Q, PolyQ
 from .qseries import (
     Pair,
+    _column_weight,
     affine_q_krawtchouk_nd,
     as_pair,
     gauss_binom,
@@ -417,8 +418,8 @@ def genfun_mat_concrete(n: int, m: int, q: int, s: int) -> bool:
     tail = []
     for u in range(n - s + 1):
         e = comb(u, 2) + s * u
-        (pn, pd), (gn, gd) = q_pochhammer_nd((qn ** (m - s), qd ** (m - s)), (qd, qn), u), gauss_binom_nd(n - s, u, qp)
-        tail.append(((-1) ** u * qn**e * pn * gn, qd**e * pd * gd))
+        wn, wd = _column_weight(u, (qn ** (m - s), qd ** (m - s)), n - s, qp)
+        tail.append(((-1) ** u * qn**e * wn, qd**e * wd))
     tail, den = _common(tail)
     return _same([(v.numerator, v.denominator) for v in lhs], _t_mul(prefix, tail, 0), qd ** comb(s, 2) * den)
 

@@ -21,8 +21,9 @@ rank s averages the grid over the sign orbits of s and a column of rank r
 sums over those of r, each orbit weighted by its sign (+1 when it has none)
 for sgnchi and by 1 for chi. `_grid_to_blocks` (behind `psi_brute` and the
 inverse-transform check of `relation_suite`), `scaled_matrix_from_canonical`,
-`scaled_canonical_from_blocks` and the pull-back check of
-`sym_diagram_matrices` read it; `phi_from_psi` inverts it.
+`scaled_canonical_from_blocks` and both the push and the pull-back checks of
+`sym_diagram_matrices` read it; `phi_from_psi` inverts it. The push reads the
+diagram's `pushforward_matrix` at the sym sign points of every lower rank.
 
 Block index ranges: psi1 on 0<=s,r<=n, psi2 on 0<=s<=n and 1<=r<=n, psi3 on
 1<=s<=n and 0<=r<=n, psi4 on 1<=s,r<=n.
@@ -30,7 +31,7 @@ Block index ranges: psi1 on 0<=s,r<=n, psi2 on 0<=s<=n and 1<=r<=n, psi3 on
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .cyclotomic import CycInt, QuadraticGamma, decompose_gamma, epsilon_of
@@ -41,9 +42,9 @@ from .spaces import OrbitLabel, SymScaled, make_space
 from .transform import (
     DEFAULT_BUDGET,
     CanonicalMatrix,
-    _cyc_from_hist,
     brute_force_phi,
     brute_phi_bar,
+    pushforward_matrix,
     standard_diagram,
 )
 
@@ -232,51 +233,6 @@ def psi_closed(n: int, char: CharSpec) -> PsiBlocks:
 # the two diagram block matrices
 
 
-def _sym_rank_sign_values(char: CharSpec, n_upper: int, lower_n: int, e_corner: int):
-    """pi_* of chi_r and sgnchi_r evaluated at the lower sign representatives.
-
-    e_corner = 1 drops one row/column with the unit in the (n,n) slot;
-    e_corner = 2 drops two with the off-diagonal unit block. Lower
-    representatives follow the diag(1..1) / diag(1..1, 1/delta) convention.
-    Returns values[(kind, r)][lower_label] as cyclotomic sums.
-    """
-    lower = make_space("sym", char.field, lower_n)
-    d = standard_diagram(
-        make_space("sym" if e_corner == 1 else "symscaled", char.field, n_upper),
-        make_space("sym" if e_corner == 1 else "symscaled", char.field, lower_n),
-    )
-    field = char.field
-    inv_delta = lower.arith.inv(field.delta())
-    p = field.p
-
-    def lower_rep(u: int, sign: int):
-        vals = {(i, i): 1 for i in range(u)}
-        if sign < 0 and u >= 1:
-            vals[(u - 1, u - 1)] = inv_delta
-        return tuple(vals.get(pos, 0) for pos in lower.coords)
-
-    reps = {}
-    for u in range(lower_n + 1):
-        reps[(u, 1)] = lower_rep(u, 1)
-        if u >= 1:
-            reps[(u, -1)] = lower_rep(u, -1)
-
-    out: dict[tuple[str, int], dict[tuple[int, int], CycInt]] = {}
-    for key, rep in reps.items():
-        hist = d.fiber_counts(char, rep, raw=True)  # row 2 rank + (sign < 0)
-        for rank in range(len(hist) // 2):
-            plus, minus = hist[2 * rank], hist[2 * rank + 1]
-            if (plus + minus).any():
-                out.setdefault(("chi", rank), {})[key] = _cyc_from_hist(p, (plus + minus).tolist(), conj=True)
-                if rank:
-                    out.setdefault(("sgn", rank), {})[key] = _cyc_from_hist(p, (plus - minus).tolist(), conj=True)
-    zero = CycInt.zero(p)
-    for fk in list(out):
-        for key in reps:
-            out[fk].setdefault(key, zero)
-    return out, reps
-
-
 def sym_diagram_matrices(n: int, char: CharSpec, which: int) -> Report:
     """Brute block matrices of both diagram legs against their stated forms.
 
@@ -296,8 +252,14 @@ def sym_diagram_matrices(n: int, char: CharSpec, which: int) -> Report:
     lower_n = n - which
     family = "sym" if which == 1 else "symscaled"
     upper, lower = make_space(family, char.field, n), make_space(family, char.field, lower_n)
-    lm = standard_diagram(upper, lower).label_map()
-    vals, _ = _sym_rank_sign_values(char, n, lower_n, which)
+    d = standard_diagram(upper, lower)
+    lm = d.label_map()
+    # the push at both sign points of every lower rank, also where scaling merges them
+    sym_lower = make_space("sym", char.field, lower_n)
+    E = pushforward_matrix(replace(d, lower=sym_lower), char)
+    points = _by_rank(sym_lower.labels())
+    if which == 2 and any(E[i] != E[j] for (i, _), (j, _) in map(points.get, range(1, lower_n + 1, 2))):
+        raise AssertionError("scaled pushforward not constant on a merged orbit")
     if which == 1:
         leg, signed = "one-step", lambda k: k >= 1
         target = lambda lbl: OrbitLabel(lbl.r + 1, lbl.sign or 1)
@@ -329,35 +291,25 @@ def sym_diagram_matrices(n: int, char: CharSpec, which: int) -> Report:
             (1, 1): lambda v, s: {v + 2: eps}.get(s, 0),
         }
 
-    def pushed(kind: str, row_signed: int, u: int, r: int) -> CycInt:
-        """The push of chi_r or sgnchi_r, averaged (or signed) over the sign points of lower rank u."""
-        tab = vals.get((kind, r), {})
-        if u == 0:
-            return tab.get((0, 1), zero)
-        plus, minus = tab.get((u, 1), zero), tab.get((u, -1), zero)
-        if which == 2 and u % 2 and plus != minus:
-            # odd ranks merge under scaling; both sign points must agree
-            raise AssertionError("scaled pushforward not constant on a merged orbit")
-        return (plus - minus if row_signed else plus + minus).exact_div(2)
-
     def holds(forms, value) -> bool:
-        ok = True  # no short cut: every value is computed, so a merged orbit that splits always raises
-        for (rs, cs), want in forms.items():
-            for u in range(lower_n + 1):
-                for r in range(n + 1):
-                    if (signed(u) or not rs) and (signed(r) or not cs):
-                        ok &= value(rs, cs, u, r) == want(u, r)
-        return ok
+        return all(
+            value(rs, cs, u, r) == want(u, r)
+            for (rs, cs), want in forms.items()
+            for u in range(lower_n + 1)
+            for r in range(n + 1)
+            if (signed(u) or not rs) and (signed(r) or not cs)
+        )
 
+    lows, ups = _by_rank(lower.labels()), _by_rank(upper.labels())
+    basis = lambda pairs, sgn: pairs if sgn else [(i, 1) for i, _ in pairs]
+    pushed = lambda rs, cs, u, r: _aggregate(E, basis(points[u], rs), basis(ups[r], cs), zero)
     for cs, kind in enumerate(("chi", "sgn")):
         forms = {key: want for key, want in push.items() if key[1] == cs}
-        rep.add(f"sym-diagram/{leg}-push-{kind}", where, holds(forms, lambda rs, _, u, r: pushed(kind, rs, u, r)))
+        rep.add(f"sym-diagram/{leg}-push-{kind}", where, holds(forms, pushed))
     rep.add(f"sym-diagram/{leg}-label-map", where, lm == {lbl: target(lbl) for lbl in lower.labels()})
 
     # pull-back blocks from the label map, exact over Fraction so that a wrong map fails and does not raise
     hits = [[int(lm[a] == b) for b in upper.labels()] for a in lower.labels()]
-    lows, ups = _by_rank(lower.labels()), _by_rank(upper.labels())
-    basis = lambda pairs, sgn: pairs if sgn else [(i, 1) for i, _ in pairs]
     pulled = lambda rs, cs, v, s: _aggregate(hits, basis(lows[v], rs), basis(ups[s], cs), Fraction(0))
     rep.add(f"sym-diagram/{leg}-pullback", where, holds(pull, pulled))
     return rep
@@ -392,12 +344,7 @@ def _qg(blocks: PsiBlocks | None, which: int, s: int, r: int, q: int) -> Quadrat
     return zero if (s == 0 or r == 0) else blocks.b4(s, r)
 
 
-def relation_suite(
-    n: int,
-    char: CharSpec,
-    budget: int = DEFAULT_BUDGET,
-    neighbor_budget: int | None = None,
-) -> Report:
+def relation_suite(n: int, char: CharSpec, budget: int = DEFAULT_BUDGET) -> Report:
     """Every cross-size and structural identity of the sign blocks at size n.
 
     Needs blocks at sizes n-1, n-2 (when they exist) and, for the rank-one
@@ -408,7 +355,6 @@ def relation_suite(
     q = char.field.q
     eps = epsilon_of(q)
     where = f"sym n={n} q={q}"
-    neighbor_budget = neighbor_budget if neighbor_budget is not None else budget
 
     def blocks_at(size: int, limit: int) -> PsiBlocks | None:
         if size < 0:
@@ -576,8 +522,8 @@ def relation_suite(
     # first-row ladder against the signed block two sizes up:
     # b1(0,r) + b1(0,r+1) = eps * q^-(r+1) * b3_{n+2}(2, r+1), even r
     up2_dim = (n + 2) * (n + 3) // 2
-    if char.field.q**up2_dim <= neighbor_budget:
-        up2, _ = psi_brute(n + 2, char, neighbor_budget)
+    if char.field.q**up2_dim <= budget:
+        up2, _ = psi_brute(n + 2, char, budget)
         ok = all(
             (cur.b1(0, r) + cur.b1(0, r + 1)) * (q ** (r + 1)) == eps * up2.b3(2, r + 1)
             for r in range(0, n, 2)

@@ -123,16 +123,18 @@ class TestRelationSuite:
     @pytest.mark.parametrize("n,q", [(1, 3), (2, 3), (1, 5), (2, 5), (3, 3), (1, 7)])
     def test_all_relations_hold(self, n, q):
         ch = default_char(make_field(q))
-        rep = relation_suite(n, ch, neighbor_budget=10**5)
+        rep = relation_suite(n, ch, budget=10**5)
         assert rep.ok, "\n".join(l for l in rep.lines() if "FAIL" in l)
+        ladder = [c.skipped for c in rep.checks if c.ident == "sym/first-row-ladder"]
+        assert ladder == [(n, q) in {(2, 5), (3, 3), (1, 7)}]  # size n + 2 over the budget
 
     def test_ladder_skipped_over_budget(self):
-        rep = relation_suite(3, CH3, neighbor_budget=10**3)
+        rep = relation_suite(3, CH3, budget=10**3)
         lines = [c for c in rep.checks if c.ident == "sym/first-row-ladder"]
         assert lines and lines[0].skipped
 
     def test_ladder_runs_within_budget(self):
-        rep = relation_suite(1, CH5, neighbor_budget=10**6)
+        rep = relation_suite(1, CH5, budget=10**6)
         lines = [c for c in rep.checks if c.ident == "sym/first-row-ladder"]
         assert lines and not lines[0].skipped and lines[0].ok
 
@@ -146,16 +148,32 @@ class TestDiagramBlocks:
 
     @pytest.mark.parametrize("which,kind,r", [(1, "chi", 1), (1, "sgn", 1), (2, "chi", 2), (2, "sgn", 2)])
     def test_a_wrong_push_fails_its_own_check(self, monkeypatch, which, kind, r):
-        values = symmetric._sym_rank_sign_values
+        push = symmetric.pushforward_matrix
 
-        def bumped(*args):
-            vals, reps = values(*args)
-            vals[(kind, r)][(0, 1)] += 2  # lower rank 0 has one sign point, so the push reads it unaveraged
-            return vals, reps
+        def bumped(d, char):
+            E = push(d, char)
+            plus, minus = (d.upper.labels().index(OrbitLabel(r, sign)) for sign in (1, -1))
+            # lower rank 0 has one sign point, so the push reads row 0 unaveraged; +1 on both sign columns
+            # moves chi_r alone, +1 and -1 moves sgnchi_r alone
+            E[0][plus] += 1
+            E[0][minus] += 1 if kind == "chi" else -1
+            return E
 
-        monkeypatch.setattr(symmetric, "_sym_rank_sign_values", bumped)
+        monkeypatch.setattr(symmetric, "pushforward_matrix", bumped)
         leg = ("one-step", "two-step")[which - 1]
         assert [c.ident for c in sym_diagram_matrices(3, CH3, which).failures] == [f"sym-diagram/{leg}-push-{kind}"]
+
+    def test_a_split_merged_orbit_raises(self, monkeypatch):
+        push = symmetric.pushforward_matrix
+
+        def split(d, char):
+            E = push(d, char)
+            E[d.lower.labels().index(OrbitLabel(1, -1))][0] += 1  # the two sign points of lower rank 1 now differ
+            return E
+
+        monkeypatch.setattr(symmetric, "pushforward_matrix", split)
+        with pytest.raises(AssertionError, match="scaled pushforward not constant on a merged orbit"):
+            sym_diagram_matrices(3, CH3, 2)
 
     @pytest.mark.parametrize("n,which", [(3, 1), (4, 2)])
     def test_a_wrong_label_map_fails_the_map_and_pullback_checks(self, monkeypatch, n, which):

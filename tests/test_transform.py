@@ -1,5 +1,6 @@
 import random
 import re
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +11,7 @@ from gftables.cyclotomic import CycInt
 from gftables.gfq import CharSpec, default_char, field_for, make_field
 from gftables.pascal import closed_form_table
 from gftables.spaces import BudgetError, OrbitLabel, Space, make_space, matrix_rank, symmetric_sign
-from gftables.symmetric import _sym_rank_sign_values, phi_from_psi, psi_closed, scaled_canonical_from_blocks
+from gftables.symmetric import phi_from_psi, psi_closed, scaled_canonical_from_blocks
 from gftables.transform import (
     Diagram,
     InvariantFunction,
@@ -30,7 +31,7 @@ from gftables.transform import (
     zonal_table_direct,
 )
 from gftables.verify import run_suite
-from helpers import fold_reference, pushforward_reference, sym_fiber_sums_reference
+from helpers import fold_reference, pushforward_reference
 
 F3 = make_field(3)
 F5 = make_field(5)
@@ -76,6 +77,17 @@ class TestMatrixInvariants:
         phi = brute_force_phi(make_space(fam, field_for(q), n, m))
         assert phi.check_symmetry()
         assert phi.check_row_orthogonality()
+
+    @pytest.mark.parametrize("fam,n,integral", [("vec", 2, True), ("sym", 1, False)])
+    def test_orthogonality_fails_on_one_moved_entry(self, fam, n, integral):
+        phi = brute_force_phi(make_space(fam, F3, n))
+        if not integral:
+            with pytest.raises(ValueError):
+                phi.integer_entries()  # zeta-valued entries
+        entries = [list(row) for row in phi.entries]
+        entries[-1][-1] += 1  # outside row 0 and column 0, which CanonicalMatrix checks on its own
+        assert phi.check_row_orthogonality()
+        assert not replace(phi, entries=tuple(map(tuple, entries))).check_row_orthogonality()
 
     def test_inverse_matrix_is_conjugate(self):
         # with one shared label set the inverse-transform matrix is the
@@ -310,17 +322,16 @@ class TestFiberHistograms:
         ch = CharSpec(up.field, up.field.element_at(twist))
         assert pushforward_matrix(d, ch) == pushforward_reference(d, ch)
 
-    @pytest.mark.parametrize(
-        "fam,nu,nl,corner,q,twist",
-        [(fam, nu, nl, corner, q, twist) for fam, nu, nl, corner in [("sym", 3, 2, 1), ("symscaled", 3, 1, 2)] for q, twist in [(3, 1), (3, 2), (5, 1)]]
-        + [("sym", 3, 2, 1, 9, 1)],
-    )
-    def test_sym_rank_sign_values(self, fam, nu, nl, corner, q, twist):
+    @pytest.mark.parametrize("q,twist", [(3, 1), (3, 2), (5, 1), (9, 1)])
+    def test_pushforward_matrix_at_sym_sign_points(self, q, twist):
+        """The two-step push at both sign points of each lower rank, where sym_diagram_matrices reads it.
+
+        The one-step leg's lower space is sym already, so test_pushforward_matrix covers that leg.
+        """
         F = field_for(q)
+        d = replace(standard_diagram(make_space("symscaled", F, 3), make_space("symscaled", F, 1)), lower=make_space("sym", F, 1))
         ch = CharSpec(F, F.element_at(twist))
-        vals, reps = _sym_rank_sign_values(ch, nu, nl, corner)
-        d = standard_diagram(make_space(fam, F, nu), make_space(fam, F, nl))
-        assert vals == sym_fiber_sums_reference(d, ch, reps)
+        assert pushforward_matrix(d, ch) == pushforward_reference(d, ch)
 
     def test_each_validation_pass_catches_a_bad_intersection_element(self):
         up, low = make_space("vec", F3, 2), make_space("vec", F3, 1)
@@ -472,6 +483,12 @@ class TestSymKernelAgainstReference:
         assert repairs == ({None} if n == 1 else {None, 1, -1})
 
 
+def _label_codes(space, digits):
+    """The label code of each row of digits (2 rank + (sign < 0) for sym, else the label index), by bulk._labels as batch_rank reads it."""
+    split, args, _ = bulk._labeller(space)
+    return bulk._labels(split, digits, *args)
+
+
 @pytest.mark.parametrize("n,m,q", [(1, 4, 3), (2, 2, 3), (2, 3, 3), (3, 3, 3), (2, 3, 5), (1, 3, 4), (2, 2, 4), (2, 2, 8), (2, 2, 9)])
 def test_mat_kernel_against_reference(n, m, q):
     sp = make_space("mat", field_for(q), n, m)
@@ -487,7 +504,8 @@ def test_mat_row_labels_of_random_rows(n, m, q):
     digits[:200, :m] = 0  # row 0 zero: no step
     digits[:20] = 0  # the zero matrix
     digits[200:400, : rng.integers(1, m)] = 0  # a later pivot column
-    ranks = bulk.row_labels(sp, digits, raw=True).tolist()
+    ranks = _label_codes(sp, digits).tolist()
+    assert bulk.row_labels(sp, digits).tolist() == ranks  # a mat label index is its rank
     assert digits.flags.writeable  # row_labels freezes a view, not the caller's array
     assert ranks == [matrix_rank(sp.as_matrix(tuple(row)), sp.field) for row in digits.tolist()]
     assert set(ranks) == set(range(n + 1))
@@ -501,7 +519,7 @@ def test_alt_row_labels_of_random_rows():
     digits[200:400, : rng.integers(1, 5)] = 0  # a later pivot j
     digits[400:600, 5:] = 0  # T = 0: half-rank 1
     digits[:20] = 0  # the zero matrix
-    half = bulk.row_labels(sp, digits, raw=True).tolist()
+    half = _label_codes(sp, digits).tolist()
     assert half == [matrix_rank(sp.as_matrix(tuple(row)), sp.field) // 2 for row in digits.tolist()]
     assert set(half) == {0, 1, 2, 3}
 
@@ -519,7 +537,7 @@ def test_sym_row_labels_of_random_rows(fam, n, q):
     digits[800:900, 3:] = 0  # rank at most 2
     digits[900:1000, 1:] = 0  # rank at most 1
     digits[:20] = 0  # the zero matrix
-    codes = bulk.row_labels(sp, digits, raw=True).tolist()
+    codes = _label_codes(sp, digits).tolist()
     want = [symmetric_sign(sp.as_matrix(tuple(row)), sp.field) for row in digits.tolist()]
     assert codes == [2 * r + (s < 0) for r, s in want]
     assert set(codes) == set(range(2 * n + 2)) - {1}  # every rank with both signs
@@ -702,11 +720,11 @@ def test_labels_under_scalars(fam, n, m, q):
     sp = make_space(fam, field_for(q), n, m)
     F = bulk.arith(sp.field)
     digits = bulk._digits(0, sp.size, sp.dim, q)
-    codes = bulk.row_labels(sp, digits, raw=True)
+    codes = _label_codes(sp, digits)
     moved = 0
     for lam in range(1, sp.field.p):
         want = codes ^ (codes >> 1 & 1) if fam.startswith("sym") and F.sgn(lam) < 0 else codes
-        assert np.array_equal(bulk.row_labels(sp, F.vreduce(F.vmul(lam, digits)), raw=True), want)
+        assert np.array_equal(_label_codes(sp, F.vreduce(F.vmul(lam, digits))), want)
         moved += not np.array_equal(want, codes)
     assert bool(moved) == (fam.startswith("sym") and q != 9)  # every lambda of F_3 is a square in GF(9)
 
