@@ -154,6 +154,26 @@ def pushforward_reference(d, char):
     return out
 
 
+def sym_fiber_sums_reference(d, char, reps):
+    """The chi and sgn fiber sums over each representative of reps, element by element, by rank_and_sign."""
+    p = d.upper.field.p
+    out = {}
+    for key, rep in reps.items():
+        sums = {}
+        for a in fiber_elements(d, rep):
+            rank, sign = d.upper.rank_and_sign(a)
+            t = _conj_zeta(d, char, a)
+            sums.setdefault(("chi", rank), [0] * p)[t] += 1
+            if rank:
+                sums.setdefault(("sgn", rank), [0] * p)[t] += sign
+        for fk, vec in sums.items():
+            out.setdefault(fk, {})[key] = CycInt.reduce(p, vec)
+    for fk in out:
+        for key in reps:
+            out[fk].setdefault(key, CycInt.zero(p))
+    return out
+
+
 def fold_reference(space, coefvecs):
     """bulk.orbit_counts by one bincount over (label, t) per functional alone, on the whole space at once."""
     F = bulk.arith(space.field)

@@ -11,7 +11,7 @@ from gftables.cyclotomic import CycInt
 from gftables.gfq import CharSpec, default_char, field_for, make_field
 from gftables.pascal import closed_form_table
 from gftables.spaces import BudgetError, OrbitLabel, Space, make_space, matrix_rank, symmetric_sign
-from gftables.symmetric import phi_from_psi, psi_closed, scaled_canonical_from_blocks
+from gftables.symmetric import _aggregate, _by_rank, phi_from_psi, psi_closed, scaled_canonical_from_blocks
 from gftables.transform import (
     Diagram,
     InvariantFunction,
@@ -31,7 +31,7 @@ from gftables.transform import (
     zonal_table_direct,
 )
 from gftables.verify import run_suite
-from helpers import fold_reference, pushforward_reference
+from helpers import fold_reference, pushforward_reference, sym_fiber_sums_reference
 
 F3 = make_field(3)
 F5 = make_field(5)
@@ -332,6 +332,35 @@ class TestFiberHistograms:
         d = replace(standard_diagram(make_space("symscaled", F, 3), make_space("symscaled", F, 1)), lower=make_space("sym", F, 1))
         ch = CharSpec(F, F.element_at(twist))
         assert pushforward_matrix(d, ch) == pushforward_reference(d, ch)
+
+    @pytest.mark.parametrize(
+        "fam,nu,nl,corner,q,twist",
+        [(fam, nu, nl, corner, q, twist) for fam, nu, nl, corner in [("sym", 3, 2, 1), ("symscaled", 3, 1, 2)] for q, twist in [(3, 1), (3, 2), (5, 1)]]
+        + [("sym", 3, 2, 1, 9, 1)],
+    )
+    def test_sym_rank_sign_values(self, fam, nu, nl, corner, q, twist):
+        """The rank-and-sign sums of the push at each sym sign point, as sym_diagram_matrices aggregates them.
+
+        corner is the rank step of the leg. The sgn sums are read at the upper
+        ranks whose labels carry a sign, where the diagram check reads them.
+        """
+        F = field_for(q)
+        ch = CharSpec(F, F.element_at(twist))
+        sym_lower = make_space("sym", F, nl)
+        d = replace(standard_diagram(make_space(fam, F, nu), make_space(fam, F, nl)), lower=sym_lower)
+        assert nu - nl == corner
+        E = pushforward_matrix(d, ch)
+        zero = CycInt.zero(F.p)
+        ups = _by_rank(d.upper.labels())
+        signed = {r for r, pairs in ups.items() if r and all(d.upper.labels()[i].sign is not None for i, _ in pairs)}
+        vals = {}
+        for w, lbl in enumerate(sym_lower.labels()):
+            for r, pairs in ups.items():
+                vals.setdefault(("chi", r), {})[lbl] = _aggregate(E, [(w, 1)], [(j, 1) for j, _ in pairs], zero)
+                if r in signed:
+                    vals.setdefault(("sgn", r), {})[lbl] = _aggregate(E, [(w, 1)], pairs, zero)
+        want = sym_fiber_sums_reference(d, ch, {lbl: sym_lower.representative(lbl) for lbl in sym_lower.labels()})
+        assert vals == {key: sums for key, sums in want.items() if key[0] == "chi" or key[1] in signed}
 
     def test_each_validation_pass_catches_a_bad_intersection_element(self):
         up, low = make_space("vec", F3, 2), make_space("vec", F3, 1)
