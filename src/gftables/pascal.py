@@ -18,11 +18,19 @@ and the pair has a unique solution once sigma = f_0(0, 0) is fixed: binomial
 columns when t = 1 and b = d, Krawtchouk times the bottom row when t = 1 and
 b != d, and affine q-Krawtchouk times the bottom row when t != 1.
 
-The canonical-matrix families are the special cases below; their tables are
-built symbolically in Z[q] so that the q -> 1 limits come straight out of the
-coefficients. Their q-closed forms, and that of the t != 1 case, are each a
-prefactor times the one column `qseries.q_krawtchouk_column`; the module
-docstring of `qseries` lists every caller's parameters.
+The canonical-matrix families are instances of the pair with
+a = b = c = sigma = 1, t = q^tau and d = q^delta, read at size N
+(`FAMILY_PASCAL`):
+
+    family   tau   delta                  N            case   labels
+    vec      0     1                      n            2      0, 1, .., n
+    mat      1     m - n                  n            3      0, 1, .., n
+    alt      2     +1 odd n, -1 even n    floor(n/2)   3      0, 2, .., halved
+
+`family_table` runs the pair in Z[q], so the q -> 1 limits come straight
+out of the coefficients; `closed_form_phi` evaluates the solution at a
+concrete q as `closed_tables` does. The case comes from the family, not from
+the values, so q = 1 stays on the family's formula.
 """
 
 from __future__ import annotations
@@ -34,14 +42,10 @@ from math import comb, factorial, lcm
 from .cyclotomic import POLY_Q, PolyQ
 from .qseries import (
     Pair,
-    _column_weight,
     affine_q_krawtchouk_nd,
     as_pair,
-    gauss_binom,
     gauss_binom_nd,
-    krawtchouk,
     krawtchouk_nd,
-    q_krawtchouk_column,
     q_krawtchouk_column_nd,
     q_pochhammer,
     q_pochhammer_nd,
@@ -95,91 +99,52 @@ def recursion_tables(p: PascalParams) -> list[Table]:
     return tables
 
 
+def _pow(p: Pair, e: int) -> Pair:
+    """p^e as a pair; a negative power is a power of the swapped pair, so no float enters."""
+    return (p[0] ** e, p[1] ** e) if e >= 0 else (p[1] ** -e, p[0] ** -e)
+
+
+def _prod(*pairs: Pair) -> Pair:
+    num = den = 1
+    for n, d in pairs:
+        num, den = num * n, den * d
+    return num, den
+
+
+def _solution_nd(case: int, N: int, a: Pair, b: Pair, c: Pair, d: Pair, t: Pair, sigma: Pair):
+    """f_N of the pair as a function (y, x) -> integer pair, for 0 <= y, x <= N:
+
+        case 1:  sigma a^(N-x) c^(y-N) (-b)^x binom(y, x)
+        case 2:  sigma a^(N-x) c^(y-N) (d-b)^x binom(N, x) K_y(x; 1 - b/d, N)
+        case 3:  sigma a^(N-x) c^(y-N) (-b)^x t^C(x,2) C_y(x; (d/b) t^N, N, t)
+
+    with C_y the column of `qseries.q_krawtchouk_column`. Every factor but
+    the last is built here, once per table.
+    """
+    (bn, bd), (dn, dd) = b, d
+    base = (-bn, bd)
+    if case == 1:
+        col, weight = lambda y, x: (comb(y, x), 1), lambda x: (1, 1)
+    elif case == 2:
+        p = (dn * bd - bn * dd, dn * bd)
+        base, weight = (p[0], dd * bd), lambda x: (comb(N, x), 1)
+        col = lambda y, x: krawtchouk_nd(y, x, p, N)
+    else:
+        A, weight = _prod((dn * bd, dd * bn), _pow(t, N)), lambda x: _pow(t, comb(x, 2))
+        col = lambda y, x: q_krawtchouk_column_nd(y, x, A, N, t)
+    rows = [_prod(sigma, _pow(c, y - N)) for y in range(N + 1)]
+    cols = [_prod(_pow(a, N - x), _pow(base, x), weight(x)) for x in range(N + 1)]
+    return lambda y, x: _prod(rows[y], cols[x], col(y, x))
+
+
 def closed_tables(p: PascalParams) -> list[Table]:
     """The unique simultaneous solution, by parameter case."""
+    pairs = [as_pair(v) for v in (p.a, p.b, p.c, p.d, p.t, p.sigma)]
     out: list[Table] = []
     for n in range(p.n_max + 1):
-        cur: Table = {}
-        if p.case == 1:
-            for y in range(n + 1):
-                for x in range(n + 1):
-                    if x > y:
-                        cur[(y, x)] = Fraction(0)
-                    else:
-                        cur[(y, x)] = (
-                            p.sigma
-                            * Fraction(p.a) ** (n - x)
-                            * Fraction(-p.b) ** x
-                            / Fraction(p.c) ** (n - y)
-                            * comb(y, x)
-                        )
-        elif p.case == 2:
-            kp = 1 - p.b / p.d
-            for x in range(n + 1):
-                o = p.sigma * Fraction(p.a) ** (n - x) / Fraction(p.c) ** n * Fraction(p.d - p.b) ** x * comb(n, x)
-                for y in range(n + 1):
-                    cur[(y, x)] = Fraction(p.c) ** y * o * krawtchouk(y, x, kp, n)
-        else:
-            big_a = (p.d / p.b) * Fraction(p.t) ** n
-            for x in range(n + 1):
-                o = p.sigma * Fraction(p.a) ** (n - x) * Fraction(-p.b) ** x / Fraction(p.c) ** n * Fraction(p.t) ** (x * (x - 1) // 2)
-                for y in range(n + 1):
-                    cur[(y, x)] = Fraction(p.c) ** y * o * q_krawtchouk_column(y, x, big_a, n, p.t)
-        out.append(cur)
+        f = _solution_nd(p.case, n, *pairs)
+        out.append({(y, x): Fraction(*f(y, x)) for y in range(n + 1) for x in range(n + 1)})
     return out
-
-
-def forward_recursion_holds(p: PascalParams, tables: list[Table]) -> bool:
-    for n in range(1, p.n_max + 1):
-        for y in range(n):
-            for x in range(n + 1):
-                lhs = tables[n][(y + 1, x)] - p.c * tables[n][(y, x)]
-                rhs = -p.d * Fraction(p.t) ** (2 * n - y - 1) * tables[n - 1].get((y, x - 1), Fraction(0))
-                if lhs != rhs:
-                    return False
-    return True
-
-
-def bottom_row_recursion_holds(p: PascalParams, tables: list[Table]) -> bool:
-    for n in range(1, p.n_max + 1):
-        for x in range(n + 1):
-            lhs = p.c * tables[n][(0, x)]
-            rhs = p.a * Fraction(p.t) ** x * tables[n - 1].get((0, x), Fraction(0))
-            if x >= 1:
-                rhs += (p.d * Fraction(p.t) ** (2 * n - 1) - p.b * Fraction(p.t) ** (x - 1)) * tables[
-                    n - 1
-                ].get((0, x - 1), Fraction(0))
-            if lhs != rhs:
-                return False
-    return True
-
-
-def forward_only_expansion(p: PascalParams, tables: list[Table]) -> bool:
-    """Rebuild every entry from the bottom rows alone.
-
-    Iterating the forward recursion downward gives
-
-        f_N(y, x) = sum_i c^(y-i) (-d)^i t^(-C(i,2) + 2Ni - yi) [y i]_t
-                    O_{N-i}(x - i),
-
-    which must agree with the tables entry for entry.
-    """
-    for n in range(p.n_max + 1):
-        for y in range(n + 1):
-            for x in range(n + 1):
-                acc = Fraction(0)
-                for i in range(min(y, x) + 1):
-                    exp = -(i * (i - 1) // 2) + 2 * n * i - y * i
-                    acc += (
-                        Fraction(p.c) ** (y - i)
-                        * Fraction(-p.d) ** i
-                        * Fraction(p.t) ** exp
-                        * gauss_binom(y, i, p.t)
-                        * tables[n - i].get((0, x - i), Fraction(0))
-                    )
-                if acc != tables[n][(y, x)]:
-                    return False
-    return True
 
 
 def bpr_fpr_solve(p: PascalParams) -> list[Table]:
@@ -192,7 +157,19 @@ def bpr_fpr_solve(p: PascalParams) -> list[Table]:
 
 
 # ---------------------------------------------------------------------------
-# the canonical-matrix families, symbolically in Z[q]
+# the canonical-matrix families
+
+
+# (tau, delta, N) of each family at (n, m); the module docstring has the table
+FAMILY_PASCAL = {
+    "vec": lambda n, m: (0, 1, n),
+    "mat": lambda n, m: (1, m - n, n),
+    "alt": lambda n, m: (2, 1 if n % 2 else -1, n // 2),
+}
+
+
+def _labels(family: str, n: int) -> range:
+    return range(0, n + 1, 2) if family == "alt" else range(n + 1)
 
 
 @dataclass(frozen=True)
@@ -214,13 +191,14 @@ class FamilyTable:
         return [[int(e.eval_at(q)) for e in row] for row in self.entries]
 
 
-def _chain_step(prev: list[list[PolyQ]], size: int, bpr_hi: int, bpr_lo, o_hi: int) -> list[list[PolyQ]]:
-    """One recursion step shared by all three families.
+def _chain_step(prev: list[list[PolyQ]], size: int, tau: int, o_hi: int) -> list[list[PolyQ]]:
+    """One size step of the pair in Z[q], at a = b = c = 1 and t = q^tau:
 
-    bottom row:  O(x) = q^(bpr_hi(x)) O'(x) + (q^o_hi - q^(bpr_lo(x))) O'(x-1)
-    other rows:  f(y+1, x) = q^(bpr_hi(x)) f'(y, x) - q^(bpr_lo(x)) f'(y, x-1)
+    bottom row:  O(x) = q^(tau x) O'(x) + (q^o_hi - q^(tau (x-1))) O'(x-1)
+    other rows:  f(y+1, x) = q^(tau x) f'(y, x) - q^(tau (x-1)) f'(y, x-1)
 
-    where primes refer to the previous table.
+    where primes refer to the previous table and o_hi = delta + tau (2k-1)
+    at size k.
     """
     zero = PolyQ()
 
@@ -231,16 +209,16 @@ def _chain_step(prev: list[list[PolyQ]], size: int, bpr_hi: int, bpr_lo, o_hi: i
 
     cur = [[zero for _ in range(size)] for _ in range(size)]
     for x in range(size):
-        v = prev_at(0, x).shift(bpr_hi * x)
+        v = prev_at(0, x).shift(tau * x)
         if x >= 1:
             left = prev_at(0, x - 1)
-            v = v + left.shift(o_hi) - left.shift(bpr_lo(x))
+            v = v + left.shift(o_hi) - left.shift(tau * (x - 1))
         cur[0][x] = v
     for y in range(size - 1):
         for x in range(size):
-            v = prev_at(y, x).shift(bpr_hi * x)
+            v = prev_at(y, x).shift(tau * x)
             if x >= 1:
-                v = v - prev_at(y, x - 1).shift(bpr_lo(x))
+                v = v - prev_at(y, x - 1).shift(tau * (x - 1))
             cur[y + 1][x] = v
     return cur
 
@@ -252,81 +230,62 @@ def family_table(family: str, n: int, m: int | None = None) -> FamilyTable:
     the backward recursion; no division ever occurs, so the result being in
     Z[q] is by construction.
     """
-    one = PolyQ.const(1)
-    if family == "vec":
-        grid = [[one]]
-        for k in range(1, n + 1):
-            grid = _chain_step(grid, k + 1, bpr_hi=0, bpr_lo=lambda x: 0, o_hi=1)
-        values = tuple(range(n + 1))
-    elif family == "mat":
-        if m is None or m < n:
-            raise ValueError("rectangular tables need n <= m")
-        grid = [[one]]
-        for k in range(1, n + 1):
-            grid = _chain_step(
-                grid, k + 1, bpr_hi=1, bpr_lo=lambda x: x - 1, o_hi=(m - n) + 2 * k - 1
-            )
-        values = tuple(range(n + 1))
-    elif family == "alt":
-        grid = [[one]]
-        start = 2 if n % 2 == 0 else 3
-        for size in range(start, n + 1, 2):
-            k = size // 2
-            o_hi = 4 * k - 3 if size % 2 == 0 else 4 * k - 1
-            grid = _chain_step(grid, k + 1, bpr_hi=2, bpr_lo=lambda x: 2 * x - 2, o_hi=o_hi)
-        values = tuple(range(0, n + 1, 2))
-    elif family in ("sym", "symscaled"):
+    if family in ("sym", "symscaled"):
         raise ValueError(
             "symmetric families have no integer-polynomial recursion; "
             "their entries involve the Gauss sum"
         )
-    else:
+    if family not in FAMILY_PASCAL:
         raise ValueError(f"unknown family {family!r}")
-    return FamilyTable(family, n, m if family == "mat" else None, values, tuple(tuple(r) for r in grid))
-
-
-def _alt_column_nd(q: Pair, size: int, y: int, x: int) -> Pair:
-    qn, qd = q
-    e = size - 1 + size % 2
-    return q_krawtchouk_column_nd(y, x, (qn**e, qd**e), size // 2, (qn * qn, qd * qd))
+    if family == "mat" and (m is None or m < n):
+        raise ValueError("rectangular tables need n <= m")
+    tau, delta, N = FAMILY_PASCAL[family](n, m)
+    grid = [[PolyQ.const(1)]]
+    for k in range(1, N + 1):
+        grid = _chain_step(grid, k + 1, tau, delta + tau * (2 * k - 1))
+    return FamilyTable(family, n, m if family == "mat" else None, tuple(_labels(family, n)), tuple(tuple(r) for r in grid))
 
 
 def alt_column(q: int | Fraction, size: int, y: int, x: int) -> Fraction:
-    """The alternating family's column at half-ranks (y, x): A = q^(size-1+size%2), N = size // 2, t = q^2."""
-    return Fraction(*_alt_column_nd(as_pair(q), size, y, x))
+    """The alternating family's column at half-ranks (y, x): C_y(x; A, N, t) at A = q^(delta + tau N), t = q^tau."""
+    tau, delta, N = FAMILY_PASCAL["alt"](size, None)
+    qp = as_pair(q)
+    return Fraction(*q_krawtchouk_column_nd(y, x, _pow(qp, delta + tau * N), N, _pow(qp, tau)))
+
+
+def _family_phi(family: str, n: int, m: int | None, q: int | Fraction):
+    """closed_form_phi at one (family, n, m, q), as a function of (s, r)."""
+    qp = as_pair(q)
+    if family not in FAMILY_PASCAL:
+        raise ValueError(f"no closed form for family {family!r}")
+    if family == "mat" and (m is None or m < n):
+        raise ValueError("out of range")
+    tau, delta, N = FAMILY_PASCAL[family](n, m)
+    one = (1, 1)
+    f = _solution_nd(3 if tau else 2, N, one, one, one, _pow(qp, delta), _pow(qp, tau), one)
+
+    def phi(s: int, r: int) -> Fraction:
+        if family == "alt":
+            if s % 2 or r % 2:
+                raise ValueError("alternating labels are even")
+            s, r = s // 2, r // 2
+        if not (0 <= s <= N and 0 <= r <= N):
+            raise ValueError("out of range")
+        return Fraction(*f(s, r))
+
+    return phi
 
 
 def closed_form_phi(family: str, n: int, m: int | None, s: int, r: int, q: int | Fraction) -> Fraction:
     """Orbit size times the matching (q-)Krawtchouk value; row s = 0 holds the orbit sizes.
 
     Each is an integer pair until the one `Fraction` it returns."""
-    qn, qd = qp = as_pair(q)
-    if family == "vec":
-        if not (0 <= s <= n and 0 <= r <= n):
-            raise ValueError("out of range")
-        kn, kd = krawtchouk_nd(s, r, (qn - qd, qn), n)
-        return Fraction((qn - qd) ** r * comb(n, r) * kn, qd**r * kd)
-    if family == "mat":
-        if m is None or not (0 <= s <= n <= m and 0 <= r <= n):
-            raise ValueError("out of range")
-        cn, cd = q_krawtchouk_column_nd(s, r, (qn**m, qd**m), n, qp)
-        e = comb(r, 2)
-    elif family == "alt":
-        if s % 2 or r % 2:
-            raise ValueError("alternating labels are even")
-        if not (0 <= s <= n and 0 <= r <= n):
-            raise ValueError("out of range")
-        r //= 2
-        cn, cd = _alt_column_nd(qp, n, s // 2, r)
-        e = r * (r - 1)
-    else:
-        raise ValueError(f"no closed form for family {family!r}")
-    return Fraction((-1) ** r * qn**e * cn, qd**e * cd)
+    return _family_phi(family, n, m, q)(s, r)
 
 
 def closed_form_table(family: str, n: int, m: int | None, q: int | Fraction) -> list[list[Fraction]]:
-    values = range(n + 1) if family != "alt" else range(0, n + 1, 2)
-    return [[closed_form_phi(family, n, m, s, r, q) for r in values] for s in values]
+    phi, values = _family_phi(family, n, m, q), _labels(family, n)
+    return [[phi(s, r) for r in values] for s in values]
 
 
 # ---------------------------------------------------------------------------
@@ -409,19 +368,15 @@ def _weights(N: int, a: Pair, q: Pair) -> list[Pair]:
 
 
 def genfun_mat_concrete(n: int, m: int, q: int, s: int) -> bool:
-    """Row generating function of the rectangular family at a concrete q."""
-    lhs = [closed_form_phi("mat", n, m, s, r, q) for r in range(n + 1)]
+    """Row generating function of the rectangular family at a concrete q:
+    sum_r f(s, r) t^r = (t; q)_s sum_u q^(su) f'(0, u) t^u, with f' the (n-s) x (m-s) table."""
+    phi, sizes = _family_phi("mat", n, m, q), _family_phi("mat", n - s, m - s, q)
     qn, qd = qp = as_pair(q)
     prefix = [1]  # (t; q)_s as a polynomial in t, over qd^C(s,2)
     for i in range(s):
         prefix = _t_mul(prefix, [qd**i, -(qn**i)], 0)
-    tail = []
-    for u in range(n - s + 1):
-        e = comb(u, 2) + s * u
-        wn, wd = _column_weight(u, (qn ** (m - s), qd ** (m - s)), n - s, qp)
-        tail.append(((-1) ** u * qn**e * wn, qd**e * wd))
-    tail, den = _common(tail)
-    return _same([(v.numerator, v.denominator) for v in lhs], _t_mul(prefix, tail, 0), qd ** comb(s, 2) * den)
+    tail, den = _common([_prod(as_pair(sizes(0, u)), _pow(qp, s * u)) for u in range(n - s + 1)])
+    return _same([as_pair(phi(s, r)) for r in range(n + 1)], _t_mul(prefix, tail, 0), qd ** comb(s, 2) * den)
 
 
 def genfun_krawtchouk(N: int, p: Fraction) -> bool:
@@ -509,12 +464,13 @@ def multi_orthogonality_closed(
     if family not in ("vec", "mat"):
         raise ValueError("closed multi-orthogonality exists for vec and mat only")
     qf = Fraction(q)
+    phi = _family_phi(family, n, m, qf)
     lhs = Fraction(0)
     for s in range(n + 1):
         # row 0 of the table holds the orbit sizes, the weights of the sum
-        term = closed_form_phi(family, n, m, 0, s, qf) * closed_form_phi(family, n, m, s, r, qf)
+        term = phi(0, s) * phi(s, r)
         for ri in parts:
-            term *= closed_form_phi(family, n, m, s, ri, qf)
+            term *= phi(s, ri)
         lhs += term
     if sum(parts) < r:
         return lhs, Fraction(0)

@@ -11,8 +11,8 @@ bases the transform becomes a 2x2 block matrix
 whose entries live in Z + Z*gamma for the quadratic Gauss sum gamma. The
 blocks have closed forms in affine q-Krawtchouk polynomials: each block is a
 sign and a power of q times the alternating family's column
-(`pascal.alt_column`) at size n - 1, n, n - 2 or n - 1. The `qseries`
-module docstring states the column and its parameters. The brute
+(`pascal.alt_column`) at size n - 1, n, n - 2 or n - 1, whose parameters
+the `pascal` module docstring gives. The brute
 sign-labeled canonical matrix is the oracle every formula here is checked
 against.
 
@@ -20,10 +20,10 @@ The base change onto rank aggregates is one rule, `_aggregate`: a row of
 rank s averages the grid over the sign orbits of s and a column of rank r
 sums over those of r, each orbit weighted by its sign (+1 when it has none)
 for sgnchi and by 1 for chi. `_grid_to_blocks` (behind `psi_brute` and the
-inverse-transform check of `relation_suite`), `scaled_matrix_from_canonical`,
-`scaled_canonical_from_blocks` and both the push and the pull-back checks of
-`sym_diagram_matrices` read it; `phi_from_psi` inverts it. The push reads the
-diagram's `pushforward_matrix` at the sym sign points of every lower rank.
+inverse-transform check of `relation_suite`), `scaled_canonical_from_blocks`
+and both the push and the pull-back checks of `sym_diagram_matrices` read
+it; `phi_from_psi` inverts it. The push reads the diagram's
+`pushforward_matrix` at the sym sign points of every lower rank.
 
 Block index ranges: psi1 on 0<=s,r<=n, psi2 on 0<=s<=n and 1<=r<=n, psi3 on
 1<=s<=n and 0<=r<=n, psi4 on 1<=s,r<=n.
@@ -35,10 +35,10 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .cyclotomic import CycInt, QuadraticGamma, decompose_gamma, epsilon_of
-from .gfq import CharSpec, default_char, gauss_sum
+from .gfq import CharSpec, gauss_sum
 from .pascal import alt_column
 from .reporting import Report
-from .spaces import OrbitLabel, SymScaled, make_space
+from .spaces import OrbitLabel, make_space
 from .transform import (
     DEFAULT_BUDGET,
     CanonicalMatrix,
@@ -588,22 +588,6 @@ def scaled_restriction(blocks: PsiBlocks) -> tuple[list[str], list[list[Quadrati
     return names, out
 
 
-def scaled_matrix_from_canonical(phi: CanonicalMatrix) -> list[list[QuadraticGamma]]:
-    """Base change of the scaled-action canonical matrix onto rank aggregates.
-
-    Must reproduce scaled_restriction of the full sign blocks entry for
-    entry.
-    """
-    space = phi.space
-    if not isinstance(space, SymScaled):
-        raise ValueError("expected a scaled symmetric canonical matrix")
-    n = space.n
-    ranks = _by_rank(phi.labels)
-    basis = [[(i, 1) for i, _ in ranks[r]] for r in range(n + 1)] + [ranks[r] for r in range(2, n + 1, 2)]
-    zero, gamma, q = CycInt.zero(space.field.p), gauss_sum(phi.char), space.field.q
-    return [[decompose_gamma(_aggregate(phi.entries, rows, cols, zero), gamma, q) for cols in basis] for rows in basis]
-
-
 def scaled_canonical_from_blocks(blocks: PsiBlocks) -> CanonicalMatrix:
     """Canonical matrix of the scaled action, rebuilt from the sign blocks.
 
@@ -620,23 +604,3 @@ def scaled_canonical_from_blocks(blocks: PsiBlocks) -> CanonicalMatrix:
     entries = tuple(tuple(_aggregate(full.entries, rows, cols, zero) for cols in covers) for rows in covers)
     sizes = tuple(e.as_int() for e in entries[0])
     return CanonicalMatrix(space, blocks.char, labels, entries, sizes)
-
-
-def twist_swaps_odd_sign_rows(n: int, field, budget: int = DEFAULT_BUDGET) -> bool:
-    """Replacing the character twist by the non-square delta permutes the
-    sign-labeled rows: odd-rank row signs swap, even rows stay."""
-    base = brute_force_phi(make_space("sym", field, n), default_char(field), budget)
-    twisted = brute_force_phi(
-        make_space("sym", field, n), CharSpec(field, field.delta()), budget
-    )
-
-    def swapped(mu: OrbitLabel) -> OrbitLabel:
-        if mu.sign is not None and mu.r % 2:
-            return OrbitLabel(mu.r, -mu.sign)
-        return mu
-
-    for mu in base.labels:
-        for lam in base.labels:
-            if twisted.entry(mu, lam) != base.entry(swapped(mu), lam):
-                return False
-    return True

@@ -136,10 +136,10 @@ class CanonicalMatrix:
         return [[e.as_int() for e in row] for row in self.entries]
 
     def check_symmetry(self) -> bool:
-        """size-normalized symmetry: Phi(mu,lam)/|lam| == Phi(lam,mu)/|mu|."""
+        """size-normalized symmetry: Phi(mu,lam)/|lam| == Phi(lam,mu)/|mu|, at j > i: (j, i) is the same equality."""
         n = self.nlabels
         for i in range(n):
-            for j in range(n):
+            for j in range(i + 1, n):
                 lhs = self.entries[i][j] * self.orbit_sizes[i]
                 rhs = self.entries[j][i] * self.orbit_sizes[j]
                 if lhs != rhs:

@@ -8,9 +8,12 @@ from functools import lru_cache
 import numpy as np
 
 from gftables import bulk
-from gftables.cyclotomic import CycInt, square_and_multiply
-from gftables.gfq import FieldSpec
-from gftables.pascal import PascalParams
+from gftables.cyclotomic import CycInt, QuadraticGamma, decompose_gamma, square_and_multiply
+from gftables.gfq import CharSpec, FieldSpec, default_char, gauss_sum
+from gftables.pascal import PascalParams, Table
+from gftables.spaces import OrbitLabel, SymScaled, make_space
+from gftables.symmetric import _aggregate, _by_rank
+from gftables.transform import DEFAULT_BUDGET, CanonicalMatrix, brute_force_phi
 
 F = Fraction
 
@@ -282,5 +285,99 @@ def _orthogonal(K: list[list[Fraction]], weight: list[Fraction], norm) -> bool:
         for y2, Ky2 in enumerate(K):
             acc = sum(w * a * b for w, a, b in zip(weight, Ky, Ky2))
             if acc != (norm(y) if y == y2 else Fraction(0)):
+                return False
+    return True
+
+
+# ---------------------------------------------------------------------------
+# Identity checks that only the tests run: the forward and bottom-row
+# recursions of the Pascal pair, and two relations of the sym sign blocks.
+
+
+def forward_recursion_holds(p: PascalParams, tables: list[Table]) -> bool:
+    for n in range(1, p.n_max + 1):
+        for y in range(n):
+            for x in range(n + 1):
+                lhs = tables[n][(y + 1, x)] - p.c * tables[n][(y, x)]
+                rhs = -p.d * Fraction(p.t) ** (2 * n - y - 1) * tables[n - 1].get((y, x - 1), Fraction(0))
+                if lhs != rhs:
+                    return False
+    return True
+
+
+def bottom_row_recursion_holds(p: PascalParams, tables: list[Table]) -> bool:
+    for n in range(1, p.n_max + 1):
+        for x in range(n + 1):
+            lhs = p.c * tables[n][(0, x)]
+            rhs = p.a * Fraction(p.t) ** x * tables[n - 1].get((0, x), Fraction(0))
+            if x >= 1:
+                rhs += (p.d * Fraction(p.t) ** (2 * n - 1) - p.b * Fraction(p.t) ** (x - 1)) * tables[
+                    n - 1
+                ].get((0, x - 1), Fraction(0))
+            if lhs != rhs:
+                return False
+    return True
+
+
+def forward_only_expansion(p: PascalParams, tables: list[Table]) -> bool:
+    """Rebuild every entry from the bottom rows alone.
+
+    Iterating the forward recursion downward gives
+
+        f_N(y, x) = sum_i c^(y-i) (-d)^i t^(-C(i,2) + 2Ni - yi) [y i]_t
+                    O_{N-i}(x - i),
+
+    which must agree with the tables entry for entry.
+    """
+    for n in range(p.n_max + 1):
+        for y in range(n + 1):
+            for x in range(n + 1):
+                acc = Fraction(0)
+                for i in range(min(y, x) + 1):
+                    exp = -(i * (i - 1) // 2) + 2 * n * i - y * i
+                    acc += (
+                        Fraction(p.c) ** (y - i)
+                        * Fraction(-p.d) ** i
+                        * Fraction(p.t) ** exp
+                        * gauss_binom(y, i, p.t)
+                        * tables[n - i].get((0, x - i), Fraction(0))
+                    )
+                if acc != tables[n][(y, x)]:
+                    return False
+    return True
+
+
+def scaled_matrix_from_canonical(phi: CanonicalMatrix) -> list[list[QuadraticGamma]]:
+    """Base change of the scaled-action canonical matrix onto rank aggregates.
+
+    Must reproduce scaled_restriction of the full sign blocks entry for
+    entry.
+    """
+    space = phi.space
+    if not isinstance(space, SymScaled):
+        raise ValueError("expected a scaled symmetric canonical matrix")
+    n = space.n
+    ranks = _by_rank(phi.labels)
+    basis = [[(i, 1) for i, _ in ranks[r]] for r in range(n + 1)] + [ranks[r] for r in range(2, n + 1, 2)]
+    zero, gamma, q = CycInt.zero(space.field.p), gauss_sum(phi.char), space.field.q
+    return [[decompose_gamma(_aggregate(phi.entries, rows, cols, zero), gamma, q) for cols in basis] for rows in basis]
+
+
+def twist_swaps_odd_sign_rows(n: int, field, budget: int = DEFAULT_BUDGET) -> bool:
+    """Replacing the character twist by the non-square delta permutes the
+    sign-labeled rows: odd-rank row signs swap, even rows stay."""
+    base = brute_force_phi(make_space("sym", field, n), default_char(field), budget)
+    twisted = brute_force_phi(
+        make_space("sym", field, n), CharSpec(field, field.delta()), budget
+    )
+
+    def swapped(mu: OrbitLabel) -> OrbitLabel:
+        if mu.sign is not None and mu.r % 2:
+            return OrbitLabel(mu.r, -mu.sign)
+        return mu
+
+    for mu in base.labels:
+        for lam in base.labels:
+            if twisted.entry(mu, lam) != base.entry(swapped(mu), lam):
                 return False
     return True

@@ -12,12 +12,9 @@ from fractions import Fraction
 from gftables.cyclotomic import CycInt, QuadraticGamma
 from gftables.gfq import default_char, epsilon, field_for, gauss_sum
 from gftables.pascal import (
-    bottom_row_recursion_holds,
     bpr_fpr_solve,
     closed_form_table,
     family_table,
-    forward_only_expansion,
-    forward_recursion_holds,
     genfun_mat_concrete,
     genfun_vec_symbolic,
     involution_squares_to_identity,
@@ -41,7 +38,7 @@ from gftables.transform import (
     zonal_table_direct,
 )
 
-from helpers import draw_params
+from helpers import bottom_row_recursion_holds, draw_params, forward_only_expansion, forward_recursion_holds
 
 
 VEC_GRID = [(n, None, q) for n in (1, 2, 3) for q in (2, 3, 4, 5, 9)]

@@ -9,14 +9,11 @@ from gftables.gfq import field_for, make_field
 from gftables.pascal import (
     PascalParams,
     alternating_binomial_matrix,
-    bottom_row_recursion_holds,
     bpr_fpr_solve,
     closed_form_phi,
     closed_form_table,
     closed_tables,
     family_table,
-    forward_only_expansion,
-    forward_recursion_holds,
     genfun_affine_krawtchouk,
     genfun_krawtchouk,
     genfun_mat_concrete,
@@ -32,7 +29,7 @@ from gftables.pascal import (
 from gftables.spaces import make_space
 from gftables.transform import brute_force_phi
 
-from helpers import draw_params
+from helpers import bottom_row_recursion_holds, draw_params, forward_only_expansion, forward_recursion_holds
 
 F = Fraction
 
@@ -117,6 +114,24 @@ class TestFamilyTables:
                     space = make_space(fam, field, n, m)
                     sizes = [space.orbit_size_poly(lbl).eval_at(q) for lbl in space.labels()]
                     assert closed_form_table(fam, n, m, q)[0] == sizes
+
+    @pytest.mark.parametrize(
+        "fam,n,m",
+        [("vec", n, None) for n in range(7)]
+        + [("mat", n, m) for n in range(5) for m in range(n, 7)]
+        + [("alt", n, None) for n in range(10)],
+    )
+    def test_families_are_instances_of_the_pair(self, fam, n, m):
+        # a = b = c = sigma = 1, t = q^tau, d = q^delta at size N; the numeric
+        # recursion is independent of both the symbolic one and the closed forms
+        tau, delta, N = {"vec": (0, 1, n), "mat": (1, (m or 0) - n, n), "alt": (2, 1 if n % 2 else -1, n // 2)}[fam]
+        tab = family_table(fam, n, m)
+        for q in (F(2), F(3), F(4), F(5), F(7), F(3, 2), F(-2, 5)):
+            p = PascalParams(F(1), F(1), F(1), q**delta, q**tau, F(1), N)
+            want = {(y, x): e.eval_at(q) for y, row in enumerate(tab.entries) for x, e in enumerate(row)}
+            assert recursion_tables(p)[N] == closed_tables(p)[N] == want
+            closed = closed_form_table(fam, n, m, q)
+            assert {(y, x): v for y, row in enumerate(closed) for x, v in enumerate(row)} == want
 
     def test_sym_has_no_symbolic_table(self):
         with pytest.raises(ValueError, match="Gauss sum"):

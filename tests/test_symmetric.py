@@ -1,6 +1,6 @@
 import pytest
 
-from gftables import symmetric
+from gftables import pascal, symmetric
 from gftables.cyclotomic import QuadraticGamma
 from gftables.gfq import CharSpec, default_char, make_field
 from gftables.spaces import OrbitLabel, make_space
@@ -10,12 +10,12 @@ from gftables.symmetric import (
     psi_closed,
     relation_suite,
     scaled_canonical_from_blocks,
-    scaled_matrix_from_canonical,
     scaled_restriction,
     sym_diagram_matrices,
-    twist_swaps_odd_sign_rows,
 )
 from gftables.transform import Diagram, brute_force_phi
+
+from helpers import scaled_matrix_from_canonical, twist_swaps_odd_sign_rows
 
 F3 = make_field(3)
 F5 = make_field(5)
@@ -80,6 +80,21 @@ class TestClosedForms:
         # within budget at q = 3 only
         blocks, _ = psi_brute(4, CH3)
         assert blocks == psi_closed(4, CH3)
+
+    @pytest.mark.parametrize("q", [3, 5])
+    def test_closed_forms_pass_integer_pairs(self, monkeypatch, q):
+        # size 0, read by psi1 at n = 1 and psi3 at n = 2, has A = q^-1
+        seen = []
+        real = pascal.q_krawtchouk_column_nd
+
+        def spy(y, x, A, N, t):
+            seen.append((*A, *t))
+            return real(y, x, A, N, t)
+
+        monkeypatch.setattr(pascal, "q_krawtchouk_column_nd", spy)
+        for n in range(1, 5):
+            psi_closed(n, default_char(make_field(q)))
+        assert seen and all(type(v) is int for args in seen for v in args)
 
     def test_even_degree_fields_rejected_for_recovery(self):
         # over GF(9) the Gauss sum is the rational integer 3, so block

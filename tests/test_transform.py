@@ -88,6 +88,10 @@ class TestMatrixInvariants:
         entries[-1][-1] += 1  # outside row 0 and column 0, which CanonicalMatrix checks on its own
         assert phi.check_row_orthogonality()
         assert not replace(phi, entries=tuple(map(tuple, entries))).check_row_orthogonality()
+        entries = [list(row) for row in phi.entries]
+        entries[1][2] += 1
+        assert phi.check_symmetry()
+        assert not replace(phi, entries=tuple(map(tuple, entries))).check_symmetry()
 
     def test_inverse_matrix_is_conjugate(self):
         # with one shared label set the inverse-transform matrix is the
