@@ -15,10 +15,11 @@ reduction over F_p, log and antilog tables for e > 1), and the tables
 inv_table, sgn_table and trace_table.
 
 One walker, _chunks, serves orbit_counts and, through _walk, the memoized
-(n-1) tables of _codes. It takes a space in chunks of q^k consecutive elements,
-k the largest exponent with q^k <= CHUNK, capped at dim and at least 1 when
-dim >= 1. The low k digits run through all of GF(q)^k in every chunk and the
-dim - k high digits are fixed in a chunk, so each labeller is split in two:
+(n-1) tables of _codes. It takes a space in chunks of q^k consecutive elements.
+_walk labels every chunk, so its k is _low_width: the largest exponent with
+q^k <= CHUNK, capped at dim and at least 1 when dim >= 1. orbit_counts takes k
+from _plan (below). The low k digits run through all of GF(q)^k in every chunk
+and the dim - k high digits are fixed in a chunk, so each labeller is split in two:
 - a per-call part (the *_split functions) runs once on the low digits: the
   row-0 step below and every (n-1) coordinate that reads only low digits. It
   keeps read-only int32/int8 state;
@@ -55,6 +56,19 @@ over their classes once per call. The lambda that are squares of GF(q) form a
 subgroup S of F_p^*, and the others its coset N or nothing (e even), so at
 t != 0 the sum over lambda reads only the sums of H over t S and over t N.
 
+So one orbit_counts call touches q^k rows in the split and q^k in each of the
+V(k) = 1 + (q^h - 1) / (p - 1) labelled chunks, (2 - 1/(p-1)) q^k + q^dim/(p-1)
+rows in all, which grows with k: at h = 1 the fold labels 2 of q chunks, and
+the split costs as much as one of them. _plan takes the smallest k with
+q^k >= MIN_ROWS, below which the per-chunk Python and bincount calls cost more
+than the rows; and k >= K0 where q^K0 <= CHUNK, so the row-0 step of every
+family stays per call (the G table, the pivot classes, the _sym_reduction
+memo); at most _low_width, so CHUNK stays the one memory cap. vec n=9 q=5 then
+splits 5^7 rows and labels 7 chunks, against 5^8 rows and 2 chunks at
+_low_width. A smaller CHUNK would not do it, for it caps every k: at
+CHUNK = 2^17, alt n=4 q=25 would label 3,907 chunks of 25^3 rows, not 157
+of 25^4.
+
 A matrix is labelled by one row-0 step: it reads row 0, the first K0 digits,
 and leaves a matrix S of the (n-1) space, whose index in counting order reads
 the label from the (n-1) table, shifted by the step's class. The rest of the
@@ -70,8 +84,8 @@ step of each class on the high digits alone. Where row 0 reaches a high digit
 - mat: row 0 (r0) clears its first nonzero column j from rows 1..n-1, so
   rank A is [r0 != 0] + the rank of those rows: new row i is R_i - R_i[j] u,
   u = r0 / r0[j]. U holds the zero vector and the vectors of GF(q)^m with
-  first nonzero entry 1 (_classes). Where q^(2m) <= CHUNK (so rows 0 and 1
-  are low) one memoized table per (m, field) holds every row step instead:
+  first nonzero entry 1 (_classes). Where q^(2m) <= CHUNK (so row 0 is low,
+  k >= m) one memoized table per (m, field) holds every row step instead:
   G[R q^m + r] is the code of R - (R[j] / r[j]) r (R where r = 0), and with T
   the (n-1) table the label is [T, T+1][[r0 != 0] |T| + sum_{i>=1}
   q^((i-1)m) G[R_i q^m + r0]]. Per call: the G index of each row from its
@@ -140,6 +154,7 @@ from .gfq import Arith, _frozen, _mod, _outer_sum, arith
 from .spaces import AltMat, MatRect, Space, SymGL, SymScaled, VecWreath
 
 CHUNK = 1 << 19
+MIN_ROWS = 1 << 16
 
 
 def _digits(start: int, stop: int, dim: int, q: int) -> np.ndarray:
@@ -165,22 +180,31 @@ def _digits(start: int, stop: int, dim: int, q: int) -> np.ndarray:
 
 
 def _low_width(dim: int, q: int) -> int:
-    """The k of the chunks: the largest k <= dim with q^k <= CHUNK, and at least 1 when dim >= 1 (also for q > CHUNK)."""
+    """The k of _walk's chunks, and the cap of _plan's: the largest k <= dim with q^k <= CHUNK, and at least 1 when
+    dim >= 1 (also for q > CHUNK). Only _walk uses it as it is: it labels every chunk and has no scalar fold."""
     return max(min(dim, 1), next((k for k in range(dim, 0, -1) if q**k <= CHUNK), 0))
 
 
-def _chunks(split, dim: int, *args, visit=None):
+def _plan(dim: int, q: int, K0: int) -> int:
+    """The k of orbit_counts for a space of dim digits whose row-0 step reads K0 digits: the smallest k with
+    q^k >= MIN_ROWS, and k >= K0 where q^K0 <= CHUNK, at most _low_width (module docstring). The rows a call
+    touches, q^k (1 + V(k)) = (2 - 1/(p-1)) q^k + q^dim / (p-1), grow with k."""
+    return min(_low_width(dim, q), max(K0 if q**K0 <= CHUNK else 0, next(k for k in itertools.count(1) if q**k >= MIN_ROWS)))
+
+
+def _chunks(split, dim: int, *args, k=None, visit=None):
     """(per-call labels, varying rows, an iterator of (labels of the varying rows, shift) per chunk).
 
     The space has dim digits over the field of args[-1]. split(digits, k, *args)
     runs once; a row that does not vary has its per-call label plus the chunk's
-    shift in every chunk (module docstring). visit holds the codes sum_i q^i s_i
-    of the chunks to label, s their high digits; by default every chunk, in order.
+    shift in every chunk (module docstring). k is the number of low digits, by
+    default _low_width; visit holds the codes sum_i q^i s_i of the chunks to
+    label, s their high digits; by default every chunk, in order.
     """
     q = args[-1].q
     if dim == 0:  # one element, the zero matrix, with label 0 in every family
         return _frozen(np.zeros(1, dtype=np.int8)), _frozen(np.zeros(1, dtype=bool)), iter([(np.zeros(0, dtype=np.int8), 0)])
-    k = _low_width(dim, q)
+    k = _low_width(dim, q) if k is None else k
     buf = np.zeros((dim, q**k), dtype=np.int32)  # one digit row per coordinate; high rows zero until a chunk sets them
     buf[:k] = _digits(0, q**k, k, q).T  # low digits: all of GF(q)^k, the same in every chunk
     digits = buf.T
@@ -548,26 +572,26 @@ def _alt_split(digits, k: int, n: int, F: Arith):
 
 
 def _labeller(space: Space):
-    """(split, its args, the label index of each label code)."""
-    F, nlab = arith(space.field), len(space.labels())
+    """(split, its args, the label index of each label code, K0): K0 digits of row 0 feed the row-0 step, 0 without one."""
+    F, nlab, n = arith(space.field), len(space.labels()), space.n
     if isinstance(space, VecWreath):
-        return _pfaffian_split, (0, space.dim, F), np.arange(nlab)  # no Pfaffians: the count of nonzero coordinates
+        return _pfaffian_split, (0, space.dim, F), np.arange(nlab), 0  # no Pfaffians: the count of nonzero coordinates
     if isinstance(space, MatRect):
-        return _mat_split, (space.n, space.m, F), np.arange(nlab)
+        return _mat_split, (n, space.m, F), np.arange(nlab), space.m  # the G table and the pivot classes read row 0
     if isinstance(space, AltMat):
-        return _alt_split, (space.n, F), np.arange(nlab)
+        return _alt_split, (n, F), np.arange(nlab), n - 1 if n > 5 else 0  # the Pfaffian split has no row-0 step
     if isinstance(space, (SymGL, SymScaled)):
-        lut = np.zeros(2 * space.n + 2, dtype=np.intp)  # code 2 rank + (sign < 0) -> label index
+        lut = np.zeros(2 * n + 2, dtype=np.intp)  # code 2 rank + (sign < 0) -> label index
         for i, lbl in enumerate(space.labels()):
             for neg in (0, 1) if lbl.sign is None else (int(lbl.sign < 0),):
                 lut[2 * lbl.r + neg] = i
-        return _sym_split, (space.n, F), lut
+        return _sym_split, (n, F), lut, 2 * n - 1  # the _sym_reduction memo reads row 0 of A and of T
     raise TypeError(f"no bulk classifier for {type(space).__name__}")
 
 
 def row_labels(space: Space, digits: np.ndarray) -> np.ndarray:
     """The label index of each row of a (B, dim) int32 code array, by _labels, the path of batch_rank."""
-    split, args, lut = _labeller(space)
+    split, args, lut, _ = _labeller(space)
     digits = _frozen(digits.view())  # read-only as in _walk, for the kernels only read; the caller's array stays writeable
     if not (space.dim and len(digits)):  # the zero space has label 0; the tails read row 0
         return np.zeros(len(digits), dtype=np.intp)
@@ -669,15 +693,15 @@ def orbit_counts(space: Space, coefvecs: list[list[int]]) -> tuple[list[np.ndarr
     """
     F = arith(space.field)
     p, q, dim = F.p, F.q, space.dim
-    split, args, lut = _labeller(space)
-    nbins, k = len(lut), _low_width(dim, q)
+    split, args, lut, K0 = _labeller(space)
+    nbins, k = len(lut), _plan(dim, q, K0)
     tabs = [[F.trace_table(c) for c in coef] for coef in coefvecs]
     t_hi = [_outer_sum(tab[k:], p).tolist() for tab in tabs]  # t over the high digits, one value per chunk
     low = [[int(tab[w]) for tab in tb[:k] for w in F._weights] for tb in tabs]  # Tr(c_k w_i) at low digit (k, i)
     groups = [_fold_keys(tabs, k, p, *group) for group in _fold_groups(low, nbins, p)]
     # chunk 0, then one chunk per class {lambda s}: the codes whose top base-p digit is 1
     visit = [0, *itertools.chain(*(range(p**i, 2 * p**i) for i in range((dim - k) * space.field.e)))]
-    labels, varies, chunks = _chunks(split, dim, *args, visit=visit)
+    labels, varies, chunks = _chunks(split, dim, *args, k=k, visit=visit)
     fixed = ~varies
     for g, (nkeys, key, folds) in enumerate(groups):  # the rows that do not vary, folded once: (label, key) counts
         key = np.broadcast_to(key, varies.shape)  # one key for all when the basis is empty

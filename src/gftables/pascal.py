@@ -223,6 +223,11 @@ def _chain_step(prev: list[list[PolyQ]], size: int, tau: int, o_hi: int) -> list
     return cur
 
 
+def _check_n(n: int) -> None:
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+
+
 def family_table(family: str, n: int, m: int | None = None) -> FamilyTable:
     """Symbolic canonical matrix via the size recursions.
 
@@ -239,6 +244,7 @@ def family_table(family: str, n: int, m: int | None = None) -> FamilyTable:
         raise ValueError(f"unknown family {family!r}")
     if family == "mat" and (m is None or m < n):
         raise ValueError("rectangular tables need n <= m")
+    _check_n(n)
     tau, delta, N = FAMILY_PASCAL[family](n, m)
     grid = [[PolyQ.const(1)]]
     for k in range(1, N + 1):
@@ -260,6 +266,7 @@ def _family_phi(family: str, n: int, m: int | None, q: int | Fraction):
         raise ValueError(f"no closed form for family {family!r}")
     if family == "mat" and (m is None or m < n):
         raise ValueError("out of range")
+    _check_n(n)
     tau, delta, N = FAMILY_PASCAL[family](n, m)
     one = (1, 1)
     f = _solution_nd(3 if tau else 2, N, one, one, one, _pow(qp, delta), _pow(qp, tau), one)

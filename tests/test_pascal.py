@@ -137,6 +137,15 @@ class TestFamilyTables:
         with pytest.raises(ValueError, match="Gauss sum"):
             family_table("sym", 2)
 
+    @pytest.mark.parametrize("fam,n,m", [("vec", -1, None), ("alt", -1, None), ("mat", -2, -1)])
+    def test_negative_n_is_rejected(self, fam, n, m):
+        message = f"n must be >= 0, got {n}"  # the CLI's message
+        for call in (lambda: family_table(fam, n, m), lambda: closed_form_table(fam, n, m, 3), lambda: closed_form_phi(fam, n, m, 0, 0, 3)):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                call()
+        with pytest.raises(ValueError, match="Invalid literal"):  # the q check comes first
+            closed_form_table(fam, n, m, "x")
+
     def test_closed_form_range_checks(self):
         with pytest.raises(ValueError):
             closed_form_phi("vec", 2, None, 3, 0, 3)

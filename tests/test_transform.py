@@ -518,7 +518,7 @@ class TestSymKernelAgainstReference:
 
 def _label_codes(space, digits):
     """The label code of each row of digits (2 rank + (sign < 0) for sym, else the label index), by bulk._labels as batch_rank reads it."""
-    split, args, _ = bulk._labeller(space)
+    split, args, *_ = bulk._labeller(space)
     return bulk._labels(split, digits, *args)
 
 
@@ -663,7 +663,7 @@ def test_chunk_size_does_not_change_orbit_counts(monkeypatch, fam, n, m, q, chun
     sp = make_space(fam, field_for(q), n, m)
     coefvecs = [[(r * k + 1) % q for k in range(sp.dim)] for r in range(3)]
     hists, sizes = bulk.orbit_counts(sp, coefvecs)
-    split, args, _ = bulk._labeller(sp)
+    split, args, *_ = bulk._labeller(sp)
     labels = np.concatenate(list(bulk._walk(split, sp.dim, *args)))
     monkeypatch.setattr(bulk, "CHUNK", chunk)
     bulk._codes.cache_clear()  # rebuild the (n-1) tables in chunks too
@@ -688,7 +688,7 @@ def test_kernels_get_read_only_digits(monkeypatch):
     for fam, n, m in [("vec", 4, None), ("mat", 2, 2), ("alt", 4, None), ("sym", 3, None)]:
         sp = make_space(fam, F5, n, m)
         bulk.orbit_counts(sp, [[1] * sp.dim])
-        split, args, _ = bulk._labeller(sp)
+        split, args, *_ = bulk._labeller(sp)
         state.extend(a.flags.writeable for a in bulk._chunks(split, sp.dim, *args)[:2])  # per-call labels, varying rows
     monkeypatch.setattr(bulk, "CHUNK", 125)  # the hyperbolic step (alt n >= 6) on alt n = 4, in chunks
     assert np.concatenate(list(bulk._walk(bulk._step_split, 6, 4, bulk.arith(F5)))).tolist() == bulk._codes(bulk._alt_split, 6, 4, bulk.arith(F5)).tolist()
@@ -709,7 +709,7 @@ def test_rows_that_do_not_vary(monkeypatch, fam, n, q, chunk):
     if chunk is not None:
         monkeypatch.setattr(bulk, "CHUNK", chunk)
     sp = make_space(fam, field_for(q), n)
-    split, args, _ = bulk._labeller(sp)
+    split, args, *_ = bulk._labeller(sp)
     F, k = bulk.arith(sp.field), bulk._low_width(sp.dim, q)
     labels, varies, chunks = bulk._chunks(split, sp.dim, *args)
     for c, ((lab, shift), got) in enumerate(zip(chunks, bulk._walk(split, sp.dim, *args), strict=True)):
@@ -728,7 +728,7 @@ def test_rows_that_do_not_vary(monkeypatch, fam, n, q, chunk):
 @pytest.mark.parametrize("fam,n,m,q", [("vec", 4, None, 5), ("mat", 2, 3, 5), ("alt", 5, None, 3), ("alt", 6, None, 3), ("sym", 3, None, 5), ("symscaled", 3, None, 5), ("vec", 0, None, 5)])
 def test_walk_yields_int8_labels(fam, n, m, q):
     sp = make_space(fam, field_for(q), n, m)
-    split, args, _ = bulk._labeller(sp)
+    split, args, *_ = bulk._labeller(sp)
     assert next(bulk._walk(split, sp.dim, *args)).dtype == np.int8
 
 
@@ -762,11 +762,24 @@ def test_labels_under_scalars(fam, n, m, q):
     assert bool(moved) == (fam.startswith("sym") and q != 9)  # every lambda of F_3 is a square in GF(9)
 
 
+# old k = _low_width -> new k; the last five keep their k
+PLAN_WIDTHS = [
+    ("vec", 9, None, 5, 8, 7), ("mat", 3, 3, 5, 8, 7), ("alt", 5, None, 5, 8, 7), ("sym", 4, None, 5, 8, 7),
+    ("vec", 10, None, 5, 8, 7), ("mat", 3, 3, 4, 9, 8), ("symscaled", 3, None, 11, 5, 5), ("alt", 4, None, 25, 4, 4),
+    ("mat", 3, 3, 8, 6, 6), ("sym", 5, None, 3, 11, 11), ("mat", 4, 4, 3, 11, 11), ("alt", 6, None, 3, 11, 11),
+]
+
+
+def _plan(sp):
+    return bulk._plan(sp.dim, sp.field.q, bulk._labeller(sp)[3])
+
+
 @pytest.mark.parametrize(
     "fam,n,m,q,chunk",
     [
         ("sym", 3, None, 5, 125), ("alt", 4, None, 9, 729), ("symscaled", 3, None, 7, 7**4), ("sym", 2, None, 27, 27),
         ("mat", 2, 3, 4, 4**4), ("vec", 5, None, 2, 8), ("vec", 4, None, 5, 25), ("vec", 2, None, 1031, None),
+        ("vec", 9, None, 5, None),
     ],
 )
 def test_one_chunk_per_class_of_scalar_multiples(monkeypatch, fam, n, m, q, chunk):
@@ -779,11 +792,58 @@ def test_one_chunk_per_class_of_scalar_multiples(monkeypatch, fam, n, m, q, chun
     label_indices, calls = bulk._label_indices, []
     monkeypatch.setattr(bulk, "_label_indices", lambda *a: calls.append(1) or label_indices(*a))
     hists, sizes = bulk.orbit_counts(sp, coefvecs)
-    high, p = sp.dim - bulk._low_width(sp.dim, q), sp.field.p
+    high, p = sp.dim - _plan(sp), sp.field.p
     assert high > 0 and len(calls) == (q**high if p == 2 else 1 + (q**high - 1) // (p - 1))
+    if (fam, n, q, chunk) == ("vec", 9, 5, None):  # k = 7 at the default CHUNK: 1 + 24/4 chunks, not 1 + 4/4 at k = 8
+        assert len(calls) == 7
     want, want_sizes = fold_reference(sp, coefvecs)
     assert sizes.tolist() == want_sizes.tolist()
     assert [h.tolist() for h in hists] == [h.tolist() for h in want]
+
+
+@pytest.mark.parametrize("fam,n,m,q,old,new", PLAN_WIDTHS)
+def test_plan_widths(fam, n, m, q, old, new):
+    sp = make_space(fam, field_for(q), n, m)
+    assert (bulk._low_width(sp.dim, q), _plan(sp)) == (old, new)
+
+
+@pytest.mark.parametrize("min_rows", [1, None])
+def test_plan_keeps_row0_low(monkeypatch, min_rows):
+    """The plan's k reaches K0, the digits of the row-0 step, wherever q^K0 <= CHUNK, and never passes _low_width."""
+    if min_rows is not None:
+        monkeypatch.setattr(bulk, "MIN_ROWS", min_rows)
+    seen = set()
+    for q in (2, 3, 4, 5, 7, 8, 9, 11, 25, 27):
+        odd = [(fam, n, None) for fam in ("alt", "sym", "symscaled") for n in range(1, 9)] if q % 2 else []  # odd q only
+        for fam, n, m in [("vec", 7, None), *(("mat", n, m) for n in (1, 2, 3, 4) for m in range(n, 7)), *odd]:
+            sp = make_space(fam, field_for(q), n, m)
+            K0 = bulk._labeller(sp)[3]
+            k = _plan(sp)
+            assert k <= bulk._low_width(sp.dim, q)
+            if q**K0 <= bulk.CHUNK:
+                assert k >= K0, (fam, n, m, q)
+                seen.add(fam)
+    assert seen == {"vec", "mat", "alt", "sym", "symscaled"}
+
+
+@pytest.mark.parametrize(
+    "fam,n,m,q",
+    [("vec", 6, None, 5), ("mat", 2, 3, 5), ("mat", 3, 3, 4), ("alt", 5, None, 3), ("sym", 3, None, 5), ("symscaled", 3, None, 5), ("alt", 4, None, 9)],
+)
+def test_orbit_counts_at_every_width_the_plan_admits(monkeypatch, fam, n, m, q):
+    """MIN_ROWS = q^k forces the plan to each k from K0 (or 1) to _low_width; orbit_counts is the same at every one."""
+    sp = make_space(fam, field_for(q), n, m)
+    coefvecs = _pair_coefvecs(sp)
+    want, want_sizes = fold_reference(sp, coefvecs)
+    K0, top = bulk._labeller(sp)[3], bulk._low_width(sp.dim, q)
+    ks = range(max(K0, 1), top + 1)
+    for k in ks:
+        monkeypatch.setattr(bulk, "MIN_ROWS", q**k)
+        assert _plan(sp) == k
+        hists, sizes = bulk.orbit_counts(sp, coefvecs)
+        assert sizes.tolist() == want_sizes.tolist()
+        assert [h.tolist() for h in hists] == [h.tolist() for h in want], k
+    assert len(ks) >= 2
 
 
 class TestFold:
