@@ -17,6 +17,10 @@ the argv, the sha256 of stdout and of stderr, and the exit code. The grid:
   budget up to n = 8 (mat: n <= 5 and m <= n + 2), over q in
   {3, 5, 9, 25, 27} with twists 1 and 2, and the closed sign blocks of sym
   at q = 3, n = 20;
+- `compute --method brute` of spaces that orbit_counts cuts into several chunks:
+  alt n=5 q=5 and vec n=9 q=5 with twists 1 and 2, alt n=4 q=9, vec n=7 q=9 and
+  vec n=10 q=4 with twists 1, 2 and p, and alt n=4 q=25 (`--budget 300000000`)
+  with twists 1, 2 and 5;
 - `verify all`, each `verify` suite alone, and `verify --jobs 2 all`;
 - the bad-input grid (family x q in {2, 3, 4, 9} x n in {-1, 0, 2} x m in
   {none, -1, 3} x method x json/csv x twist in {1, 0} x symbolic, at
@@ -131,6 +135,19 @@ def export_grid() -> list[list[str]]:
     return grid
 
 
+def brute_grid() -> list[list[str]]:
+    """Brute force on spaces of several chunks, with the default chunk plan."""
+    grid = []
+    for family, n, q, p, budget in (
+        ("alt", 5, 5, None, None), ("alt", 4, 9, 3, None), ("alt", 4, 25, 5, 300000000),
+        ("vec", 9, 5, None, None), ("vec", 7, 9, 3, None), ("vec", 10, 4, 2, None),
+    ):
+        for twist in dict.fromkeys((1, 2) if p is None else (1, 2, p)):
+            argv = ["compute", "--family", family, "--q", str(q), "--n", str(n), "--method", "brute", "--twist", str(twist)]
+            grid.append(argv + (["--budget", str(budget)] if budget else []))
+    return grid
+
+
 def verify_grid() -> list[list[str]]:
     """Every suite alone, then `verify all` in two worker processes (--jobs before the suite name)."""
     return [["verify", name] for name in SUITES] + [["verify", "--jobs", "2", "all"]]
@@ -161,6 +178,7 @@ def build() -> list[dict]:
     records += [capture(argv) for argv in verify_grid()]
     records += [rec for rec in map(capture, bad_input_grid()) if rec["exit"] == 2]
     records += [capture(argv) for argv in export_grid()]
+    records += [capture(argv) for argv in brute_grid()]
     return records
 
 

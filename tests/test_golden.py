@@ -12,6 +12,7 @@ make_manifest = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(make_manifest)
 RECORDS = json.loads((GOLDEN / "manifest.json").read_text())["invocations"]
 CLOSED_GRID = make_manifest.closed_grid()
+BRUTE_GRID = make_manifest.brute_grid()
 
 
 @pytest.mark.parametrize(
@@ -23,6 +24,7 @@ CLOSED_GRID = make_manifest.closed_grid()
         pytest.param(lambda r: r["argv"] in make_manifest.verify_grid(), id="verify-suites"),
         pytest.param(lambda r: r["argv"][0] == "export" and "--out" in r["argv"], id="exports"),
         pytest.param(lambda r: r["argv"] in CLOSED_GRID, id="closed-grid"),
+        pytest.param(lambda r: r["argv"] in BRUTE_GRID, id="brute-grid"),
     ],
 )
 def test_manifest_replays_byte_identical(monkeypatch, part):
@@ -52,3 +54,9 @@ def test_manifest_covers_the_closed_grid():
     closed = [rec for rec in RECORDS if rec["argv"] in CLOSED_GRID]
     assert [rec["argv"] for rec in closed] == CLOSED_GRID
     assert all(rec["exit"] == 0 for rec in closed)
+
+
+def test_manifest_covers_the_brute_grid():
+    brute = [rec for rec in RECORDS if rec["argv"] in BRUTE_GRID]
+    assert [rec["argv"] for rec in brute] == BRUTE_GRID
+    assert all(rec["exit"] == 0 for rec in brute)
