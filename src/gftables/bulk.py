@@ -23,9 +23,9 @@ and the dim - k high digits are fixed in a chunk, so each labeller is split in t
 - a per-call part (the *_split functions) runs once on the low digits: the
   row-0 step below and every (n-1) coordinate that reads only low digits. It
   keeps read-only int32/int8 state;
-- a per-chunk tail (_label_indices) adds the high digits s_t: for the row-0
-  steps, one table per chunk read at each row's per-call code, then one take
-  reads the label.
+- a per-chunk tail (_label_indices) adds the high digits s_t, which _chunks
+  writes into row 0 alone: for the row-0 steps, one table per chunk read at
+  each row's per-call code, then one take reads the label.
 A functional sends coordinate k with
 coefficient c_k through T_c[x] = Tr(c_k x) in F_p, which is F_p-linear in
 the base-p digits of x, so t = t_lo + t_hi: t_lo reads the low digits, and
@@ -34,7 +34,7 @@ chunk. t_lo is a vector over
 F_p: its entry at base-p digit i of low coordinate k is Tr(c_k w_i), w_i the
 element coded p^i. Functionals often share few such vectors (the sym n=4
 functionals read only three low digits), so they are grouped greedily, each
-group with an F_p basis of its vectors of rank rho and nbins p^rho <= 2^16
+group with an F_p basis of its vectors of rank rho and nbins p^rho <= TABLE = 2^16
 (or one functional). Per call a group keys each low element by the t_lo of
 its basis, sum_j p^j t_lo(basis_j), and maps each key to the t_lo of every
 member, sum_j lambda_j digit_j. Per chunk a group runs one bincount over
@@ -118,24 +118,44 @@ step of each class on the high digits alone. Where row 0 reaches a high digit
   the (n-1) table. Where q^(2n-1) <= CHUNK, _sym_reduction memoizes at every
   x the class times |C| plus T-row-0's share of the index, the codes of -P_e
   and the hyp class; elsewhere the step runs on the rows themselves.
+Where the step runs on the rows of each chunk, it reads every row's high
+digits, from a copy of the digits made once per call.
 
-A split returns per-call labels, the rows that vary and a tail that labels only
-those. Every other row has its per-call label plus the chunk's shift in every
-chunk, so orbit_counts folds it once per call into one (label, key) histogram
-per group, which each chunk adds moved up the label axis by its shift.
-_scatter makes one int8 array of a chunk for _walk (and so _codes), row_labels
-and the batch_* wrappers. Only the Pfaffian split reports such rows, by
-comparisons of its per-call codes; the row-0 steps report every row as
-varying. A Pfaffian whose terms with a high digit all have a low factor x_i is
-affine in the high digits, so it is constant iff every x_i is 0, that is iff
-its code is below q, and then it equals P; a term with two high digits makes
-it vary. The Pfaffian bit of a
-row is fixed if a Pfaffian with no high term or a constant one is nonzero (it
-is 1), or if every Pfaffian with a high term is constant (it is the per-call
-bit). min(count, 1) is 1 in every chunk once a low digit is nonzero, so for alt
-the shift is 0. vec (no Pfaffians, cap = dim) never reaches its cap: every row
-has the low count of nonzero coordinates plus the chunk's count of nonzero high
-digits, which is the shift.
+A split returns per-call labels, the rows that vary and a tail. In each chunk
+a row has its per-call label plus the chunk's shift, except the rows the tail
+lists, (rows, their labels, shift); _scatter makes one int8 array of a chunk
+from these for _walk (and so _codes), row_labels and the batch_* wrappers. The
+row-0 steps report every row as varying and list every row. The Pfaffian split
+finds the rows that vary by comparisons of its per-call codes. A Pfaffian whose
+terms with a high digit all have a low factor x_i is affine in the high
+digits, so it is constant iff every x_i is 0, that is iff its code is below q,
+and then it equals P; a term with two high digits makes it vary. The Pfaffian
+bit of a row is fixed if a Pfaffian with no high term or a constant one is
+nonzero (it is 1), or if every Pfaffian with a high term is constant (it is
+the per-call bit). min(count, 1) is 1 in every chunk once a low digit is
+nonzero, so for alt the shift is 0, and a varying row has bit 0 per call.
+vec (no Pfaffians, cap = dim) never reaches its cap: every row has the low
+count of nonzero coordinates plus the chunk's count of nonzero high digits,
+which is the shift, and no row varies.
+
+Most varying rows of a chunk have a nonzero Pfaffian, and so a nonzero entry
+and label cap + 1, which is their per-call label. So a chunk lists only the
+candidates: the varying rows at which every leading Pfaffian is 0. Per call,
+the leading Pfaffians with a high term, in order, as many as keep the product
+of their code ranges q^(1 + number of low factors) within TABLE, give each
+varying row one joint code. Per chunk, the outer AND of each one's table
+"0 at this code" gives the joint codes of the candidates, and the other
+Pfaffians are read at the candidates alone: on average 1,303 of the 63,245
+varying rows of a chunk of alt n=5 q=5.
+
+orbit_counts folds the rows that do not vary once per call: one (label, key)
+histogram per group, which each member sums by its map into (nbins, p), and
+each chunk adds that rolled by its t_hi and moved up the label axis by its
+shift. So vec, with no varying rows, runs no bincount and no member fold per
+chunk. The rows a chunk lists run one bincount over (label, key) per group.
+Where they are only some of the varying rows, the others count at their
+per-call label plus the shift, by complement: the key histogram of every
+varying row, kept per call, minus the listed rows' keys.
 
 row_labels runs a split at k = dim on a given code array: every digit is low,
 so the rows are one chunk. coset_counts labels an affine coset,
@@ -155,14 +175,15 @@ from .spaces import AltMat, MatRect, Space, SymGL, SymScaled, VecWreath
 
 CHUNK = 1 << 19
 MIN_ROWS = 1 << 16
+TABLE = 1 << 16  # the largest table a chunk builds: a group's (label, key) counts, the leading Pfaffians' joint codes
 
 
-def _digits(start: int, stop: int, dim: int, q: int) -> np.ndarray:
-    """(B, dim) base-q digits of start..stop-1, one contiguous column each.
+def _digits(start: int, stop: int, dim: int, q: int, out: np.ndarray | None = None) -> np.ndarray:
+    """(B, dim) base-q digits of start..stop-1, one contiguous column each, written into out, a (dim, B) array, if given.
 
     int32, not narrower: the callers' products of digits must not wrap.
     """
-    out = np.empty((dim, stop - start), dtype=np.int32)
+    out = np.empty((dim, stop - start), dtype=np.int32) if out is None else out
     if start == 0 and stop == q**dim:  # every digit string: digit k runs through 0..q-1, each held for q^k codes
         m = next((i for i in range(dim) if q**i >= 64), dim)  # digits below m repeat with period B = q^m: fill one, copy it
         B = q**m
@@ -193,56 +214,56 @@ def _plan(dim: int, q: int, K0: int) -> int:
 
 
 def _chunks(split, dim: int, *args, k=None, visit=None):
-    """(per-call labels, varying rows, an iterator of (labels of the varying rows, shift) per chunk).
+    """(per-call labels, varying rows, an iterator of (listed rows, their labels, shift) per chunk).
 
     The space has dim digits over the field of args[-1]. split(digits, k, *args)
-    runs once; a row that does not vary has its per-call label plus the chunk's
-    shift in every chunk (module docstring). k is the number of low digits, by
+    runs once; a row has its per-call label plus the chunk's shift in every
+    chunk, unless the chunk lists it (module docstring). k is the number of low digits, by
     default _low_width; visit holds the codes sum_i q^i s_i of the chunks to
     label, s their high digits; by default every chunk, in order.
     """
     q = args[-1].q
     if dim == 0:  # one element, the zero matrix, with label 0 in every family
-        return _frozen(np.zeros(1, dtype=np.int8)), _frozen(np.zeros(1, dtype=bool)), iter([(np.zeros(0, dtype=np.int8), 0)])
+        return _frozen(np.zeros(1, dtype=np.int8)), _frozen(np.zeros(1, dtype=bool)), iter([(slice(0), np.zeros(0, dtype=np.int8), 0)])
     k = _low_width(dim, q) if k is None else k
-    buf = np.zeros((dim, q**k), dtype=np.int32)  # one digit row per coordinate; high rows zero until a chunk sets them
-    buf[:k] = _digits(0, q**k, k, q).T  # low digits: all of GF(q)^k, the same in every chunk
+    buf = np.zeros((dim, q**k), dtype=np.int32)  # one digit row per coordinate; a chunk sets the high digits of row 0
+    _digits(0, q**k, k, q, out=buf[:k])  # low digits: all of GF(q)^k, the same in every chunk
     digits = buf.T
     digits.flags.writeable = False  # the kernels must not write into rows later chunks reuse
     labels, varies, tail = split(digits, k, *args)
 
     def chunks():
         for chunk in range(q ** (dim - k)) if visit is None else visit:
-            buf[k:] = np.array([chunk // q**i % q for i in range(dim - k)], dtype=np.int32)[:, None]
+            buf[k:, 0] = [chunk // q**i % q for i in range(dim - k)]  # the tails read the high digits there alone
             yield _label_indices(tail, digits)
 
     return labels, varies, chunks()
 
 
-def _scatter(labels: np.ndarray, varies: np.ndarray, chunk) -> np.ndarray:
-    """The int8 labels of every row of a chunk: the per-call labels plus its shift, and the tail's at the varying rows."""
-    lab, shift = chunk
+def _scatter(labels: np.ndarray, chunk) -> np.ndarray:
+    """The int8 labels of every row of a chunk: the per-call labels plus its shift, and the tail's at the rows it lists."""
+    rows, lab, shift = chunk
     out = labels + shift
-    out[varies] = lab
+    out[rows] = lab
     return out
 
 
 def _walk(split, dim: int, *args):
     """The labels of the dim-digit space over the field of args[-1], one int8 array per chunk (_chunks)."""
-    labels, varies, chunks = _chunks(split, dim, *args)
+    labels, _, chunks = _chunks(split, dim, *args)
     for chunk in chunks:
-        yield _scatter(labels, varies, chunk)
+        yield _scatter(labels, chunk)
 
 
 def _label_indices(tail, digits: np.ndarray):
-    """(labels of the varying rows, shift) of one chunk, by the tail that a split returned; the high digits are digits[0, k:]."""
+    """(listed rows, their labels, shift) of one chunk, by the tail that a split returned; the high digits are digits[0, k:]."""
     return tail(digits)
 
 
 def _labels(split, digits: np.ndarray, *args) -> np.ndarray:
     """The label codes of every row of digits by one pass of split at k = dim: every digit is low, so the rows are one chunk."""
-    labels, varies, tail = split(digits, digits.shape[1], *args)
-    return _scatter(labels, varies, _label_indices(tail, digits))
+    labels, _, tail = split(digits, digits.shape[1], *args)
+    return _scatter(labels, _label_indices(tail, digits))
 
 
 @lru_cache(maxsize=None)
@@ -301,10 +322,14 @@ def _row0_split(digits, k: int, F: Arith, K0: int, w: np.ndarray, table: np.ndar
     """
     q, dim = F.q, digits.shape[1]
     fixed = tuple(map(_frozen, index(digits, k))) if K0 <= k < dim else None  # else each chunk runs the step on its rows
+    full = np.array(digits.T) if fixed is None and k < dim else None  # there, a writable copy that takes every row's high digits
 
-    def tail(digits: np.ndarray) -> tuple[np.ndarray, int]:
+    def tail(digits: np.ndarray) -> tuple[slice, np.ndarray, int]:
         if fixed is None:  # row 0 has a high digit, or no entry has
-            return np.take(table, index(digits, dim)[0]), 0
+            if full is not None:
+                full[k:] = digits[0, k:, None]
+                digits = full.T
+            return slice(None), np.take(table, index(digits, dim)[0]), 0
         s = np.zeros((len(w), 1), dtype=np.int32)
         s[k - K0 :, 0] = digits[0, k:]
         U, J, _ = classes
@@ -312,7 +337,8 @@ def _row0_split(digits, k: int, F: Arith, K0: int, w: np.ndarray, table: np.ndar
         lut = np.zeros((len(J), 1), dtype=np.int32)  # lut[z q^h + sum_i q^i L_i] = sum_i w vreduce(L_i + Y_iz)
         for i, wi in enumerate(w[k - K0 :]):
             lut = (wi * F.vreduce(F.vadd(np.arange(q, dtype=np.int32), Y[i, :, None]))[:, :, None] + lut[:, None, :]).reshape(len(J), -1)
-        return np.take(table, fixed[0] + np.take(lut, fixed[1])), 0  # take: faster than [] on narrow indices
+        at = np.take(lut, fixed[1])  # take: faster than [] on narrow indices
+        return slice(None), np.take(table, np.add(at, fixed[0], out=at)), 0
 
     return np.broadcast_to(np.int8(0), len(digits)), np.broadcast_to(True, len(digits)), tail  # read-only, no memory
 
@@ -377,11 +403,11 @@ def _mat_split(digits, k: int, n: int, m: int, F: Arith):
             high.append((_frozen(at), q ** ((i - 1) * m), [(i * m + c, qm * q**c) for c in range(m) if i * m + c >= k]))
     idx = _frozen(idx)
 
-    def tail(digits: np.ndarray) -> tuple[np.ndarray, int]:
+    def tail(digits: np.ndarray) -> tuple[slice, np.ndarray, int]:
         lab = idx
         for at, w, cols in high:  # the high digits add one offset to the row's G index
             lab = lab + w * np.take(G, at + sum(v * int(digits[0, t]) for t, v in cols))
-        return np.take(table, lab), 0
+        return slice(None), np.take(table, lab), 0
 
     return np.broadcast_to(np.int8(0), idx.shape), np.broadcast_to(True, idx.shape), tail  # read-only, no memory
 
@@ -511,7 +537,9 @@ def _pfaffian_split(digits, k: int, n: int, cap: int, F: Arith):
 
     These are the half-ranks of skew n x n matrices for n <= 5 and cap = 1 (module
     docstring), and the vec labels for n = 0 and cap = dim. A row varies unless its
-    label is its per-call label plus the chunk's shift in every chunk (module docstring).
+    label is its per-call label plus the chunk's shift in every chunk; a chunk lists
+    the varying rows at which every leading Pfaffian is 0, and the others have a
+    nonzero Pfaffian, so label cap + 1 (module docstring).
     """
     pos = {pair: c for c, pair in enumerate(itertools.combinations(range(n), 2))}
     rank4, fixed, high = np.zeros(len(digits), dtype=bool), np.ones(len(digits), dtype=bool), []
@@ -535,24 +563,41 @@ def _pfaffian_split(digits, k: int, n: int, cap: int, F: Arith):
             const = code < F.q
             fixed &= const
             rank4 |= const & (code != 0)
-        high.append((code.astype(np.int8 if F.q ** (1 + len(low)) <= 128 else np.int32), terms))
+        codes = F.q ** (1 + len(low))
+        high.append((code.astype(np.int8 if codes <= 128 else np.int32), codes, terms))
     nonzero = (digits[:, :k] != 0).sum(axis=1, dtype=np.int8)
     grows = cap >= digits.shape[1]  # the count never reaches cap: it grows by the chunk's nonzero high digits
     varies = ~((rank4 | fixed) & (grows | (nonzero >= cap)))
     labels = np.minimum(nonzero, cap) + rank4
-    nonzero, rank4 = _frozen(nonzero[varies]), _frozen(rank4[varies])
-    high = [(_frozen(code[varies]), terms) for code, terms in high]
+    labels[varies] = cap + 1  # a varying row that a chunk does not list has a nonzero Pfaffian, so a nonzero entry
+    rows = _frozen(np.flatnonzero(varies).astype(np.int32))
+    nonzero, joint, size, lead = _frozen(nonzero[rows]), np.zeros(len(rows), dtype=np.int32), 1, 0
+    for code, codes, _ in high:  # the leading Pfaffians: one joint code per varying row over a table of <= TABLE codes
+        if size * codes > TABLE:
+            break
+        joint += np.int32(size) * code[rows]
+        size, lead = size * codes, lead + 1
+    rest = [(_frozen(code[rows]), terms) for code, _, terms in high[lead:]]
+    lead, joint = [terms for _, _, terms in high[:lead]], _frozen(joint)
 
-    def tail(digits: np.ndarray) -> tuple[np.ndarray, int]:
-        r4 = rank4
-        for code, terms in high:  # pf at every code, one base-q digit per low factor
-            pf = np.arange(F.q, dtype=np.int32)
-            for sign, c, d in terms:
-                x = np.arange(F.q, dtype=np.int32)[:, None] if c < k else digits[0, c]
-                pf = (F.vadd if sign > 0 else F.vsub)(pf, F.vmul(x, digits[0, d])).ravel()
-            r4 = r4 | np.take(F.vreduce(pf) != 0, code)
+    def zero(terms, digits: np.ndarray) -> np.ndarray:
+        """Whether the Pfaffian is 0 at every code, one base-q digit per low factor."""
+        pf = np.arange(F.q, dtype=np.int32)
+        for sign, c, d in terms:
+            x = np.arange(F.q, dtype=np.int32)[:, None] if c < k else digits[0, c]
+            pf = (F.vadd if sign > 0 else F.vsub)(pf, F.vmul(x, digits[0, d])).ravel()
+        return F.vreduce(pf) == 0
+
+    def tail(digits: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+        ok = np.ones(1, dtype=bool)  # every leading Pfaffian is 0, at each joint code
+        for terms in lead:
+            ok = np.logical_and.outer(zero(terms, digits), ok).ravel()
+        cand = np.flatnonzero(np.take(ok, joint))
+        r4 = np.zeros(len(cand), dtype=bool)
+        for code, terms in rest:  # the other Pfaffians at the candidates alone
+            r4 |= ~np.take(zero(terms, digits), np.take(code, cand))
         shift = int(np.count_nonzero(digits[0, k:]))  # int: an np.int64 would widen the int8 labels
-        return np.minimum(nonzero + shift, cap) + r4, shift if grows else 0
+        return np.take(rows, cand), np.minimum(np.take(nonzero, cand) + shift, cap) + r4, shift if grows else 0
 
     return _frozen(labels), _frozen(varies), tail
 
@@ -625,7 +670,7 @@ def _fold_groups(low: list[list[int]], nbins: int, p: int) -> list[tuple[list[in
     """Greedy groups of the functionals by their vectors low[r] of t_lo coefficients (module docstring).
 
     A group is (basis, members): t_lo of member (r, lam) is sum_j lam[j] t_lo(basis[j]) mod p.
-    A group keeps nbins p^len(basis) <= 2^16, or holds one functional.
+    A group keeps nbins p^len(basis) <= TABLE, or holds one functional.
     """
     groups = []  # (basis, echelon rows (pivot, row, its coefficients in basis), members)
     for r, v in enumerate(low):
@@ -640,7 +685,7 @@ def _fold_groups(low: list[list[int]], nbins: int, p: int) -> list[tuple[list[in
                 lam = [(a + f * b) % p for a, b in itertools.zip_longest(lam, comb, fillvalue=0)]
             piv = next((i for i, a in enumerate(rest) if a), None)
             if piv is not None:
-                if members and nbins * p ** (len(basis) + 1) > 1 << 16:
+                if members and nbins * p ** (len(basis) + 1) > TABLE:
                     continue  # a new group
                 s = pow(rest[piv], -1, p)
                 echelon.append((piv, [a * s % p for a in rest], [-a * s % p for a in lam] + [s]))
@@ -687,9 +732,10 @@ def orbit_counts(space: Space, coefvecs: list[list[int]]) -> tuple[list[np.ndarr
     coefvecs[r][k] is the code of the coefficient c of free coordinate k in
     the r-th functional a -> sum_k Tr(c a_k), with at least one functional.
     Returns one (n_labels, p) count array per functional plus the orbit sizes.
-    Each visited chunk runs one bincount over (label, key) per group of
-    functionals, the key coding an F_p basis of the group's t_lo, and one chunk
-    per class of scalar multiples stands for its class (module docstring).
+    Each visited chunk runs one bincount over (label, key) of the rows it lists
+    per group of functionals, the key coding an F_p basis of the group's t_lo,
+    and one chunk per class of scalar multiples stands for its class (module
+    docstring).
     """
     F = arith(space.field)
     p, q, dim = F.p, F.q, space.dim
@@ -702,22 +748,31 @@ def orbit_counts(space: Space, coefvecs: list[list[int]]) -> tuple[list[np.ndarr
     # chunk 0, then one chunk per class {lambda s}: the codes whose top base-p digit is 1
     visit = [0, *itertools.chain(*(range(p**i, 2 * p**i) for i in range((dim - k) * space.field.e)))]
     labels, varies, chunks = _chunks(split, dim, *args, k=k, visit=visit)
-    fixed = ~varies
-    for g, (nkeys, key, folds) in enumerate(groups):  # the rows that do not vary, folded once: (label, key) counts
+    nvar, rest = np.count_nonzero(varies), int(labels[varies.argmax()])  # rest: the per-call label of every varying row
+    for g, (nkeys, key, folds) in enumerate(groups):  # per call: the rows that do not vary, folded by each member
         key = np.broadcast_to(key, varies.shape)  # one key for all when the basis is empty
-        h = np.bincount(labels[fixed].astype(np.intp) * nkeys + key[fixed], minlength=nbins * nkeys)
-        groups[g] = nkeys, _frozen(key[varies]), _frozen(h.reshape(nbins, nkeys)), folds
+        h = np.bincount(labels[~varies].astype(np.intp) * nkeys + key[~varies], minlength=nbins * nkeys).reshape(nbins, nkeys)
+        fixed = [h[:, order].reshape(nbins, nvals, -1).sum(axis=2) for _, order, nvals in folds]
+        # each key is the t_lo of an F_p basis, independent over all of GF(q)^k, so q^k / nkeys low elements take it
+        groups[g] = nkeys, key, len(key) // nkeys - h.sum(axis=0), fixed, folds
     hists = [np.zeros((nbins, p), dtype=np.int64) for _ in coefvecs]
     scaled = [np.zeros((nbins, p), dtype=np.int64) for _ in coefvecs]  # the visited chunks other than chunk 0
-    buf = np.empty(np.count_nonzero(varies), dtype=np.intp)  # after the split, whose own peak it would otherwise raise
-    for chunk, (lab, shift) in zip(visit, chunks):
+    buf = np.empty(nvar, dtype=np.intp)  # after the split, whose own peak it would otherwise raise
+    for chunk, (rows, lab, shift) in zip(visit, chunks):
         into = scaled if chunk else hists
-        for nkeys, key, fixed_h, folds in groups:
-            np.multiply(lab, nkeys, out=buf, dtype=np.intp)  # in intp: int8 labels times nkeys would wrap
-            h = np.bincount(np.add(buf, key, out=buf), minlength=nbins * nkeys).reshape(nbins, nkeys)
-            h[shift:] += fixed_h[: nbins - shift]  # their labels move up by the chunk's shift
-            for r, order, nvals in folds:
-                into[r][:, (np.arange(nvals) + t_hi[r][chunk]) % p] += h[:, order].reshape(nbins, nvals, -1).sum(axis=2)
+        for nkeys, key, var_h, fixed, folds in groups:
+            if nvar:  # the listed rows by (label, key); a varying row left out has label rest + shift
+                at, b = key[rows], buf[: len(lab)]
+                np.multiply(lab, nkeys, out=b, dtype=np.intp)  # in intp: int8 labels times nkeys would wrap
+                h = np.bincount(np.add(b, at, out=b), minlength=nbins * nkeys).reshape(nbins, nkeys)
+                if len(lab) < nvar:
+                    h[rest + shift] += var_h - np.bincount(at, minlength=nkeys)
+            for (r, order, nvals), f in zip(folds, fixed):
+                cols = (np.arange(nvals) + t_hi[r][chunk]) % p
+                if nvar:
+                    into[r][:, cols] += h[:, order].reshape(nbins, nvals, -1).sum(axis=2)
+                if nvar < len(varies):  # the other rows, folded once: their labels move up by the chunk's shift
+                    into[r][shift:, cols] += f[: nbins - shift]
     codes = np.arange(nbins)  # a nonsquare lambda flips the sign of an odd sym rank and fixes every other label
     flip, square = (codes ^ (codes >> 1 & 1), F.sgn_table[1:p] > 0) if split is _sym_split else (codes, np.ones(p - 1, dtype=bool))
     to_label = (np.arange(len(space.labels()))[:, None] == lut).astype(np.int64)  # sums the codes of each label

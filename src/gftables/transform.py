@@ -425,15 +425,14 @@ class Diagram:
         """The orbit-compatibility condition behind the diagram.
 
         The label of lift(b) + e must be constant on lower orbits; checked on
-        every lower element when the lower space is small, plus random orbit
-        mates of each representative either way.
+        every lower element when the lower space is small, and otherwise on
+        random orbit mates of each representative.
         """
         reps = [self.lower.representative(lbl) for lbl in self.lower.labels()]
         want = self._lifted_labels(reps)  # the label map, by lower label index
-        if self.lower.size <= exhaustive_below:
+        if self.lower.size <= exhaustive_below:  # every orbit mate is among these elements
             digits = bulk._digits(0, self.lower.size, self.lower.dim, self.lower.field.q)
-            if (self._lifted_labels(digits) != want[bulk.row_labels(self.lower, digits)]).any():
-                return False
+            return bool((self._lifted_labels(digits) == want[bulk.row_labels(self.lower, digits)]).all())
         rng = random.Random(0)
         drawn = [self.lower.random_mate(rep, rng) for rep in reps for _ in range(mates)]
         return bool((self._lifted_labels(drawn) == want.repeat(mates)).all())

@@ -374,6 +374,16 @@ class TestFiberHistograms:
         good = standard_diagram(up, low)
         assert good.validate_label_map(mates=0) and good.validate_label_map(exhaustive_below=0)
 
+    @pytest.mark.parametrize("fam,nu,mu,nl,ml", DIAGRAM_CHAINS)
+    def test_no_orbit_mates_after_the_pass_over_every_element(self, monkeypatch, fam, nu, mu, nl, ml):
+        """A lower space of at most exhaustive_below elements holds every orbit mate, so no random mate is drawn."""
+        d = standard_diagram(make_space(fam, F3, nu, mu), make_space(fam, F3, nl, ml))
+        random_mate, drawn = type(d.lower).random_mate, []
+        monkeypatch.setattr(type(d.lower), "random_mate", lambda sp, elem, rng: drawn.append(elem) or random_mate(sp, elem, rng))
+        assert d.lower.size <= 20000 and d.validate_label_map()
+        assert drawn == []
+        assert d.validate_label_map(exhaustive_below=0) and len(drawn) == 50 * len(d.lower.labels())
+
     def test_suites_never_classify_element_by_element(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("element-by-element classification on a verify path")
@@ -705,24 +715,47 @@ def test_kernels_get_read_only_digits(monkeypatch):
     + [("vec", 4, 5, 25), ("vec", 3, 9, 81), ("vec", 9, 5, None)],
 )
 def test_rows_that_do_not_vary(monkeypatch, fam, n, q, chunk):
-    """Each chunk's labels against the whole kernel on its digits; a row that does not vary keeps its per-call label plus the shift."""
+    """Each chunk's labels against the whole kernel on its digits. A chunk lists some varying rows with their labels,
+    every other varying row has label cap + 1, and a row that does not vary keeps its per-call label plus the shift."""
     if chunk is not None:
         monkeypatch.setattr(bulk, "CHUNK", chunk)
     sp = make_space(fam, field_for(q), n)
     split, args, *_ = bulk._labeller(sp)
-    F, k = bulk.arith(sp.field), bulk._low_width(sp.dim, q)
+    F, k, cap = bulk.arith(sp.field), bulk._low_width(sp.dim, q), 1 if fam == "alt" else sp.dim
     labels, varies, chunks = bulk._chunks(split, sp.dim, *args)
-    for c, ((lab, shift), got) in enumerate(zip(chunks, bulk._walk(split, sp.dim, *args), strict=True)):
+    for c, ((rows, lab, shift), got) in enumerate(zip(chunks, bulk._walk(split, sp.dim, *args), strict=True)):
         digits = bulk._digits(c * q**k, (c + 1) * q**k, sp.dim, q)
         want = bulk._alt_labels_pfaffian(digits, n, F) if fam == "alt" else np.count_nonzero(digits, axis=1)
         assert np.array_equal(got, want)
         assert shift == (np.count_nonzero(digits[0, k:]) if fam == "vec" else 0)  # vec: the chunk's nonzero high digits
-        assert np.array_equal(want[~varies], labels[~varies] + shift) and np.array_equal(want[varies], lab)
+        assert varies[rows].all() and np.array_equal(want[rows], lab)  # the listed rows are varying rows
+        left = varies.copy()
+        left[rows] = False
+        assert (want[left] == cap + 1).all()  # a varying row the chunk leaves out has a nonzero Pfaffian
+        assert np.array_equal(want[~varies], labels[~varies] + shift)
     assert c == q ** (sp.dim - k) - 1
     if fam == "vec":
         assert not varies.any()
     if (fam, n, q, chunk) == ("alt", 5, 5, None):  # the default CHUNK leaves most rows of alt n=5 q=5 to the per-call fold
         assert 0 < varies.sum() < len(varies) / 4
+
+
+def test_few_rows_listed_per_chunk(monkeypatch):
+    """alt n=5 q=5 at the default CHUNK: orbit_counts' 32 labelled chunks list on average at most 1/16 of the varying
+    rows (about 1,300 of 63,245); the others have a nonzero leading Pfaffian."""
+    sp = make_space("alt", F5, 5)
+    label_indices, listed = bulk._label_indices, []
+
+    def counting(tail, digits):
+        out = label_indices(tail, digits)
+        listed.append(len(out[-2]))  # the labels the chunk lists
+        return out
+
+    monkeypatch.setattr(bulk, "_label_indices", counting)
+    bulk.orbit_counts(sp, _pair_coefvecs(sp))
+    split, args, *_ = bulk._labeller(sp)
+    nvar = np.count_nonzero(bulk._chunks(split, sp.dim, *args, k=_plan(sp))[1])
+    assert len(listed) == 32 and 0 < sum(listed) <= len(listed) * nvar / 16
 
 
 @pytest.mark.parametrize("fam,n,m,q", [("vec", 4, None, 5), ("mat", 2, 3, 5), ("alt", 5, None, 3), ("alt", 6, None, 3), ("sym", 3, None, 5), ("symscaled", 3, None, 5), ("vec", 0, None, 5)])
@@ -828,7 +861,8 @@ def test_plan_keeps_row0_low(monkeypatch, min_rows):
 
 @pytest.mark.parametrize(
     "fam,n,m,q",
-    [("vec", 6, None, 5), ("mat", 2, 3, 5), ("mat", 3, 3, 4), ("alt", 5, None, 3), ("sym", 3, None, 5), ("symscaled", 3, None, 5), ("alt", 4, None, 9)],
+    [("vec", 6, None, 5), ("mat", 2, 3, 5), ("mat", 3, 3, 4), ("alt", 5, None, 3), ("sym", 3, None, 5), ("symscaled", 3, None, 5), ("alt", 4, None, 9)]
+    + [("alt", 4, None, 7)],
 )
 def test_orbit_counts_at_every_width_the_plan_admits(monkeypatch, fam, n, m, q):
     """MIN_ROWS = q^k forces the plan to each k from K0 (or 1) to _low_width; orbit_counts is the same at every one."""
