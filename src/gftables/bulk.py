@@ -748,7 +748,7 @@ def orbit_counts(space: Space, coefvecs: list[list[int]]) -> tuple[list[np.ndarr
     # chunk 0, then one chunk per class {lambda s}: the codes whose top base-p digit is 1
     visit = [0, *itertools.chain(*(range(p**i, 2 * p**i) for i in range((dim - k) * space.field.e)))]
     labels, varies, chunks = _chunks(split, dim, *args, k=k, visit=visit)
-    nvar, rest = np.count_nonzero(varies), int(labels[varies.argmax()])  # rest: the per-call label of every varying row
+    nvar, left = np.count_nonzero(varies), int(labels[varies.argmax()])  # the per-call label of every varying row
     for g, (nkeys, key, folds) in enumerate(groups):  # per call: the rows that do not vary, folded by each member
         key = np.broadcast_to(key, varies.shape)  # one key for all when the basis is empty
         h = np.bincount(labels[~varies].astype(np.intp) * nkeys + key[~varies], minlength=nbins * nkeys).reshape(nbins, nkeys)
@@ -761,12 +761,12 @@ def orbit_counts(space: Space, coefvecs: list[list[int]]) -> tuple[list[np.ndarr
     for chunk, (rows, lab, shift) in zip(visit, chunks):
         into = scaled if chunk else hists
         for nkeys, key, var_h, fixed, folds in groups:
-            if nvar:  # the listed rows by (label, key); a varying row left out has label rest + shift
+            if nvar:  # the listed rows by (label, key); a varying row left out has label left + shift
                 at, b = key[rows], buf[: len(lab)]
                 np.multiply(lab, nkeys, out=b, dtype=np.intp)  # in intp: int8 labels times nkeys would wrap
                 h = np.bincount(np.add(b, at, out=b), minlength=nbins * nkeys).reshape(nbins, nkeys)
                 if len(lab) < nvar:
-                    h[rest + shift] += var_h - np.bincount(at, minlength=nkeys)
+                    h[left + shift] += var_h - np.bincount(at, minlength=nkeys)
             for (r, order, nvals), f in zip(folds, fixed):
                 cols = (np.arange(nvals) + t_hi[r][chunk]) % p
                 if nvar:
