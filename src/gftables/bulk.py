@@ -429,8 +429,8 @@ def _sym_row0(D: np.ndarray, n: int, F: Arith):
     """The row-0 step of symmetric n x n matrices at rows D of their first 2n - 1 digits, row 0 and row 0 of T (module docstring).
 
     Returns base, the class times |C| plus T-row-0's share of the (n-1) index; neg[e], the code of -P_e at each entry
-    e of T' (P_e = u_l b_m); and hyp, the class of u' = (u_1..u_{n-2}) where the step reads T' (a = b_0 = T_00 = 0,
-    b != 0), else 0.
+    e of T' (P_e = u_l b_m), int8 where every code fits, for the _sym_reduction memo holds it; and hyp, the class of
+    u' = (u_1..u_{n-2}) where the step reads T' (a = b_0 = T_00 = 0, b != 0), else 0.
     """
     a, b, t0 = D[:, 0].copy(), D[:, 1:n].copy(), D[:, n:]  # t0 = row 0 of T
     hyp = np.zeros(len(D), dtype=np.int32)
@@ -453,7 +453,7 @@ def _sym_row0(D: np.ndarray, n: int, F: Arith):
     cls = (a != 0) + (F.sgn_table[a] < 0).astype(np.int32)
     cls[h] = 3
     iu, ju = np.triu_indices(n - 2)
-    neg = np.ascontiguousarray(F.vreduce(F.vneg(F.vmul(u[:, 1 + iu], b[:, 1 + ju]))).T, dtype=np.int32)
+    neg = np.ascontiguousarray(F.vreduce(F.vneg(F.vmul(u[:, 1 + iu], b[:, 1 + ju]))).T, dtype=np.int8 if F.q <= 128 else np.int32)
     base = cls * F.q ** (n * (n - 1) // 2) + sum(F.q**d * S0[:, d] for d in range(n - 1))  # not @: numpy has no fast int matmul
     return base.astype(np.int32), neg, hyp
 
