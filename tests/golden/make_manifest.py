@@ -20,7 +20,11 @@ the argv, the sha256 of stdout and of stderr, and the exit code. The grid:
 - `compute --method brute` of spaces that orbit_counts cuts into several chunks:
   alt n=5 q=5 and vec n=9 q=5 with twists 1 and 2, alt n=4 q=9, vec n=7 q=9 and
   vec n=10 q=4 with twists 1, 2 and p, and alt n=4 q=25 (`--budget 300000000`)
-  with twists 1, 2 and 5;
+  with twists 1, 2 and 5; then sym n=4 q=5, sym n=2 at q = 27 and 125, sym n=1
+  q=10007, symscaled n=3 q=9, mat 2x3 q=9, mat 3x3 at q = 5 and 8
+  (`--budget 200000000`) and vec n=1 at q = 65537 and 524309, with twists 1,
+  the first nonsquare and p (at e > 1); then `--method all` at twist 1 on
+  every one of these spaces;
 - `verify all`, each `verify` suite alone, and `verify --jobs 2 all`;
 - the bad-input grid (family x q in {2, 3, 4, 9} x n in {-1, 0, 2} x m in
   {none, -1, 3} x method x json/csv x twist in {1, 0} x symbolic, at
@@ -45,6 +49,7 @@ import tempfile
 from pathlib import Path
 
 from gftables.cli import main
+from gftables.gfq import field_for
 from gftables.verify import SUITES
 
 MANIFEST = Path(__file__).with_name("manifest.json")
@@ -135,17 +140,38 @@ def export_grid() -> list[list[str]]:
     return grid
 
 
+# (family, n, m, q, budget): the twists are 1, 2 and, where the third is given, that one
+BRUTE_SPACES = (
+    ("alt", 5, None, 5, None, None), ("alt", 4, None, 9, 3, None), ("alt", 4, None, 25, 5, 300000000),
+    ("vec", 9, None, 5, None, None), ("vec", 7, None, 9, 3, None), ("vec", 10, None, 4, 2, None),
+)
+# (family, n, m, q, budget): the twists are 1, the first nonsquare (2 where q is even) and p where e > 1
+BRUTE_CLASSES = (
+    ("sym", 4, None, 5, None), ("sym", 2, None, 27, None), ("sym", 2, None, 125, None), ("sym", 1, None, 10007, None),
+    ("symscaled", 3, None, 9, None), ("mat", 2, 3, 9, None), ("mat", 3, 3, 5, None), ("mat", 3, 3, 8, 200000000),
+    ("vec", 1, None, 65537, None), ("vec", 1, None, 524309, None),
+)
+
+
+def _brute_argv(family: str, n: int, m: int | None, q: int, budget: int | None, method: str, twist: int) -> list[str]:
+    argv = ["compute", "--family", family, "--q", str(q), "--n", str(n)] + (["--m", str(m)] if m is not None else [])
+    return argv + ["--method", method, "--twist", str(twist)] + (["--budget", str(budget)] if budget else [])
+
+
 def brute_grid() -> list[list[str]]:
-    """Brute force on spaces of several chunks, with the default chunk plan."""
+    """Brute force on spaces of several chunks or of large p, then `--method all` on each at twist 1.
+
+    A nonsquare twist moves the scalar fold of sym between the two classes of nonzero t.
+    """
     grid = []
-    for family, n, q, p, budget in (
-        ("alt", 5, 5, None, None), ("alt", 4, 9, 3, None), ("alt", 4, 25, 5, 300000000),
-        ("vec", 9, 5, None, None), ("vec", 7, 9, 3, None), ("vec", 10, 4, 2, None),
-    ):
-        for twist in dict.fromkeys((1, 2) if p is None else (1, 2, p)):
-            argv = ["compute", "--family", family, "--q", str(q), "--n", str(n), "--method", "brute", "--twist", str(twist)]
-            grid.append(argv + (["--budget", str(budget)] if budget else []))
-    return grid
+    for family, n, m, q, third, budget in BRUTE_SPACES:
+        grid += [_brute_argv(family, n, m, q, budget, "brute", t) for t in dict.fromkeys((1, 2, third or 1))]
+    for family, n, m, q, budget in BRUTE_CLASSES:
+        f = field_for(q)
+        twists = dict.fromkeys((1, f.delta() if f.p > 2 else 2, f.p if f.e > 1 else 1))
+        grid += [_brute_argv(family, n, m, q, budget, "brute", t) for t in twists]
+    spaces = [(f, n, m, q, b) for f, n, m, q, _, b in BRUTE_SPACES] + list(BRUTE_CLASSES)
+    return grid + [_brute_argv(family, n, m, q, budget, "all", 1) for family, n, m, q, budget in spaces]
 
 
 def verify_grid() -> list[list[str]]:
