@@ -191,36 +191,46 @@ class FamilyTable:
         return [[int(e.eval_at(q)) for e in row] for row in self.entries]
 
 
-def _chain_step(prev: list[list[PolyQ]], size: int, tau: int, o_hi: int) -> list[list[PolyQ]]:
+def _chain_step(prev: list[list[tuple[int, PolyQ]]], size: int, tau: int, o_hi: int) -> list[list[tuple[int, PolyQ]]]:
     """One size step of the pair in Z[q], at a = b = c = 1 and t = q^tau:
 
     bottom row:  O(x) = q^(tau x) O'(x) + (q^o_hi - q^(tau (x-1))) O'(x-1)
     other rows:  f(y+1, x) = q^(tau x) f'(y, x) - q^(tau (x-1)) f'(y, x-1)
 
     where primes refer to the previous table and o_hi = delta + tau (2k-1)
-    at size k.
+    at size k. An entry is a pair (z, f) that stands for q^z f: two entries
+    are added or subtracted at the smaller of their powers, so the leading
+    zeros of the common power q^z are never written out (family_table shifts
+    each entry once, at the end).
     """
-    zero = PolyQ()
+    zero = (0, PolyQ())
 
-    def prev_at(y: int, x: int) -> PolyQ:
+    def prev_at(y: int, x: int) -> tuple[int, PolyQ]:
         if 0 <= y < len(prev) and 0 <= x < len(prev):
             return prev[y][x]
         return zero
 
-    cur = [[zero for _ in range(size)] for _ in range(size)]
+    def combine(a: tuple[int, PolyQ], b: tuple[int, PolyQ], sign: int) -> tuple[int, PolyQ]:
+        """q^za fa + sign q^zb fb as a pair, from one sum of the two polynomials at the smaller power."""
+        (za, fa), (zb, fb) = a, b
+        if fb.is_zero():
+            return a
+        if fa.is_zero():
+            return zb, fb if sign > 0 else -fb
+        z = min(za, zb)
+        fa, fb = fa.shift(za - z), fb.shift(zb - z)
+        return z, fa + fb if sign > 0 else fa - fb
+
+    def step(y: int, x: int) -> tuple[int, PolyQ]:
+        """q^(tau x) f'(y, x) - q^(tau (x-1)) f'(y, x-1)."""
+        (za, fa), (zb, fb) = prev_at(y, x), prev_at(y, x - 1)
+        return combine((za + tau * x, fa), (zb + tau * (x - 1), fb), -1)
+
+    bottom = []
     for x in range(size):
-        v = prev_at(0, x).shift(tau * x)
-        if x >= 1:
-            left = prev_at(0, x - 1)
-            v = v + left.shift(o_hi) - left.shift(tau * (x - 1))
-        cur[0][x] = v
-    for y in range(size - 1):
-        for x in range(size):
-            v = prev_at(y, x).shift(tau * x)
-            if x >= 1:
-                v = v - prev_at(y, x - 1).shift(tau * (x - 1))
-            cur[y + 1][x] = v
-    return cur
+        z, f = prev_at(0, x - 1)
+        bottom.append(combine(step(0, x), (z + o_hi, f), 1))
+    return [bottom] + [[step(y, x) for x in range(size)] for y in range(size - 1)]
 
 
 def _check_n(n: int) -> None:
@@ -246,10 +256,11 @@ def family_table(family: str, n: int, m: int | None = None) -> FamilyTable:
         raise ValueError("rectangular tables need n <= m")
     _check_n(n)
     tau, delta, N = FAMILY_PASCAL[family](n, m)
-    grid = [[PolyQ.const(1)]]
+    grid = [[(0, PolyQ.const(1))]]
     for k in range(1, N + 1):
         grid = _chain_step(grid, k + 1, tau, delta + tau * (2 * k - 1))
-    return FamilyTable(family, n, m if family == "mat" else None, tuple(_labels(family, n)), tuple(tuple(r) for r in grid))
+    entries = tuple(tuple(f.shift(z) for z, f in row) for row in grid)
+    return FamilyTable(family, n, m if family == "mat" else None, tuple(_labels(family, n)), entries)
 
 
 def alt_column(q: int | Fraction, size: int, y: int, x: int) -> Fraction:
