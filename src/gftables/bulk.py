@@ -5,8 +5,10 @@ element's index in a space are the codes of its coordinates. Brute-force
 character sums only need, per element, its orbit label and the value of a few
 F_p linear functionals (one per table row). Both are computed here in numpy
 batches and folded into integer histograms indexed by (label, functional
-value), from which the exact cyclotomic sums are assembled. All of it is
-integer arithmetic, so the results are bit-identical to an element-by-element
+value). orbit_counts returns them reduced to three classes of values, 0 and
+the two classes S and N of F_p^* on which each is constant, from which
+transform builds each exact entry in its own ring. All of it is integer
+arithmetic, so the results are bit-identical to an element-by-element
 enumeration.
 
 The kernels reach the field only through the array ops of its arithmetic
@@ -54,7 +56,10 @@ a code in [p^i, 2 p^i): 1 + (q^h - 1) / (p - 1) chunks for h = dim - k, and all
 of them at p = 2. _scalar_fold spreads the sum H of the visited nonzero chunks
 over their classes once per call. The lambda that are squares of GF(q) form a
 subgroup S of F_p^*, and the others its coset N or nothing (e even), so at
-t != 0 the sum over lambda reads only the sums of H over t S and over t N.
+t != 0 the sum over lambda reads only the sums of H over t S and over t N,
+and it is constant on S and on N. So is chunk 0's histogram, for chunk 0 is
+closed under scalars: the call returns its three classes, t = 0, t in S and
+t in N, and nothing of p entries leaves it.
 
 So one orbit_counts call touches q^k rows in the split and q^k in each of the
 V(k) = 1 + (q^h - 1) / (p - 1) labelled chunks, (2 - 1/(p-1)) q^k + q^dim/(p-1)
@@ -712,26 +717,38 @@ def _fold_keys(tabs, k: int, p: int, basis: list[int], members: list[tuple[int, 
     return p ** len(basis), _frozen(key), folds
 
 
+def scalar_classes(field) -> tuple[int, int]:
+    """(|S|, |N|) for S = F_p^* cap (GF(q)^*)^2 and N = F_p^* minus S: N is empty at p = 2 and at even e, where every
+    element of F_p is a square of GF(p^2), a subfield of GF(q), and at odd e S and N are the squares and the nonsquares
+    mod p."""
+    p = field.p
+    return ((p - 1) // 2,) * 2 if p > 2 and field.e % 2 else (p - 1, 0)
+
+
 def _scalar_fold(H: np.ndarray, flip: np.ndarray, square: np.ndarray) -> np.ndarray:
-    """sum over lambda in F_p^* of H[pi_lambda L, t / lambda], for an (nbins, p) histogram H over (label code L, t).
+    """sum over lambda in F_p^* of H[r, pi_lambda L, t / lambda] at t = 0, at t in S and at t in N, an (nfun, nbins, 3)
+    array, for (nfun, nbins, p) histograms H over (functional r, label code L, t).
 
     pi_lambda is flip where square[lambda - 1] is False and the identity elsewhere. At t != 0 the sum reads only the
-    sums of H over the squares S and over the rest N (module docstring).
+    sums of H over the squares S and over the rest N (module docstring); the last column is meaningless where N is empty.
     """
-    nonzero = H[:, 1:]
-    s, n = nonzero[:, square].sum(axis=1), nonzero[:, ~square].sum(axis=1)
-    out = np.empty_like(H)
-    out[:, 0] = np.count_nonzero(square) * H[:, 0] + np.count_nonzero(~square) * H[flip, 0]
-    out[:, 1:] = np.where(square, (s + n[flip])[:, None], (n + s[flip])[:, None])
-    return out
+    nonzero = H[..., 1:]
+    s = nonzero @ square.astype(np.int64)  # no copy of H, as a mask would make
+    n = nonzero.sum(axis=2) - s
+    zero = np.count_nonzero(square) * H[..., 0] + np.count_nonzero(~square) * H[:, flip, 0]
+    return np.stack([zero, s + n[:, flip], n + s[:, flip]], axis=2)
 
 
-def orbit_counts(space: Space, coefvecs: list[list[int]]) -> tuple[list[np.ndarray], np.ndarray]:
+def orbit_counts(space: Space, coefvecs: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
     """Histogram pass over the whole space, in chunks of q^k consecutive elements.
 
     coefvecs[r][k] is the code of the coefficient c of free coordinate k in
     the r-th functional a -> sum_k Tr(c a_k), with at least one functional.
-    Returns one (n_labels, p) count array per functional plus the orbit sizes.
+    Every histogram H(L, t) is constant at t != 0 on S = F_p^* cap (GF(q)^*)^2
+    and on N = F_p^* minus S (scalar_classes), for the scalars of S fix every
+    label. So it returns an (n_functionals, n_labels, 3) count array of H
+    at t = 0, at one t in S and at one t in N (a zero column where N is
+    empty), plus the orbit sizes H(L, 0) + |S| H(L, S) + |N| H(L, N).
     Each visited chunk runs one bincount over (label, key) of the rows it lists
     per group of functionals, the key coding an F_p basis of the group's t_lo,
     and one chunk per class of scalar multiples stands for its class (module
@@ -754,12 +771,15 @@ def orbit_counts(space: Space, coefvecs: list[list[int]]) -> tuple[list[np.ndarr
         h = np.bincount(labels[~varies].astype(np.intp) * nkeys + key[~varies], minlength=nbins * nkeys).reshape(nbins, nkeys)
         fixed = [h[:, order].reshape(nbins, nvals, -1).sum(axis=2) for _, order, nvals in folds]
         # each key is the t_lo of an F_p basis, independent over all of GF(q)^k, so q^k / nkeys low elements take it
-        groups[g] = nkeys, key, len(key) // nkeys - h.sum(axis=0), fixed, folds
-    hists = [np.zeros((nbins, p), dtype=np.int64) for _ in coefvecs]
-    scaled = [np.zeros((nbins, p), dtype=np.int64) for _ in coefvecs]  # the visited chunks other than chunk 0
+        groups[g] = nkeys, key, len(key) // nkeys - h.sum(axis=0) if nvar else None, fixed, folds
+    codes = np.arange(nbins)  # a nonsquare lambda flips the sign of an odd sym rank and fixes every other label
+    flip, square = (codes ^ (codes >> 1 & 1), F.sgn_table[1:p] > 0) if split is _sym_split else (codes, np.ones(p - 1, dtype=bool))
+    # t = 0, t = 1 in S, and for N the first t outside S where the fold splits F_p^*, else t = 1: no label tells them apart
+    reps = [0, 1, 1 + int(np.argmin(square))]
+    first = np.zeros((len(coefvecs), nbins, 3), dtype=np.int64)  # chunk 0, closed under scalars, at the t of reps
+    scaled = np.zeros((len(coefvecs), nbins, p), dtype=np.int64)  # the visited chunks other than chunk 0, by t
     buf = np.empty(nvar, dtype=np.intp)  # after the split, whose own peak it would otherwise raise
     for chunk, (rows, lab, shift) in zip(visit, chunks):
-        into = scaled if chunk else hists
         for nkeys, key, var_h, fixed, folds in groups:
             if nvar:  # the listed rows by (label, key); a varying row left out has label left + shift
                 at, b = key[rows], buf[: len(lab)]
@@ -768,13 +788,18 @@ def orbit_counts(space: Space, coefvecs: list[list[int]]) -> tuple[list[np.ndarr
                 if len(lab) < nvar:
                     h[left + shift] += var_h - np.bincount(at, minlength=nkeys)
             for (r, order, nvals), f in zip(folds, fixed):
-                cols = (np.arange(nvals) + t_hi[r][chunk]) % p
+                if chunk:  # t = t_lo + t_hi
+                    into, cols, take = scaled[r], (np.arange(nvals) + t_hi[r][chunk]) % p, slice(None)
+                else:  # t_hi = 0: t_lo at the t of reps, or at 0 alone for a zero map
+                    take = reps if nvals > 1 else [0]
+                    into, cols = first[r], slice(len(take))
                 if nvar:
-                    into[r][:, cols] += h[:, order].reshape(nbins, nvals, -1).sum(axis=2)
+                    into[:, cols] += h[:, order].reshape(nbins, nvals, -1).sum(axis=2)[:, take]
                 if nvar < len(varies):  # the other rows, folded once: their labels move up by the chunk's shift
-                    into[r][shift:, cols] += f[: nbins - shift]
-    codes = np.arange(nbins)  # a nonsquare lambda flips the sign of an odd sym rank and fixes every other label
-    flip, square = (codes ^ (codes >> 1 & 1), F.sgn_table[1:p] > 0) if split is _sym_split else (codes, np.ones(p - 1, dtype=bool))
+                    into[shift:, cols] += f[: nbins - shift, take]
     to_label = (np.arange(len(space.labels()))[:, None] == lut).astype(np.int64)  # sums the codes of each label
-    hists = [to_label @ (h + _scalar_fold(H, flip, square)) for h, H in zip(hists, scaled)]
-    return hists, hists[0].sum(axis=1)  # every histogram counts each element once
+    counts = to_label @ (first + _scalar_fold(scaled, flip, square))
+    nS, nN = scalar_classes(space.field)
+    if not nN:
+        counts[..., 2] = 0
+    return counts, counts[0] @ np.array([1, nS, nN])  # every histogram counts each element once

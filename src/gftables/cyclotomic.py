@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import zip_longest
 from typing import Iterable, Sequence
 
@@ -189,6 +190,124 @@ class CycInt:
             base = "1" if k == 0 else ("z" if k == 1 else f"z^{k}")
             terms.append(f"{c}*{base}" if k else f"{c}")
         return f"CycInt(p={self.p}, {' + '.join(terms) or '0'})"
+
+
+@lru_cache(maxsize=None)
+def _squares(p: int) -> tuple[int, ...]:
+    """[t is a nonzero square mod p] for t = 0..p-1; at p = 2 only t = 1."""
+    out = [0] * p
+    for t in range(1, p):
+        out[t * t % p] = 1
+    return tuple(out)
+
+
+class QuadInt:
+    """a + b*eta in Z[eta] = Z[(1 + g)/2], the integers of the quadratic subfield of Q(zeta_p).
+
+    eta = sum over the nonzero squares t of F_p of zeta^t = (-1 + g)/2, a
+    Gaussian period, with g the quadratic Gauss sum of F_p, g^2 = p* = +-p and
+    p* = 1 mod 4 (Ireland & Rosen, ch. 6). So eta^2 = -eta - (1 - p*)/4, and
+    conj(eta) is eta when -1 is a square mod p (conj(g) = eps_p g) and
+    -1 - eta when not. A rational integer has b = 0, and b is always 0 at
+    p = 2. to_cyc and to_obj give what CycInt gives for the same number.
+    """
+
+    __slots__ = ("p", "a", "b")
+
+    def __init__(self, p: int, a: int, b: int = 0):
+        self.p, self.a, self.b = p, a, b
+
+    def _pair(self, other: QuadInt | int) -> tuple[int, int]:
+        if isinstance(other, int):
+            return other, 0
+        if self.p != other.p:
+            raise IncompatibleRingError("incompatible cyclotomic order")
+        return other.a, other.b
+
+    def __add__(self, other: QuadInt | int) -> QuadInt:
+        a, b = self._pair(other)
+        return QuadInt(self.p, self.a + a, self.b + b)
+
+    __radd__ = __add__
+
+    def __sub__(self, other: QuadInt | int) -> QuadInt:
+        a, b = self._pair(other)
+        return QuadInt(self.p, self.a - a, self.b - b)
+
+    def __rsub__(self, other: int) -> QuadInt:
+        return QuadInt(self.p, other - self.a, -self.b)
+
+    def __neg__(self) -> QuadInt:
+        return QuadInt(self.p, -self.a, -self.b)
+
+    def __mul__(self, other: QuadInt | int) -> QuadInt:
+        a, b = self._pair(other)
+        if not (b and self.b):
+            return QuadInt(self.p, self.a * a, self.a * b + self.b * a)
+        bb = self.b * b  # times eta^2 = -eta - (1 - p*)/4
+        return QuadInt(self.p, self.a * a - bb * ((1 - epsilon_of(self.p) * self.p) // 4), self.a * b + self.b * a - bb)
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, int):
+            return self.b == 0 and self.a == other
+        if not isinstance(other, QuadInt):
+            return NotImplemented
+        return self.p == other.p and self.a == other.a and self.b == other.b
+
+    def __hash__(self) -> int:
+        return hash((self.p, self.a, self.b))
+
+    def __bool__(self) -> bool:
+        return bool(self.a or self.b)
+
+    def conjugate(self) -> QuadInt:
+        if self.p % 4 == 3:  # conj(eta) = -1 - eta
+            return QuadInt(self.p, self.a - self.b, -self.b)
+        return self
+
+    def is_rational_integer(self) -> bool:
+        return self.b == 0
+
+    def as_int(self) -> int:
+        """The value as a plain integer; only rational integers qualify."""
+        if self.b:
+            raise ValueError("not a rational integer")
+        return self.a
+
+    def exact_div(self, n: int) -> QuadInt:
+        if self.a % n or self.b % n:
+            raise ValueError(f"coefficients not divisible by {n}")
+        return QuadInt(self.p, self.a // n, self.b // n)
+
+    def to_cyc(self) -> CycInt:
+        """The same number on the power basis of Z[zeta_p]: zeta^(p-1) in eta is -(1 + ... + zeta^(p-2))."""
+        sq = _squares(self.p)
+        top = self.b * sq[-1]
+        coeffs = [self.b * s - top for s in sq[:-1]]
+        coeffs[0] += self.a
+        return CycInt._of(self.p, tuple(coeffs))
+
+    @classmethod
+    def from_cyc(cls, x: CycInt) -> QuadInt:
+        """x as a + b*eta; ValueError if x is outside Z[eta]. The power-basis coefficients of x, with 0 at zeta^(p-1),
+        are a + b [t square] + k at t = 0 and b [t square] + k at t > 0, for one k."""
+        v, sq = x.coeffs + (0,), _squares(x.p)
+        if x.p == 2:
+            return cls(2, v[0])
+        k = v[sq.index(0, 1)]  # at the first nonsquare
+        b = v[1] - k
+        if any(c != b * s + k for c, s in zip(v[1:], sq[1:])):
+            raise ValueError("not in quadratic subring")
+        return cls(x.p, v[0] - k, b)
+
+    def to_obj(self) -> int | dict:
+        """As CycInt.to_obj: a plain int when rational, else p and the power-basis coefficients."""
+        return self.a if self.b == 0 else self.to_cyc().to_obj()
+
+    def __repr__(self) -> str:
+        return f"QuadInt({self.p}, {self.a})" if self.b == 0 else f"QuadInt({self.p}, {self.a} + {self.b}*eta)"
 
 
 def epsilon_of(q: int) -> int:

@@ -33,8 +33,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import lru_cache
 
-from .cyclotomic import CycInt, QuadraticGamma, decompose_gamma, epsilon_of
+from .cyclotomic import CycInt, QuadInt, QuadraticGamma, epsilon_of
+from .cyclotomic import decompose_gamma  # noqa: F401  unused here: benchmarks/tracer.py times symmetric.decompose_gamma
 from .gfq import CharSpec, gauss_sum
 from .pascal import alt_column
 from .reporting import Report
@@ -95,20 +97,46 @@ def _aggregate(grid, rows, cols, zero):
 
     Rows average over the sign orbits of a rank and columns sum over them.
     Pairs with sign 1 read chi, pairs with the label signs read sgnchi. Over
-    Z[zeta_p] the mean must be exact; over Fraction it is a plain quotient.
+    Z[eta] or Z[zeta_p] the mean must be exact; over Fraction it is a plain quotient.
     """
     total = sum((grid[i][j] * (a * b) for i, a in rows for j, b in cols), zero)
     return total / len(rows) if isinstance(total, Fraction) else total.exact_div(len(rows))
 
 
+@lru_cache(maxsize=None)
+def _gamma(char: CharSpec) -> QuadInt:
+    """The quadratic Gauss sum of GF(q) in Z[eta]: c (1 + 2 eta) = c g at odd degree, a rational integer at even."""
+    return QuadInt.from_cyc(gauss_sum(char))
+
+
 def _grid_to_blocks(labels, grid, char: CharSpec) -> list[tuple[tuple[QuadraticGamma, ...], ...]]:
-    """A sign-labeled grid (rows and columns in label order) -> the four blocks over Z + Z*gamma."""
+    """A sign-labeled grid of QuadInts (rows and columns in label order) -> the four blocks over Z + Z*gamma.
+
+    Each block entry is _aggregate's mean, taken on the two integer
+    coordinates of x = a + b eta. At odd degree gamma has a nonzero eta
+    coordinate, so x = a' + b' gamma has b' = b / gamma.b, which must be an
+    integer, and a' = a - b' gamma.a.
+    """
     ranks = _by_rank(labels)
     n = max(ranks)
     chi = [[(i, 1) for i, _ in ranks[r]] for r in range(n + 1)]
     sgn = [ranks[r] for r in range(1, n + 1)]
-    zero, gamma, q = CycInt.zero(char.field.p), gauss_sum(char), char.field.q
-    entry = lambda rows, cols: decompose_gamma(_aggregate(grid, rows, cols, zero), gamma, q)
+    gamma, q = _gamma(char), char.field.q
+
+    def entry(rows, cols) -> QuadraticGamma:
+        a = b = 0
+        for i, s in rows:
+            for j, t in cols:
+                x = grid[i][j]
+                a += x.a * (s * t)
+                b += x.b * (s * t)
+        if a % len(rows) or b % len(rows):
+            raise ValueError(f"coefficients not divisible by {len(rows)}")
+        g, rest = divmod(b // len(rows), gamma.b)
+        if rest:
+            raise ValueError("not in quadratic subring")
+        return QuadraticGamma(a // len(rows) - g * gamma.a, g, q)
+
     bases = ((chi, chi), (chi, sgn), (sgn, chi), (sgn, sgn))
     return [tuple(tuple(entry(rows, cols) for cols in cbasis) for rows in rbasis) for rbasis, cbasis in bases]
 
@@ -118,8 +146,8 @@ def psi_brute(
 ) -> tuple[PsiBlocks, CanonicalMatrix]:
     """Blocks recovered from the brute sign-labeled canonical matrix.
 
-    Every combined entry must decompose exactly over Z + Z*gamma; failure
-    here means either a bug or a value outside the quadratic subring. The
+    Every combined entry, a QuadInt, must decompose exactly over Z + Z*gamma;
+    failure here means either a bug or a value outside the quadratic subring. The
     field degree must be odd: over even-degree extensions the Gauss sum is
     a rational integer and the (1, gamma) decomposition is ill-posed (the
     closed formulas in psi_closed still hold there as identities).
@@ -134,21 +162,21 @@ def phi_from_psi(blocks: PsiBlocks) -> CanonicalMatrix:
     """Back to the sign-labeled canonical matrix (the inverse base change)."""
     char = blocks.char
     space = make_space("sym", char.field, blocks.n)
-    gamma = gauss_sum(char)
+    gamma = _gamma(char)
     labels = space.labels()
 
-    def cyc(x: QuadraticGamma) -> CycInt:
-        return x.to_cyc(gamma)
+    def val(x: QuadraticGamma) -> QuadInt:
+        return gamma * x.b + x.a
 
-    def entry(mu: OrbitLabel, lam: OrbitLabel) -> CycInt:
+    def entry(mu: OrbitLabel, lam: OrbitLabel) -> QuadInt:
         s, alpha = mu.r, mu.sign or 1
         r, beta = lam.r, lam.sign or 1
         if r == 0:
-            return cyc(blocks.b1(s, 0)) + (cyc(blocks.b3(s, 0)) * alpha if s else CycInt.zero(char.field.p))
-        combo = cyc(blocks.b1(s, r)) + cyc(blocks.b2(s, r)) * beta
+            return val(blocks.b1(s, 0)) + (val(blocks.b3(s, 0)) * alpha if s else 0)
+        combo = val(blocks.b1(s, r)) + val(blocks.b2(s, r)) * beta
         if s:
-            combo = combo + cyc(blocks.b3(s, r)) * alpha + cyc(blocks.b4(s, r)) * (alpha * beta)
-        # the halves only close up in Z[zeta_p], not in Z + Z*gamma
+            combo = combo + val(blocks.b3(s, r)) * alpha + val(blocks.b4(s, r)) * (alpha * beta)
+        # the halves only close up in Z[eta], not in Z + Z*gamma
         try:
             return combo.exact_div(2)
         except ValueError:
@@ -600,7 +628,7 @@ def scaled_canonical_from_blocks(blocks: PsiBlocks) -> CanonicalMatrix:
     labels = space.labels()
     ranks = _by_rank(full.labels)
     covers = [[(i, 1) for i, sign in ranks[lbl.r] if lbl.sign in (None, sign)] for lbl in labels]
-    zero = CycInt.zero(blocks.char.field.p)
+    zero = QuadInt(blocks.char.field.p, 0)
     entries = tuple(tuple(_aggregate(full.entries, rows, cols, zero) for cols in covers) for rows in covers)
     sizes = tuple(e.as_int() for e in entries[0])
     return CanonicalMatrix(space, blocks.char, labels, entries, sizes)

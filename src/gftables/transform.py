@@ -9,6 +9,16 @@ actions are adjoint-free, rows (character orbits) and columns (orbits) share
 one label set; the code asserts the consequences it relies on (trivial row =
 orbit sizes, all-ones zero column) instead of assuming them.
 
+bulk.orbit_counts gives, for each row, the count of each orbit at the
+character values t = 0, t in S and t in N, the two classes of F_p^* on which
+every whole-space histogram is constant. So each entry lies in
+Z[eta] = Z[(1 + g)/2], g the quadratic Gauss sum of F_p, and is a QuadInt: a
+rational integer everywhere but on sym at odd degree, where N is not empty.
+Every check on canonical matrices (orthogonality, symmetry, zonal values,
+the inverse transforms, multi-orthogonality) works in that ring. Only the
+fibers of a diagram, affine cosets that scalars do not preserve, keep a
+histogram over every t and a CycInt of Z[zeta_p] (pushforward_matrix).
+
 Brute force is the oracle of the whole package: everything downstream
 (recursions, closed forms, sign-block identities) is checked against the
 matrices produced here.
@@ -23,7 +33,7 @@ from functools import lru_cache
 from math import gcd
 
 from . import bulk
-from .cyclotomic import CycInt
+from .cyclotomic import CycInt, QuadInt
 from .gfq import CharSpec, default_char
 from .reporting import Report
 from .spaces import BudgetError, Elem, OrbitLabel, Space
@@ -81,8 +91,26 @@ def _orbit_counts_cached(space: Space, char: CharSpec, budget: int):
 
 
 def _cyc_from_hist(p: int, hist: list[int], conj: bool) -> CycInt:
+    """sum over t of hist[t] zeta^(-t) (zeta^t when not conj), for a histogram over every t: a coset's fiber."""
     vec = hist[:1] + hist[:0:-1] if conj else hist  # conj: count of t goes to -t mod p
     return CycInt.reduce(p, vec)
+
+
+def _entries(field, counts: list[list[int]], conj: bool) -> tuple[QuadInt, ...]:
+    """sum over t of H(t) zeta^(-t) (zeta^t when not conj) for each class count row (H(0), H on S, H on N).
+
+    Where N is empty this is H(0) - H(S), as the sum of zeta^t over F_p^* is
+    -1. Otherwise S and N are the squares and the nonsquares mod p, whose sums
+    are eta and -1 - eta, and -S is S unless p = 3 mod 4, where it is N.
+    """
+    p = field.p
+    if not bulk.scalar_classes(field)[1]:
+        return tuple(QuadInt(p, h0 - hs) for h0, hs, _ in counts)
+    out = []
+    for h0, hs, hn in counts:
+        x, y = (hn, hs) if conj and p % 4 == 3 else (hs, hn)  # the counts at the t whose zeta power lies in S, in N
+        out.append(QuadInt(p, h0 - y, x - y))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -94,7 +122,7 @@ class CanonicalMatrix:
     space: Space
     char: CharSpec
     labels: tuple[OrbitLabel, ...]
-    entries: tuple[tuple[CycInt, ...], ...]  # rows: character orbits, cols: orbits
+    entries: tuple[tuple[QuadInt, ...], ...]  # rows: character orbits, cols: orbits
     orbit_sizes: tuple[int, ...]
 
     def __post_init__(self):
@@ -111,7 +139,7 @@ class CanonicalMatrix:
         if any(v.denominator != 1 for row in grid for v in row):
             raise AssertionError("table has non-integer entries")
         p, q = space.field.p, space.field.q
-        entries = tuple(tuple(CycInt.integer(p, int(v)) for v in row) for row in grid)
+        entries = tuple(tuple(QuadInt(p, int(v)) for v in row) for row in grid)
         sizes = tuple(int(space.orbit_size_poly(lbl).eval_at(q)) for lbl in space.labels())
         return cls(space, char, space.labels(), entries, sizes)
 
@@ -122,7 +150,7 @@ class CanonicalMatrix:
     def index(self, label: OrbitLabel) -> int:
         return self.labels.index(label)
 
-    def entry(self, mu: OrbitLabel, lam: OrbitLabel) -> CycInt:
+    def entry(self, mu: OrbitLabel, lam: OrbitLabel) -> QuadInt:
         return self.entries[self.index(mu)][self.index(lam)]
 
     def size_of(self, label: OrbitLabel) -> int:
@@ -150,7 +178,7 @@ class CanonicalMatrix:
         """sum_mu |P(mu)| Phi(mu,a) conj(Phi(mu,b)) == delta_ab |O(a)| |A| at b >= a, the conjugate of the sum at (b, a)."""
         n = self.nlabels
         total = self.total_size()
-        zero = CycInt.zero(self.space.field.p)
+        zero = QuadInt(self.space.field.p, 0)
         scaled = [[e * size for e in row] for row, size in zip(self.entries, self.orbit_sizes)]
         conj = [[e.conjugate() for e in row] for row in self.entries]
         for a in range(n):
@@ -165,10 +193,7 @@ def brute_force_phi(space: Space, char: CharSpec | None = None, budget: int = DE
     """The canonical matrix by direct character sums over every element."""
     char = char or default_char(space.field)
     hists, sizes = _orbit_counts_cached(space, char, budget)
-    p = space.field.p
-    entries = tuple(
-        tuple(_cyc_from_hist(p, hist_row, conj=True) for hist_row in hist) for hist in hists
-    )
+    entries = tuple(_entries(space.field, hist, conj=True) for hist in hists)
     return CanonicalMatrix(space, char, space.labels(), entries, tuple(sizes))
 
 
@@ -176,10 +201,8 @@ def brute_phi_bar(space: Space, char: CharSpec | None = None, budget: int = DEFA
     """Matrix of |A| times the inverse transform: sum over xi in P of xi(rep)."""
     char = char or default_char(space.field)
     hists, _sizes = _orbit_counts_cached(space, char, budget)
-    p = space.field.p
     # row lambda, column mu: sum over b in O(mu) of theta(<b|rep(lambda)>)
-    n = len(space.labels())
-    return [[_cyc_from_hist(p, hists[lam][mu], conj=False) for mu in range(n)] for lam in range(n)]
+    return [list(_entries(space.field, hist, conj=False)) for hist in hists]
 
 
 def orbit_sizes_brute(space: Space, budget: int = DEFAULT_BUDGET) -> dict[OrbitLabel, int]:
@@ -197,20 +220,16 @@ class InvariantFunction:
     """An invariant function, stored by its values on the ordered labels."""
 
     space: Space
-    values: tuple[CycInt, ...]
+    values: tuple[QuadInt, ...]
 
     @classmethod
     def from_ints(cls, space: Space, values) -> InvariantFunction:
         p = space.field.p
-        return cls(space, tuple(CycInt.integer(p, v) for v in values))
+        return cls(space, tuple(QuadInt(p, v) for v in values))
 
     @classmethod
     def indicator(cls, space: Space, label: OrbitLabel) -> InvariantFunction:
-        p = space.field.p
-        return cls(
-            space,
-            tuple(CycInt.integer(p, 1 if lbl == label else 0) for lbl in space.labels()),
-        )
+        return cls.from_ints(space, [1 if lbl == label else 0 for lbl in space.labels()])
 
 
 def forward_transform(phi: CanonicalMatrix, func: InvariantFunction) -> InvariantFunction:
@@ -218,7 +237,7 @@ def forward_transform(phi: CanonicalMatrix, func: InvariantFunction) -> Invarian
         raise ValueError("function and matrix live on different spaces")
     vals = []
     for i in range(phi.nlabels):
-        acc = CycInt.zero(phi.space.field.p)
+        acc = QuadInt(phi.space.field.p, 0)
         for j, v in enumerate(func.values):
             acc = acc + phi.entries[i][j] * v
         vals.append(acc)
@@ -229,19 +248,15 @@ def inverse_transform(phi: CanonicalMatrix, func: InvariantFunction) -> Invarian
     """Exact inverse; intermediate rationals must cancel to integers."""
     if func.space != phi.space:
         raise ValueError("function and matrix live on different spaces")
-    p = phi.space.field.p
-    total = phi.total_size()
+    zero, total = QuadInt(phi.space.field.p, 0), phi.total_size()
     vals = []
     for o in range(phi.nlabels):
-        acc = [Fraction(0)] * (p - 1)
-        for mu, v in enumerate(func.values):
-            term = phi.entries[mu][o].conjugate() * v
-            scale = Fraction(phi.orbit_sizes[mu], phi.orbit_sizes[o] * total)
-            for k, c in enumerate(term.coeffs):
-                acc[k] += c * scale
-        if any(f.denominator != 1 for f in acc):
-            raise AssertionError("inverse transform produced a non-integral value")
-        vals.append(CycInt(p, [int(f) for f in acc]))
+        # sum over mu of conj(Phi(mu, o)) f(mu) |P(mu)| / (|O(o)| |A|), over one denominator
+        acc = sum((phi.entries[mu][o].conjugate() * v * phi.orbit_sizes[mu] for mu, v in enumerate(func.values)), zero)
+        try:
+            vals.append(acc.exact_div(phi.orbit_sizes[o] * total))
+        except ValueError:
+            raise AssertionError("inverse transform produced a non-integral value") from None
     return InvariantFunction(phi.space, tuple(vals))
 
 
@@ -286,24 +301,19 @@ def hat_involution(phi: CanonicalMatrix, func: InvariantFunction | HalfPowerFunc
 
 @dataclass(frozen=True)
 class RatCyc:
-    """A cyclotomic integer divided by a positive integer, in lowest terms."""
+    """An integer of Z[eta] divided by a positive integer, in lowest terms."""
 
-    num: CycInt
+    num: QuadInt
     den: int
 
     @classmethod
-    def make(cls, num: CycInt, den: int) -> RatCyc:
+    def make(cls, num: QuadInt, den: int) -> RatCyc:
         if den == 0:
             raise ZeroDivisionError("zero denominator")
         if den < 0:
             num, den = -num, -den
-        g = den
-        for c in num.coeffs:
-            g = gcd(g, c)
-        if g > 1:
-            num = CycInt(num.p, [c // g for c in num.coeffs])
-            den //= g
-        return cls(num, den)
+        g = gcd(den, num.a, num.b)
+        return cls(num.exact_div(g), den // g)
 
 
 def zonal_table(phi: CanonicalMatrix) -> list[list[RatCyc]]:
@@ -335,7 +345,7 @@ def multi_orthogonality_check(
     parts: tuple[OrbitLabel, ...],
     target: OrbitLabel,
     budget: int = DEFAULT_BUDGET,
-) -> tuple[CycInt, int]:
+) -> tuple[QuadInt, int]:
     """Both sides of the k-fold orthogonality relation, independently.
 
     Left: sum_mu |P(mu)| Phi(mu,l_1) ... Phi(mu,l_k) conj(Phi(mu,l)).
@@ -347,9 +357,9 @@ def multi_orthogonality_check(
     if len(parts) < 1:
         raise ValueError("need at least one factor")
     space = phi.space
-    lhs = CycInt.zero(space.field.p)
+    lhs = QuadInt(space.field.p, 0)
     for mu in range(phi.nlabels):
-        term = CycInt.integer(space.field.p, phi.orbit_sizes[mu])
+        term = QuadInt(space.field.p, phi.orbit_sizes[mu])
         for lbl in parts:
             term = term * phi.entry(phi.labels[mu], lbl)
         term = term * phi.entry(phi.labels[mu], target).conjugate()
@@ -500,6 +510,7 @@ def diagram_check(
     E = pushforward_matrix(d, char)
     lm = d.label_map()
     up_labels, low_labels = phi_upper.labels, phi_lower.labels
+    up, low = ([[e.to_cyc() for e in row] for row in phi.entries] for phi in (phi_upper, phi_lower))  # where they meet E
 
     ok = True
     for wi, w in enumerate(low_labels):
@@ -507,8 +518,8 @@ def diagram_check(
         for lj in range(len(up_labels)):
             acc = CycInt.zero(d.upper.field.p)
             for gi in range(len(low_labels)):
-                acc = acc + E[gi][lj] * phi_lower.entries[wi][gi]
-            if acc != phi_upper.entries[ui][lj]:
+                acc = acc + E[gi][lj] * low[wi][gi]
+            if acc != up[ui][lj]:
                 ok = False
                 rep.add("diagram/pushforward-factors", f"{where} at ({w},{up_labels[lj]})", False)
     rep.add("diagram/pushforward-factors", where, ok)
@@ -520,12 +531,12 @@ def diagram_check(
         for mi, mu in enumerate(up_labels):
             acc = CycInt.zero(d.upper.field.p)
             for lj in range(len(up_labels)):
-                acc = acc + E[gi][lj].conjugate() * phi_upper.entries[lj][mi]
+                acc = acc + E[gi][lj].conjugate() * up[lj][mi]
             pre = preimages[mu]
             if len(pre) == 0:
                 want = CycInt.zero(d.upper.field.p)
             elif len(pre) == 1:
-                want = phi_lower.entry(g, pre[0]) * ratio
+                want = low[gi][low_labels.index(pre[0])] * ratio
             else:
                 rep.skip("diagram/inverse-factors", f"{where} at ({g},{mu})", "multiple preimages")
                 continue

@@ -192,6 +192,27 @@ def fold_reference(space, coefvecs):
     return hists, hists[0].sum(axis=1)
 
 
+def scalar_classes_of(field):
+    """(S, N): the t of F_p^* that are squares of GF(q), by the field's own quadratic character, and the others."""
+    F = bulk.arith(field)
+    square = [field.q % 2 == 0 or F.sgn(t) > 0 for t in range(1, field.p)]
+    return [t for t, sq in enumerate(square, 1) if sq], [t for t, sq in enumerate(square, 1) if not sq]
+
+
+def class_counts(field, hists) -> list[list[list[int]]]:
+    """Per-t histograms, one (labels, p) array or nested list per functional, as bulk.orbit_counts gives them: the
+    columns t = 0, t = 1 and the first t of N, or a zero column where N is empty. Asserts first that each histogram is
+    constant on S and on N (scalar_classes_of), which is what lets orbit_counts keep only these three."""
+    S, N = scalar_classes_of(field)
+    out = []
+    for h in hists:
+        h = np.asarray(h)
+        for cls in (S, N):
+            assert (h[:, cls] == h[:, cls[:1]]).all(), "a histogram is not constant on a class of F_p^*"
+        out.append(np.stack([h[:, 0], h[:, S[0]], h[:, N[0]] if N else np.zeros_like(h[:, 0])], axis=1).tolist())
+    return out
+
+
 # ---------------------------------------------------------------------------
 # The Fraction route of qseries and pascal, one Fraction per operation: the
 # independent reference for the integer-pair evaluation in the library.
@@ -360,7 +381,8 @@ def scaled_matrix_from_canonical(phi: CanonicalMatrix) -> list[list[QuadraticGam
     ranks = _by_rank(phi.labels)
     basis = [[(i, 1) for i, _ in ranks[r]] for r in range(n + 1)] + [ranks[r] for r in range(2, n + 1, 2)]
     zero, gamma, q = CycInt.zero(space.field.p), gauss_sum(phi.char), space.field.q
-    return [[decompose_gamma(_aggregate(phi.entries, rows, cols, zero), gamma, q) for cols in basis] for rows in basis]
+    entries = [[e.to_cyc() for e in row] for row in phi.entries]  # in Z[zeta_p], apart from the library's route
+    return [[decompose_gamma(_aggregate(entries, rows, cols, zero), gamma, q) for cols in basis] for rows in basis]
 
 
 def twist_swaps_odd_sign_rows(n: int, field, budget: int = DEFAULT_BUDGET) -> bool:

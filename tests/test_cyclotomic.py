@@ -10,6 +10,7 @@ from gftables.cyclotomic import (
     CycInt,
     IncompatibleRingError,
     PolyQ,
+    QuadInt,
     QuadraticGamma,
     decompose_gamma,
 )
@@ -117,6 +118,62 @@ class TestQuadraticGamma:
             g = gauss_sum(default_char(make_field(q)))
             x = QuadraticGamma(2, -3, q)
             assert x.conjugate().to_cyc(g) == x.to_cyc(g).conjugate()
+
+
+def _eta(p: int) -> CycInt:
+    """The sum of zeta^t over the nonzero squares t mod p, from its definition (zeta itself at p = 2)."""
+    vec = [0] * p
+    for t in {t * t % p for t in range(1, p)}:
+        vec[t] += 1
+    return CycInt.reduce(p, vec)
+
+
+def _times(X: CycInt, Y: CycInt) -> CycInt:
+    """X * Y in Z[zeta_p] by one cyclic convolution in numpy, for CycInt's product takes seconds at p = 10007."""
+    p = X.p
+    full = np.convolve(np.array(X.coeffs + (0,), dtype=np.int64), np.array(Y.coeffs + (0,), dtype=np.int64))
+    vec = full[:p].copy()
+    vec[: len(full) - p] += full[p:]
+    return CycInt.reduce(p, vec.tolist())
+
+
+class TestQuadInt:
+    """The entry ring Z[eta] against Z[zeta_p], through to_cyc."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 13, 10007])
+    def test_to_cyc_respects_the_ring(self, p):
+        rng = random.Random(p)
+        eta = _eta(p)
+        draw = lambda: QuadInt(p, rng.randint(-40, 40), rng.randint(-40, 40) if p > 2 else 0)  # b = 0 at p = 2
+        for _ in range(20 if p < 100 else 3):
+            x, y, k = draw(), draw(), rng.randint(-9, 9)
+            X, Y = x.to_cyc(), y.to_cyc()
+            assert X == eta * x.b + x.a
+            assert (x + y).to_cyc() == X + Y and (x - y).to_cyc() == X - Y and (-x).to_cyc() == -X
+            assert (x * y).to_cyc() == _times(X, Y) and (x * k).to_cyc() == X * k and (k * x).to_cyc() == X * k
+            assert p > 100 or _times(X, Y) == X * Y
+            assert x.conjugate().to_cyc() == X.conjugate()
+            assert x.to_obj() == X.to_obj() and x.is_rational_integer() == X.is_rational_integer()
+            assert QuadInt.from_cyc(X) == x and hash(QuadInt.from_cyc(X)) == hash(x)
+            assert (x * 6).exact_div(3) == x * 2
+        assert QuadInt(p, 7).to_obj() == CycInt.integer(p, 7).to_obj() == 7 and QuadInt(p, 7) == 7
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 13])
+    def test_gauss_sum_is_one_plus_twice_eta(self, p):
+        g = QuadInt(p, 1, 2)  # (1 + 2 eta) = g, the Gauss sum of F_p, with g^2 = p* and conj(g) = eps_p g
+        assert g * g == (p if p % 4 == 1 else -p)
+        assert g.conjugate() == (g if p % 4 == 1 else -g)
+        assert QuadInt.from_cyc(gauss_sum(default_char(make_field(p)))) in (g, -g)
+
+    def test_rejects(self):
+        with pytest.raises(ValueError, match="not a rational integer"):
+            QuadInt(5, 1, 1).as_int()
+        with pytest.raises(ValueError, match="not divisible by 2"):
+            QuadInt(5, 2, 1).exact_div(2)
+        with pytest.raises(ValueError, match="not in quadratic subring"):
+            QuadInt.from_cyc(CycInt.root(5, 2))  # zeta^2 is not fixed by the squares
+        with pytest.raises(IncompatibleRingError):
+            QuadInt(3, 1) + QuadInt(5, 1)
 
 
 class TestPolyQ:

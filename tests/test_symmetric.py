@@ -1,6 +1,6 @@
 import pytest
 
-from gftables import pascal, symmetric
+from gftables import cyclotomic, pascal, symmetric
 from gftables.cyclotomic import QuadraticGamma
 from gftables.gfq import CharSpec, default_char, make_field
 from gftables.spaces import OrbitLabel, make_space
@@ -95,6 +95,17 @@ class TestClosedForms:
         for n in range(1, 5):
             psi_closed(n, default_char(make_field(q)))
         assert seen and all(type(v) is int for args in seen for v in args)
+
+    @pytest.mark.parametrize("n,q", [(2, 3), (3, 5), (2, 27)])
+    def test_brute_blocks_need_no_decomposition_in_zeta(self, monkeypatch, n, q):
+        """psi_brute reads each block off the eta coordinates of its QuadInt entries, never through decompose_gamma."""
+        def refuse(*args):
+            raise AssertionError("decompose_gamma called")
+
+        for owner in (symmetric, cyclotomic):
+            monkeypatch.setattr(owner, "decompose_gamma", refuse)
+        ch = default_char(make_field(3, 3) if q == 27 else make_field(q))
+        assert psi_brute(n, ch)[0] == psi_closed(n, ch)
 
     def test_even_degree_fields_rejected_for_recovery(self):
         # over GF(9) the Gauss sum is the rational integer 3, so block

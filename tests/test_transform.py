@@ -6,12 +6,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gftables import bulk
-from gftables.cyclotomic import CycInt
+from gftables import bulk, transform
+from gftables.cyclotomic import CycInt, QuadInt
 from gftables.gfq import CharSpec, default_char, field_for, make_field
 from gftables.pascal import closed_form_table
 from gftables.spaces import BudgetError, OrbitLabel, Space, make_space, matrix_rank, symmetric_sign
-from gftables.symmetric import _aggregate, _by_rank, phi_from_psi, psi_closed, scaled_canonical_from_blocks
+from gftables.symmetric import _aggregate, _by_rank, phi_from_psi, psi_brute, psi_closed, scaled_canonical_from_blocks
 from gftables.transform import (
     Diagram,
     InvariantFunction,
@@ -31,7 +31,7 @@ from gftables.transform import (
     zonal_table_direct,
 )
 from gftables.verify import run_suite
-from helpers import fold_reference, pushforward_reference, sym_fiber_sums_reference
+from helpers import class_counts, fold_reference, pushforward_reference, scalar_classes_of, sym_fiber_sums_reference
 
 F3 = make_field(3)
 F5 = make_field(5)
@@ -51,7 +51,7 @@ class TestGoldenTables:
 
     def test_trivial_row_and_zero_column(self):
         phi = brute_force_phi(make_space("alt", F3, 4))
-        assert list(phi.entries[0]) == [CycInt.integer(3, s) for s in phi.orbit_sizes]
+        assert list(phi.entries[0]) == [QuadInt(3, s) for s in phi.orbit_sizes]
         assert all(row[0] == 1 for row in phi.entries)
 
     def test_zero_dimensional_spaces(self):
@@ -103,6 +103,57 @@ class TestMatrixInvariants:
             for i in range(phi.nlabels):
                 for j in range(phi.nlabels):
                     assert bar[i][j] == phi.entries[i][j].conjugate()
+
+
+def _count_cycints(monkeypatch) -> list:
+    """A list that grows by one for each CycInt built from now on (by __init__ or by _of, which every constructor calls)."""
+    made, of, init = [], CycInt.__dict__["_of"].__func__, CycInt.__init__
+    monkeypatch.setattr(CycInt, "_of", classmethod(lambda cls, *a: made.append(a[0]) or of(cls, *a)))
+    monkeypatch.setattr(CycInt, "__init__", lambda self, *a: made.append(a[0]) or init(self, *a))
+    return made
+
+
+@pytest.mark.parametrize("fam,n,m,q", [("vec", 3, None, 5), ("vec", 1, None, 65537), ("mat", 2, 2, 7), ("mat", 2, 3, 4), ("alt", 4, None, 9), ("sym", 2, None, 5)])
+def test_brute_force_phi_and_its_checks_build_no_cycint(monkeypatch, fam, n, m, q):
+    """Entries come from the class counts as QuadInts, and the checks on them stay in Z[eta]."""
+    sp = make_space(fam, field_for(q), n, m)
+    transform._orbit_counts_cached.cache_clear()  # the pass over the space too
+    made = _count_cycints(monkeypatch)
+    phi = brute_force_phi(sp)
+    assert phi.check_row_orthogonality() and phi.check_symmetry()
+    assert zonal_table(phi) == zonal_table_direct(sp, phi.char)
+    assert made == []
+    assert QuadInt(5, 0, 1).to_cyc() and made == [5]  # the spy sees a CycInt when one is built
+
+
+class TestMovedClassCount:
+    """One element moved between the classes S and N of one histogram: the checks and the sign blocks notice."""
+
+    @pytest.fixture
+    def moved(self, monkeypatch):
+        real = bulk.orbit_counts
+
+        def moving(space, coefvecs):
+            hists, sizes = real(space, coefvecs)
+            hists[1][1, 1] -= 1  # row 1, orbit 1: outside row 0 and column 0, which CanonicalMatrix checks on its own
+            hists[1][1, 2] += 1
+            return hists, sizes
+
+        transform._orbit_counts_cached.cache_clear()
+        monkeypatch.setattr(bulk, "orbit_counts", moving)
+        yield
+        transform._orbit_counts_cached.cache_clear()
+
+    @pytest.mark.parametrize("fam,n,q", [("vec", 2, 5), ("mat", 1, 7), ("sym", 1, 3), ("sym", 2, 27)])
+    def test_orthogonality_fails(self, moved, fam, n, q):
+        sp = make_space(fam, field_for(q), n, 2 if fam == "mat" else None)
+        assert bulk.scalar_classes(sp.field)[1] > 0  # N is not empty
+        assert not brute_force_phi(sp).check_row_orthogonality()
+
+    @pytest.mark.parametrize("n,q", [(1, 3), (2, 5), (2, 27)])
+    def test_sign_blocks_fail(self, moved, n, q):
+        with pytest.raises(ValueError):
+            psi_brute(n, default_char(field_for(q)))
 
 
 class TestTransforms:
@@ -420,7 +471,7 @@ class TestBulkAgainstPure:
         reps = [sp.representative(l) for l in sp.labels()]
         pure = _counts_pure(sp, ch, reps, 10**7)
         bulk = _counts_bulk(sp, ch, reps, 10**7)
-        assert pure[0] == bulk[0]
+        assert class_counts(sp.field, pure[0]) == bulk[0]
         assert list(pure[1]) == list(bulk[1])
 
     def test_twisted_character(self):
@@ -429,7 +480,7 @@ class TestBulkAgainstPure:
         reps = [sp.representative(l) for l in sp.labels()]
         pure = _counts_pure(sp, ch, reps, 10**7)
         bulk = _counts_bulk(sp, ch, reps, 10**7)
-        assert pure[0] == bulk[0]
+        assert class_counts(sp.field, pure[0]) == bulk[0]
 
     def test_twisted_character_large_prime(self):
         # (p-1)^2 >= 2^31: the fold needs int64
@@ -439,7 +490,7 @@ class TestBulkAgainstPure:
         reps = [sp.representative(l) for l in sp.labels()]
         pure = _counts_pure(sp, ch, reps, 10**7)
         bulk = _counts_bulk(sp, ch, reps, 10**7)
-        assert pure[0] == bulk[0]
+        assert class_counts(sp.field, pure[0]) == bulk[0]
 
     @pytest.mark.parametrize("twist", ["1", "p"])  # twist index p is the class of x, outside F_p
     @pytest.mark.parametrize(
@@ -463,7 +514,7 @@ class TestBulkAgainstPure:
         reps = [sp.representative(l) for l in sp.labels()]
         pure = _counts_pure(sp, ch, reps, 10**7)
         bulk = _counts_bulk(sp, ch, reps, 10**7)
-        assert pure[0] == bulk[0]
+        assert class_counts(sp.field, pure[0]) == bulk[0]
         assert list(pure[1]) == list(bulk[1])
 
     @pytest.mark.parametrize("twist", ["1", "p"])
@@ -776,7 +827,7 @@ def _assert_fold(monkeypatch, sp, coefvecs, chunk):
     hists, sizes = bulk.orbit_counts(sp, coefvecs)
     want, want_sizes = fold_reference(sp, coefvecs)
     assert sizes.tolist() == want_sizes.tolist()
-    assert [h.tolist() for h in hists] == [h.tolist() for h in want]
+    assert [h.tolist() for h in hists] == class_counts(sp.field, want)
 
 
 @pytest.mark.parametrize("q", [3, 5, 7, 9])
@@ -831,7 +882,7 @@ def test_one_chunk_per_class_of_scalar_multiples(monkeypatch, fam, n, m, q, chun
         assert len(calls) == 7
     want, want_sizes = fold_reference(sp, coefvecs)
     assert sizes.tolist() == want_sizes.tolist()
-    assert [h.tolist() for h in hists] == [h.tolist() for h in want]
+    assert [h.tolist() for h in hists] == class_counts(sp.field, want)
 
 
 @pytest.mark.parametrize("fam,n,m,q,old,new", PLAN_WIDTHS)
@@ -876,8 +927,48 @@ def test_orbit_counts_at_every_width_the_plan_admits(monkeypatch, fam, n, m, q):
         assert _plan(sp) == k
         hists, sizes = bulk.orbit_counts(sp, coefvecs)
         assert sizes.tolist() == want_sizes.tolist()
-        assert [h.tolist() for h in hists] == [h.tolist() for h in want], k
+        assert [h.tolist() for h in hists] == class_counts(sp.field, want), k
     assert len(ks) >= 2
+
+
+def _class_params(limit: int):
+    """Every family at q in {2, 3, 4, 5, 7, 8, 9, 25, 27} (alt, sym and symscaled at odd q; sym at e = 1, 2 and 3), at
+    its largest n with at most limit elements (mat: n x n, or 1 x 2), with twist 1 and the first nonsquare (2 at even
+    q > 2): the nonsquare moves sym's histograms between S and N."""
+    for q in (2, 3, 4, 5, 7, 8, 9, 25, 27):
+        fld = field_for(q)
+        twists = dict.fromkeys((1, fld.delta() if q % 2 else min(2, q - 1)))
+        for fam in ("vec", "mat", "alt", "sym", "symscaled") if q % 2 else ("vec", "mat"):
+            n = max([1] + [n for n in range(1, 9) if q ** make_space(fam, fld, n, n if fam == "mat" else None).dim <= limit])
+            m = (n if q**4 <= limit else 2) if fam == "mat" else None
+            n = 1 if fam == "mat" and q**4 > limit else n
+            for twist in twists:
+                yield pytest.param(fam, n, m, q, twist, id=f"{fam}-{n}-{m}-q{q}-t{twist}")
+
+
+@pytest.mark.parametrize("fam,n,m,q,twist", _class_params(20000))
+def test_fold_reference_is_constant_on_the_classes_and_orbit_counts_keeps_them(fam, n, m, q, twist):
+    """The per-t histograms of the whole space are constant on S and on N, and orbit_counts returns them at
+    t = 0, S and N; orbit_counts' sizes are H(0) + |S| H(S) + |N| H(N)."""
+    sp = make_space(fam, field_for(q), n, m)
+    coefvecs = _pair_coefvecs(sp, twist)
+    want, want_sizes = fold_reference(sp, coefvecs)
+    hists, sizes = bulk.orbit_counts(sp, coefvecs)
+    assert [h.tolist() for h in hists] == class_counts(sp.field, want)  # class_counts asserts the constancy
+    assert sizes.tolist() == want_sizes.tolist()
+    S, N = scalar_classes_of(sp.field)
+    assert bulk.scalar_classes(sp.field) == (len(S), len(N))
+    if fam == "sym" and q in (3, 5, 7, 27) and sp.dim > 1:  # odd e: N is not empty, and it matters for sym
+        assert any(h[:, 1].tolist() != h[:, 2].tolist() for h in hists)
+
+
+@pytest.mark.parametrize("fam,n,m,q,twist", _class_params(600))
+def test_element_by_element_reference_is_constant_on_the_classes(fam, n, m, q, twist):
+    sp = make_space(fam, field_for(q), n, m)
+    ch = CharSpec(sp.field, twist)
+    reps = [sp.representative(l) for l in sp.labels()]
+    hists, sizes = _counts_pure(sp, ch, reps, 10**7)
+    assert class_counts(sp.field, hists) == _counts_bulk(sp, ch, reps, 10**7)[0]
 
 
 class TestFold:
