@@ -9,7 +9,7 @@ recursions, and closed (q-)Krawtchouk formulas. Everything is exact
 arithmetic; the brute force path is the oracle for all the others.
 """
 
-from .cyclotomic import CycInt, PolyQ, QuadraticGamma, Rational, decompose_gamma
+from .cyclotomic import CycInt, PolyQ, QuadInt, QuadraticGamma, Rational, decompose_gamma
 from .gfq import CharSpec, FieldSpec, arith, default_char, epsilon, gauss_sum, make_field, nonsquare_delta
 from .pascal import (
     FamilyTable,

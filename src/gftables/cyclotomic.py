@@ -1,14 +1,19 @@
-"""Exact ring arithmetic: Z[zeta_p], Z[gamma], and integer polynomials in q.
+"""Exact ring arithmetic: Z[zeta_p], Z[eta], Z[gamma], and integer polynomials in q.
 
 Every quantity in this package is exact. Character sums live in the ring of
-cyclotomic integers Z[zeta_p]; values on symmetric-matrix spaces additionally
-live in the quadratic subring Z + Z*gamma generated by a quadratic Gauss sum
-gamma with gamma^2 = eps*q. Symbolic recursion runs use dense integer
+cyclotomic integers Z[zeta_p] (CycInt). A canonical-matrix entry is a sum of
+the counts of three classes of character values, so it lies in the quadratic
+subring Z[eta] = Z[(1 + g)/2], g the quadratic Gauss sum of F_p (QuadInt):
+a pair of integers, and a rational integer wherever the nonsquares of F_p are
+squares of GF(q) or there are none. The sign blocks of the symmetric family
+live in Z + Z*gamma for the quadratic Gauss sum gamma of GF(q), with
+gamma^2 = eps*q (QuadraticGamma). Symbolic recursion runs use dense integer
 polynomials in an indeterminate q.
 
 CycInt stores coefficients on the power basis {1, zeta, ..., zeta^(p-2)}; the
 relation 1 + zeta + ... + zeta^(p-1) = 0 eliminates the top power, so equality
-is plain coefficient comparison.
+is plain coefficient comparison. It remains for the values that are not
+entries: Gauss sums, characters, and the fiber sums of the diagrams.
 """
 
 from __future__ import annotations

@@ -19,10 +19,12 @@ against.
 The base change onto rank aggregates is one rule, `_aggregate`: a row of
 rank s averages the grid over the sign orbits of s and a column of rank r
 sums over those of r, each orbit weighted by its sign (+1 when it has none)
-for sgnchi and by 1 for chi. `_grid_to_blocks` (behind `psi_brute` and the
-inverse-transform check of `relation_suite`), `scaled_canonical_from_blocks`
-and both the push and the pull-back checks of `sym_diagram_matrices` read
-it; `phi_from_psi` inverts it. The push reads the diagram's
+for sgnchi and by 1 for chi. `scaled_canonical_from_blocks` and both the
+push and the pull-back checks of `sym_diagram_matrices` read it, and
+`_grid_to_blocks` (behind `psi_brute` and the inverse-transform check of
+`relation_suite`) takes the same mean on the two integer coordinates of each
+entry a + b eta of Z[eta] (cyclotomic.QuadInt), whose eta part is the gamma
+part; `phi_from_psi` inverts it. The push reads the diagram's
 `pushforward_matrix` at the sym sign points of every lower rank.
 
 Block index ranges: psi1 on 0<=s,r<=n, psi2 on 0<=s<=n and 1<=r<=n, psi3 on
