@@ -239,9 +239,6 @@ class QuadInt:
         a, b = self._pair(other)
         return QuadInt(self.p, self.a - a, self.b - b)
 
-    def __rsub__(self, other: int) -> QuadInt:
-        return QuadInt(self.p, other - self.a, -self.b)
-
     def __neg__(self) -> QuadInt:
         return QuadInt(self.p, -self.a, -self.b)
 
@@ -263,9 +260,6 @@ class QuadInt:
 
     def __hash__(self) -> int:
         return hash((self.p, self.a, self.b))
-
-    def __bool__(self) -> bool:
-        return bool(self.a or self.b)
 
     def conjugate(self) -> QuadInt:
         if self.p % 4 == 3:  # conj(eta) = -1 - eta
