@@ -939,9 +939,10 @@ def _class_params(limit: int):
         fld = field_for(q)
         twists = dict.fromkeys((1, fld.delta() if q % 2 else min(2, q - 1)))
         for fam in ("vec", "mat", "alt", "sym", "symscaled") if q % 2 else ("vec", "mat"):
-            n = max([1] + [n for n in range(1, 9) if q ** make_space(fam, fld, n, n if fam == "mat" else None).dim <= limit])
-            m = (n if q**4 <= limit else 2) if fam == "mat" else None
-            n = 1 if fam == "mat" and q**4 > limit else n
+            if fam == "mat":
+                n, m = next(((n, n) for n in (3, 2) if q ** (n * n) <= limit), (1, 2))
+            else:
+                n, m = max(n for n in range(1, 9) if q ** make_space(fam, fld, n).dim <= limit), None
             for twist in twists:
                 yield pytest.param(fam, n, m, q, twist, id=f"{fam}-{n}-{m}-q{q}-t{twist}")
 
