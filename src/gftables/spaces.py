@@ -19,7 +19,6 @@ fastest digit), so streams, representatives, and exports are reproducible.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
 from .cyclotomic import POLY_Q, PolyQ
@@ -135,23 +134,6 @@ def symmetric_sign(rows: Matrix, field: FieldSpec) -> tuple[int, int]:
     return rank, F.sgn(disc)
 
 
-def _mat_mul(a: Matrix, b: Matrix, F) -> Matrix:
-    out = [[0] * len(b[0]) for _ in range(len(a))]
-    for i in range(len(a)):
-        for k in range(len(b)):
-            aik = a[i][k]
-            if aik:
-                out[i] = [F.add(x, F.mul(aik, y)) for x, y in zip(out[i], b[k])]
-    return out
-
-
-def _random_invertible(field: FieldSpec, n: int, rng: random.Random) -> Matrix:
-    while True:
-        m = [[rng.randrange(field.q) for _ in range(n)] for _ in range(n)]
-        if matrix_rank(m, field) == n:
-            return m
-
-
 class Space:
     """Base class: a vector space over GF(q) with an orbit classification."""
 
@@ -228,10 +210,6 @@ class Space:
             "use brute counts or the sign-block first row"
         )
 
-    def random_mate(self, elem: Elem, rng: random.Random) -> Elem:
-        """A random element of the same orbit (the group action applied)."""
-        raise NotImplementedError
-
     def as_matrix(self, elem: Elem) -> Matrix:
         raise NotImplementedError
 
@@ -272,11 +250,6 @@ class VecWreath(Space):
         self._check_label(label)
         return (POLY_Q - 1) ** label.r * binomial(self.n, label.r)
 
-    def random_mate(self, elem, rng):
-        perm = list(range(self.n))
-        rng.shuffle(perm)
-        return tuple(self.arith.mul(rng.randrange(1, self.field.q), elem[perm[i]]) for i in range(self.n))
-
     def as_matrix(self, elem):
         return [list(elem)]
 
@@ -300,17 +273,6 @@ class _MatrixSpace(Space):
 
     def from_matrix(self, m: Matrix) -> Elem:
         return tuple(m[i][j] for i, j in self.coords)
-
-    def random_mate(self, elem, rng):
-        """g A h^T with g and h random invertible (h = g but for mat), then times a random unit for symscaled."""
-        F = self.arith
-        g = _random_invertible(self.field, self.nrows, rng)
-        h = _random_invertible(self.field, self.ncols, rng) if self.family == "mat" else g
-        out = _mat_mul(_mat_mul(g, self.as_matrix(elem), F), [list(col) for col in zip(*h)], F)
-        if self.family == "symscaled":
-            c = rng.randrange(1, self.field.q)
-            out = [[F.mul(c, x) for x in row] for row in out]
-        return self.from_matrix(out)
 
 
 class MatRect(_MatrixSpace):

@@ -26,7 +26,6 @@ matrices produced here.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -96,21 +95,17 @@ def _cyc_from_hist(p: int, hist: list[int], conj: bool) -> CycInt:
     return CycInt.reduce(p, vec)
 
 
-def _entries(field, counts: list[list[int]], conj: bool) -> tuple[QuadInt, ...]:
-    """sum over t of H(t) zeta^(-t) (zeta^t when not conj) for each class count row (H(0), H on S, H on N).
+def _entries(field, counts: list[list[int]]) -> tuple[QuadInt, ...]:
+    """sum over t of H(t) zeta^t for each class count row (H(0), H on S, H on N).
 
     Where N is empty this is H(0) - H(S), as the sum of zeta^t over F_p^* is
     -1. Otherwise S and N are the squares and the nonsquares mod p, whose sums
-    are eta and -1 - eta, and -S is S unless p = 3 mod 4, where it is N.
+    are eta and -1 - eta.
     """
     p = field.p
     if not bulk.scalar_classes(field)[1]:
         return tuple(QuadInt(p, h0 - hs) for h0, hs, _ in counts)
-    out = []
-    for h0, hs, hn in counts:
-        x, y = (hn, hs) if conj and p % 4 == 3 else (hs, hn)  # the counts at the t whose zeta power lies in S, in N
-        out.append(QuadInt(p, h0 - y, x - y))
-    return tuple(out)
+    return tuple(QuadInt(p, h0 - hn, hs - hn) for h0, hs, hn in counts)
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +188,7 @@ def brute_force_phi(space: Space, char: CharSpec | None = None, budget: int = DE
     """The canonical matrix by direct character sums over every element."""
     char = char or default_char(space.field)
     hists, sizes = _orbit_counts_cached(space, char, budget)
-    entries = tuple(_entries(space.field, hist, conj=True) for hist in hists)
+    entries = tuple(tuple(e.conjugate() for e in _entries(space.field, hist)) for hist in hists)
     return CanonicalMatrix(space, char, space.labels(), entries, tuple(sizes))
 
 
@@ -202,7 +197,7 @@ def brute_phi_bar(space: Space, char: CharSpec | None = None, budget: int = DEFA
     char = char or default_char(space.field)
     hists, _sizes = _orbit_counts_cached(space, char, budget)
     # row lambda, column mu: sum over b in O(mu) of theta(<b|rep(lambda)>)
-    return [list(_entries(space.field, hist, conj=False)) for hist in hists]
+    return [list(_entries(space.field, hist)) for hist in hists]
 
 
 def orbit_sizes_brute(space: Space, budget: int = DEFAULT_BUDGET) -> dict[OrbitLabel, int]:
@@ -396,6 +391,8 @@ class Diagram:
     The fiber over b is the affine coset lift(b) + span(fiber positions). Its
     histogram over (label, zeta exponent) comes from one pass of the bulk
     labeller over the coset (bulk.coset_counts), never element by element.
+    The orbit-compatibility check labels lift(b) + e for every lower element
+    b, so it is exact at every size.
     """
 
     upper: Space
@@ -431,21 +428,20 @@ class Diagram:
         lifted = self._lifted_labels([self.lower.representative(lbl) for lbl in lows])
         return {lbl: self.upper.labels()[i] for lbl, i in zip(lows, lifted.tolist())}
 
-    def validate_label_map(self, mates: int = 50, exhaustive_below: int = 20000) -> bool:
-        """The orbit-compatibility condition behind the diagram.
+    def validate_label_map(self) -> bool:
+        """The orbit-compatibility condition behind the diagram, checked exactly.
 
-        The label of lift(b) + e must be constant on lower orbits; checked on
-        every lower element when the lower space is small, and otherwise on
-        random orbit mates of each representative.
+        The label of lift(b) + e must be constant on lower orbits. It is
+        computed for every lower element b, bulk.CHUNK rows at a time, and
+        compared with the label map at the orbit of b.
         """
-        reps = [self.lower.representative(lbl) for lbl in self.lower.labels()]
-        want = self._lifted_labels(reps)  # the label map, by lower label index
-        if self.lower.size <= exhaustive_below:  # every orbit mate is among these elements
-            digits = bulk._digits(0, self.lower.size, self.lower.dim, self.lower.field.q)
-            return bool((self._lifted_labels(digits) == want[bulk.row_labels(self.lower, digits)]).all())
-        rng = random.Random(0)
-        drawn = [self.lower.random_mate(rep, rng) for rep in reps for _ in range(mates)]
-        return bool((self._lifted_labels(drawn) == want.repeat(mates)).all())
+        low = self.lower
+        want = self._lifted_labels([low.representative(lbl) for lbl in low.labels()])  # the label map, by lower label index
+        for s in range(0, low.size, bulk.CHUNK):
+            digits = bulk._digits(s, min(s + bulk.CHUNK, low.size), low.dim, low.field.q)
+            if not (self._lifted_labels(digits) == want[bulk.row_labels(low, digits)]).all():
+                return False
+        return True
 
 
 def standard_diagram(upper: Space, lower: Space) -> Diagram:

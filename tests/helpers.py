@@ -11,7 +11,7 @@ from gftables import bulk
 from gftables.cyclotomic import CycInt, QuadraticGamma, decompose_gamma, square_and_multiply
 from gftables.gfq import CharSpec, FieldSpec, default_char, gauss_sum
 from gftables.pascal import PascalParams, Table
-from gftables.spaces import OrbitLabel, SymScaled, make_space
+from gftables.spaces import OrbitLabel, SymScaled, make_space, matrix_rank
 from gftables.symmetric import _aggregate, _by_rank
 from gftables.transform import DEFAULT_BUDGET, CanonicalMatrix, brute_force_phi
 
@@ -124,6 +124,43 @@ def power(F, x: int, n: int) -> int:
     for _ in range(n):
         out = F.mul(out, x)
     return out
+
+
+def _mat_mul(a, b, F):
+    out = [[0] * len(b[0]) for _ in range(len(a))]
+    for i in range(len(a)):
+        for k in range(len(b)):
+            if a[i][k]:
+                out[i] = [F.add(x, F.mul(a[i][k], y)) for x, y in zip(out[i], b[k])]
+    return out
+
+
+def _random_invertible(field, n: int, rng: random.Random):
+    while True:
+        m = [[rng.randrange(field.q) for _ in range(n)] for _ in range(n)]
+        if matrix_rank(m, field) == n:
+            return m
+
+
+def random_mate(space, elem, rng: random.Random):
+    """A random element of the orbit of elem: the group action of the space, applied element by element.
+
+    vec: a random permutation and random unit scalings of the coordinates.
+    The matrix spaces: g A h^T with g and h random invertible (h = g but for
+    mat), then times a random unit for symscaled.
+    """
+    F = space.arith
+    if space.family == "vec":
+        perm = list(range(space.n))
+        rng.shuffle(perm)
+        return tuple(F.mul(rng.randrange(1, space.field.q), elem[perm[i]]) for i in range(space.n))
+    g = _random_invertible(space.field, space.nrows, rng)
+    h = _random_invertible(space.field, space.ncols, rng) if space.family == "mat" else g
+    out = _mat_mul(_mat_mul(g, space.as_matrix(elem), F), [list(col) for col in zip(*h)], F)
+    if space.family == "symscaled":
+        c = rng.randrange(1, space.field.q)
+        out = [[F.mul(c, x) for x in row] for row in out]
+    return space.from_matrix(out)
 
 
 def fiber_elements(d, b):

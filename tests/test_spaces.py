@@ -10,6 +10,7 @@ from gftables.spaces import (
     matrix_rank,
     symmetric_sign,
 )
+from helpers import random_mate
 
 F3 = make_field(3)
 F5 = make_field(5)
@@ -89,7 +90,7 @@ class TestClassification:
         rng = random.Random(11)
         for _ in range(200):
             a = sp.element_at(rng.randrange(sp.size))
-            assert sp.classify(sp.random_mate(a, rng)) == sp.classify(a)
+            assert sp.classify(random_mate(sp, a, rng)) == sp.classify(a)
 
     def test_representative_round_trip(self):
         for fam, n, m, f in [
@@ -207,7 +208,7 @@ class TestSymmetricSign:
         rng = random.Random(17)
         for _ in range(80):
             a = sp.element_at(rng.randrange(sp.size))
-            assert sp.rank_and_sign(sp.random_mate(a, rng)) == sp.rank_and_sign(a)
+            assert sp.rank_and_sign(random_mate(sp, a, rng)) == sp.rank_and_sign(a)
 
     def test_zero_matrix_sign_is_plus(self):
         sp = make_space("sym", F3, 2)

@@ -417,23 +417,19 @@ class TestFiberHistograms:
         want = sym_fiber_sums_reference(d, ch, {lbl: sym_lower.representative(lbl) for lbl in sym_lower.labels()})
         assert vals == {key: sums for key, sums in want.items() if key[0] == "chi" or key[1] in signed}
 
-    def test_each_validation_pass_catches_a_bad_intersection_element(self):
-        up, low = make_space("vec", F3, 2), make_space("vec", F3, 1)
-        bad = Diagram(up, low, embed=(0,), e=(1, 0))
-        assert not bad.validate_label_map(mates=0)  # the pass over every lower element alone
-        assert not bad.validate_label_map(exhaustive_below=0)  # the random orbit mates alone
-        good = standard_diagram(up, low)
-        assert good.validate_label_map(mates=0) and good.validate_label_map(exhaustive_below=0)
+    @pytest.mark.parametrize("fam,nu,mu,nl,ml,q", [("mat", 3, 3, 2, 2, 13), ("vec", 8, None, 7, None, 7)])
+    def test_label_map_checked_on_every_lower_element_in_blocks(self, monkeypatch, fam, nu, mu, nl, ml, q):
+        """Lower spaces of 13^4 = 28,561 and 7^7 = 823,543 (two CHUNK blocks) elements, labelled in bulk alone."""
 
-    @pytest.mark.parametrize("fam,nu,mu,nl,ml", DIAGRAM_CHAINS)
-    def test_no_orbit_mates_after_the_pass_over_every_element(self, monkeypatch, fam, nu, mu, nl, ml):
-        """A lower space of at most exhaustive_below elements holds every orbit mate, so no random mate is drawn."""
-        d = standard_diagram(make_space(fam, F3, nu, mu), make_space(fam, F3, nl, ml))
-        random_mate, drawn = type(d.lower).random_mate, []
-        monkeypatch.setattr(type(d.lower), "random_mate", lambda sp, elem, rng: drawn.append(elem) or random_mate(sp, elem, rng))
-        assert d.lower.size <= 20000 and d.validate_label_map()
-        assert drawn == []
-        assert d.validate_label_map(exhaustive_below=0) and len(drawn) == 50 * len(d.lower.labels())
+        def refuse(*args):
+            raise AssertionError("element-by-element rank in the orbit-compatibility check")
+
+        monkeypatch.setattr("gftables.spaces.matrix_rank", refuse)
+        d = standard_diagram(make_space(fam, field_for(q), nu, mu), make_space(fam, field_for(q), nl, ml))
+        assert fam == "mat" or bulk.CHUNK < d.lower.size <= 2 * bulk.CHUNK
+        assert d.validate_label_map()
+        e = tuple(1 if k == d.embed[0] else 0 for k in range(d.upper.dim))  # in an embedded coordinate
+        assert not replace(d, e=e).validate_label_map()
 
     def test_suites_never_classify_element_by_element(self, monkeypatch):
         def refuse(*args):
