@@ -177,6 +177,16 @@ def fiber_elements(d, b):
         yield tuple(a)
 
 
+def label_map_compatible_reference(d) -> bool:
+    """Diagram.validate_label_map element by element: classify lift(b) + e and lift(rep of the orbit of b) + e for every lower b."""
+    up, low, F = d.upper, d.lower, d.upper.arith
+
+    def label(b):
+        return up.classify(tuple(F.add(x, y) for x, y in zip(d.lift(b), d.e)))
+
+    return all(label(b) == label(low.representative(low.classify(b))) for b in map(low.element_at, range(low.size)))
+
+
 def _conj_zeta(d, char, a) -> int:
     return (-char.exponent(d.upper.pair(d.e, a))) % d.upper.field.p
 

@@ -31,7 +31,14 @@ from gftables.transform import (
     zonal_table_direct,
 )
 from gftables.verify import run_suite
-from helpers import class_counts, fold_reference, pushforward_reference, scalar_classes_of, sym_fiber_sums_reference
+from helpers import (
+    class_counts,
+    fold_reference,
+    label_map_compatible_reference,
+    pushforward_reference,
+    scalar_classes_of,
+    sym_fiber_sums_reference,
+)
 
 F3 = make_field(3)
 F5 = make_field(5)
@@ -430,6 +437,15 @@ class TestFiberHistograms:
         assert d.validate_label_map()
         e = tuple(1 if k == d.embed[0] else 0 for k in range(d.upper.dim))  # in an embedded coordinate
         assert not replace(d, e=e).validate_label_map()
+
+    @pytest.mark.parametrize("fam,nu,mu,nl,ml", DIAGRAM_CHAINS)
+    def test_label_map_check_against_element_by_element_reference(self, fam, nu, mu, nl, ml):
+        """The standard e and a unit at each upper coordinate, over F_3: the bulk pass agrees with scalar classify."""
+        d = standard_diagram(make_space(fam, F3, nu, mu), make_space(fam, F3, nl, ml))
+        units = [tuple(int(j == k) for j in range(d.upper.dim)) for k in range(d.upper.dim)]
+        verdicts = [replace(d, e=e).validate_label_map() for e in [d.e, *units]]
+        assert verdicts == [label_map_compatible_reference(replace(d, e=e)) for e in [d.e, *units]]
+        assert verdicts[0] and not all(verdicts)
 
     def test_suites_never_classify_element_by_element(self, monkeypatch):
         def refuse(*args):
