@@ -777,7 +777,8 @@ def orbit_counts(space: Space, coefvecs: list[list[int]]) -> tuple[np.ndarray, n
     # t = 0, t = 1 in S, and for N the first t outside S where the fold splits F_p^*, else t = 1: no label tells them apart
     reps = [0, 1, 1 + int(np.argmin(square))]
     first = np.zeros((len(coefvecs), nbins, 3), dtype=np.int64)  # chunk 0, closed under scalars, at the t of reps
-    scaled = np.zeros((len(coefvecs), nbins, p), dtype=np.int64)  # the visited chunks other than chunk 0, by t
+    # the visited chunks other than chunk 0, by t; none where chunk 0 is the whole space
+    scaled = np.zeros((len(coefvecs), nbins, p), dtype=np.int64) if len(visit) > 1 else None
     buf = np.empty(nvar, dtype=np.intp)  # after the split, whose own peak it would otherwise raise
     for chunk, (rows, lab, shift) in zip(visit, chunks):
         for nkeys, key, var_h, fixed, folds in groups:
@@ -798,7 +799,7 @@ def orbit_counts(space: Space, coefvecs: list[list[int]]) -> tuple[np.ndarray, n
                 if nvar < len(varies):  # the other rows, folded once: their labels move up by the chunk's shift
                     into[shift:, cols] += f[: nbins - shift, take]
     to_label = (np.arange(len(space.labels()))[:, None] == lut).astype(np.int64)  # sums the codes of each label
-    counts = to_label @ (first + _scalar_fold(scaled, flip, square))
+    counts = to_label @ (first if scaled is None else first + _scalar_fold(scaled, flip, square))
     nS, nN = scalar_classes(space.field)
     if not nN:
         counts[..., 2] = 0

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .gfq import CharSpec, field_for
-from .pascal import closed_form_table, family_table
+from .pascal import check_n, closed_form_table, family_table
 from .reporting import Report
 from .serialize import (
     canonical_matrix_obj,
@@ -79,8 +79,7 @@ class ComputeRequest:
         if args.command == "export" and not args.out:
             raise ValueError("export needs --out")
         char = CharSpec(field_for(args.q), args.twist)
-        if args.n < 0:
-            raise ValueError(f"n must be >= 0, got {args.n}")
+        check_n(args.n)
         fmt = args.format or "json"
         if args.symbolic and args.family not in INTEGER_FAMILIES:
             raise ValueError("symbolic tables exist for vec, mat, and alt only")

@@ -103,20 +103,9 @@ def _powmod(field: FieldSpec, a: int, n: int) -> int:
 
 
 def _is_irreducible(candidate: tuple[int, ...], p: int) -> bool:
-    """Trial division by every monic polynomial of degree <= deg/2."""
+    """Trial division by every monic polynomial of degree <= deg/2: no remainder may be zero."""
     divisors = (tail + (1,) for d in range(1, (len(candidate) - 1) // 2 + 1) for tail in itertools.product(range(p), repeat=d))
-    return not any(_poly_divides(divisor, candidate, p) for divisor in divisors)
-
-
-def _poly_divides(divisor: tuple[int, ...], poly: tuple[int, ...], p: int) -> bool:
-    rem = list(poly)
-    d = len(divisor) - 1
-    for i in range(len(rem) - 1, d - 1, -1):
-        c = rem[i] % p
-        if c:
-            for j in range(d + 1):
-                rem[i - d + j] = (rem[i - d + j] - c * divisor[j]) % p
-    return not any(c % p for c in rem)
+    return all(any(_poly_mod(list(candidate), divisor, p, len(divisor) - 1)) for divisor in divisors)
 
 
 @lru_cache(maxsize=None)

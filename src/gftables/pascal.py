@@ -233,7 +233,8 @@ def _chain_step(prev: list[list[tuple[int, PolyQ]]], size: int, tau: int, o_hi: 
     return [bottom] + [[step(y, x) for x in range(size)] for y in range(size - 1)]
 
 
-def _check_n(n: int) -> None:
+def check_n(n: int) -> None:
+    """The one check of a size n, for the tables here, the spaces, the sign blocks and the CLI."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
 
@@ -254,7 +255,7 @@ def family_table(family: str, n: int, m: int | None = None) -> FamilyTable:
         raise ValueError(f"unknown family {family!r}")
     if family == "mat" and (m is None or m < n):
         raise ValueError("rectangular tables need n <= m")
-    _check_n(n)
+    check_n(n)
     tau, delta, N = FAMILY_PASCAL[family](n, m)
     grid = [[(0, PolyQ.const(1))]]
     for k in range(1, N + 1):
@@ -277,7 +278,7 @@ def _family_phi(family: str, n: int, m: int | None, q: int | Fraction):
         raise ValueError(f"no closed form for family {family!r}")
     if family == "mat" and (m is None or m < n):
         raise ValueError("out of range")
-    _check_n(n)
+    check_n(n)
     tau, delta, N = FAMILY_PASCAL[family](n, m)
     one = (1, 1)
     f = _solution_nd(3 if tau else 2, N, one, one, one, _pow(qp, delta), _pow(qp, tau), one)

@@ -23,11 +23,18 @@ from dataclasses import dataclass
 
 from .cyclotomic import POLY_Q, PolyQ
 from .gfq import FieldSpec, arith
+from .pascal import check_n
 from .qseries import binomial, gauss_binom_poly
 
 
 class BudgetError(ValueError):
     """An enumeration would exceed the configured element budget."""
+
+
+def check_budget(space: Space, budget: int) -> None:
+    """The one budget check of an enumeration of the whole space."""
+    if space.size > budget:
+        raise BudgetError(f"|A| = {space.size} exceeds the budget {budget}")
 
 
 @dataclass(frozen=True)
@@ -188,8 +195,8 @@ class Space:
         return tuple(index // q**k % q for k in range(self.dim))
 
     def elements(self, budget: int | None = None):
-        if budget is not None and self.size > budget:
-            raise BudgetError(f"|A| = {self.size} exceeds the budget {budget}")
+        if budget is not None:
+            check_budget(self, budget)
         for i in range(self.size):
             yield self.element_at(i)
 
@@ -400,10 +407,11 @@ class SymScaled(_SymBase):
 
 
 def make_space(family: str, field: FieldSpec, n: int, m: int | None = None) -> Space:
-    if family == "mat":
-        if m is None:
-            raise ValueError("mat spaces need both n and m")
-        return MatRect(n, m, field)
-    if family not in ("vec", "alt", "sym", "symscaled"):
+    if family == "mat" and m is None:
+        raise ValueError("mat spaces need both n and m")
+    if family not in ("vec", "mat", "alt", "sym", "symscaled"):
         raise ValueError(f"unknown family {family!r}")
+    check_n(n)
+    if family == "mat":
+        return MatRect(n, m, field)
     return {"vec": VecWreath, "alt": AltMat, "sym": SymGL, "symscaled": SymScaled}[family](n, field)

@@ -22,9 +22,9 @@ sums over those of r, each orbit weighted by its sign (+1 when it has none)
 for sgnchi and by 1 for chi. `scaled_canonical_from_blocks` and both the
 push and the pull-back checks of `sym_diagram_matrices` read it, and
 `_grid_to_blocks` (behind `psi_brute` and the inverse-transform check of
-`relation_suite`) takes the same mean on the two integer coordinates of each
-entry a + b eta of Z[eta] (cyclotomic.QuadInt), whose eta part is the gamma
-part; `phi_from_psi` inverts it. The push reads the diagram's
+`relation_suite`) takes it on entries a + b eta of Z[eta] (cyclotomic.QuadInt)
+and rewrites each mean on the basis (1, gamma), whose gamma part comes from
+the eta part; `phi_from_psi` inverts it. The push reads the diagram's
 `pushforward_matrix` at the sym sign points of every lower rank.
 
 Block index ranges: psi1 on 0<=s,r<=n, psi2 on 0<=s<=n and 1<=r<=n, psi3 on
@@ -35,12 +35,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
 
-from .cyclotomic import CycInt, QuadInt, QuadraticGamma, epsilon_of
+from .cyclotomic import CycInt, QuadInt, QuadraticGamma, epsilon_of, square_and_multiply
 from .cyclotomic import decompose_gamma  # noqa: F401  unused here: benchmarks/tracer.py times symmetric.decompose_gamma
-from .gfq import CharSpec, gauss_sum
-from .pascal import alt_column
+from .gfq import CharSpec, arith
+from .pascal import alt_column, check_n
 from .reporting import Report
 from .spaces import OrbitLabel, make_space
 from .transform import (
@@ -105,39 +104,39 @@ def _aggregate(grid, rows, cols, zero):
     return total / len(rows) if isinstance(total, Fraction) else total.exact_div(len(rows))
 
 
-@lru_cache(maxsize=None)
 def _gamma(char: CharSpec) -> QuadInt:
-    """The quadratic Gauss sum of GF(q) in Z[eta]: c (1 + 2 eta) = c g at odd degree, a rational integer at even."""
-    return QuadInt.from_cyc(gauss_sum(char))
+    """gfq.gauss_sum(char) in Z[eta], in closed form: sgn(-twist) * -(-g)^e.
+
+    Substituting b = -twist * a turns the sum into sgn(-twist) times the
+    Gauss sum of GF(q) at twist 1, which Davenport-Hasse gives as -(-g)^e
+    from g = 1 + 2 eta, the Gauss sum of F_p (Lidl & Niederreiter, *Finite
+    Fields*, ch. 5 sec. 2). So gamma is +-p^((e-1)/2) g at odd degree and a
+    rational integer at even degree.
+    """
+    F, p = arith(char.field), char.field.p
+    sign = F.sgn(F.neg(char.twist))
+    return -square_and_multiply(-QuadInt(p, 1, 2), char.field.e, QuadInt(p, 1)) * sign
 
 
 def _grid_to_blocks(labels, grid, char: CharSpec) -> list[tuple[tuple[QuadraticGamma, ...], ...]]:
     """A sign-labeled grid of QuadInts (rows and columns in label order) -> the four blocks over Z + Z*gamma.
 
-    Each block entry is _aggregate's mean, taken on the two integer
-    coordinates of x = a + b eta. At odd degree gamma has a nonzero eta
-    coordinate, so x = a' + b' gamma has b' = b / gamma.b, which must be an
-    integer, and a' = a - b' gamma.a.
+    Each block entry is _aggregate's mean x = a + b eta. At odd degree gamma
+    has a nonzero eta coordinate, so x = a' + b' gamma has b' = b / gamma.b,
+    which must be an integer, and a' = a - b' gamma.a.
     """
     ranks = _by_rank(labels)
     n = max(ranks)
     chi = [[(i, 1) for i, _ in ranks[r]] for r in range(n + 1)]
     sgn = [ranks[r] for r in range(1, n + 1)]
-    gamma, q = _gamma(char), char.field.q
+    gamma, q, zero = _gamma(char), char.field.q, QuadInt(char.field.p, 0)
 
     def entry(rows, cols) -> QuadraticGamma:
-        a = b = 0
-        for i, s in rows:
-            for j, t in cols:
-                x = grid[i][j]
-                a += x.a * (s * t)
-                b += x.b * (s * t)
-        if a % len(rows) or b % len(rows):
-            raise ValueError(f"coefficients not divisible by {len(rows)}")
-        g, rest = divmod(b // len(rows), gamma.b)
+        x = _aggregate(grid, rows, cols, zero)
+        g, rest = divmod(x.b, gamma.b)
         if rest:
             raise ValueError("not in quadratic subring")
-        return QuadraticGamma(a // len(rows) - g * gamma.a, g, q)
+        return QuadraticGamma(x.a - g * gamma.a, g, q)
 
     bases = ((chi, chi), (chi, sgn), (sgn, chi), (sgn, sgn))
     return [tuple(tuple(entry(rows, cols) for cols in cbasis) for rows in rbasis) for rbasis, cbasis in bases]
@@ -234,6 +233,7 @@ def psi4_closed_gamma_part(n: int, q: int, s: int, r: int) -> int:
 
 def psi_closed(n: int, char: CharSpec) -> PsiBlocks:
     """All four blocks from the closed forms and the structural zeros."""
+    check_n(n)
     q = char.field.q
 
     def qg(a: int, b: int = 0) -> QuadraticGamma:
@@ -276,7 +276,7 @@ def sym_diagram_matrices(n: int, char: CharSpec, which: int) -> Report:
     rep = Report()
     q = char.field.q
     eps = epsilon_of(q)
-    gamma = gauss_sum(char)
+    gamma = _gamma(char).to_cyc()
     zero = CycInt.zero(char.field.p)
     where = f"sym n={n} q={q} diagram {which}"
     lower_n = n - which

@@ -35,7 +35,7 @@ from . import bulk
 from .cyclotomic import CycInt, QuadInt
 from .gfq import CharSpec, default_char
 from .reporting import Report
-from .spaces import BudgetError, Elem, OrbitLabel, Space
+from .spaces import BudgetError, Elem, OrbitLabel, Space, check_budget
 
 DEFAULT_BUDGET = 10**7
 
@@ -77,8 +77,7 @@ def _counts_pure(space: Space, char: CharSpec, reps: list[Elem], budget: int):
 
 
 def _counts_bulk(space: Space, char: CharSpec, reps: list[Elem], budget: int):
-    if space.size > budget:
-        raise BudgetError(f"|A| = {space.size} exceeds the budget {budget}")
+    check_budget(space, budget)
     hists, sizes = bulk.orbit_counts(space, [_pair_coefvec(space, char, rep) for rep in reps])
     return [h.tolist() for h in hists], sizes.tolist()
 
@@ -89,10 +88,9 @@ def _orbit_counts_cached(space: Space, char: CharSpec, budget: int):
     return _counts_bulk(space, char, reps, budget)
 
 
-def _cyc_from_hist(p: int, hist: list[int], conj: bool) -> CycInt:
-    """sum over t of hist[t] zeta^(-t) (zeta^t when not conj), for a histogram over every t: a coset's fiber."""
-    vec = hist[:1] + hist[:0:-1] if conj else hist  # conj: count of t goes to -t mod p
-    return CycInt.reduce(p, vec)
+def _cyc_from_hist(p: int, hist: list[int]) -> CycInt:
+    """sum over t of hist[t] zeta^(-t), for a histogram over every t: a coset's fiber."""
+    return CycInt.reduce(p, hist[:1] + hist[:0:-1])  # the count of t goes to -t mod p
 
 
 def _entries(field, counts: list[list[int]]) -> tuple[QuadInt, ...]:
@@ -359,8 +357,7 @@ def multi_orthogonality_check(
             term = term * phi.entry(phi.labels[mu], lbl)
         term = term * phi.entry(phi.labels[mu], target).conjugate()
         lhs = lhs + term
-    if space.size > budget:
-        raise BudgetError(f"|A| = {space.size} exceeds the budget {budget}")
+    check_budget(space, budget)
     F, index = space.arith, space.labels().index
     digits = bulk._digits(0, space.size, space.dim, space.field.q)
     label_of = bulk.row_labels(space, digits)
@@ -487,7 +484,7 @@ def pushforward_matrix(d: Diagram, char: CharSpec | None = None) -> list[list[Cy
     char = char or default_char(d.upper.field)
     p = d.upper.field.p
     return [
-        [_cyc_from_hist(p, hist, conj=True) for hist in d.fiber_counts(char, d.lower.representative(w)).tolist()]
+        [_cyc_from_hist(p, hist) for hist in d.fiber_counts(char, d.lower.representative(w)).tolist()]
         for w in d.lower.labels()
     ]
 

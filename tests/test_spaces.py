@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from gftables.gfq import arith, make_field
+from gftables.gfq import arith, default_char, make_field
+from gftables.pascal import closed_form_table, family_table
 from gftables.spaces import (
     BudgetError,
     OrbitLabel,
@@ -10,6 +11,7 @@ from gftables.spaces import (
     matrix_rank,
     symmetric_sign,
 )
+from gftables.symmetric import psi_brute, psi_closed
 from helpers import random_mate
 
 F3 = make_field(3)
@@ -259,3 +261,16 @@ class TestEnumeration:
         assert matrix_rank(rows, F3) == 2
         rows = [[1, 2], [2, 4 % 3]]
         assert matrix_rank(rows, F3) == 1  # the second row is twice the first
+
+
+def test_negative_n_gets_the_one_message_everywhere():
+    calls = [lambda fam=fam: make_space(fam, F3, -1, 1 if fam == "mat" else None) for fam in ("vec", "mat", "alt", "sym", "symscaled")]
+    calls += [
+        lambda: psi_brute(-1, default_char(F3)),
+        lambda: psi_closed(-1, default_char(F3)),
+        lambda: family_table("vec", -1),
+        lambda: closed_form_table("vec", -1, None, 3),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="^n must be >= 0, got -1$"):
+            call()

@@ -1,8 +1,8 @@
 import pytest
 
 from gftables import cyclotomic, pascal, symmetric
-from gftables.cyclotomic import QuadraticGamma
-from gftables.gfq import CharSpec, default_char, make_field
+from gftables.cyclotomic import QuadInt, QuadraticGamma
+from gftables.gfq import CharSpec, default_char, field_for, gauss_sum, make_field
 from gftables.spaces import OrbitLabel, make_space
 from gftables.symmetric import (
     phi_from_psi,
@@ -254,3 +254,13 @@ class TestTwistDependence:
         base = brute_force_phi(make_space("sym", f, 2), default_char(f))
         sq = brute_force_phi(make_space("sym", f, 2), CharSpec(f, 4))
         assert sq.entries == base.entries
+
+
+class TestGaussSumClosedForm:
+    @pytest.mark.parametrize("q", [3, 5, 7, 9, 11, 13, 25, 27, 49, 81, 125, 243])
+    def test_davenport_hasse_equals_the_sum_over_the_field(self, q):
+        f = field_for(q)
+        twists = {1, f.delta()} | ({f.p} if f.e > 1 else set())
+        for twist in twists:
+            ch = CharSpec(f, twist)
+            assert symmetric._gamma(ch) == QuadInt.from_cyc(gauss_sum(ch)), (q, twist)
