@@ -105,13 +105,10 @@ def _aggregate(grid, rows, cols, zero):
 
 
 def _gamma(char: CharSpec) -> QuadInt:
-    """gfq.gauss_sum(char) in Z[eta], in closed form: sgn(-twist) * -(-g)^e.
+    """gfq.gauss_sum(char) in Z[eta]: sgn(-twist) * -(-g)^e, g = 1 + 2 eta the Gauss sum of F_p.
 
-    Substituting b = -twist * a turns the sum into sgn(-twist) times the
-    Gauss sum of GF(q) at twist 1, which Davenport-Hasse gives as -(-g)^e
-    from g = 1 + 2 eta, the Gauss sum of F_p (Lidl & Niederreiter, *Finite
-    Fields*, ch. 5 sec. 2). So gamma is +-p^((e-1)/2) g at odd degree and a
-    rational integer at even degree.
+    b = -twist * a makes the sum sgn(-twist) times the Gauss sum of GF(q) at twist 1, which is -(-g)^e by
+    Davenport-Hasse (Lidl & Niederreiter, *Finite Fields*, ch. 5 sec. 2): +-p^((e-1)/2) g at odd e, an integer at even.
     """
     F, p = arith(char.field), char.field.p
     sign = F.sgn(F.neg(char.twist))
