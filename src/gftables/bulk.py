@@ -122,7 +122,15 @@ step of each class on the high digits alone. Where row 0 reaches a high digit
   (sign < 0) is read from [C, C+2, (C+2)^1, (C+4)^[sgn(-1) < 0]] by class, C
   the (n-1) table. Where q^(2n-1) <= CHUNK, _sym_reduction memoizes at every
   x the class times |C| plus T-row-0's share of the index, the codes of -P_e
-  and the hyp class; elsewhere the step runs on the rows themselves.
+  and the hyp class; elsewhere the step runs on the rows themselves. Write
+  x = ab + q^n t, t row 0 of T. At a != 0 the step reads t only through
+  S0 = t - u_0 b, so the memo is built on the q^n codes ab and broadcast over
+  t, digit by digit; the q^(2n-2) codes with a = 0 take the case split on all
+  of them at once. A split from _chunks at K0 <= k < dim reads the memo by
+  period, for its low digits run in counting order: row r has row-0 code
+  r mod q^K0, so at k = K0 the memo arrays are the per-row values. At
+  k = dim, where the rows may be any codes (_labels, so row_labels and
+  coset_counts), each row gathers the memo at its own row-0 code.
 Where the step runs on the rows of each chunk, it reads every row's high
 digits, from a copy of the digits made once per call.
 
@@ -463,15 +471,55 @@ def _sym_row0(D: np.ndarray, n: int, F: Arith):
     return base.astype(np.int32), neg, hyp
 
 
+def _sym_neg(u: np.ndarray, b: np.ndarray, F: Arith) -> np.ndarray:
+    """-P_e = -u_l b_m at each entry e = (l, m), l <= m, of T', for the columns u and b of the (n-1, B) arrays u and b."""
+    iu, ju = np.triu_indices(max(len(u) - 1, 0))
+    return F.vreduce(F.vneg(F.vmul(u[1 + iu], b[1 + ju])))
+
+
+def _sym_zero_pivot(n: int, F: Arith):
+    """(base, neg, hyp) of _sym_row0 at the q^(2n-2) codes x = q y with a = 0, y = b + q^(n-1) t, for n >= 2.
+
+    The case split on every row at once: an add row takes a' = c (2 b_0 + c T_00) and b' = b + c t, and the other rows
+    c = 0, so a' = 0 and b' = b; then the rule of a != 0 where a' != 0, else the hyp step, which is the identity at b = 0.
+    """
+    q, y = F.q, _digits(0, F.q ** (2 * n - 2), 2 * n - 2, F.q).T
+    b, t = y[: n - 1], y[n - 1 :]
+    two = F.vadd(b[0], b[0])
+    c = np.where(F.vreduce(F.vadd(two, t[0])) == 0, np.int32(F.neg(1)), np.int32(1)) * ((b[0] != 0) | (t[0] != 0))
+    a = F.vreduce(F.vadd(t[0], F.vmul(c, two)))
+    b = F.vreduce(F.vadd(b, F.vmul(c, t)))
+    uh, j = _normalize(b, F)  # b / b_j on the hyp rows; 0 on the zero rows
+    u = np.where(a != 0, F.vreduce(F.vmul(b, F.inv_table[a])), uh)
+    S0 = F.vreduce(F.vsub(t, np.where(a != 0, F.vmul(u[:1], b), F.vmul(u, t[j, np.arange(len(j))]))))
+    cls = np.where(a != 0, 1 + (F.sgn_table[a] < 0), 3 * b.any(axis=0))
+    hyp = np.where(a != 0, 0, np.take(_classes(n - 2, F)[2], _code(u[1:].T, q))) if n > 2 else 0  # n = 2: b = b_0
+    return cls * q ** (n * (n - 1) // 2) + sum(q**d * S0[d] for d in range(n - 1)), _sym_neg(u, b, F), hyp
+
+
 @lru_cache(maxsize=None)
 def _sym_reduction(n: int, F: Arith):
-    """_sym_row0 at every code of the first 2n - 1 digits, read-only.
+    """_sym_row0 at every code x = ab + q^n t of the first 2n - 1 digits, read-only: ab codes a and b, t row 0 of T.
 
-    In blocks of 2^14 codes: the temporaries of one pass over all q^(2n-1) codes would take 100 bytes a code.
+    Where a != 0 the step reads t only through S0 = t - u_0 b, u = b / a. So cls, u_0 b_d and neg come from the q^n
+    codes ab, base from broadcasting a (q, q^n) table of t_d - u_0 b_d over each digit d of t, and neg from
+    broadcasting over t. At a = 0 these give the zero rows; _sym_zero_pivot overwrites the a = 0 codes.
     """
-    X = F.q ** (2 * n - 1)
-    parts = [_sym_row0(_digits(s, min(s + (1 << 14), X), 2 * n - 1, F.q), n, F) for s in range(0, X, 1 << 14)]
-    return tuple(_frozen(np.concatenate(t, axis=-1)) for t in zip(*parts))
+    q, N, E, X = F.q, n * (n - 1) // 2, (n - 1) * (n - 2) // 2, F.q ** (2 * n - 1)
+    zero = _sym_zero_pivot(n, F) if n > 1 else None  # first, so its temporaries are gone before the full-size arrays
+    ab = _digits(0, q**n, n, q).T
+    a, b = ab[0], ab[1:]
+    u = F.vreduce(F.vmul(b, F.inv_table[a]))  # b / a
+    base = ((a != 0) + (F.sgn_table[a] < 0).astype(np.int32)) * q**N
+    for d in range(n - 1):  # t_d becomes the slowest digit
+        S0 = F.vreduce(F.vsub(np.arange(q, dtype=np.int32)[:, None], F.vmul(u[0], b[d])))  # (q, q^n): t_d - u_0 b_d
+        base = (base + q**d * S0[:, None, :]).reshape(-1, q**n)
+    neg = np.empty((E, q ** (n - 1), q**n), dtype=np.int8 if n > 1 and q <= 128 else np.int32)  # _sym_row0's dtype
+    neg[:] = _sym_neg(u, b, F)[:, None, :]
+    base, neg, hyp = base.ravel(), neg.reshape(E, X), np.zeros(X, dtype=np.int32)
+    if zero:
+        base[::q], neg[:, ::q], hyp[::q] = zero
+    return _frozen(base), _frozen(neg), _frozen(hyp)
 
 
 def _schur(R: np.ndarray, u: np.ndarray, j: np.ndarray, F: Arith, skew: bool = False) -> np.ndarray:
@@ -498,12 +546,15 @@ def _sym_split(digits, k: int, n: int, F: Arith):
     apply = partial(_schur, F=F)
 
     def index(digits: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-        if q**K0 <= CHUNK:  # the memoized step, read at each row's row-0 code x
+        if q**K0 > CHUNK:  # the step on these rows
+            base, neg, hyp = _sym_row0(digits[:, :K0], n, F)
+            at = np.asarray
+        elif k < dim:  # only _chunks splits at k < dim, in counting order: row r reads the memo at r mod q^K0
+            base, neg, hyp = _sym_reduction(n, F)
+            at = partial(np.tile, reps=q ** (k - K0)) if k > K0 else np.asarray
+        else:  # any rows: the memo at each row's row-0 code x
             base, neg, hyp = _sym_reduction(n, F)
             at = partial(np.take, indices=_code(digits[:, :K0], q))
-        else:  # the step on these rows
-            base, neg, hyp = _sym_row0(digits[:, :K0], n, F)
-            at = lambda t: t  # noqa: E731
         base = idx = at(base)
         for e in range(k - K0):
             idx = idx + w[e] * F.vreduce(F.vadd(digits[:, K0 + e], at(neg[e])))
@@ -512,6 +563,7 @@ def _sym_split(digits, k: int, n: int, F: Arith):
         if rows.size:  # T' enters through P T' P^T
             z = hyp[rows]
             lo, hi = _rest(digits[rows], K0, k, apply, classes[0][:, z], classes[1][z], w, q)
+            idx = idx if idx.flags.writeable else idx.copy()  # the memo itself at k = K0
             idx[rows] = base[rows] + lo
             code[rows] = z * q ** (dim - k) + hi
         return idx, code
@@ -794,8 +846,8 @@ def orbit_counts(space: Space, coefvecs: list[list[int]]) -> tuple[np.ndarray, n
                 else:  # t_hi = 0: t_lo at the t of reps, or at 0 alone for a zero map
                     take = reps if nvals > 1 else [0]
                     into, cols = first[r], slice(len(take))
-                if nvar:
-                    into[:, cols] += h[:, order].reshape(nbins, nvals, -1).sum(axis=2)[:, take]
+                if nvar:  # the runs of order at take alone, one per t_lo: chunk 0 reads 3 of them, not p
+                    into[:, cols] += h[:, order.reshape(nvals, -1)[take]].sum(axis=2)
                 if nvar < len(varies):  # the other rows, folded once: their labels move up by the chunk's shift
                     into[shift:, cols] += f[: nbins - shift, take]
     to_label = (np.arange(len(space.labels()))[:, None] == lut).astype(np.int64)  # sums the codes of each label

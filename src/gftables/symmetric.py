@@ -97,10 +97,13 @@ def _aggregate(grid, rows, cols, zero):
     """(1/len(rows)) * the sum of a * b * grid[i][j] over (i, a) in rows and (j, b) in cols.
 
     Rows average over the sign orbits of a rank and columns sum over them.
-    Pairs with sign 1 read chi, pairs with the label signs read sgnchi. Over
-    Z[eta] or Z[zeta_p] the mean must be exact; over Fraction it is a plain quotient.
+    Pairs with sign 1 read chi, pairs with the label signs read sgnchi. Every
+    a * b is +-1, so the terms of each sign are summed apart: one addition per
+    term, no product. Over Z[eta] or Z[zeta_p] the mean must be exact; over
+    Fraction it is a plain quotient.
     """
-    total = sum((grid[i][j] * (a * b) for i, a in rows for j, b in cols), zero)
+    plus = sum((grid[i][j] for i, a in rows for j, b in cols if a == b), zero)
+    total = plus - sum((grid[i][j] for i, a in rows for j, b in cols if a != b), zero)
     return total / len(rows) if isinstance(total, Fraction) else total.exact_div(len(rows))
 
 

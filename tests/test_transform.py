@@ -650,6 +650,21 @@ def test_sym_row_labels_of_random_rows(fam, n, q):
     assert bulk.batch_sym_rank_sign(digits[:0], n, F).shape == (0,)  # no rows
 
 
+@pytest.mark.parametrize(
+    "n,q", [(n, q) for q in (3, 5, 7, 9, 11, 13, 25, 27) for n in range(1, 6) if q ** (2 * n - 1) <= bulk.CHUNK]
+)
+def test_sym_reduction_is_the_row0_step_at_every_code(n, q):
+    """The broadcast memo equals the row-0 step run on every row-0 code, values and dtypes: the a != 0 codes, and the
+    add, hyp and zero rows at a = 0."""
+    F, X = bulk.arith(field_for(q)), q ** (2 * n - 1)
+    got = bulk._sym_reduction(n, F)
+    want = bulk._sym_row0(bulk._digits(0, X, 2 * n - 1, q), n, F)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert np.array_equal(g, w)
+    assert not any(g.flags.writeable for g in got)
+
+
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 11])
 def test_digits_of_a_full_range(q):
     def reference(start, stop, d):  # digit i of x is x // q^i mod q
