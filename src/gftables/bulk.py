@@ -25,9 +25,11 @@ and the dim - k high digits are fixed in a chunk, so each labeller is split in t
 - a per-call part (the *_split functions) runs once on the low digits: the
   row-0 step below and every (n-1) coordinate that reads only low digits. It
   keeps read-only int32/int8 state;
-- a per-chunk tail (_label_indices) adds the high digits s_t, which _chunks
-  writes into row 0 alone: for the row-0 steps, one table per chunk read at
-  each row's per-call code, then one take reads the label.
+- a per-chunk tail (_label_indices) adds the high digits s_t: for the row-0
+  steps, one table per chunk read at each row's per-call code, then one take
+  reads the label. _chunks frees the low digits once the split returns and
+  hands each tail one row of the chunk's high digits, broadcast to its q^k
+  rows, so a call holds the split's per-row state and one chunk.
 A functional sends coordinate k with
 coefficient c_k through T_c[x] = Tr(c_k x) in F_p, which is F_p-linear in
 the base-p digits of x, so t = t_lo + t_hi: t_lo reads the low digits, and
@@ -125,14 +127,16 @@ step of each class on the high digits alone. Where row 0 reaches a high digit
   and the hyp class; elsewhere the step runs on the rows themselves. Write
   x = ab + q^n t, t row 0 of T. At a != 0 the step reads t only through
   S0 = t - u_0 b, so the memo is built on the q^n codes ab and broadcast over
-  t, digit by digit; the q^(2n-2) codes with a = 0 take the case split on all
-  of them at once. A split from _chunks at K0 <= k < dim reads the memo by
-  period, for its low digits run in counting order: row r has row-0 code
+  t, digit by digit. At a = 0, (b_0, T_00) fixes c and a', and the add rows are
+  linear in each (b_d, t_d), so they are broadcast from tables over those
+  digits; the hyp and zero rows (b_0 = T_00 = 0) read u from b alone. A split
+  from _chunks at K0 <= k < dim reads the memo by period, for its low digits run in counting order: row r has row-0 code
   r mod q^K0, so at k = K0 the memo arrays are the per-row values. At
   k = dim, where the rows may be any codes (_labels, so row_labels and
   coset_counts), each row gathers the memo at its own row-0 code.
 Where the step runs on the rows of each chunk, it reads every row's high
-digits, from a copy of the digits made once per call.
+digits, from a copy of the digits made once per call (at k = dim, the one
+chunk, from the rows the split was given).
 
 A split returns per-call labels, the rows that vary and a tail. In each chunk
 a row has its per-call label plus the chunk's shift, except the rows the tail
@@ -162,10 +166,12 @@ Pfaffians are read at the candidates alone: on average 1,303 of the 63,245
 varying rows of a chunk of alt n=5 q=5.
 
 orbit_counts folds the rows that do not vary once per call: one (label, key)
-histogram per group, which each member sums by its map into (nbins, p), and
-each chunk adds that rolled by its t_hi and moved up the label axis by its
-shift. So vec, with no varying rows, runs no bincount and no member fold per
-chunk. The rows a chunk lists run one bincount over (label, key) per group.
+histogram per group, which each member sums by its map at the three t of
+chunk 0's classes and, where other chunks are visited, into (nbins, p); each
+chunk adds that rolled by its t_hi and moved up the label axis by its shift.
+So a space of one chunk builds nothing of p entries per functional, and vec,
+with no varying rows, runs no bincount and no member fold per chunk. The rows
+a chunk lists run one bincount over (label, key) per group.
 Where they are only some of the varying rows, the others count at their
 per-call label plus the shift, by complement: the key histogram of every
 varying row, kept per call, minus the listed rows' keys.
@@ -230,8 +236,10 @@ def _chunks(split, dim: int, *args, k=None, visit=None):
     """(per-call labels, varying rows, an iterator of (listed rows, their labels, shift) per chunk).
 
     The space has dim digits over the field of args[-1]. split(digits, k, *args)
-    runs once; a row has its per-call label plus the chunk's shift in every
-    chunk, unless the chunk lists it (module docstring). k is the number of low digits, by
+    runs once on the low digits, the high ones zero; a row has its per-call label
+    plus the chunk's shift in every chunk, unless the chunk lists it (module
+    docstring). The low digits are freed then: each chunk's tail gets one row of
+    its high digits, broadcast to the q^k rows. k is the number of low digits, by
     default _low_width; visit holds the codes sum_i q^i s_i of the chunks to
     label, s their high digits; by default every chunk, in order.
     """
@@ -239,16 +247,16 @@ def _chunks(split, dim: int, *args, k=None, visit=None):
     if dim == 0:  # one element, the zero matrix, with label 0 in every family
         return _frozen(np.zeros(1, dtype=np.int8)), _frozen(np.zeros(1, dtype=bool)), iter([(slice(0), np.zeros(0, dtype=np.int8), 0)])
     k = _low_width(dim, q) if k is None else k
-    buf = np.zeros((dim, q**k), dtype=np.int32)  # one digit row per coordinate; a chunk sets the high digits of row 0
-    _digits(0, q**k, k, q, out=buf[:k])  # low digits: all of GF(q)^k, the same in every chunk
-    digits = buf.T
-    digits.flags.writeable = False  # the kernels must not write into rows later chunks reuse
-    labels, varies, tail = split(digits, k, *args)
+    digits = np.zeros((dim, q**k), dtype=np.int32)  # one digit row per coordinate, the high ones zero
+    _digits(0, q**k, k, q, out=digits[:k])  # low digits: all of GF(q)^k, the same in every chunk
+    labels, varies, tail = split(_frozen(digits.T), k, *args)  # read-only: a split may keep them
+    row = np.zeros((1, dim), dtype=np.int32)  # the chunk's high digits: the tails read nothing else of the digits
+    rows = np.broadcast_to(row, (q**k, dim))  # a read-only view of q^k copies of row, in the shape of the digits
 
     def chunks():
         for chunk in range(q ** (dim - k)) if visit is None else visit:
-            buf[k:, 0] = [chunk // q**i % q for i in range(dim - k)]  # the tails read the high digits there alone
-            yield _label_indices(tail, digits)
+            row[0, k:] = [chunk // q**i % q for i in range(dim - k)]
+            yield _label_indices(tail, rows)
 
     return labels, varies, chunks()
 
@@ -269,7 +277,8 @@ def _walk(split, dim: int, *args):
 
 
 def _label_indices(tail, digits: np.ndarray):
-    """(listed rows, their labels, shift) of one chunk, by the tail that a split returned; the high digits are digits[0, k:]."""
+    """(listed rows, their labels, shift) of one chunk, by the tail that a split returned. The tail reads the chunk's
+    high digits from digits[0, k:]: from _chunks, digits is one row of them broadcast to the chunk's rows."""
     return tail(digits)
 
 
@@ -335,14 +344,14 @@ def _row0_split(digits, k: int, F: Arith, K0: int, w: np.ndarray, table: np.ndar
     """
     q, dim = F.q, digits.shape[1]
     fixed = tuple(map(_frozen, index(digits, k))) if K0 <= k < dim else None  # else each chunk runs the step on its rows
-    full = np.array(digits.T) if fixed is None and k < dim else None  # there, a writable copy that takes every row's high digits
+    # there, the rows themselves at k = dim (one chunk), else a writable copy that takes every row's high digits
+    full = None if fixed is not None else digits if k == dim else np.array(digits.T).T
 
     def tail(digits: np.ndarray) -> tuple[slice, np.ndarray, int]:
         if fixed is None:  # row 0 has a high digit, or no entry has
-            if full is not None:
-                full[k:] = digits[0, k:, None]
-                digits = full.T
-            return slice(None), np.take(table, index(digits, dim)[0]), 0
+            if k < dim:
+                full[:, k:] = digits[0, k:]
+            return slice(None), np.take(table, index(full, dim)[0]), 0
         s = np.zeros((len(w), 1), dtype=np.int32)
         s[k - K0 :, 0] = digits[0, k:]
         U, J, _ = classes
@@ -477,24 +486,37 @@ def _sym_neg(u: np.ndarray, b: np.ndarray, F: Arith) -> np.ndarray:
     return F.vreduce(F.vneg(F.vmul(u[1 + iu], b[1 + ju])))
 
 
-def _sym_zero_pivot(n: int, F: Arith):
-    """(base, neg, hyp) of _sym_row0 at the q^(2n-2) codes x = q y with a = 0, y = b + q^(n-1) t, for n >= 2.
+def _sym_zero_pivot(n: int, F: Arith, base: np.ndarray, neg: np.ndarray, hyp: np.ndarray) -> None:
+    """Writes _sym_row0 at the q^(2n-2) codes x = q y with a = 0, y = b + q^(n-1) t, n >= 2, into base, neg[e] and hyp:
+    views of the memo with one axis per digit of y, the slowest first (t_{n-2} .. t_0, b_{n-2} .. b_0); hyp holds 0.
 
-    The case split on every row at once: an add row takes a' = c (2 b_0 + c T_00) and b' = b + c t, and the other rows
-    c = 0, so a' = 0 and b' = b; then the rule of a != 0 where a' != 0, else the hyp step, which is the identity at b = 0.
+    Off b_0 = T_00 = 0 a row adds c times row and column 1, and (b_0, T_00) fixes c and a' = c (2 b_0 + c T_00) != 0:
+    there b' = b + c t and S0 = t - u_0 b', u = b' / a', are linear in (b_d, t_d) digit by digit, so each is built on
+    the q^4 codes of (b_0, T_00, b_d, t_d) and broadcast, and -P_e = -u_l b'_m on those of two digits. At b_0 = T_00 = 0
+    (the hyp rows, and the zero rows at b = 0) u = b / b_j and the class read b alone: q^(n-2) codes, broadcast over t.
     """
-    q, y = F.q, _digits(0, F.q ** (2 * n - 2), 2 * n - 2, F.q).T
-    b, t = y[: n - 1], y[n - 1 :]
+    q, N, dims, Q = F.q, n * (n - 1) // 2, 2 * n - 2, F.q ** (n - 2)
+    axis = [np.arange(q, dtype=np.int32).reshape([q if i == d else 1 for i in range(dims)]) for d in range(dims)]
+    t, b = axis[n - 2 :: -1], axis[: n - 2 : -1]  # t_d and b_d along their axes
     two = F.vadd(b[0], b[0])
-    c = np.where(F.vreduce(F.vadd(two, t[0])) == 0, np.int32(F.neg(1)), np.int32(1)) * ((b[0] != 0) | (t[0] != 0))
+    c = np.where(F.vreduce(F.vadd(two, t[0])) == 0, np.int32(F.neg(1)), np.int32(1))  # c = -1 where T_00 = -2 b_0
     a = F.vreduce(F.vadd(t[0], F.vmul(c, two)))
-    b = F.vreduce(F.vadd(b, F.vmul(c, t)))
-    uh, j = _normalize(b, F)  # b / b_j on the hyp rows; 0 on the zero rows
-    u = np.where(a != 0, F.vreduce(F.vmul(b, F.inv_table[a])), uh)
-    S0 = F.vreduce(F.vsub(t, np.where(a != 0, F.vmul(u[:1], b), F.vmul(u, t[j, np.arange(len(j))]))))
-    cls = np.where(a != 0, 1 + (F.sgn_table[a] < 0), 3 * b.any(axis=0))
-    hyp = np.where(a != 0, 0, np.take(_classes(n - 2, F)[2], _code(u[1:].T, q))) if n > 2 else 0  # n = 2: b = b_0
-    return cls * q ** (n * (n - 1) // 2) + sum(q**d * S0[d] for d in range(n - 1)), _sym_neg(u, b, F), hyp
+    bc = [F.vreduce(F.vadd(b[d], F.vmul(c, t[d]))) for d in range(n - 1)]  # b' = b + c t
+    u = [F.vreduce(F.vmul(x, F.inv_table[a])) for x in bc]
+    S0 = sum(q**d * F.vreduce(F.vsub(t[d], F.vmul(u[0], bc[d]))) for d in range(n - 1))  # T-row-0's share, S0 = t - u_0 b'
+    base[...] = ((F.sgn_table[a] < 0).astype(np.int32) + 1) * q**N + S0
+    for e, (l, m) in enumerate(zip(*np.triu_indices(n - 2))):
+        neg[e] = F.vreduce(F.vneg(F.vmul(u[1 + l], bc[1 + m])))
+    bt = np.concatenate([np.zeros((1, Q), dtype=np.int32), _digits(0, Q, n - 2, q).T])  # b, and t, at b_0 = T_00 = 0
+    uh, j = _normalize(bt, F)  # b / b_j, and 0 at b = 0
+    tj = bt[j].T  # (t, b): t_j
+    at = ((slice(None),) * (n - 2) + (0,)) * 2  # b_0 = T_00 = 0
+    S0 = sum(q**d * F.vreduce(F.vsub(bt[d, :, None], F.vmul(uh[d], tj))) for d in range(n - 1))
+    base[at] = ((3 * q**N) * bt.any(axis=0) + S0).reshape((q,) * (dims - 2))
+    for e, x in enumerate(_sym_neg(uh, bt, F)):
+        neg[e][at] = x.reshape((q,) * (n - 2))
+    if n > 2:  # at n = 2 the one code is the zero row
+        hyp[at] = np.take(_classes(n - 2, F)[2], _code(uh[1:].T, q)).reshape((q,) * (n - 2))
 
 
 @lru_cache(maxsize=None)
@@ -503,10 +525,9 @@ def _sym_reduction(n: int, F: Arith):
 
     Where a != 0 the step reads t only through S0 = t - u_0 b, u = b / a. So cls, u_0 b_d and neg come from the q^n
     codes ab, base from broadcasting a (q, q^n) table of t_d - u_0 b_d over each digit d of t, and neg from
-    broadcasting over t. At a = 0 these give the zero rows; _sym_zero_pivot overwrites the a = 0 codes.
+    broadcasting over t. _sym_zero_pivot then writes the codes with a = 0.
     """
     q, N, E, X = F.q, n * (n - 1) // 2, (n - 1) * (n - 2) // 2, F.q ** (2 * n - 1)
-    zero = _sym_zero_pivot(n, F) if n > 1 else None  # first, so its temporaries are gone before the full-size arrays
     ab = _digits(0, q**n, n, q).T
     a, b = ab[0], ab[1:]
     u = F.vreduce(F.vmul(b, F.inv_table[a]))  # b / a
@@ -517,8 +538,9 @@ def _sym_reduction(n: int, F: Arith):
     neg = np.empty((E, q ** (n - 1), q**n), dtype=np.int8 if n > 1 and q <= 128 else np.int32)  # _sym_row0's dtype
     neg[:] = _sym_neg(u, b, F)[:, None, :]
     base, neg, hyp = base.ravel(), neg.reshape(E, X), np.zeros(X, dtype=np.int32)
-    if zero:
-        base[::q], neg[:, ::q], hyp[::q] = zero
+    if n > 1:  # the codes with a = 0, the fastest digit of x, with one axis per digit of y
+        grid = (q,) * (2 * n - 1)
+        _sym_zero_pivot(n, F, base.reshape(grid)[..., 0], neg.reshape(E, *grid)[..., 0], hyp.reshape(grid)[..., 0])
     return _frozen(base), _frozen(neg), _frozen(hyp)
 
 
@@ -558,14 +580,15 @@ def _sym_split(digits, k: int, n: int, F: Arith):
         base = idx = at(base)
         for e in range(k - K0):
             idx = idx + w[e] * F.vreduce(F.vadd(digits[:, K0 + e], at(neg[e])))
-        code, hyp = at((q ** np.arange(dim - k) @ neg[k - K0 :]).astype(np.int32)), at(hyp)
+        code, hyp = at(_code(neg[k - K0 :].T, q)), at(hyp)
         rows = np.flatnonzero(hyp)
         if rows.size:  # T' enters through P T' P^T
             z = hyp[rows]
-            lo, hi = _rest(digits[rows], K0, k, apply, classes[0][:, z], classes[1][z], w, q)
-            idx = idx if idx.flags.writeable else idx.copy()  # the memo itself at k = K0
-            idx[rows] = base[rows] + lo
-            code[rows] = z * q ** (dim - k) + hi
+            code[rows] = z * q ** (dim - k)
+            if k > K0:  # at k = K0 no entry of T' is low, so lo = hi = 0 and idx stays the memo itself
+                lo, hi = _rest(digits[rows], K0, k, apply, classes[0][:, z], classes[1][z], w, q)
+                idx[rows] = base[rows] + lo
+                code[rows] += hi
         return idx, code
 
     return _row0_split(digits, k, F, K0, w, table, index, classes, apply)
@@ -599,30 +622,35 @@ def _pfaffian_split(digits, k: int, n: int, cap: int, F: Arith):
     nonzero Pfaffian, so label cap + 1 (module docstring).
     """
     pos = {pair: c for c, pair in enumerate(itertools.combinations(range(n), 2))}
-    rank4, fixed, high = np.zeros(len(digits), dtype=bool), np.ones(len(digits), dtype=bool), []
+    pfs = []  # (low terms, terms with a high digit, their low factors) of each principal Pfaffian
     for i, j, kk, l in itertools.combinations(range(n), 4):
-        # over F_p a sum stays int32: |pf| < 3 (p-1)^2 < 2^31 for p < 26755; a larger p has |A| >= p^6 > 10^26
-        pf, terms = np.zeros(len(digits), dtype=np.int32), []
-        for sign, x, y in ((1, (i, j), (kk, l)), (-1, (i, kk), (j, l)), (1, (i, l), (j, kk))):
-            c, d = sorted((pos[x], pos[y]))
-            if d < k:
-                pf = (F.vadd if sign > 0 else F.vsub)(pf, F.vmul(digits[:, c], digits[:, d]))
-            else:
-                terms.append((sign, c, d))
-        low = [c for _, c, _ in terms if c < k]  # code = P + sum q^(i+1) x_i over the low factors x_i
-        code = F.vreduce(pf) + sum(F.q ** (i + 1) * digits[:, c] for i, c in enumerate(low))
-        if not terms:
-            rank4 |= code != 0
-            continue
-        if len(low) < len(terms):  # a term with two high digits: the Pfaffian is never constant
-            fixed[:] = False
-        else:  # affine in the high digits: constant, and equal to P, iff every low factor is 0
-            const = code < F.q
-            fixed &= const
-            rank4 |= const & (code != 0)
-        codes = F.q ** (1 + len(low))
-        high.append((code.astype(np.int8 if codes <= 128 else np.int32), codes, terms))
-    nonzero = (digits[:, :k] != 0).sum(axis=1, dtype=np.int8)
+        terms = [(sign, *sorted((pos[x], pos[y]))) for sign, x, y in ((1, (i, j), (kk, l)), (-1, (i, kk), (j, l)), (1, (i, l), (j, kk)))]
+        top = [t for t in terms if t[2] >= k]
+        pfs.append(([t for t in terms if t[2] < k], top, [c for _, c, _ in top if c < k]))
+    B = len(digits)
+    rank4, fixed, nonzero = np.zeros(B, dtype=bool), np.ones(B, dtype=bool), np.empty(B, dtype=np.int8)
+    codes = [F.q ** (1 + len(low)) for _, _, low in pfs]  # the code range of each Pfaffian with a high term
+    high = [(np.empty(B, dtype=np.int8 if c <= 128 else np.int32), c, terms) for c, (_, terms, _) in zip(codes, pfs) if terms]
+    for s in range(0, B, 1 << 14):  # in blocks, as _rest: only the per-row results are of full size
+        b, D = slice(s, s + (1 << 14)), digits[s : s + (1 << 14)]
+        out = iter(high)
+        for prods, terms, low in pfs:
+            # over F_p a sum stays int32: |pf| < 3 (p-1)^2 < 2^31 for p < 26755; a larger p has |A| >= p^6 > 10^26
+            pf = np.zeros(len(D), dtype=np.int32)
+            for sign, c, d in prods:
+                pf = (F.vadd if sign > 0 else F.vsub)(pf, F.vmul(D[:, c], D[:, d]))
+            code = F.vreduce(pf) + sum(F.q ** (i + 1) * D[:, c] for i, c in enumerate(low))  # P + sum q^(i+1) x_i
+            if not terms:
+                rank4[b] |= code != 0
+                continue
+            if len(low) < len(terms):  # a term with two high digits: the Pfaffian is never constant
+                fixed[b] = False
+            else:  # affine in the high digits: constant, and equal to P, iff every low factor is 0
+                const = code < F.q
+                fixed[b] &= const
+                rank4[b] |= const & (code != 0)
+            next(out)[0][b] = code
+        nonzero[b] = (D[:, :k] != 0).sum(axis=1, dtype=np.int8)
     grows = cap >= digits.shape[1]  # the count never reaches cap: it grows by the chunk's nonzero high digits
     varies = ~((rank4 | fixed) & (grows | (nonzero >= cap)))
     labels = np.minimum(nonzero, cap) + rank4
@@ -765,7 +793,7 @@ def _fold_keys(tabs, k: int, p: int, basis: list[int], members: list[tuple[int, 
     folds = []
     for r, lam in members:  # a nonzero map takes each value on p^(rho-1) keys, a zero map only 0
         t_lo = _mod(digits @ np.asarray(lam, dtype=np.int64), p)
-        folds.append((r, np.argsort(t_lo, kind="stable"), p if any(lam) else 1))
+        folds.append((r, np.argsort(t_lo, kind="stable").astype(np.int32), p if any(lam) else 1))
     return p ** len(basis), _frozen(key), folds
 
 
@@ -818,12 +846,6 @@ def orbit_counts(space: Space, coefvecs: list[list[int]]) -> tuple[np.ndarray, n
     visit = [0, *itertools.chain(*(range(p**i, 2 * p**i) for i in range((dim - k) * space.field.e)))]
     labels, varies, chunks = _chunks(split, dim, *args, k=k, visit=visit)
     nvar, left = np.count_nonzero(varies), int(labels[varies.argmax()])  # the per-call label of every varying row
-    for g, (nkeys, key, folds) in enumerate(groups):  # per call: the rows that do not vary, folded by each member
-        key = np.broadcast_to(key, varies.shape)  # one key for all when the basis is empty
-        h = np.bincount(labels[~varies].astype(np.intp) * nkeys + key[~varies], minlength=nbins * nkeys).reshape(nbins, nkeys)
-        fixed = [h[:, order].reshape(nbins, nvals, -1).sum(axis=2) for _, order, nvals in folds]
-        # each key is the t_lo of an F_p basis, independent over all of GF(q)^k, so q^k / nkeys low elements take it
-        groups[g] = nkeys, key, len(key) // nkeys - h.sum(axis=0) if nvar else None, fixed, folds
     codes = np.arange(nbins)  # a nonsquare lambda flips the sign of an odd sym rank and fixes every other label
     flip, square = (codes ^ (codes >> 1 & 1), F.sgn_table[1:p] > 0) if split is _sym_split else (codes, np.ones(p - 1, dtype=bool))
     # t = 0, t = 1 in S, and for N the first t outside S where the fold splits F_p^*, else t = 1: no label tells them apart
@@ -831,6 +853,18 @@ def orbit_counts(space: Space, coefvecs: list[list[int]]) -> tuple[np.ndarray, n
     first = np.zeros((len(coefvecs), nbins, 3), dtype=np.int64)  # chunk 0, closed under scalars, at the t of reps
     # the visited chunks other than chunk 0, by t; none where chunk 0 is the whole space
     scaled = np.zeros((len(coefvecs), nbins, p), dtype=np.int64) if len(visit) > 1 else None
+    for g, (nkeys, key, folds) in enumerate(groups):  # per call: the rows that do not vary, folded by each member
+        key = np.broadcast_to(key, varies.shape)  # one key for all when the basis is empty
+        # chunk 0 reads each member at take: t_lo at the t of reps, or at 0 alone for a zero map
+        folds = [(r, order, nvals, reps if nvals > 1 else [0]) for r, order, nvals in folds]
+        # each key is the t_lo of an F_p basis, independent over all of GF(q)^k, so q^k / nkeys low elements take it
+        fixed, var_h = [(None, None)] * len(folds), len(key) // nkeys
+        if nvar < len(varies):  # each member's fold at take for chunk 0, and at every t_lo for the others, if any
+            h = np.bincount(labels[~varies].astype(np.intp) * nkeys + key[~varies], minlength=nbins * nkeys).reshape(nbins, nkeys)
+            fixed = [(h[:, order.reshape(nvals, -1)[take]].sum(axis=2), None if scaled is None else h[:, order].reshape(nbins, nvals, -1).sum(axis=2))
+                     for _, order, nvals, take in folds]
+            var_h = var_h - h.sum(axis=0) if nvar else None
+        groups[g] = nkeys, key, var_h, fixed, folds
     buf = np.empty(nvar, dtype=np.intp)  # after the split, whose own peak it would otherwise raise
     for chunk, (rows, lab, shift) in zip(visit, chunks):
         for nkeys, key, var_h, fixed, folds in groups:
@@ -840,16 +874,15 @@ def orbit_counts(space: Space, coefvecs: list[list[int]]) -> tuple[np.ndarray, n
                 h = np.bincount(np.add(b, at, out=b), minlength=nbins * nkeys).reshape(nbins, nkeys)
                 if len(lab) < nvar:
                     h[left + shift] += var_h - np.bincount(at, minlength=nkeys)
-            for (r, order, nvals), f in zip(folds, fixed):
+            for (r, order, nvals, take), (f0, f) in zip(folds, fixed):
                 if chunk:  # t = t_lo + t_hi
                     into, cols, take = scaled[r], (np.arange(nvals) + t_hi[r][chunk]) % p, slice(None)
-                else:  # t_hi = 0: t_lo at the t of reps, or at 0 alone for a zero map
-                    take = reps if nvals > 1 else [0]
-                    into, cols = first[r], slice(len(take))
+                else:  # t_hi = 0: t_lo at the t of take
+                    into, cols, f = first[r], slice(len(take)), f0
                 if nvar:  # the runs of order at take alone, one per t_lo: chunk 0 reads 3 of them, not p
                     into[:, cols] += h[:, order.reshape(nvals, -1)[take]].sum(axis=2)
                 if nvar < len(varies):  # the other rows, folded once: their labels move up by the chunk's shift
-                    into[shift:, cols] += f[: nbins - shift, take]
+                    into[shift:, cols] += f[: nbins - shift]
     to_label = (np.arange(len(space.labels()))[:, None] == lut).astype(np.int64)  # sums the codes of each label
     counts = to_label @ (first if scaled is None else first + _scalar_fold(scaled, flip, square))
     nS, nN = scalar_classes(space.field)

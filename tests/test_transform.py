@@ -1,5 +1,6 @@
 import random
 import re
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
@@ -910,6 +911,24 @@ def test_one_chunk_per_class_of_scalar_multiples(monkeypatch, fam, n, m, q, chun
     want, want_sizes = fold_reference(sp, coefvecs)
     assert sizes.tolist() == want_sizes.tolist()
     assert [h.tolist() for h in hists] == class_counts(sp.field, want)
+
+
+@pytest.mark.parametrize("fam,n,q,bound_mb", [("symscaled", 3, 11, 8.0), ("vec", 1, 524309, 25.0)])
+def test_orbit_counts_peak_memory(fam, n, q, bound_mb):
+    """The traced peak of one orbit_counts call: the low digits are freed once the split returns, and a one-chunk space
+    folds its rows at the t of reps alone (symscaled n=3 q=11: one split of 11^5 rows; vec n=1 q=524309: one chunk)."""
+    sp = make_space(fam, field_for(q), n)
+    coefvecs = _pair_coefvecs(sp)
+    bulk.orbit_counts(sp, coefvecs)  # the field's tables and trace tables, kept for good
+    for memo in (bulk._sym_reduction, bulk._codes, bulk._classes):  # so no earlier test decides what this call builds
+        memo.cache_clear()
+    tracemalloc.start()
+    try:
+        bulk.orbit_counts(sp, coefvecs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound_mb * 1e6, peak
 
 
 @pytest.mark.parametrize("fam,n,m,q,old,new", PLAN_WIDTHS)
