@@ -629,8 +629,11 @@ def _pfaffian_split(digits, k: int, n: int, cap: int, F: Arith):
         pfs.append(([t for t in terms if t[2] < k], top, [c for _, c, _ in top if c < k]))
     B = len(digits)
     rank4, fixed, nonzero = np.zeros(B, dtype=bool), np.ones(B, dtype=bool), np.empty(B, dtype=np.int8)
-    codes = [F.q ** (1 + len(low)) for _, _, low in pfs]  # the code range of each Pfaffian with a high term
-    high = [(np.empty(B, dtype=np.int8 if c <= 128 else np.int32), c, terms) for c, (_, terms, _) in zip(codes, pfs) if terms]
+    high = []  # (the code of each row, the number of codes, terms) of each Pfaffian with a high term, in order
+    for _, terms, low in pfs:
+        if terms:
+            codes = F.q ** (1 + len(low))
+            high.append((np.empty(B, dtype=np.int8 if codes <= 128 else np.int32), codes, terms))
     for s in range(0, B, 1 << 14):  # in blocks, as _rest: only the per-row results are of full size
         b, D = slice(s, s + (1 << 14)), digits[s : s + (1 << 14)]
         out = iter(high)
