@@ -45,18 +45,36 @@ member, sum_j lambda_j digit_j. Per chunk a group runs one bincount over
 (label, key); each member sums its (nbins, p^rho) counts by that map into
 (nbins, p) and adds them rolled by its t_hi.
 
-orbit_counts labels one chunk per class of scalar multiples. A scalar lambda
-of F_p^* sends chunk s (s its high digits) onto chunk lambda s, for the low
-digits run through all of GF(q)^k. It keeps the rank, the half-rank and the
-count of nonzero coordinates; on a sym label code 2 rank + (sign < 0) it acts
-as pi_lambda, which flips the sign of an odd rank where lambda is a nonsquare
-of GF(q) (Lam, ch. I), and the symscaled lut merges what it flips. A functional
-is F_p-linear, t(lambda a) = lambda t(a), so chunk lambda s holds chunk s's
-histogram H at (pi_lambda L, t / lambda). The walk visits chunk 0 and, of each
-class {lambda s}, the chunk whose code sum_i q^i s_i has top base-p digit 1,
-a code in [p^i, 2 p^i): 1 + (q^h - 1) / (p - 1) chunks for h = dim - k, and all
-of them at p = 2. _scalar_fold spreads the sum H of the visited nonzero chunks
-over their classes once per call. The lambda that are squares of GF(q) form a
+orbit_counts labels one chunk per orbit of the high digits under two groups
+of diagonal maps. A scalar lambda of F_p^* sends chunk s (s its high digits)
+onto chunk lambda s, for the low digits run through all of GF(q)^k. It keeps
+the rank, the half-rank and the count of nonzero coordinates; on a sym label
+code 2 rank + (sign < 0) it acts as pi_lambda, which flips the sign of an odd
+rank where lambda is a nonsquare of GF(q) (Lam, ch. I), and the symscaled lut
+merges what it flips. A functional is F_p-linear, t(lambda a) = lambda t(a),
+so chunk lambda s holds chunk s's histogram H at (pi_lambda L, t / lambda).
+The diagonal torus multiplies coordinate (i, j) by d_i (vec), d_i e_j (mat) or
+d_i d_j (alt, sym, symscaled). It lies in every family's group and keeps every
+label code, for a diagonal congruence multiplies the determinant by a square.
+An element that fixes every functional (m_k = 1 at each coordinate k a
+functional reads, m_k its multiplier) sends chunk s onto chunk D s with the
+same histogram. Those elements form, per component of the read graph (the
+torus parameters, an edge joining the parameters of each coordinate that a
+functional reads), the powers of one generator: g on one side and 1/g on the
+other where it is bipartite, -1 where it has an odd cycle or a loop (i, i) (odd
+q), none at a vec parameter a functional reads, g the primitive element of
+Arith._log_exp. The functionals are the sparse representatives
+(transform._pair_coefvec), so the group is large: alt n=5 q=5 labels 10 of its
+125 chunks, where the scalars alone leave 32. _chunk_orbits labels the q^h
+chunk codes, h = dim - k, by the least code of their orbit, propagated along
+the powers of each generator by doubling; the group is abelian, so one pass
+over the generators does it. The walk visits chunk 0 and the least code of
+each other orbit O, with weight |O| / (p - 1): O is that many scalar classes,
+and each of them folds as the visited one does. Where only the scalars are
+left (dense functionals) the orbits are the classes {lambda s}, 1 + (q^h - 1) /
+(p - 1) chunks, and all q^h at p = 2. Each visited nonzero chunk adds its
+histogram times its weight, and _scalar_fold spreads the sum H over the
+classes once per call. The lambda that are squares of GF(q) form a
 subgroup S of F_p^*, and the others its coset N or nothing (e even), so at
 t != 0 the sum over lambda reads only the sums of H over t S and over t N,
 and it is constant on S and on N. So is chunk 0's histogram, for chunk 0 is
@@ -64,17 +82,18 @@ closed under scalars: the call returns its three classes, t = 0, t in S and
 t in N, and nothing of p entries leaves it.
 
 So one orbit_counts call touches q^k rows in the split and q^k in each of the
-V(k) = 1 + (q^h - 1) / (p - 1) labelled chunks, (2 - 1/(p-1)) q^k + q^dim/(p-1)
-rows in all, which grows with k: at h = 1 the fold labels 2 of q chunks, and
-the split costs as much as one of them. _plan takes the smallest k with
+V(k) labelled chunks, at most 1 + (q^h - 1) / (p - 1) (the scalar classes), so
+at most (2 - 1/(p-1)) q^k + q^dim/(p-1) rows in all, which grows with k: at
+h = 1 the fold labels at most 2 of q chunks, and the split costs as much as one
+of them. _plan takes the smallest k with
 q^k >= MIN_ROWS, below which the per-chunk Python and bincount calls cost more
 than the rows; and k >= K0 where q^K0 <= CHUNK, so the row-0 step of every
 family stays per call (the G table, the pivot classes, the _sym_reduction
 memo); at most _low_width, so CHUNK stays the one memory cap. vec n=9 q=5 then
 splits 5^7 rows and labels 7 chunks, against 5^8 rows and 2 chunks at
 _low_width. A smaller CHUNK would not do it, for it caps every k: at
-CHUNK = 2^17, alt n=4 q=25 would label 3,907 chunks of 25^3 rows, not 157
-of 25^4.
+CHUNK = 2^17, alt n=4 q=25 would label up to 3,907 chunks of 25^3 rows, not
+157 of 25^4 (35, not 14, for its canonical functionals).
 
 A matrix is labelled by one row-0 step: it reads row 0, the first K0 digits,
 and leaves a matrix S of the (n-1) space, whose index in counting order reads
@@ -228,7 +247,7 @@ def _low_width(dim: int, q: int) -> int:
 def _plan(dim: int, q: int, K0: int) -> int:
     """The k of orbit_counts for a space of dim digits whose row-0 step reads K0 digits: the smallest k with
     q^k >= MIN_ROWS, and k >= K0 where q^K0 <= CHUNK, at most _low_width (module docstring). The rows a call
-    touches, q^k (1 + V(k)) = (2 - 1/(p-1)) q^k + q^dim / (p-1), grow with k."""
+    touches, q^k (1 + V(k)) <= (2 - 1/(p-1)) q^k + q^dim / (p-1), grow with k."""
     return min(_low_width(dim, q), max(K0 if q**K0 <= CHUNK else 0, next(k for k in itertools.count(1) if q**k >= MIN_ROWS)))
 
 
@@ -792,11 +811,17 @@ def _fold_keys(tabs, k: int, p: int, basis: list[int], members: list[tuple[int, 
     key = np.zeros(1, dtype=np.min_scalar_type(p ** len(basis) - 1))
     for j, b in enumerate(basis):
         key = key + p**j * _outer_sum(tabs[b][:k], p).astype(key.dtype)
-    digits = _digits(0, p ** len(basis), len(basis), p)  # base-p digit j of a key is t_lo(basis[j])
+    # base-p digit j of a key is t_lo(basis[j]); a basis of one, the only kind a large p allows, needs no digits and no sort
+    digits = _digits(0, p ** len(basis), len(basis), p) if len(basis) != 1 else None
     folds = []
     for r, lam in members:  # a nonzero map takes each value on p^(rho-1) keys, a zero map only 0
-        t_lo = _mod(digits @ np.asarray(lam, dtype=np.int64), p)
-        folds.append((r, np.argsort(t_lo, kind="stable").astype(np.int32), p if any(lam) else 1))
+        if digits is None:  # t_lo = lam key: the key with t_lo = v is v / lam, and a zero map keeps the keys in order
+            inv, order = pow(lam[0], -1, p) if lam[0] else 1, np.empty(p, dtype=np.int32)
+            for s in range(0, p, 1 << 16):  # in blocks: the products need int64
+                order[s : s + (1 << 16)] = _mod(np.arange(s, min(s + (1 << 16), p), dtype=np.int64) * inv, p)
+        else:
+            order = np.argsort(_mod(digits @ np.asarray(lam, dtype=np.int32), p), kind="stable").astype(np.int32)
+        folds.append((r, order, p if any(lam) else 1))
     return p ** len(basis), _frozen(key), folds
 
 
@@ -822,6 +847,61 @@ def _scalar_fold(H: np.ndarray, flip: np.ndarray, square: np.ndarray) -> np.ndar
     return np.stack([zero, s + n[:, flip], n + s[:, flip]], axis=2)
 
 
+def _chunk_orbits(space: Space, coefvecs: list[list[int]], k: int, F: Arith) -> tuple[list[int], list[int]]:
+    """(codes, weights): one chunk code sum_i q^i s_i per orbit of the high digits s under the F_p^* scalars and the
+    diagonal torus elements that fix every functional, the least code of each, ascending from chunk 0, and the weight
+    |orbit| / (p - 1) of each, 1 for chunk 0 (module docstring)."""
+    q, p, h = F.q, F.p, space.dim - k
+    if not h:
+        return [0], [1]
+    if isinstance(space, VecWreath):  # the torus parameters of each coordinate
+        params = [(c,) for c in space.coords]
+    elif isinstance(space, MatRect):  # d_i e_j, e_j the parameter n + j
+        params = [(i, space.n + j) for i, j in space.coords]
+    else:  # d_i d_j, and d_i^2 on sym's diagonal
+        params = list(space.coords)
+    adj, fixed = {}, set()  # the read graph; a vec parameter that a functional reads is fixed
+    for c in (c for c in range(space.dim) if any(coef[c] for coef in coefvecs)):
+        if len(params[c]) == 1:
+            fixed.add(params[c][0])
+        else:
+            i, j = params[c]
+            adj.setdefault(i, []).append(j)
+            adj.setdefault(j, []).append(i)  # a diagonal loop (i, i) joins i to itself: an odd cycle
+    gens = [(p - 1, [(q - 1) // (p - 1)] * h)]  # (order, the exponent of g at each high coordinate): the scalars
+    side = {}
+    for root in sorted({x for c in params for x in c}):
+        if root in side:
+            continue
+        side[root], comp, odd = 0, [root], False
+        for v in comp:  # breadth first, two-colouring the component
+            for w in adj.get(v, ()):
+                if w not in side:
+                    side[w] = 1 - side[v]
+                    comp.append(w)
+                odd |= side[w] == side[v]
+        if root in fixed or (odd and q % 2 == 0):
+            continue
+        log_d = {v: (q - 1) // 2 for v in comp} if odd else {v: 1 - 2 * side[v] for v in comp}  # -1, or g^(+-1) by side
+        gens.append((2 if odd else q - 1, [sum(log_d.get(x, 0) for x in c) for c in params[k:]]))
+    g_pow, label = F._log_exp[1], np.arange(q**h, dtype=np.int32 if q**h <= 2**31 else np.int64)
+    for order, exps in gens:
+        if not any(x % (q - 1) for x in exps):
+            continue
+        perm = np.zeros(1, dtype=label.dtype)  # the chunk code each code goes to, digit 0 fastest
+        for i, x in enumerate(exps):
+            image = F.vreduce(F.vmul(np.arange(q, dtype=np.int64), int(g_pow[x % (q - 1)])))
+            perm = np.add.outer(image.astype(label.dtype) * q**i, perm).ravel()
+        for _ in range((order - 1).bit_length()):  # after j passes, the least label over perm^0 .. perm^(2^j - 1)
+            np.minimum(label, label[perm], out=label)
+            perm = perm[perm]
+    sizes = np.bincount(label)
+    codes = np.flatnonzero(sizes)
+    weights = sizes[codes] // (p - 1)
+    weights[0] = 1
+    return codes.tolist(), weights.tolist()
+
+
 def orbit_counts(space: Space, coefvecs: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
     """Histogram pass over the whole space, in chunks of q^k consecutive elements.
 
@@ -833,9 +913,10 @@ def orbit_counts(space: Space, coefvecs: list[list[int]]) -> tuple[np.ndarray, n
     at t = 0, at one t in S and at one t in N (a zero column where N is
     empty), plus the orbit sizes H(L, 0) + |S| H(L, S) + |N| H(L, N).
     Each visited chunk runs one bincount over (label, key) of the rows it lists
-    per group of functionals, the key coding an F_p basis of the group's t_lo,
-    and one chunk per class of scalar multiples stands for its class (module
-    docstring).
+    per group of functionals, the key coding an F_p basis of the group's t_lo.
+    One chunk per orbit of the F_p^* scalars and the torus elements that fix
+    every functional stands for its orbit, its histogram times the orbit's
+    weight, |orbit| / (p - 1) scalar classes (_chunk_orbits, module docstring).
     """
     F = arith(space.field)
     p, q, dim = F.p, F.q, space.dim
@@ -845,8 +926,7 @@ def orbit_counts(space: Space, coefvecs: list[list[int]]) -> tuple[np.ndarray, n
     t_hi = [_outer_sum(tab[k:], p).tolist() for tab in tabs]  # t over the high digits, one value per chunk
     low = [[int(tab[w]) for tab in tb[:k] for w in F._weights] for tb in tabs]  # Tr(c_k w_i) at low digit (k, i)
     groups = [_fold_keys(tabs, k, p, *group) for group in _fold_groups(low, nbins, p)]
-    # chunk 0, then one chunk per class {lambda s}: the codes whose top base-p digit is 1
-    visit = [0, *itertools.chain(*(range(p**i, 2 * p**i) for i in range((dim - k) * space.field.e)))]
+    visit, weights = _chunk_orbits(space, coefvecs, k, F)
     labels, varies, chunks = _chunks(split, dim, *args, k=k, visit=visit)
     nvar, left = np.count_nonzero(varies), int(labels[varies.argmax()])  # the per-call label of every varying row
     codes = np.arange(nbins)  # a nonsquare lambda flips the sign of an odd sym rank and fixes every other label
@@ -869,7 +949,7 @@ def orbit_counts(space: Space, coefvecs: list[list[int]]) -> tuple[np.ndarray, n
             var_h = var_h - h.sum(axis=0) if nvar else None
         groups[g] = nkeys, key, var_h, fixed, folds
     buf = np.empty(nvar, dtype=np.intp)  # after the split, whose own peak it would otherwise raise
-    for chunk, (rows, lab, shift) in zip(visit, chunks):
+    for chunk, weight, (rows, lab, shift) in zip(visit, weights, chunks):
         for nkeys, key, var_h, fixed, folds in groups:
             if nvar:  # the listed rows by (label, key); a varying row left out has label left + shift
                 at, b = key[rows], buf[: len(lab)]
@@ -883,9 +963,9 @@ def orbit_counts(space: Space, coefvecs: list[list[int]]) -> tuple[np.ndarray, n
                 else:  # t_hi = 0: t_lo at the t of take
                     into, cols, f = first[r], slice(len(take)), f0
                 if nvar:  # the runs of order at take alone, one per t_lo: chunk 0 reads 3 of them, not p
-                    into[:, cols] += h[:, order.reshape(nvals, -1)[take]].sum(axis=2)
+                    into[:, cols] += weight * h[:, order.reshape(nvals, -1)[take]].sum(axis=2)
                 if nvar < len(varies):  # the other rows, folded once: their labels move up by the chunk's shift
-                    into[shift:, cols] += f[: nbins - shift]
+                    into[shift:, cols] += weight * f[: nbins - shift]
     to_label = (np.arange(len(space.labels()))[:, None] == lut).astype(np.int64)  # sums the codes of each label
     counts = to_label @ (first if scaled is None else first + _scalar_fold(scaled, flip, square))
     nS, nN = scalar_classes(space.field)

@@ -230,12 +230,16 @@ class QuadInt:
         return other.a, other.b
 
     def __add__(self, other: QuadInt | int) -> QuadInt:
+        if type(other) is QuadInt and other.p == self.p:  # the common case, without _pair's checks
+            return QuadInt(self.p, self.a + other.a, self.b + other.b)
         a, b = self._pair(other)
         return QuadInt(self.p, self.a + a, self.b + b)
 
     __radd__ = __add__
 
     def __sub__(self, other: QuadInt | int) -> QuadInt:
+        if type(other) is QuadInt and other.p == self.p:
+            return QuadInt(self.p, self.a - other.a, self.b - other.b)
         a, b = self._pair(other)
         return QuadInt(self.p, self.a - a, self.b - b)
 

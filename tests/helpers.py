@@ -239,6 +239,61 @@ def fold_reference(space, coefvecs):
     return hists, hists[0].sum(axis=1)
 
 
+def torus_parameters(space) -> tuple[int, list[tuple[int, ...]]]:
+    """(r, the parameters of each coordinate): the diagonal torus (GF(q)^*)^r multiplies coordinate c by the product
+    of d_x over its parameters x, d_i for vec, d_i e_j for mat (e_j is parameter n + j), d_i d_j for the matrices
+    g A g^T of alt, sym and symscaled (d_i^2 on sym's diagonal)."""
+    if space.family == "vec":
+        return space.n, [(i,) for i in space.coords]
+    if space.family == "mat":
+        return space.n + space.m, [(i, space.n + j) for i, j in space.coords]
+    return space.n, list(space.coords)
+
+
+def torus_multipliers(space, d) -> list[int]:
+    """The code each coordinate is multiplied by under the torus element d, a sequence of r nonzero codes."""
+    F = space.arith
+    out = []
+    for params in torus_parameters(space)[1]:
+        m = 1
+        for x in params:
+            m = F.mul(m, d[x])
+        out.append(m)
+    return out
+
+
+def chunk_orbits_reference(space, coefvecs, k: int) -> list[list[int]]:
+    """The orbits of the chunk codes sum_i q^i s_i (s the digits of coordinates k..dim-1) under F_p^* and every element
+    of the torus that fixes each functional, each orbit sorted and the orbits by their least code, by brute force.
+
+    d fixes a -> sum_c Tr(coef_c a_c) iff coef_c m_c = coef_c at every coordinate c, m_c its multiplier, for the
+    trace form is nondegenerate. Every d of (GF(q)^*)^r is tried; the products lambda d, lambda in F_p^* (the codes
+    1..p-1), restricted to the high coordinates, form a group M, and the orbit of s is M s.
+    """
+    F, q, p, h = space.arith, space.field.q, space.field.p, space.dim - k
+    r, params = torus_parameters(space)
+    torus = np.stack(np.meshgrid(*[np.arange(1, q, dtype=np.int64)] * r, indexing="ij"), axis=-1).reshape(-1, r)
+    mult = np.ones((len(torus), space.dim), dtype=np.int64)
+    for c, ps in enumerate(params):
+        for x in ps:
+            mult[:, c] = F.vreduce(F.vmul(mult[:, c], torus[:, x]))
+    keep = np.ones(len(torus), dtype=bool)
+    for coef in coefvecs:
+        for c, x in enumerate(coef):
+            keep &= F.vreduce(F.vmul(mult[:, c], x)) == x
+    high = np.unique(mult[keep][:, k:], axis=0)
+    M = np.unique(np.concatenate([F.vreduce(F.vmul(high, lam)) for lam in range(1, p)]), axis=0)
+    weights = q ** np.arange(h, dtype=np.int64)
+    orbit_of, orbits = np.full(q**h, -1), []
+    for s in range(q**h):
+        if orbit_of[s] < 0:
+            digits = np.array([s // q**i % q for i in range(h)], dtype=np.int64)
+            orbit = sorted(set((F.vreduce(F.vmul(M, digits)) @ weights).tolist()))
+            orbit_of[orbit] = len(orbits)
+            orbits.append(orbit)
+    return orbits
+
+
 def scalar_classes_of(field):
     """(S, N): the t of F_p^* that are squares of GF(q), by the field's own quadratic character, and the others."""
     F = bulk.arith(field)

@@ -33,12 +33,15 @@ from gftables.transform import (
 )
 from gftables.verify import run_suite
 from helpers import (
+    chunk_orbits_reference,
     class_counts,
     fold_reference,
     label_map_compatible_reference,
     pushforward_reference,
     scalar_classes_of,
     sym_fiber_sums_reference,
+    torus_multipliers,
+    torus_parameters,
 )
 
 F3 = make_field(3)
@@ -820,8 +823,8 @@ def test_rows_that_do_not_vary(monkeypatch, fam, n, q, chunk):
 
 
 def test_few_rows_listed_per_chunk(monkeypatch):
-    """alt n=5 q=5 at the default CHUNK: orbit_counts' 32 labelled chunks list on average at most 1/16 of the varying
-    rows (about 1,300 of 63,245); the others have a nonzero leading Pfaffian."""
+    """alt n=5 q=5 at the default CHUNK: orbit_counts labels one chunk per orbit of the torus stabilizer and F_p^*,
+    10 of 125, and they list on average at most 1/16 of the varying rows; the others have a nonzero leading Pfaffian."""
     sp = make_space("alt", F5, 5)
     label_indices, listed = bulk._label_indices, []
 
@@ -834,7 +837,8 @@ def test_few_rows_listed_per_chunk(monkeypatch):
     bulk.orbit_counts(sp, _pair_coefvecs(sp))
     split, args, *_ = bulk._labeller(sp)
     nvar = np.count_nonzero(bulk._chunks(split, sp.dim, *args, k=_plan(sp))[1])
-    assert len(listed) == 32 and 0 < sum(listed) <= len(listed) * nvar / 16
+    assert len(listed) == len(chunk_orbits_reference(sp, _pair_coefvecs(sp), _plan(sp))) == 10
+    assert 0 < sum(listed) <= len(listed) * nvar / 16
 
 
 @pytest.mark.parametrize("fam,n,m,q", [("vec", 4, None, 5), ("mat", 2, 3, 5), ("alt", 5, None, 3), ("alt", 6, None, 3), ("sym", 3, None, 5), ("symscaled", 3, None, 5), ("vec", 0, None, 5)])
@@ -874,6 +878,58 @@ def test_labels_under_scalars(fam, n, m, q):
     assert bool(moved) == (fam.startswith("sym") and q != 9)  # every lambda of F_3 is a square in GF(9)
 
 
+@pytest.mark.parametrize("q", [3, 5, 7, 9])
+@pytest.mark.parametrize("fam,n,m", [("vec", 3, None), ("mat", 2, 2), ("alt", 4, None), ("sym", 3, None), ("symscaled", 3, None)])
+def test_labels_under_torus(fam, n, m, q):
+    """d a, d in the diagonal torus (GF(q)^*)^r, has the label code of a: every family's group holds the torus, and
+    congruence by a diagonal matrix multiplies the determinant by a square."""
+    sp = make_space(fam, field_for(q), n, m)
+    F = bulk.arith(sp.field)
+    digits = bulk._digits(0, sp.size, sp.dim, q)
+    codes = _label_codes(sp, digits)
+    rng, moved = random.Random(q), 0
+    for _ in range(3):
+        d = [rng.randrange(1, q) for _ in range(torus_parameters(sp)[0])]
+        image = F.vreduce(F.vmul(digits, np.asarray(torus_multipliers(sp, d), dtype=np.int32)))
+        assert np.array_equal(_label_codes(sp, image), codes), d
+        moved += not np.array_equal(image, digits)
+    assert moved
+
+
+# (family, n, m, q, k): high digits that the torus moves and digits it fixes, p = 2 among them, and the widths that
+# orbit_counts takes for alt n=5 q=5 and q=7, sym n=4 q=5, mat 3x3 q=5 and q=8
+ORBIT_CASES = [
+    ("vec", 5, None, 3, 2), ("vec", 4, None, 4, 2), ("vec", 3, None, 8, 1), ("vec", 3, None, 9, 1),
+    ("mat", 2, 2, 3, 1), ("mat", 2, 3, 4, 3), ("mat", 2, 3, 8, 4), ("mat", 2, 2, 9, 2), ("mat", 3, 3, 4, 6),
+    ("mat", 3, 3, 5, 7), ("mat", 3, 3, 8, 6),
+    ("alt", 4, None, 3, 3), ("alt", 5, None, 3, 6), ("alt", 5, None, 5, 7), ("alt", 4, None, 9, 4), ("alt", 5, None, 7, 6),
+    ("sym", 3, None, 3, 3), ("sym", 3, None, 7, 4), ("sym", 4, None, 5, 7), ("sym", 3, None, 9, 4),
+    ("symscaled", 3, None, 5, 4), ("symscaled", 3, None, 25, 4),
+]
+
+
+@pytest.mark.parametrize("functionals", ["reps", "dense"])
+@pytest.mark.parametrize("fam,n,m,q,k", ORBIT_CASES)
+def test_chunk_orbits_against_reference(fam, n, m, q, k, functionals):
+    """_chunk_orbits gives the least code of each orbit of the torus stabilizer and F_p^* (chunk_orbits_reference,
+    by brute force over the whole torus) and its weight |orbit| / (p - 1). Dense functionals read every coordinate,
+    so only the scalars are left: one chunk per class of scalar multiples."""
+    sp = make_space(fam, field_for(q), n, m)
+    p, h = sp.field.p, sp.dim - k
+    if functionals == "reps":  # the canonical matrix's functionals, at twist 1 and at the last code
+        coefvecs = _pair_coefvecs(sp) + _pair_coefvecs(sp, q - 1)
+    else:
+        rng = random.Random(q * 100 + k)
+        coefvecs = [[rng.randrange(1, q) for _ in range(sp.dim)] for _ in range(2)]
+    orbits = chunk_orbits_reference(sp, coefvecs, k)
+    codes, weights = bulk._chunk_orbits(sp, coefvecs, k, bulk.arith(sp.field))
+    assert codes == [orbit[0] for orbit in orbits]
+    assert all(len(orbit) % (p - 1) == 0 for orbit in orbits[1:])
+    assert weights == [1] + [len(orbit) // (p - 1) for orbit in orbits[1:]]
+    if functionals == "dense":
+        assert len(codes) == 1 + (q**h - 1) // (p - 1)
+
+
 # old k = _low_width -> new k; the last five keep their k
 PLAN_WIDTHS = [
     ("vec", 9, None, 5, 8, 7), ("mat", 3, 3, 5, 8, 7), ("alt", 5, None, 5, 8, 7), ("sym", 4, None, 5, 8, 7),
@@ -895,7 +951,8 @@ def _plan(sp):
     ],
 )
 def test_one_chunk_per_class_of_scalar_multiples(monkeypatch, fam, n, m, q, chunk):
-    """orbit_counts labels chunk 0 and one chunk per class {lambda s : lambda in F_p^*} of nonzero high digits s."""
+    """orbit_counts labels one chunk per orbit of the high digits under F_p^* and the torus stabilizer of the
+    functionals (chunk_orbits_reference): chunk 0, and at most one per class {lambda s : lambda in F_p^*}."""
     sp = make_space(fam, field_for(q), n, m)
     coefvecs = _pair_coefvecs(sp)
     if chunk is not None:
@@ -904,8 +961,8 @@ def test_one_chunk_per_class_of_scalar_multiples(monkeypatch, fam, n, m, q, chun
     label_indices, calls = bulk._label_indices, []
     monkeypatch.setattr(bulk, "_label_indices", lambda *a: calls.append(1) or label_indices(*a))
     hists, sizes = bulk.orbit_counts(sp, coefvecs)
-    high, p = sp.dim - _plan(sp), sp.field.p
-    assert high > 0 and len(calls) == (q**high if p == 2 else 1 + (q**high - 1) // (p - 1))
+    high = sp.dim - _plan(sp)
+    assert high > 0 and len(calls) == len(chunk_orbits_reference(sp, coefvecs, _plan(sp)))
     if (fam, n, q, chunk) == ("vec", 9, 5, None):  # k = 7 at the default CHUNK: 1 + 24/4 chunks, not 1 + 4/4 at k = 8
         assert len(calls) == 7
     want, want_sizes = fold_reference(sp, coefvecs)
