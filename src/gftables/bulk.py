@@ -198,7 +198,8 @@ varying row, kept per call, minus the listed rows' keys.
 row_labels runs a split at k = dim on a given code array: every digit is low,
 so the rows are one chunk. coset_counts labels an affine coset,
 a fixed code vector plus the span of some coordinates, that way and folds it
-into one histogram; the commutative diagrams take their fibers from it.
+into the three class counts of orbit_counts; the commutative diagrams take
+their fibers from it.
 """
 
 from __future__ import annotations
@@ -759,10 +760,10 @@ def placed_labels(space: Space, positions: tuple[int, ...], shift: list[int], co
 
 
 def coset_counts(space: Space, base: list[int], free: tuple[int, ...], coefvec: list[int]) -> np.ndarray:
-    """(labels, p) histogram over (label index, t) of the coset base + span of the free coordinates.
+    """(labels, 3) counts of the coset base + span of the free coordinates at t = 0, at one t in S and at one t in N,
+    as orbit_counts gives them; t = sum over k of Tr(coefvec[k] a_k), and base's free entries are ignored.
 
-    base holds the codes of the fixed coordinates (its free entries are ignored)
-    and t = sum over k of Tr(coefvec[k] a_k).
+    AssertionError if the histogram over (label, t) is not constant on S and on N, as a diagram's fibers are (Diagram).
     """
     F = arith(space.field)
     size = F.q ** len(free)
@@ -770,7 +771,12 @@ def coset_counts(space: Space, base: list[int], free: tuple[int, ...], coefvec: 
     digits[:, list(free)] = _digits(0, size, len(free), F.q)
     t = _mod(sum(F.trace_table(c)[digits[:, k]] for k, c in enumerate(coefvec)), F.p)
     nbins = len(space.labels())
-    return np.bincount(row_labels(space, digits).astype(np.intp) * F.p + t, minlength=nbins * F.p).reshape(nbins, F.p)
+    h = np.bincount(row_labels(space, digits).astype(np.intp) * F.p + t, minlength=nbins * F.p).reshape(nbins, F.p)
+    square = F.sgn_table[1 : F.p] > 0 if scalar_classes(space.field)[1] else np.ones(F.p - 1, dtype=bool)
+    classes = [h[:, 1:][:, cls] for cls in (square, ~square)]  # the counts at each t of S, and of N
+    if any((c != c[:, :1]).any() for c in classes):
+        raise AssertionError("coset histogram not constant on S and on N")
+    return np.stack([h[:, 0], *(c.max(axis=1, initial=0) for c in classes)], axis=1)
 
 
 def _fold_groups(low: list[list[int]], nbins: int, p: int) -> list[tuple[list[int], list[tuple[int, list[int]]]]]:

@@ -375,10 +375,6 @@ class QuadraticGamma:
             raise ValueError("not a rational integer")
         return self.a
 
-    def to_cyc(self, gamma: CycInt) -> CycInt:
-        """Embed into Z[zeta_p] given the Gauss sum as a cyclotomic integer."""
-        return gamma * self.b + self.a
-
     def to_obj(self) -> dict:
         return {"a": self.a, "b": self.b}
 

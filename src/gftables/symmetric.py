@@ -25,7 +25,8 @@ push and the pull-back checks of `sym_diagram_matrices` read it, and
 `relation_suite`) takes it on entries a + b eta of Z[eta] (cyclotomic.QuadInt)
 and rewrites each mean on the basis (1, gamma), whose gamma part comes from
 the eta part; `phi_from_psi` inverts it. The push reads the diagram's
-`pushforward_matrix` at the sym sign points of every lower rank.
+`pushforward_matrix`, also in Z[eta], at the sym sign points of every lower
+rank.
 
 Block index ranges: psi1 on 0<=s,r<=n, psi2 on 0<=s<=n and 1<=r<=n, psi3 on
 1<=s<=n and 0<=r<=n, psi4 on 1<=s,r<=n.
@@ -36,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .cyclotomic import CycInt, QuadInt, QuadraticGamma, epsilon_of, square_and_multiply
+from .cyclotomic import QuadInt, QuadraticGamma, epsilon_of, square_and_multiply
 from .cyclotomic import decompose_gamma  # noqa: F401  unused here: benchmarks/tracer.py times symmetric.decompose_gamma
 from .gfq import CharSpec, arith
 from .pascal import alt_column, check_n
@@ -276,8 +277,8 @@ def sym_diagram_matrices(n: int, char: CharSpec, which: int) -> Report:
     rep = Report()
     q = char.field.q
     eps = epsilon_of(q)
-    gamma = _gamma(char).to_cyc()
-    zero = CycInt.zero(char.field.p)
+    zero = QuadInt(char.field.p, 0)
+    g = [square_and_multiply(_gamma(char), u, QuadInt(char.field.p, 1)) for u in range(n + 1)]  # gamma^u
     where = f"sym n={n} q={q} diagram {which}"
     lower_n = n - which
     family = "sym" if which == 1 else "symscaled"
@@ -295,8 +296,8 @@ def sym_diagram_matrices(n: int, char: CharSpec, which: int) -> Report:
         target = lambda lbl: OrbitLabel(lbl.r + 1, lbl.sign or 1)
         push = {
             (0, 0): lambda u, r: {u: 1, u + 1: -1}.get(r, 0) if u == 0 else 0,
-            (1, 0): lambda u, r: {u: gamma**u, u + 1: -(gamma**u)}.get(r, 0),
-            (0, 1): lambda u, r: {u: gamma**u, u + 1: gamma ** (u + 1)}.get(r, 0),
+            (1, 0): lambda u, r: {u: g[u], u + 1: -g[u]}.get(r, 0),
+            (0, 1): lambda u, r: {u: g[u], u + 1: g[u + 1]}.get(r, 0),
             (1, 1): lambda u, r: 0,
         }
         pull = {

@@ -14,10 +14,11 @@ character values t = 0, t in S and t in N, the two classes of F_p^* on which
 every whole-space histogram is constant. So each entry lies in
 Z[eta] = Z[(1 + g)/2], g the quadratic Gauss sum of F_p, and is a QuadInt: a
 rational integer everywhere but on sym at odd degree, where N is not empty.
-Every check on canonical matrices (orthogonality, symmetry, zonal values,
-the inverse transforms, multi-orthogonality) works in that ring. Only the
-fibers of a diagram, affine cosets that scalars do not preserve, keep a
-histogram over every t and a CycInt of Z[zeta_p] (pushforward_matrix).
+The fibers of a diagram are affine cosets, and bulk.coset_counts gives the
+same three counts for each of them, so every push (pushforward_matrix) lies
+in Z[eta] too. Every check on canonical matrices (orthogonality, symmetry,
+zonal values, the inverse transforms, multi-orthogonality and the diagram
+identities) works in that ring, and _cyc_from_hist builds every entry.
 
 Brute force is the oracle of the whole package: everything downstream
 (recursions, closed forms, sign-block identities) is checked against the
@@ -32,7 +33,7 @@ from functools import lru_cache
 from math import gcd
 
 from . import bulk
-from .cyclotomic import CycInt, QuadInt
+from .cyclotomic import QuadInt
 from .gfq import CharSpec, default_char
 from .reporting import Report
 from .spaces import BudgetError, Elem, OrbitLabel, Space, check_budget
@@ -88,13 +89,8 @@ def _orbit_counts_cached(space: Space, char: CharSpec, budget: int):
     return _counts_bulk(space, char, reps, budget)
 
 
-def _cyc_from_hist(p: int, hist: list[int]) -> CycInt:
-    """sum over t of hist[t] zeta^(-t), for a histogram over every t: a coset's fiber."""
-    return CycInt.reduce(p, hist[:1] + hist[:0:-1])  # the count of t goes to -t mod p
-
-
-def _entries(field, counts: list[list[int]]) -> tuple[QuadInt, ...]:
-    """sum over t of H(t) zeta^t for each class count row (H(0), H on S, H on N).
+def _cyc_from_hist(field, counts: list[list[int]]) -> tuple[QuadInt, ...]:
+    """sum over t of H(t) zeta^t for each class count row (H(0), H on S, H on N), of a whole space or of a fiber.
 
     Where N is empty this is H(0) - H(S), as the sum of zeta^t over F_p^* is
     -1. Otherwise S and N are the squares and the nonsquares mod p, whose sums
@@ -186,7 +182,7 @@ def brute_force_phi(space: Space, char: CharSpec | None = None, budget: int = DE
     """The canonical matrix by direct character sums over every element."""
     char = char or default_char(space.field)
     hists, sizes = _orbit_counts_cached(space, char, budget)
-    entries = tuple(tuple(e.conjugate() for e in _entries(space.field, hist)) for hist in hists)
+    entries = tuple(tuple(e.conjugate() for e in _cyc_from_hist(space.field, hist)) for hist in hists)
     return CanonicalMatrix(space, char, space.labels(), entries, tuple(sizes))
 
 
@@ -195,7 +191,7 @@ def brute_phi_bar(space: Space, char: CharSpec | None = None, budget: int = DEFA
     char = char or default_char(space.field)
     hists, _sizes = _orbit_counts_cached(space, char, budget)
     # row lambda, column mu: sum over b in O(mu) of theta(<b|rep(lambda)>)
-    return [list(_entries(space.field, hist)) for hist in hists]
+    return [list(_cyc_from_hist(space.field, hist)) for hist in hists]
 
 
 def orbit_sizes_brute(space: Space, budget: int = DEFAULT_BUDGET) -> dict[OrbitLabel, int]:
@@ -386,8 +382,13 @@ class Diagram:
     `embed`; embed[k] is the upper coordinate carrying lower coordinate k, so
     the adjoint of pi is zero-padding. The intersection character is theta_e.
     The fiber over b is the affine coset lift(b) + span(fiber positions). Its
-    histogram over (label, zeta exponent) comes from one pass of the bulk
-    labeller over the coset (bulk.coset_counts), never element by element.
+    counts by upper label at t = 0, at t in S and at t in N come from one pass
+    of the bulk labeller over the coset (bulk.coset_counts), never element by
+    element. They are exact: for lambda in S, the group's scalar lambda (nu I,
+    nu^2 = lambda, on alt, sym and symscaled) maps the fiber over b onto the
+    fiber over lambda b and t to lambda t, and diag(lambda, ..., lambda, 1)
+    (diag(nu, ..., nu, 1, ...) on those three) maps it back with t fixed. So
+    each histogram over t is constant on the cosets S and N of S in F_p^*.
     The orbit-compatibility check labels lift(b) + e for every lower element
     b, so it is exact at every size.
     """
@@ -409,7 +410,7 @@ class Diagram:
         return tuple(k for k in range(self.upper.dim) if k not in set(self.embed))
 
     def fiber_counts(self, char: CharSpec, b: Elem):
-        """Histogram of the fiber over b by (upper label, Tr(twist <e|a>))."""
+        """Counts of the fiber over b by upper label at t = Tr(twist <e|a>) = 0, at one t in S and at one t in N."""
         return bulk.coset_counts(self.upper, self.lift(b), self.fiber_positions, _pair_coefvec(self.upper, char, self.e))
 
     def zeta_nontrivial_on_kernel(self, char: CharSpec) -> bool:
@@ -479,12 +480,11 @@ def standard_diagram(upper: Space, lower: Space) -> Diagram:
     return Diagram(upper, lower, embed, e)
 
 
-def pushforward_matrix(d: Diagram, char: CharSpec | None = None) -> list[list[CycInt]]:
-    """E(omega, lambda): fiber sums of conj(zeta) against orbit indicators."""
+def pushforward_matrix(d: Diagram, char: CharSpec | None = None) -> list[list[QuadInt]]:
+    """E(omega, lambda): fiber sums of conj(zeta) against orbit indicators, in Z[eta] as the fiber counts are."""
     char = char or default_char(d.upper.field)
-    p = d.upper.field.p
     return [
-        [_cyc_from_hist(p, hist) for hist in d.fiber_counts(char, d.lower.representative(w)).tolist()]
+        [e.conjugate() for e in _cyc_from_hist(d.upper.field, d.fiber_counts(char, d.lower.representative(w)).tolist())]
         for w in d.lower.labels()
     ]
 
@@ -503,15 +503,13 @@ def diagram_check(
     E = pushforward_matrix(d, char)
     lm = d.label_map()
     up_labels, low_labels = phi_upper.labels, phi_lower.labels
-    up, low = ([[e.to_cyc() for e in row] for row in phi.entries] for phi in (phi_upper, phi_lower))  # where they meet E
+    up, low, zero = phi_upper.entries, phi_lower.entries, QuadInt(d.upper.field.p, 0)
 
     ok = True
     for wi, w in enumerate(low_labels):
         ui = up_labels.index(lm[w])
         for lj in range(len(up_labels)):
-            acc = CycInt.zero(d.upper.field.p)
-            for gi in range(len(low_labels)):
-                acc = acc + E[gi][lj] * low[wi][gi]
+            acc = sum((E[gi][lj] * low[wi][gi] for gi in range(len(low_labels))), zero)
             if acc != up[ui][lj]:
                 ok = False
                 rep.add("diagram/pushforward-factors", f"{where} at ({w},{up_labels[lj]})", False)
@@ -522,12 +520,10 @@ def diagram_check(
     preimages = {mu: [w for w in low_labels if lm[w] == mu] for mu in up_labels}
     for gi, g in enumerate(low_labels):
         for mi, mu in enumerate(up_labels):
-            acc = CycInt.zero(d.upper.field.p)
-            for lj in range(len(up_labels)):
-                acc = acc + E[gi][lj].conjugate() * up[lj][mi]
+            acc = sum((E[gi][lj].conjugate() * up[lj][mi] for lj in range(len(up_labels))), zero)
             pre = preimages[mu]
             if len(pre) == 0:
-                want = CycInt.zero(d.upper.field.p)
+                want = zero
             elif len(pre) == 1:
                 want = low[gi][low_labels.index(pre[0])] * ratio
             else:
@@ -539,8 +535,5 @@ def diagram_check(
     rep.add("diagram/inverse-factors", where, ok)
 
     if d.zeta_nontrivial_on_kernel(char):
-        ok = all(
-            sum(row, CycInt.zero(d.upper.field.p)) == 0 for row in (list(r) for r in E)
-        )
-        rep.add("diagram/kernel-row-sums", where, ok)
+        rep.add("diagram/kernel-row-sums", where, all(sum(row, zero) == 0 for row in E))
     return rep

@@ -9,7 +9,7 @@ import random
 import time
 from fractions import Fraction
 
-from gftables.cyclotomic import CycInt, QuadraticGamma
+from gftables.cyclotomic import QuadInt, QuadraticGamma
 from gftables.gfq import default_char, epsilon, field_for, gauss_sum
 from gftables.pascal import (
     bpr_fpr_solve,
@@ -193,7 +193,7 @@ def test_criterion_06_diagrams():
             assert rep.ok, (fam, "\n".join(rep.lines()))
             if d.zeta_nontrivial_on_kernel(ch):
                 for row in pushforward_matrix(d, ch):
-                    total = CycInt.zero(3)
+                    total = QuadInt(3, 0)
                     for e in row:
                         total = total + e
                     assert total == 0

@@ -12,7 +12,7 @@ from gftables.cyclotomic import CycInt, QuadInt
 from gftables.gfq import CharSpec, default_char, field_for, make_field
 from gftables.pascal import closed_form_table
 from gftables.spaces import BudgetError, OrbitLabel, Space, make_space, matrix_rank, symmetric_sign
-from gftables.symmetric import _aggregate, _by_rank, phi_from_psi, psi_brute, psi_closed, scaled_canonical_from_blocks
+from gftables.symmetric import _aggregate, _by_rank, phi_from_psi, psi_brute, psi_closed, scaled_canonical_from_blocks, sym_diagram_matrices
 from gftables.transform import (
     Diagram,
     InvariantFunction,
@@ -323,7 +323,7 @@ class TestDiagrams:
         assert d.zeta_nontrivial_on_kernel(ch)
         E = pushforward_matrix(d, ch)
         for row in E:
-            total = CycInt.zero(3)
+            total = QuadInt(3, 0)
             for e in row:
                 total = total + e
             assert total == 0
@@ -335,12 +335,13 @@ class TestDiagrams:
             rep = diagram_check(d, brute_force_phi(up), brute_force_phi(low))
             assert rep.ok, (fam, "\n".join(rep.lines()))
 
+    @pytest.mark.parametrize("q", [5, 7, 9])
     @pytest.mark.parametrize(
         "fam,nu,mu,nl,ml",
         [("vec", 3, None, 2, None), ("mat", 2, 3, 1, 2), ("alt", 4, None, 2, None), ("sym", 3, None, 2, None), ("symscaled", 3, None, 1, None)],
     )
-    def test_all_chains_at_q5(self, fam, nu, mu, nl, ml):
-        up, low = make_space(fam, F5, nu, mu), make_space(fam, F5, nl, ml)
+    def test_all_chains_at_q5_7_9(self, fam, nu, mu, nl, ml, q):
+        up, low = make_space(fam, field_for(q), nu, mu), make_space(fam, field_for(q), nl, ml)
         rep = diagram_check(standard_diagram(up, low), brute_force_phi(up), brute_force_phi(low))
         assert rep.ok, (fam, "\n".join(rep.lines()))
 
@@ -364,6 +365,13 @@ class TestDiagrams:
         bad = Diagram(up, low, embed=(0,), e=(1, 0))
         assert not bad.validate_label_map()
 
+    def test_fiber_counts_not_constant_on_s_raise(self):
+        """The bad diagram above at q = 5: t = <e|a> reads the lower coordinate, so the fiber over 1 sits at t = 1 alone."""
+        up, low = make_space("vec", F5, 2), make_space("vec", F5, 1)
+        bad = Diagram(up, low, embed=(0,), e=(1, 0))
+        with pytest.raises(AssertionError, match="not constant on S and on N"):
+            pushforward_matrix(bad)
+
 
 DIAGRAM_CHAINS = [
     ("vec", 3, None, 2, None),
@@ -375,18 +383,44 @@ DIAGRAM_CHAINS = [
 ]
 
 
+@pytest.mark.parametrize("q", [3, 5])
+@pytest.mark.parametrize("fam,nu,mu,nl,ml", DIAGRAM_CHAINS)
+def test_diagram_check_builds_no_cycint(monkeypatch, fam, nu, mu, nl, ml, q):
+    """The pushes and every diagram identity stay in Z[eta]."""
+    up, low = make_space(fam, field_for(q), nu, mu), make_space(fam, field_for(q), nl, ml)
+    pu, pl = brute_force_phi(up), brute_force_phi(low)
+    made = _count_cycints(monkeypatch)
+    assert diagram_check(standard_diagram(up, low), pu, pl).ok
+    assert made == []
+
+
+@pytest.mark.parametrize("q", [3, 5])
+@pytest.mark.parametrize("which", [1, 2])
+def test_sym_diagram_matrices_build_no_cycint(monkeypatch, which, q):
+    made = _count_cycints(monkeypatch)
+    assert sym_diagram_matrices(3, default_char(field_for(q)), which).ok
+    assert made == []
+
+
+def _in_zeta(E) -> list[list[CycInt]]:
+    """A push of QuadInts on the power basis of Z[zeta_p], where the references count each t."""
+    return [[e.to_cyc() for e in row] for row in E]
+
+
 class TestFiberHistograms:
     """The coset histograms of the diagrams against the element-by-element fiber walk."""
 
     @pytest.mark.parametrize(
         "fam,nu,mu,nl,ml,q,twist",
-        [(*chain, q, twist) for chain in DIAGRAM_CHAINS for q, twist in [(3, 1), (3, 2), (5, 1)]] + [("sym", 3, None, 2, None, 9, 1)],
+        [(*chain, q, twist) for chain in DIAGRAM_CHAINS for q, twist in [(3, 1), (3, 2), (5, 1), (5, 2), (7, 1), (7, 3)]]
+        + [("sym", 3, None, 2, None, 9, 1)],
     )
     def test_pushforward_matrix(self, fam, nu, mu, nl, ml, q, twist):
+        """At q = 5 and 7 the twists 2 and 3 are nonsquares, and at p = 7 = 3 mod 4 conj(eta) is not eta."""
         up, low = make_space(fam, field_for(q), nu, mu), make_space(fam, field_for(q), nl, ml)
         d = standard_diagram(up, low)
         ch = CharSpec(up.field, up.field.element_at(twist))
-        assert pushforward_matrix(d, ch) == pushforward_reference(d, ch)
+        assert _in_zeta(pushforward_matrix(d, ch)) == pushforward_reference(d, ch)
 
     @pytest.mark.parametrize("q,twist", [(3, 1), (3, 2), (5, 1), (9, 1)])
     def test_pushforward_matrix_at_sym_sign_points(self, q, twist):
@@ -397,7 +431,7 @@ class TestFiberHistograms:
         F = field_for(q)
         d = replace(standard_diagram(make_space("symscaled", F, 3), make_space("symscaled", F, 1)), lower=make_space("sym", F, 1))
         ch = CharSpec(F, F.element_at(twist))
-        assert pushforward_matrix(d, ch) == pushforward_reference(d, ch)
+        assert _in_zeta(pushforward_matrix(d, ch)) == pushforward_reference(d, ch)
 
     @pytest.mark.parametrize(
         "fam,nu,nl,corner,q,twist",
@@ -416,15 +450,15 @@ class TestFiberHistograms:
         d = replace(standard_diagram(make_space(fam, F, nu), make_space(fam, F, nl)), lower=sym_lower)
         assert nu - nl == corner
         E = pushforward_matrix(d, ch)
-        zero = CycInt.zero(F.p)
+        zero = QuadInt(F.p, 0)
         ups = _by_rank(d.upper.labels())
         signed = {r for r, pairs in ups.items() if r and all(d.upper.labels()[i].sign is not None for i, _ in pairs)}
         vals = {}
         for w, lbl in enumerate(sym_lower.labels()):
             for r, pairs in ups.items():
-                vals.setdefault(("chi", r), {})[lbl] = _aggregate(E, [(w, 1)], [(j, 1) for j, _ in pairs], zero)
+                vals.setdefault(("chi", r), {})[lbl] = _aggregate(E, [(w, 1)], [(j, 1) for j, _ in pairs], zero).to_cyc()
                 if r in signed:
-                    vals.setdefault(("sgn", r), {})[lbl] = _aggregate(E, [(w, 1)], pairs, zero)
+                    vals.setdefault(("sgn", r), {})[lbl] = _aggregate(E, [(w, 1)], pairs, zero).to_cyc()
         want = sym_fiber_sums_reference(d, ch, {lbl: sym_lower.representative(lbl) for lbl in sym_lower.labels()})
         assert vals == {key: sums for key, sums in want.items() if key[0] == "chi" or key[1] in signed}
 
