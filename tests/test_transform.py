@@ -365,7 +365,7 @@ class TestDiagrams:
         bad = Diagram(up, low, embed=(0,), e=(1, 0))
         assert not bad.validate_label_map()
 
-    def test_fiber_counts_not_constant_on_s_raise(self):
+    def test_fiber_histogram_not_constant_on_s_raises(self):
         """The bad diagram above at q = 5: t = <e|a> reads the lower coordinate, so the fiber over 1 sits at t = 1 alone."""
         up, low = make_space("vec", F5, 2), make_space("vec", F5, 1)
         bad = Diagram(up, low, embed=(0,), e=(1, 0))
